@@ -3,15 +3,10 @@
 Quantities in this package live in the extended reals and are represented
 as ordinary floats, with ``math.inf`` / ``-math.inf`` standing in for the
 two infinities.  IEEE arithmetic leaves ``-inf + inf`` and ``0 * inf``
-undefined (NaN); the helpers here pin down the conventions used
-throughout:
-
-* in expectations, a ``+inf`` term dominates any ``-inf`` term;
-* in geometric-mean style products, ``0 ** lam * inf ** (1 - lam)`` is
-  ``+inf`` for ``lam`` in (0, 1).
-
-Both choices make the monotone limits that motivate them come out right
-and are applied consistently by every module.
+undefined (NaN); the convention used throughout is that in
+expectations a ``+inf`` term dominates any ``-inf`` term.  This makes
+the monotone limits that motivate it come out right, and every module
+applies it.
 """
 
 from __future__ import annotations
@@ -51,10 +46,6 @@ class ToleranceError(OrliczError):
     """Tolerance is non-positive or below floating-point resolution."""
 
 
-class UnboundedError(OrliczError):
-    """A supremum was detected to be infinite where a finite value is required."""
-
-
 def ext_weighted_sum(weights: Iterable[float], values: Iterable[float]) -> float:
     """Weighted sum of extended-real values with strictly positive weights.
 
@@ -78,21 +69,6 @@ def ext_weighted_sum(weights: Iterable[float], values: Iterable[float]) -> float
     if has_neg:
         return NEG_INF
     return math.fsum(terms)
-
-
-def geo_product(a: float, la: float, b: float) -> float:
-    """a**la * b**(1-la) for nonnegative extended reals, 0*inf -> inf."""
-    if la == 0.0:
-        return b
-    if la == 1.0:
-        return a
-    if (a == 0.0 and b == INF) or (a == INF and b == 0.0):
-        return INF
-    if a == INF or b == INF:
-        return INF
-    if a == 0.0 or b == 0.0:
-        return 0.0
-    return a ** la * b ** (1.0 - la)
 
 
 def check_tol(tol: float) -> float:

@@ -13,26 +13,13 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from typing import Optional, Sequence
 
 from .base import OrliczError
 from .duality import dual_search
-from .functions import (
-    Expectile,
-    GeometricExpectile,
-    GeometricMean,
-    LpQuantile,
-    LpqQuantile,
-    OrliczFunction,
-    Power,
-    QuantileStep,
-    conjugate,
-    piecewise_linear_from_text,
-    validate,
-)
+from .functions import FAMILIES, OrliczFunction, conjugate, piecewise_linear_from_text
 from .hg import hg_risk_measure
 from .premium import orlicz_premium
 from .prob import DiscreteDistribution, as_random_variable, rv
@@ -53,28 +40,13 @@ def parse_phi_spec(text: str) -> OrliczFunction:
     """Build a function family from its compact spec string."""
     head, _, tail = text.strip().partition(":")
     try:
-        if head == "gm":
-            if tail:
-                raise InputError("gm takes no parameters")
-            return GeometricMean()
         if head == "pwl":
             with open(tail) as fh:
                 return piecewise_linear_from_text(fh.read())
         args = [float(a) for a in tail.split(",")] if tail else []
-        if head == "power" and len(args) == 1:
-            return Power(args[0])
-        if head == "quantile" and len(args) == 1:
-            return QuantileStep(args[0])
-        if head == "expectile" and len(args) == 1:
-            return Expectile(args[0])
-        if head == "lp" and len(args) == 2:
-            return LpQuantile(args[0], args[1])
-        if head == "lpq" and len(args) == 4:
-            return LpqQuantile(args[0], args[1], args[2], args[3])
-        if head == "gexpectile" and len(args) == 2:
-            return GeometricExpectile(args[0], args[1])
-    except InputError:
-        raise
+        cls = FAMILIES.get(head)
+        if cls is not None and len(args) == len(fields(cls)):
+            return cls(*args)
     except (ValueError, OSError) as exc:
         raise InputError(f"bad phi spec {text!r}: {exc}") from None
     raise InputError(f"bad phi spec {text!r}; grammar: {PHI_GRAMMAR}")
@@ -243,16 +215,7 @@ def _cmd_properties(args) -> int:
     for nm in names:
         if nm not in SUITES:
             raise InputError(f"unknown suite {nm!r}; choices: {sorted(SUITES)}")
-    workers = int(os.environ.get("ORLICZ_THREADS", "1") or "1")
-
-    def run(nm: str):
-        return run_suite(nm, trials=args.trials, seed=args.seed)
-
-    if workers > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(names))) as pool:
-            reports = list(pool.map(run, names))
-    else:
-        reports = [run(nm) for nm in names]
+    reports = [run_suite(nm, trials=args.trials, seed=args.seed) for nm in names]
     result = {
         "suites": [
             {
@@ -270,7 +233,7 @@ def _cmd_properties(args) -> int:
         "properties",
         {"suite": args.suite, "trials": args.trials, "seed": args.seed},
         result,
-        {"defaults": DEFAULT_TRIALS, "workers": workers},
+        {"defaults": DEFAULT_TRIALS},
     )
     return 0 if result["all_passed"] else 3
 

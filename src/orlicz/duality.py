@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -40,14 +40,7 @@ from .base import (
     NotGAConvexError,
     OrliczError,
 )
-from .functions import (
-    Expectile,
-    LpQuantile,
-    LpqQuantile,
-    OrliczFunction,
-    Power,
-    conjugate,
-)
+from .functions import OrliczFunction, Power, conjugate, kink_slopes
 from .prob import MeasureChange, RandomVariable
 from .search import golden_max, golden_min
 
@@ -84,15 +77,35 @@ def _require_ga_convex(phi: OrliczFunction) -> None:
         )
 
 
-def _kinked_slopes(phi: OrliczFunction) -> Optional[tuple[float, float]]:
-    """(upper slope, lower slope) when Phi is linear-kinked at 1, else None."""
-    if isinstance(phi, Expectile):
-        return phi.alpha, 1.0 - phi.alpha
-    if isinstance(phi, LpQuantile) and phi.p == 1.0:
-        return phi.alpha, 1.0 - phi.alpha
-    if isinstance(phi, LpqQuantile) and phi.p == 1.0 and phi.q == 1.0:
-        return phi.a, phi.b
-    return None
+def _seeded_min(f: Callable[[float], float], lams: Sequence[float], tol: float) -> float:
+    """min of f over the seeds lams, then golden section in log lam
+    between the best finite seed's neighbours; +inf when no seed is finite."""
+    vals = [f(lam) for lam in lams]
+    finite = [i for i, v in enumerate(vals) if v < INF]
+    if not finite:
+        return INF
+    i = min(finite, key=lambda k: (vals[k], k))
+    lo = lams[max(i - 1, 0)]
+    hi = lams[min(i + 1, len(lams) - 1)]
+    _, v = golden_min(lambda t: f(math.exp(t)), math.log(lo), math.log(hi), tol=tol)
+    return min(vals[i], v)
+
+
+def _lagrangian(
+    inner: Callable[[float, float], float], probs: np.ndarray, dens: np.ndarray
+) -> Callable[[float], float]:
+    """lam -> lam + sum_i p_i * inner(lam, w_i); +inf as soon as a term is."""
+
+    def dual(lam: float) -> float:
+        total = lam
+        for p_i, w in zip(probs, dens):
+            s = inner(lam, float(w))
+            if s == INF:
+                return INF
+            total += p_i * s
+        return total
+
+    return dual
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +131,7 @@ def beta_conjugate(phi: OrliczFunction, Q: MeasureChange, tol: float = 1e-9) -> 
             r = phi.p / (phi.p - 1.0)
             denom = float((probs @ dens**r) ** (1.0 / r))
         return min(1.0, 1.0 / denom)
-    slopes = _kinked_slopes(phi)
+    slopes = kink_slopes(phi)
     if slopes is not None:
         return min(1.0, 1.0 / _kinked_dual_min(dens, probs, *slopes))
     return min(1.0, 1.0 / _conjugate_dual_min(phi, dens, probs))
@@ -164,16 +177,7 @@ def _conjugate_dual_min(
             total += p_i * psi
         return total / lam
 
-    lams = np.geomspace(1e-6, 1e6, 49)
-    vals = [f(float(l)) for l in lams]
-    finite = [i for i, v in enumerate(vals) if v < INF]
-    if not finite:
-        return INF
-    i = min(finite, key=lambda k: (vals[k], k))
-    lo = float(lams[max(i - 1, 0)])
-    hi = float(lams[min(i + 1, len(lams) - 1)])
-    _, fv = golden_min(lambda t: f(math.exp(t)), math.log(lo), math.log(hi), tol=1e-12)
-    return min(vals[i], fv)
+    return _seeded_min(f, [float(lam) for lam in np.geomspace(1e-6, 1e6, 49)], 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +207,8 @@ def beta_primal(
     slope_inf = INF if v_top == INF else (v_top - v_half) / (top * 0.5)
 
     xs = [0.0] + [float(x) for x in np.geomspace(1e-9, top, 41)]
-    pts = getattr(phi, "points", None)
-    if pts is not None:
-        xs.extend(x for x, _ in pts if 0.0 < x < top)
-        xs = sorted(set(xs))
+    xs.extend(x for x, _ in phi.points if 0.0 < x < top)
+    xs = sorted(set(xs))
     xs_arr = np.asarray(xs)
     phi_grid = phi.eval_array(xs_arr)
 
@@ -231,22 +233,13 @@ def beta_primal(
             _, v2 = golden_max(scalar, lo, hi, tol=1e-13)
         return max(float(obj[i]), v2)
 
-    def dual(lam: float) -> float:
-        total = lam
-        for p_i, w in zip(probs, dens):
-            s = inner(lam, float(w))
-            if s == INF:
-                return INF
-            total += p_i * s
-        return total
-
     # the upper reach matters when the dual objective decreases toward a
     # lam -> inf limit, as it does for functions flat at level 1 on [0, 1]
     cands = {1.0} | {float(l) for l in np.geomspace(1e-4, 1e6, 33)}
     if 0.0 < slope_inf < INF:
         lam_min = float(dens.max()) / slope_inf
         cands |= {lam_min, lam_min * (1.0 + 1e-9), lam_min * 1.25, lam_min * 2.0, lam_min * 8.0}
-    slopes = _kinked_slopes(phi)
+    slopes = kink_slopes(phi)
     if slopes is not None:
         a_s, b_s = slopes
         for w in dens:
@@ -255,17 +248,11 @@ def beta_primal(
                 if b_s > 0.0:
                     cands.add(float(w) / b_s)
     lam_list = sorted(c for c in cands if c > 0.0)
-    vals = [dual(l) for l in lam_list]
-    finite = [i for i, v in enumerate(vals) if v < INF]
-    if not finite:
+    dmin = _seeded_min(_lagrangian(inner, probs, dens), lam_list, 1e-11)
+    if dmin == INF:
         return 0.0  # infinitely penalized: constraint never binds the objective
-    i = min(finite, key=lambda k: (vals[k], k))
-    lo = lam_list[max(i - 1, 0)]
-    hi = lam_list[min(i + 1, len(lam_list) - 1)]
-    _, dv = golden_min(lambda t: dual(math.exp(t)), math.log(lo), math.log(hi), tol=1e-11)
-    dmin = min(vals[i], dv)
-    if not (dmin > 0.0) or dmin == INF:
-        return 0.0 if dmin == INF else 1.0
+    if not (dmin > 0.0):
+        return 1.0
     return min(1.0, 1.0 / dmin)
 
 
@@ -306,27 +293,9 @@ def alpha_penalty(phi: OrliczFunction, Q: MeasureChange, tol: float = 1e-9) -> f
         _, v2 = golden_max(scalar, lo, hi, tol=1e-13)
         return max(float(obj[i]), v2)
 
-    def dual(lam: float) -> float:
-        total = lam
-        for p_i, w in zip(probs, dens):
-            s = inner(lam, float(w))
-            if s == INF:
-                return INF
-            total += p_i * s
-        return total
-
     cands = {1.0} | {float(w) for w in dens if w > 0.0}
     cands |= {float(l) for l in np.geomspace(1e-4, 1e4, 25)}
-    lam_list = sorted(cands)
-    vals = [dual(l) for l in lam_list]
-    finite = [i for i, v in enumerate(vals) if v < INF]
-    if not finite:
-        return 0.0
-    i = min(finite, key=lambda k: (vals[k], k))
-    lo = lam_list[max(i - 1, 0)]
-    hi = lam_list[min(i + 1, len(lam_list) - 1)]
-    _, dv = golden_min(lambda t: dual(math.exp(t)), math.log(lo), math.log(hi), tol=1e-11)
-    dmin = min(vals[i], dv)
+    dmin = _seeded_min(_lagrangian(inner, probs, dens), sorted(cands), 1e-11)
     if dmin == INF:
         return 0.0
     return min(1.0, math.exp(-dmin))

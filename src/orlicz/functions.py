@@ -35,8 +35,8 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import ClassVar, Iterable, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import ClassVar, Iterable, Optional
 
 import numpy as np
 
@@ -69,6 +69,11 @@ class OrliczFunction(ABC):
         return INF
 
     @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        """Knots (x, y) of a piecewise-linear Phi; none for analytic families."""
+        return ()
+
+    @property
     @abstractmethod
     def convex_flag(self) -> Optional[bool]: ...
 
@@ -76,9 +81,14 @@ class OrliczFunction(ABC):
     @abstractmethod
     def ga_convex_flag(self) -> Optional[bool]: ...
 
-    @abstractmethod
     def spec_string(self) -> str:
-        """Canonical 'family:params' form (round-trips through the CLI parser)."""
+        """Canonical 'name' or 'name:param,...' form, params in field order.
+
+        The CLI parser reads it back for every family but pwl, whose
+        'pwl[...]' form is for display only; the CLI takes pwl from a file.
+        """
+        params = ",".join(repr(getattr(self, f.name)) for f in fields(self))
+        return f"{self.name}:{params}" if params else self.name
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.spec_string()}>"
@@ -123,9 +133,6 @@ class GeometricMean(OrliczFunction):
     def ga_convex_flag(self) -> Optional[bool]:
         return True
 
-    def spec_string(self) -> str:
-        return "gm"
-
 
 @dataclass(frozen=True, repr=False)
 class Power(OrliczFunction):
@@ -160,9 +167,6 @@ class Power(OrliczFunction):
     @property
     def ga_convex_flag(self) -> Optional[bool]:
         return True
-
-    def spec_string(self) -> str:
-        return f"power:{self.p!r}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -199,9 +203,6 @@ class QuantileStep(OrliczFunction):
     @property
     def ga_convex_flag(self) -> Optional[bool]:
         return False
-
-    def spec_string(self) -> str:
-        return f"quantile:{self.alpha!r}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -240,9 +241,6 @@ class Expectile(OrliczFunction):
     @property
     def ga_convex_flag(self) -> Optional[bool]:
         return self.alpha >= 0.5
-
-    def spec_string(self) -> str:
-        return f"expectile:{self.alpha!r}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -285,9 +283,6 @@ class LpQuantile(OrliczFunction):
     @property
     def ga_convex_flag(self) -> Optional[bool]:
         return self.p == 1.0 and self.alpha >= 0.5
-
-    def spec_string(self) -> str:
-        return f"lp:{self.alpha!r},{self.p!r}"
 
 
 @dataclass(frozen=True, repr=False)
@@ -343,9 +338,6 @@ class LpqQuantile(OrliczFunction):
     def ga_convex_flag(self) -> Optional[bool]:
         return self.convex_flag
 
-    def spec_string(self) -> str:
-        return f"lpq:{self.a!r},{self.b!r},{self.p!r},{self.q!r}"
-
 
 @dataclass(frozen=True, repr=False)
 class GeometricExpectile(OrliczFunction):
@@ -394,9 +386,6 @@ class GeometricExpectile(OrliczFunction):
     @property
     def ga_convex_flag(self) -> Optional[bool]:
         return self.a >= self.b
-
-    def spec_string(self) -> str:
-        return f"gexpectile:{self.a!r},{self.b!r}"
 
 
 class PiecewiseLinear(OrliczFunction):
@@ -682,13 +671,19 @@ def conjugate(phi: OrliczFunction, y: float, x_cap: float = 1e6) -> float:
             return 0.0 if y <= 1.0 else INF
         r = phi.p / (phi.p - 1.0)
         return (phi.p - 1.0) * (y / phi.p) ** r
-    if isinstance(phi, Expectile):
-        return _kinked_linear_conjugate(phi.alpha, 1.0 - phi.alpha, y)
-    if isinstance(phi, LpQuantile) and phi.p == 1.0:
-        return _kinked_linear_conjugate(phi.alpha, 1.0 - phi.alpha, y)
-    if isinstance(phi, LpqQuantile) and phi.p == 1.0 and phi.q == 1.0:
-        return _kinked_linear_conjugate(phi.a, phi.b, y)
+    slopes = kink_slopes(phi)
+    if slopes is not None:
+        return _kinked_linear_conjugate(*slopes, y)
     return _conjugate_numeric(phi, y, x_cap)
+
+
+def kink_slopes(phi: OrliczFunction) -> Optional[tuple[float, float]]:
+    """(upper slope, lower slope) when Phi is linear-kinked at 1, else None."""
+    if isinstance(phi, Expectile) or (isinstance(phi, LpQuantile) and phi.p == 1.0):
+        return phi.alpha, 1.0 - phi.alpha
+    if isinstance(phi, LpqQuantile) and phi.p == 1.0 and phi.q == 1.0:
+        return phi.a, phi.b
+    return None
 
 
 def _kinked_linear_conjugate(a: float, b: float, y: float) -> float:
@@ -710,9 +705,8 @@ def _conjugate_numeric(phi: OrliczFunction, y: float, x_cap: float) -> float:
         return x * y - v
 
     xs = [0.0] + list(np.geomspace(1e-9, x_cap, 257))
-    if isinstance(phi, PiecewiseLinear):
-        xs.extend(x for x in phi._kx if 0 < x < x_cap)
-        xs.sort()
+    xs.extend(x for x, _ in phi.points if 0 < x < x_cap)
+    xs.sort()
     vals = [obj(x) for x in xs]
     best_inner = max(vals[:-1])
     if vals[-1] > best_inner + 1.0:
@@ -771,3 +765,5 @@ BUILTIN_FAMILIES = (
     GeometricExpectile,
     PiecewiseLinear,
 )
+
+FAMILIES: dict[str, type[OrliczFunction]] = {cls.name: cls for cls in BUILTIN_FAMILIES}

@@ -283,54 +283,6 @@ NONCONVEX_FAMILIES: tuple[OrliczFunction, ...] = (
 )
 
 
-def run_convexity_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
-    """Midpoint convexity per family: random trials when convex_flag is
-    True (trials per family), witness construction when it is False."""
-    failures = []
-    notes = []
-    total = 0
-    for phi in CONVEX_FAMILIES:
-        for t in range(trials):
-            total += 1
-            rng = _trial_rng(seed, t)
-            X = _random_rv(rng)
-            bump = np.round(rng.uniform(0.05, 4.0, X.space.n), 6)
-            Y = RandomVariable(X.space, tuple(float(b) for b in bump))
-            Z = RandomVariable(
-                X.space, tuple(0.5 * (a + b) for a, b in zip(X.values, Y.values))
-            )
-            hx = orlicz_premium(phi, X).value
-            hy = orlicz_premium(phi, Y).value
-            hz = orlicz_premium(phi, Z).value
-            bound = 0.5 * (hx + hy)
-            if hz > bound + 1e-8 * max(1.0, bound):
-                failures.append(
-                    Failure(
-                        seed,
-                        t,
-                        _describe(phi, X, f"other={list(Y.values)!r}"),
-                        f"H(mid)={hz!r}",
-                        f"<= {bound!r}",
-                    )
-                )
-    for phi in NONCONVEX_FAMILIES:
-        total += 1
-        w = find_convexity_witness(phi, geometric=False)
-        if w is None:
-            failures.append(
-                Failure(
-                    seed,
-                    -1,
-                    f"phi={phi.spec_string()}",
-                    "no violation found",
-                    "certified convexity violation",
-                )
-            )
-        else:
-            notes.append(f"{phi.spec_string()}: {w}")
-    return SuiteReport("convexity", total, tuple(failures), tuple(notes))
-
-
 GA_CONVEX_FAMILIES: tuple[OrliczFunction, ...] = (
     GeometricMean(),
     Power(0.5),
@@ -348,39 +300,53 @@ GA_NONCONVEX_FAMILIES: tuple[OrliczFunction, ...] = (
 )
 
 
-def run_gg_convexity_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
-    """Geometric midpoint law H(sqrt(X Y)) <= sqrt(H(X) H(Y)) per family."""
+def _midpoint_suite(
+    name: str,
+    convex: tuple[OrliczFunction, ...],
+    nonconvex: tuple[OrliczFunction, ...],
+    geometric: bool,
+    trials: int,
+    seed: int,
+) -> SuiteReport:
+    """Random midpoint trials per convex family, witness search per non-convex one.
+
+    The midpoint of a and b is sqrt(a b) when geometric, else (a + b) / 2.
+    """
+
+    def mid(a: float, b: float) -> float:
+        return math.sqrt(a * b) if geometric else 0.5 * (a + b)
+
+    law = "GA-convexity" if geometric else "convexity"
+    label = "H(gmid)" if geometric else "H(mid)"
     failures = []
     notes = []
     total = 0
-    for phi in GA_CONVEX_FAMILIES:
+    for phi in convex:
         for t in range(trials):
             total += 1
             rng = _trial_rng(seed, t)
-            X = _random_rv(rng, lo=0.05)
+            X = _random_rv(rng)
+            # uniform draws on [0.05, 4.0) rounded to 1e-6 stay >= 0.05
             bump = np.round(rng.uniform(0.05, 4.0, X.space.n), 6)
-            Y = RandomVariable(X.space, tuple(float(max(b, 0.05)) for b in bump))
-            Z = RandomVariable(
-                X.space,
-                tuple(math.sqrt(a * b) for a, b in zip(X.values, Y.values)),
-            )
+            Y = RandomVariable(X.space, tuple(float(b) for b in bump))
+            Z = RandomVariable(X.space, tuple(mid(a, b) for a, b in zip(X.values, Y.values)))
             hx = orlicz_premium(phi, X).value
             hy = orlicz_premium(phi, Y).value
             hz = orlicz_premium(phi, Z).value
-            bound = math.sqrt(hx * hy)
+            bound = mid(hx, hy)
             if hz > bound + 1e-8 * max(1.0, bound):
                 failures.append(
                     Failure(
                         seed,
                         t,
                         _describe(phi, X, f"other={list(Y.values)!r}"),
-                        f"H(gmid)={hz!r}",
+                        f"{label}={hz!r}",
                         f"<= {bound!r}",
                     )
                 )
-    for phi in GA_NONCONVEX_FAMILIES:
+    for phi in nonconvex:
         total += 1
-        w = find_convexity_witness(phi, geometric=True)
+        w = find_convexity_witness(phi, geometric=geometric)
         if w is None:
             failures.append(
                 Failure(
@@ -388,12 +354,25 @@ def run_gg_convexity_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
                     -1,
                     f"phi={phi.spec_string()}",
                     "no violation found",
-                    "certified GA-convexity violation",
+                    f"certified {law} violation",
                 )
             )
         else:
             notes.append(f"{phi.spec_string()}: {w}")
-    return SuiteReport("gg-convexity", total, tuple(failures), tuple(notes))
+    return SuiteReport(name, total, tuple(failures), tuple(notes))
+
+
+def run_convexity_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
+    """Midpoint convexity per family: random trials when convex_flag is
+    True (trials per family), witness construction when it is False."""
+    return _midpoint_suite("convexity", CONVEX_FAMILIES, NONCONVEX_FAMILIES, False, trials, seed)
+
+
+def run_gg_convexity_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
+    """Geometric midpoint law H(sqrt(X Y)) <= sqrt(H(X) H(Y)) per family."""
+    return _midpoint_suite(
+        "gg-convexity", GA_CONVEX_FAMILIES, GA_NONCONVEX_FAMILIES, True, trials, seed
+    )
 
 
 # ---------------------------------------------------------------------------

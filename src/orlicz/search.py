@@ -10,7 +10,7 @@ report the best point actually evaluated, never an extrapolation.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
@@ -114,14 +114,3 @@ def bisect_root_decreasing(
             hi = mid
     return 0.5 * (lo + hi)
 
-
-def argmax_on_grid(f: Callable[[float], float], xs: Sequence[float]) -> tuple[int, float, float]:
-    """Index, point, and value of the maximum of f over xs (first index wins ties)."""
-    best_i = 0
-    best_x = xs[0]
-    best_v = f(xs[0])
-    for i in range(1, len(xs)):
-        v = f(xs[i])
-        if v > best_v:
-            best_i, best_x, best_v = i, xs[i], v
-    return best_i, best_x, best_v

@@ -11,7 +11,19 @@ import sys
 import pytest
 
 from orlicz import cli
-from orlicz.properties import Failure, SuiteReport
+from orlicz.functions import (
+    BUILTIN_FAMILIES,
+    FAMILIES,
+    Expectile,
+    GeometricExpectile,
+    GeometricMean,
+    LpQuantile,
+    LpqQuantile,
+    PiecewiseLinear,
+    Power,
+    QuantileStep,
+)
+from orlicz.properties import SUITES, Failure, SuiteReport
 
 
 def run_cli(capsys, *argv):
@@ -129,13 +141,12 @@ def test_properties_single_suite(capsys):
     assert env["result"]["suites"][0]["suite"] == "axioms"
 
 
-def test_properties_all_suites_threaded(capsys, monkeypatch):
-    monkeypatch.setenv("ORLICZ_THREADS", "2")
+def test_properties_all_suites(capsys):
     rc, out, _ = run_cli(capsys, "properties", "--trials", "4")
     assert rc == 0
     env = json.loads(out)
-    assert len(env["result"]["suites"]) == 5
-    assert env["diagnostics"]["workers"] == 2
+    assert [r["suite"] for r in env["result"]["suites"]] == list(SUITES)
+    assert set(env["diagnostics"]) == {"defaults"}
 
 
 def test_properties_failure_exit_code(capsys, monkeypatch):
@@ -150,6 +161,29 @@ def test_properties_failure_exit_code(capsys, monkeypatch):
     env = json.loads(out)
     assert env["result"]["all_passed"] is False
     assert env["result"]["suites"][0]["failures"]
+
+
+SPEC_EXAMPLES = (
+    GeometricMean(),
+    Power(2.0),
+    QuantileStep(0.3),
+    Expectile(0.8),
+    LpQuantile(0.7, 1.5),
+    LpqQuantile(1.5, 0.5, 1.0, 2.0),
+    GeometricExpectile(2.0, 1.0),
+)
+
+
+def test_family_registry_covers_builtin_families():
+    assert set(FAMILIES.values()) == set(BUILTIN_FAMILIES)
+    assert len(FAMILIES) == len(BUILTIN_FAMILIES)
+    # one example per family; pwl specs name a file, so they do not round-trip
+    assert {type(phi) for phi in SPEC_EXAMPLES} == set(BUILTIN_FAMILIES) - {PiecewiseLinear}
+
+
+@pytest.mark.parametrize("phi", SPEC_EXAMPLES, ids=lambda f: f.spec_string())
+def test_spec_string_round_trips(phi):
+    assert cli.parse_phi_spec(phi.spec_string()) == phi
 
 
 def test_bad_phi_spec_is_input_error(capsys, sample_csv):

@@ -128,6 +128,20 @@ def test_alpha_requires_ga_convexity():
         alpha_penalty(QuantileStep(0.3), P2)
 
 
+def test_penalty_values_are_pinned_to_the_bit():
+    # the route cross-checks above hold only to 1e-4; these exact values
+    # catch any drift in the lambda searches, grids or kink handling
+    Q = MeasureChange(FiniteProbabilitySpace((0.2, 0.3, 0.5)), (2.5, 0.25, 0.85))
+    pwl = PiecewiseLinear([(0.5, 0.5), (1.0, 1.0), (2.0, 3.0)])
+    assert float(beta_primal(Power(2.0), Q)) == 0.7832604499879573
+    assert float(beta_primal(Expectile(0.8), Q)) == 0.8988764044943727
+    assert float(beta_primal(pwl, Q)) == 0.8
+    assert float(beta_conjugate(pwl, Q)) == 0.799999999999977
+    assert alpha_penalty(GeometricMean(), Q) == 0.0
+    assert alpha_penalty(Power(0.5), Q) == 0.5654092421545872
+    assert alpha_penalty(Expectile(0.8), Q) == 0.9665463995862634
+
+
 def test_relative_entropy_hand_value():
     R = MeasureChange(UNIFORM2, (1.5, 0.5))
     want = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
