@@ -40,7 +40,7 @@ from .base import (
     NotGAConvexError,
     OrliczError,
 )
-from .functions import OrliczFunction, Power, conjugate, kink_slopes
+from .functions import X_CAP, OrliczFunction, Power, conjugate, kink_slopes
 from .prob import MeasureChange, RandomVariable
 from .search import golden_max, golden_min
 
@@ -54,13 +54,19 @@ class DualCertificate:
 
     lower_bound = penalty * E_Q[X] (arithmetic) or
     penalty * exp(E_Q[log X]) (geometric); weak duality keeps it at or
-    below the primal premium.
+    below primal, the premium computed at tol 1e-10.
     """
 
     measure: MeasureChange
     penalty: float
     lower_bound: float
     kind: str
+    primal: float
+
+    @property
+    def gap(self) -> float:
+        """primal - lower_bound: how far the certificate is from tight."""
+        return self.primal - self.lower_bound
 
 
 def _require_convex(phi: OrliczFunction) -> None:
@@ -113,7 +119,7 @@ def _lagrangian(
 # ---------------------------------------------------------------------------
 
 
-def beta_conjugate(phi: OrliczFunction, Q: MeasureChange, tol: float = 1e-9) -> float:
+def beta_conjugate(phi: OrliczFunction, Q: MeasureChange) -> float:
     """beta(Q) = (inf over lam > 0 of (1/lam) E[1 + Psi(lam * dQ/dP)])^-1.
 
     Power uses the dual-norm closed form; kinked-linear families minimize
@@ -160,9 +166,7 @@ def _kinked_dual_min(dens: np.ndarray, probs: np.ndarray, a_s: float, b_s: float
     return best
 
 
-def _conjugate_dual_min(
-    phi: OrliczFunction, dens: np.ndarray, probs: np.ndarray, x_cap: float = 1e6
-) -> float:
+def _conjugate_dual_min(phi: OrliczFunction, dens: np.ndarray, probs: np.ndarray) -> float:
     # Phi == 1 on all of [0, 1] makes the premium the essential sup and the
     # objective's infimum exactly 1, approached only as lam -> 0
     if phi.at_zero >= 1.0 - 1e-15:
@@ -171,7 +175,7 @@ def _conjugate_dual_min(
     def f(lam: float) -> float:
         total = 1.0
         for p_i, w in zip(probs, dens):
-            psi = conjugate(phi, lam * float(w), x_cap)
+            psi = conjugate(phi, lam * float(w))
             if psi == INF:
                 return INF
             total += p_i * psi
@@ -185,23 +189,21 @@ def _conjugate_dual_min(
 # ---------------------------------------------------------------------------
 
 
-def beta_primal(
-    phi: OrliczFunction, Q: MeasureChange, tol: float = 1e-9, x_cap: float = 1e6
-) -> float:
+def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     """beta(Q) via sup{E_Q[X] : E[Phi(X)] <= 1, X >= 0}, reciprocal taken.
 
     The constraint is separable, so for a multiplier lam >= 0 the dual is
     D(lam) = lam + sum_i p_i * sup_x (phi_i x - lam Phi(x)), convex in
     lam.  Each inner problem is concave in x (Phi convex) and solved by
-    grid plus golden section; unbounded rays are detected from the
-    asymptotic slope of Phi.  min_lam D(lam) >= the primal supremum, so
-    1/D never overstates beta beyond fp noise.
+    grid plus golden section on [0, min(X_CAP, upper)]; unbounded rays
+    are detected from the slope of Phi toward that cap.  min_lam D(lam)
+    >= the primal supremum, so 1/D never overstates beta beyond fp noise.
     """
     _require_convex(phi)
     dens = np.asarray(Q.density, dtype=float)
     probs = Q.space.probs_array()
 
-    top = min(x_cap, phi.upper)
+    top = min(X_CAP, phi.upper)
     v_top = phi(top)
     v_half = phi(top * 0.5)
     slope_inf = INF if v_top == INF else (v_top - v_half) / (top * 0.5)
@@ -261,7 +263,7 @@ def beta_primal(
 # ---------------------------------------------------------------------------
 
 
-def alpha_penalty(phi: OrliczFunction, Q: MeasureChange, tol: float = 1e-9) -> float:
+def alpha_penalty(phi: OrliczFunction, Q: MeasureChange) -> float:
     """alpha(Q) = exp(-sup{E_Q[Y] : E[Phi(e^Y)] <= 1}), 0 when the sup is inf.
 
     GA-convexity makes y -> Phi(e^y) convex, so the same separable
@@ -336,23 +338,20 @@ def dual_search(
     X: RandomVariable,
     kind: str = "arithmetic",
     grid_step: Optional[float] = None,
-    tol: float = 1e-9,
-    method: str = "auto",
 ) -> DualCertificate:
     """Best dual certificate over a simplex grid plus local polish.
 
-    The grid (step grid_step, default 0.01 for n <= 3 and 0.05 for
-    n = 4) is exhaustive for n <= 4; larger spaces use 32 seeded
-    multi-starts.  Q = P is always a candidate.  After the sweep, a
-    deterministic pairwise-transfer polish refines the best point with a
-    halving step, which closes the grid-resolution gap without ever
-    breaking weak duality.  Ties prefer the lexicographically smallest
+    For n <= 4 the candidates are the whole simplex grid (step
+    grid_step, default 0.01 for n <= 3 and 0.05 for n = 4); larger
+    spaces use 32 seeded multi-starts.  Q = P is always a candidate.
+    After the sweep, a deterministic pairwise-transfer polish refines
+    the best point with a halving step, which narrows the grid-resolution
+    gap without ever breaking weak duality; the certificate reports the
+    gap that remains.  Ties prefer the lexicographically smallest
     density, independent of evaluation order.
     """
     if kind not in ("arithmetic", "geometric"):
         raise ValueError(f"kind must be 'arithmetic' or 'geometric', got {kind!r}")
-    if method not in ("auto", "exhaustive", "multistart"):
-        raise ValueError(f"unknown method {method!r}")
     n = X.space.n
     probs = X.space.probs_array()
     vals = X.values_array()
@@ -366,21 +365,18 @@ def dual_search(
         logs = np.log(vals)
     if grid_step is None:
         grid_step = 0.01 if n <= 3 else 0.05
-    if method == "exhaustive" and n > 4:
-        raise DimensionError(f"exhaustive simplex grid limited to n <= 4, got n = {n}")
-    use_grid = method == "exhaustive" or (method == "auto" and n <= 4)
 
     def evaluate(q: Sequence[float]) -> tuple[float, float, MeasureChange]:
         Q = _as_measure(X.space, q, probs)
         if kind == "arithmetic":
-            pen = beta_conjugate(phi, Q, tol)
+            pen = beta_conjugate(phi, Q)
             val = float(np.dot(q, vals))
         else:
-            pen = alpha_penalty(phi, Q, tol)
+            pen = alpha_penalty(phi, Q)
             val = float(math.exp(np.dot(q, logs))) if pen > 0.0 else 0.0
         return pen * val, pen, Q
 
-    if use_grid:
+    if n <= 4:
         candidates: Iterable[Sequence[float]] = simplex_grid(n, grid_step)
     else:
         rng = np.random.default_rng(20210607)
@@ -421,7 +417,9 @@ def dual_search(
         raise OrliczError(
             f"weak duality violated: bound {best_bound!r} exceeds primal {primal!r}"
         )
-    return DualCertificate(measure=best_Q, penalty=best_pen, lower_bound=best_bound, kind=kind)
+    return DualCertificate(
+        measure=best_Q, penalty=best_pen, lower_bound=best_bound, kind=kind, primal=primal
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +462,7 @@ def alpha_from_beta(beta_values: BetaGrid, R: MeasureChange) -> float:
 
 
 def beta_on_grid(
-    phi: OrliczFunction, space, grid_step: float = 0.01, tol: float = 1e-9
+    phi: OrliczFunction, space, grid_step: float = 0.01
 ) -> list[tuple[MeasureChange, float]]:
     """beta on the simplex grid (plus Q = P), for the entropy bridge."""
     probs = np.asarray(space.probs, dtype=float)
@@ -475,7 +473,7 @@ def beta_on_grid(
         if Q.density in seen:
             continue
         seen.add(Q.density)
-        out.append((Q, beta_conjugate(phi, Q, tol)))
+        out.append((Q, beta_conjugate(phi, Q)))
     return out
 
 
@@ -496,11 +494,11 @@ class AlphaBridgeReport:
 
 
 def alpha_bridge_report(
-    phi: OrliczFunction, R: MeasureChange, grid_step: float = 0.01, tol: float = 1e-9
+    phi: OrliczFunction, R: MeasureChange, grid_step: float = 0.01
 ) -> AlphaBridgeReport:
-    grid = beta_on_grid(phi, R.space, grid_step, tol)
+    grid = beta_on_grid(phi, R.space, grid_step)
     bridge = alpha_from_beta(grid, R)
-    direct = alpha_penalty(phi, R, tol)
+    direct = alpha_penalty(phi, R)
     gap = 5.0 * grid_step
     return AlphaBridgeReport(
         bridge_value=bridge,
@@ -531,7 +529,7 @@ class HGDualReport:
 
 
 def hg_dual_check(
-    phi: OrliczFunction, X: RandomVariable, grid_step: float = 0.01, tol: float = 1e-9
+    phi: OrliczFunction, X: RandomVariable, grid_step: float = 0.01
 ) -> HGDualReport:
     """Maximize E_Q[X] over grid measures with |beta(Q) - 1| <= grid_step.
 
@@ -556,7 +554,7 @@ def hg_dual_check(
     for q in [tuple(float(p) for p in probs)] + simplex_grid(n, grid_step):
         total += 1
         Q = _as_measure(X.space, q, probs)
-        b = beta_conjugate(phi, Q, tol)
+        b = beta_conjugate(phi, Q)
         if abs(b - 1.0) > band:
             continue
         admissible += 1

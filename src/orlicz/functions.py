@@ -43,6 +43,7 @@ import numpy as np
 from .base import DomainError, INF, NEG_INF, NotConvexError
 
 MIDPOINT_TOL = 1e-9  # slack for numeric midpoint convexity tests
+X_CAP = 1e6  # right end of the numeric x searches in conjugate and beta_primal
 
 
 class OrliczFunction(ABC):
@@ -585,21 +586,20 @@ class ValidationReport:
     method: str
 
 
-def validate(phi: OrliczFunction, grid_size: int = 64) -> ValidationReport:
+def validate(phi: OrliczFunction) -> ValidationReport:
     """Check the three admissibility conditions.
 
     Built-in families are admissible by construction (their parameter
     ranges enforce it) and short-circuit to a pass.  PiecewiseLinear is
-    checked on a log-spaced grid plus every knot; left-continuity holds
-    structurally for its representation.  Violations carry a witness x.
+    checked on a 64-point log-spaced grid plus every knot; left-continuity
+    holds structurally for its representation.  Violations carry a
+    witness x.
     """
-    if grid_size < 16:
-        raise ValueError(f"grid_size must be >= 16, got {grid_size}")
     if not isinstance(phi, PiecewiseLinear):
         return ValidationReport(ok=True, violations=(), method="analytic")
 
     bad: list[Violation] = []
-    xs = _validation_grid(phi, grid_size)
+    xs = _validation_grid(phi)
     vals = [phi(x) for x in xs]
 
     if phi.at_zero == INF:
@@ -623,13 +623,13 @@ def validate(phi: OrliczFunction, grid_size: int = 64) -> ValidationReport:
     return ValidationReport(ok=not bad, violations=tuple(bad), method="grid")
 
 
-def _validation_grid(phi: PiecewiseLinear, grid_size: int) -> list[float]:
+def _validation_grid(phi: PiecewiseLinear) -> list[float]:
     kx = [x for x in phi._kx if x > 0]
     top = max(4.0, 2.0 * max(kx) if kx else 4.0)
     if phi.upper < INF:
         top = max(top, 2.0 * phi.upper)
     lo = min([1e-6] + [x / 2.0 for x in kx])
-    grid = set(float(g) for g in np.geomspace(lo, top, grid_size))
+    grid = set(float(g) for g in np.geomspace(lo, top, 64))
     grid |= set(kx) | {1.0, top}
     # make sure the region just above 1 is probed
     grid |= {1.0 + d for d in (1e-6, 0.01, 0.1, 0.5)}
@@ -651,13 +651,13 @@ def is_ga_convex(phi: OrliczFunction) -> Optional[bool]:
 # ---------------------------------------------------------------------------
 
 
-def conjugate(phi: OrliczFunction, y: float, x_cap: float = 1e6) -> float:
+def conjugate(phi: OrliczFunction, y: float) -> float:
     """Psi(y) = sup_{x >= 0} (x*y - Phi(x)) for convex phi and y >= 0.
 
     Closed forms cover Power(p >= 1), convex Expectile / LpQuantile, and
     LpqQuantile with p = q = 1; everything else runs a golden-section
-    search over log x on (0, x_cap], plus the endpoint x = 0.  The
-    supremum is reported as +inf when the objective at x_cap still
+    search over log x on (0, X_CAP], plus the endpoint x = 0.  The
+    supremum is reported as +inf when the objective at X_CAP still
     exceeds the best interior value by more than 1 (linear growth).
     """
     if y < 0:
@@ -674,7 +674,7 @@ def conjugate(phi: OrliczFunction, y: float, x_cap: float = 1e6) -> float:
     slopes = kink_slopes(phi)
     if slopes is not None:
         return _kinked_linear_conjugate(*slopes, y)
-    return _conjugate_numeric(phi, y, x_cap)
+    return _conjugate_numeric(phi, y)
 
 
 def kink_slopes(phi: OrliczFunction) -> Optional[tuple[float, float]]:
@@ -695,7 +695,7 @@ def _kinked_linear_conjugate(a: float, b: float, y: float) -> float:
     return b - 1.0
 
 
-def _conjugate_numeric(phi: OrliczFunction, y: float, x_cap: float) -> float:
+def _conjugate_numeric(phi: OrliczFunction, y: float) -> float:
     from .search import golden_max
 
     def obj(x: float) -> float:
@@ -704,8 +704,8 @@ def _conjugate_numeric(phi: OrliczFunction, y: float, x_cap: float) -> float:
             return NEG_INF
         return x * y - v
 
-    xs = [0.0] + list(np.geomspace(1e-9, x_cap, 257))
-    xs.extend(x for x, _ in phi.points if 0 < x < x_cap)
+    xs = [0.0] + list(np.geomspace(1e-9, X_CAP, 257))
+    xs.extend(x for x, _ in phi.points if 0 < x < X_CAP)
     xs.sort()
     vals = [obj(x) for x in xs]
     best_inner = max(vals[:-1])

@@ -25,6 +25,7 @@ from .search import golden_min
 COARSE_POINTS = 256
 EDGE_EPS = 1e-12  # strict-improvement margin for extending the search window
 MAX_EXTENSIONS = 6
+GG_TOL = 1e-9  # margin by which the counterexample must break GG-convexity
 
 
 @dataclass(frozen=True)
@@ -130,7 +131,7 @@ class GGCounterexampleReport:
     With the geometric-mean premium, X = (1/2, 2) and its swap Y satisfy
     sqrt(X * Y) = 1 pointwise, yet rho(sqrt(X Y)) exceeds
     sqrt(rho(X) * rho(Y)); passed means the violation was certified at
-    tolerance tol.
+    tolerance tol (GG_TOL).
     """
 
     rho_x: float
@@ -141,7 +142,7 @@ class GGCounterexampleReport:
     tol: float
 
 
-def gg_counterexample_check(tol: float = 1e-9) -> GGCounterexampleReport:
+def gg_counterexample_check() -> GGCounterexampleReport:
     phi = GeometricMean()
     X = rv((0.5, 2.0))
     Y = rv((2.0, 0.5))
@@ -155,6 +156,6 @@ def gg_counterexample_check(tol: float = 1e-9) -> GGCounterexampleReport:
         rho_y=rho_y,
         rho_gmean=rho_z,
         geometric_bound=bound,
-        passed=rho_z > bound + tol,
-        tol=tol,
+        passed=rho_z > bound + GG_TOL,
+        tol=GG_TOL,
     )

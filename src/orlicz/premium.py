@@ -42,6 +42,7 @@ from .prob import (
 from .search import bisect_root_decreasing, bisect_smallest_feasible
 
 LOWER_FLOOR = 1e-300
+CASH_TOL = 1e-8  # |delta| below this reads as cash-additive
 
 
 def _ensure_admissible(phi: OrliczFunction) -> None:
@@ -369,11 +370,9 @@ def geometric_expectile(X: RandomVariable, a: float, b: float) -> float:
     return math.exp(_expectile_signed(logs, list(X.space.probs), a / (a + b)))
 
 
-def premium_of_distribution(
-    phi: OrliczFunction, dist: DiscreteDistribution, tol: float = 1e-10, route: str = "auto"
-) -> PremiumResult:
+def premium_of_distribution(phi: OrliczFunction, dist: DiscreteDistribution) -> PremiumResult:
     """Premium of a distribution via its canonical carrier (law invariance)."""
-    return orlicz_premium(phi, as_random_variable(dist), tol=tol, route=route)
+    return orlicz_premium(phi, as_random_variable(dist))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +386,7 @@ class CashAdditivityReport:
 
     deltas[i] = H(X + shifts[i]) - (H(X) + shifts[i]).  classification is
     'additive' / 'subadditive' / 'superadditive' / 'neither' at tolerance
-    tol; expected is the theory prediction for the family (None when no
+    CASH_TOL; expected is the theory prediction for the family (None when no
     claim applies) and consistent compares the two.
     """
 
@@ -426,10 +425,8 @@ def cash_additivity_probe(
     phi: OrliczFunction,
     X: RandomVariable,
     shifts: Sequence[float] = (0.25, 0.5, 1.0, 2.0),
-    tol: float = 1e-8,
 ) -> CashAdditivityReport:
     """Measure H(X+m) - (H(X)+m) over the given shifts and classify."""
-    check_tol(tol)
     if any(not (m > 0) for m in shifts):
         raise DomainError("shifts must be strictly positive")
     base = orlicz_premium(phi, X).value
@@ -437,11 +434,11 @@ def cash_additivity_probe(
     for m in shifts:
         shifted = RandomVariable(X.space, tuple(v + m for v in X.values))
         deltas.append(orlicz_premium(phi, shifted).value - (base + m))
-    if all(abs(d) <= tol for d in deltas):
+    if all(abs(d) <= CASH_TOL for d in deltas):
         cls = "additive"
-    elif all(d <= tol for d in deltas):
+    elif all(d <= CASH_TOL for d in deltas):
         cls = "subadditive"
-    elif all(d >= -tol for d in deltas):
+    elif all(d >= -CASH_TOL for d in deltas):
         cls = "superadditive"
     else:
         cls = "neither"

@@ -3,7 +3,7 @@
 Everything downstream works on a finite space with strictly positive
 outcome probabilities.  Random variables are nonnegative value vectors
 aligned with the space; distributions are sorted atom/probability lists
-with nearby atoms merged.  Expectations run through math.fsum and the
+with equal atoms merged.  Expectations run through math.fsum and the
 extended-real convention that a +inf term dominates any -inf term.
 """
 
@@ -15,9 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .base import DimensionError, DomainError, INF, ext_weighted_sum
+from .base import DimensionError, DomainError, ext_weighted_sum
 
-ATOM_MERGE_TOL = 1e-12
 PROB_SUM_TOL = 1e-12
 
 
@@ -94,7 +93,11 @@ class DiscreteDistribution:
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "DiscreteDistribution":
-        """Build from (value, probability) pairs, merging atoms within 1e-12."""
+        """Build from (value, probability) pairs, merging equal atoms.
+
+        Only exactly equal values merge, so the law of lam * X is the
+        law of X scaled by lam at every scale.
+        """
         kept = [(float(v), float(p)) for v, p in pairs if p != 0.0]
         if any(p < 0 for _, p in kept):
             raise ValueError("probabilities must be nonnegative")
@@ -102,7 +105,7 @@ class DiscreteDistribution:
         atoms: list[float] = []
         probs: list[float] = []
         for v, p in kept:
-            if atoms and v - atoms[-1] <= ATOM_MERGE_TOL:
+            if atoms and v == atoms[-1]:
                 probs[-1] = probs[-1] + p
             else:
                 atoms.append(v)
@@ -127,9 +130,6 @@ class MeasureChange:
         total = math.fsum(p * d for p, d in zip(self.space.probs, self.density))
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"density integrates to {total!r}, not 1")
-
-    def density_array(self) -> np.ndarray:
-        return np.asarray(self.density, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +156,7 @@ def ess_sup(X: RandomVariable) -> float:
 
 
 def distribution_of(X: RandomVariable) -> DiscreteDistribution:
-    """Law of X: sorted atoms, probabilities aggregated, near-ties merged."""
+    """Law of X: sorted atoms, probabilities of equal values aggregated."""
     return DiscreteDistribution.from_pairs(list(zip(X.values, X.space.probs)))
 
 
@@ -173,7 +173,7 @@ def quantile(dist: DiscreteDistribution, t: float) -> float:
 
 
 def mixture(F: DiscreteDistribution, G: DiscreteDistribution, lam: float) -> DiscreteDistribution:
-    """lam*F + (1-lam)*G as a distribution, atoms merged within 1e-12."""
+    """lam*F + (1-lam)*G as a distribution, equal atoms merged."""
     if not (0.0 <= lam <= 1.0):
         raise DomainError(f"mixture weight must be in [0, 1], got {lam!r}")
     pairs = [(a, lam * p) for a, p in zip(F.atoms, F.probs)]

@@ -18,7 +18,7 @@ witness; not finding one is the failure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -124,7 +124,7 @@ AXIOM_FAMILIES: tuple[OrliczFunction, ...] = (
 )
 
 
-def run_axioms_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
+def run_axioms_suite(trials: int, seed: int) -> SuiteReport:
     """H(c) = c, H(lam X) = lam H(X), and X <= Y implies H(X) <= H(Y)."""
     failures = []
     for t in range(trials):
@@ -229,14 +229,14 @@ def _midpoint_violations(phi: OrliczFunction, geometric: bool) -> list[tuple[flo
 
 
 def find_convexity_witness(
-    phi: OrliczFunction, geometric: bool = False, margin: float = 1e-9
+    phi: OrliczFunction, geometric: bool = False
 ) -> Optional[ConvexityWitness]:
     """Search for a certified violation of (GA-)midpoint convexity of H.
 
     Pairs with the largest Phi-level midpoint gap are lifted to
     three-atom premium comparisons over a deterministic grid of mixing
     weights, low atoms, and scales.  Returns the first instance whose
-    premiums violate the bound by more than margin, or None.
+    premiums violate the bound by more than 1e-9 * max(1, H(Z)), or None.
     """
     for gap, x1, x2 in _midpoint_violations(phi, geometric):
         m = math.sqrt(x1 * x2) if geometric else 0.5 * (x1 + x2)
@@ -251,7 +251,7 @@ def find_convexity_witness(
                     hy = orlicz_premium(phi, Y).value
                     hz = orlicz_premium(phi, Z).value
                     bound = math.sqrt(hx * hy) if geometric else 0.5 * (hx + hy)
-                    if hz > bound + margin * max(1.0, hz):
+                    if hz > bound + 1e-9 * max(1.0, hz):
                         return ConvexityWitness(
                             geometric=geometric,
                             lam=lam,
@@ -362,13 +362,13 @@ def _midpoint_suite(
     return SuiteReport(name, total, tuple(failures), tuple(notes))
 
 
-def run_convexity_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
+def run_convexity_suite(trials: int, seed: int) -> SuiteReport:
     """Midpoint convexity per family: random trials when convex_flag is
     True (trials per family), witness construction when it is False."""
     return _midpoint_suite("convexity", CONVEX_FAMILIES, NONCONVEX_FAMILIES, False, trials, seed)
 
 
-def run_gg_convexity_suite(trials: int = 200, seed: int = 0) -> SuiteReport:
+def run_gg_convexity_suite(trials: int, seed: int) -> SuiteReport:
     """Geometric midpoint law H(sqrt(X Y)) <= sqrt(H(X) H(Y)) per family."""
     return _midpoint_suite(
         "gg-convexity", GA_CONVEX_FAMILIES, GA_NONCONVEX_FAMILIES, True, trials, seed
@@ -406,7 +406,7 @@ def _margin_safe_rv(rng: np.random.Generator, n: int) -> RandomVariable:
     return rv(tuple(values), probs)
 
 
-def run_collapse_suite(trials: int = 120, seed: int = 0) -> SuiteReport:
+def run_collapse_suite(trials: int, seed: int) -> SuiteReport:
     """Shift H(X + m) against H(X) + m and classify each family."""
     failures = []
     for t in range(trials):
@@ -455,7 +455,7 @@ CXLS_BATTERY: tuple[OrliczFunction, ...] = (
 )
 
 
-def run_cxls_suite(trials: int = 180, seed: int = 0) -> SuiteReport:
+def run_cxls_suite(trials: int, seed: int) -> SuiteReport:
     """If H(F) = H(G) = gamma then every mixture also has premium gamma."""
     failures = []
     lam_set = (0.25, 0.5, 0.75)
@@ -512,6 +512,7 @@ DEFAULT_TRIALS: dict[str, int] = {
 
 
 def run_suite(name: str, trials: Optional[int] = None, seed: int = 0) -> SuiteReport:
+    """Run one suite by name; trials defaults to DEFAULT_TRIALS[name]."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choices: {sorted(SUITES)}")
     n = DEFAULT_TRIALS[name] if trials is None else trials

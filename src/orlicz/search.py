@@ -14,6 +14,9 @@ from typing import Callable
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
+# iteration caps, a backstop for tolerances too fine for the fp grid
+GOLDEN_ITERS = 200
+BISECT_ITERS = 400
 
 
 def golden_max(
@@ -21,7 +24,6 @@ def golden_max(
     lo: float,
     hi: float,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """Maximize a unimodal f on [lo, hi]; returns (argmax, max) among evaluated points."""
     best_x, best_v = lo, f(lo)
@@ -35,7 +37,7 @@ def golden_max(
     c = a + INV_PHI2 * h
     d = a + INV_PHI * h
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(GOLDEN_ITERS):
         if fc > best_v:
             best_x, best_v = c, fc
         if fd > best_v:
@@ -60,10 +62,9 @@ def golden_min(
     lo: float,
     hi: float,
     tol: float = 1e-12,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """Minimize a unimodal f on [lo, hi]; returns (argmin, min) among evaluated points."""
-    x, v = golden_max(lambda t: -f(t), lo, hi, tol=tol, max_iter=max_iter)
+    x, v = golden_max(lambda t: -f(t), lo, hi, tol=tol)
     return x, -v
 
 
@@ -73,7 +74,6 @@ def bisect_smallest_feasible(
     hi: float,
     threshold: float = 1.0,
     rel_tol: float = 1e-10,
-    max_iter: int = 400,
 ) -> tuple[float, float, float, int]:
     """Smallest k with g(k) <= threshold for nonincreasing g.
 
@@ -82,7 +82,7 @@ def bisect_smallest_feasible(
     g(value) <= threshold is guaranteed, and g(bracket_lo) > threshold.
     """
     it = 0
-    while (hi - lo) > rel_tol * max(1.0, abs(hi)) and it < max_iter:
+    while (hi - lo) > rel_tol * max(1.0, abs(hi)) and it < BISECT_ITERS:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # fp exhaustion
             break
@@ -99,10 +99,9 @@ def bisect_root_decreasing(
     lo: float,
     hi: float,
     rel_tol: float = 1e-14,
-    max_iter: int = 400,
 ) -> float:
     """Root of a continuous nonincreasing h with h(lo) >= 0 >= h(hi)."""
-    for _ in range(max_iter):
+    for _ in range(BISECT_ITERS):
         if (hi - lo) <= rel_tol * max(1.0, abs(hi), abs(lo)):
             break
         mid = 0.5 * (lo + hi)

@@ -201,6 +201,18 @@ def test_dual_search_geometric_attains_at_reference():
     assert cert.penalty == pytest.approx(1.0, abs=1e-9)
 
 
+def test_certificate_carries_primal_and_gap():
+    for phi, X, kind in [
+        (Power(2.0), rv((1.0, 3.0)), "arithmetic"),
+        (Expectile(0.8), rv((0.5, 1.5, 4.0), (0.2, 0.3, 0.5)), "arithmetic"),
+        (GeometricMean(), rv((0.5, 2.0)), "geometric"),
+    ]:
+        cert = dual_search(phi, X, kind=kind)
+        assert cert.primal == orlicz_premium(phi, X, tol=1e-10).value
+        assert cert.gap == cert.primal - cert.lower_bound
+        assert cert.gap >= -1e-9 * max(1.0, cert.primal)
+
+
 def test_dual_search_geometric_needs_positive_outcomes():
     with pytest.raises(DomainError):
         dual_search(GeometricMean(), rv((0.0, 2.0)), kind="geometric")
@@ -208,9 +220,7 @@ def test_dual_search_geometric_needs_positive_outcomes():
 
 def test_dual_search_exhaustive_dimension_guard():
     X = rv((1.0, 2.0, 3.0, 4.0, 5.0))
-    with pytest.raises(DimensionError):
-        dual_search(Power(2.0), X, method="exhaustive")
-    # auto on n = 5 falls back to seeded multistarts and stays below primal
+    # n = 5 falls back to seeded multistarts and stays below primal
     cert = dual_search(Power(2.0), X, grid_step=0.05)
     primal = orlicz_premium(Power(2.0), X).value
     assert cert.lower_bound <= primal + 1e-9

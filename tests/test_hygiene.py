@@ -1,0 +1,82 @@
+"""Static hygiene of the package source: no dead imports, no unread parameters.
+
+Both checks walk the stdlib ast of every module under src/orlicz.  A
+parameter that no body reads is a knob that changes no result, and an
+import that nothing uses is dead code; either one fails the suite.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "orlicz"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """Names loaded (or updated in place) anywhere under node."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            out.add(sub.id)
+        elif isinstance(sub, ast.AugAssign) and isinstance(sub.target, ast.Name):
+            out.add(sub.target.id)
+    return out
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = _read_names(tree)
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def _is_abstract(fn: ast.AST) -> bool:
+    for dec in fn.decorator_list:
+        name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None)
+        if name == "abstractmethod":
+            return True
+    return False
+
+
+def _unread_parameters(tree: ast.Module) -> list[str]:
+    out = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or _is_abstract(fn):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = set()
+        for stmt in fn.body:
+            read |= _read_names(stmt)
+        for p in params:
+            if p.arg not in ("self", "cls") and p.arg not in read:
+                out.append(f"{fn.name}({p.arg}) at line {fn.lineno}")
+    return out
+
+
+def test_source_tree_found():
+    assert {p.name for p in MODULES} >= {"__init__.py", "duality.py", "premium.py"}
+
+
+def test_no_unused_imports():
+    found = {
+        path.name: bad
+        for path in MODULES
+        if path.name != "__init__.py" and (bad := _unused_imports(_tree(path)))
+    }
+    assert not found, f"imported but never used: {found}"
+
+
+def test_every_parameter_is_read():
+    found = {path.name: bad for path in MODULES if (bad := _unread_parameters(_tree(path)))}
+    assert not found, f"parameters that no body reads: {found}"

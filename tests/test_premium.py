@@ -142,6 +142,18 @@ def test_quantile_premium_is_left_quantile():
     assert orlicz_premium(QuantileStep(1.0), X).value == 3.0
 
 
+def test_quantile_premium_homogeneous_at_small_and_large_scale():
+    # close atoms must not merge: at 1e-6 they lie 5e-13 apart
+    assert orlicz_premium(QuantileStep(0.9), rv((1e-6, 1.0000005e-6))).value == 1.0000005e-6
+    values = (1.0, 1.0000005, 1.0000001, 2.0, 1.5)
+    for scale in (1e-6, 1e6):
+        X = rv([scale * v for v in values])
+        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+            want = scale * orlicz_premium(QuantileStep(alpha), rv(values)).value
+            got = orlicz_premium(QuantileStep(alpha), X).value
+            assert got == pytest.approx(want, rel=1e-12), (scale, alpha)
+
+
 def test_degenerate_zero_mass_with_unbounded_below_phi():
     X = rv((0.0, 2.0))
     res = orlicz_premium(GeometricMean(), X)

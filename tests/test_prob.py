@@ -53,6 +53,13 @@ def test_from_pairs_sorts_merges_and_drops_zeros():
     assert d.probs == (0.5, 0.5)
 
 
+def test_from_pairs_merges_only_equal_atoms():
+    # atoms 5e-13 apart stay apart: the law of 1e-6 * X is the scaled law of X
+    d = DiscreteDistribution.from_pairs([(1.0000005e-6, 0.5), (1e-6, 0.25), (1e-6, 0.25)])
+    assert d.atoms == (1e-6, 1.0000005e-6)
+    assert d.probs == (0.5, 0.5)
+
+
 def test_expect_and_ess_sup():
     X = rv((1.0, 2.0, 4.0), (0.25, 0.25, 0.5))
     assert expect(X) == pytest.approx(2.75)
