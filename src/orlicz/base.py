@@ -17,6 +17,11 @@ from typing import Iterable
 INF = math.inf
 NEG_INF = -math.inf
 
+# Inputs with at least this many entries take the numpy kernels; shorter
+# ones take plain loops, which cost less per call at that size.  Both give
+# the same numbers to the bit.
+VECTOR_MIN = 64
+
 
 class OrliczError(Exception):
     """Base class for all errors raised by this package."""

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import math
 import sys
 from dataclasses import fields
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .base import OrliczError
 from .duality import dual_search
@@ -60,39 +63,92 @@ def _numeric(cell: str) -> bool:
         return False
 
 
+def _cells(row: list[str]) -> list[str]:
+    return [c for c in map(str.strip, row) if c]
+
+
+def _convert(rows, fmt: str, values: list[float], probs: list[float]) -> Optional[Exception]:
+    """Append each row's numbers in file order; return the first bad row's error.
+
+    float() ignores the surrounding whitespace that strip() removes, so a
+    row whose cells all convert as they stand skips the stripping; any
+    other row is stripped first, which keeps the error texts.
+    """
+    try:
+        if fmt != "dist":
+            for row in rows:
+                if len(row) == 1:
+                    try:
+                        values.append(float(row[0]))
+                        continue
+                    except ValueError:
+                        pass
+                cells = _cells(row)
+                if cells:
+                    values.append(float(cells[0]))
+            return None
+        for row in rows:
+            if len(row) == 2:
+                try:
+                    v, p = float(row[0]), float(row[1])
+                    values.append(v)
+                    probs.append(p)
+                    continue
+                except ValueError:
+                    pass
+            cells = _cells(row)
+            if not cells:
+                continue
+            if len(cells) < 2:
+                raise InputError(f"dist rows need value,probability: {cells!r}")
+            v, p = float(cells[0]), float(cells[1])
+            values.append(v)
+            probs.append(p)
+    except (ValueError, InputError) as exc:
+        return exc
+    return None
+
+
 def load_data(path: str, fmt: str = "auto"):
     """Read a CSV of outcomes.
 
     dist format has value,probability rows; sample format has one value
     per row (uniform weights).  auto picks by column count.  A single
     non-numeric header row is skipped.
+
+    Rows stream from the reader into float columns in file order, so the
+    first bad row is the one reported.  The file is still read to its
+    end first, as a read error outranks a bad row.
     """
+    values: list[float] = []
+    probs: list[float] = []
+    first: Optional[list[str]] = None
+    error: Optional[Exception] = None
     try:
         with open(path, newline="") as fh:
-            rows = [
-                [c.strip() for c in row if c.strip()]
-                for row in csv.reader(fh)
-            ]
+            rows = csv.reader(fh)
+            first = next((c for c in map(_cells, rows) if c), None)
+            if first is not None and not _numeric(first[0]):
+                first = next((c for c in map(_cells, rows) if c), None)
+            if first is not None:
+                if fmt == "auto":
+                    fmt = "dist" if len(first) >= 2 else "sample"
+                error = _convert(itertools.chain([first], rows), fmt, values, probs)
+                for _ in rows:
+                    pass
     except OSError as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from None
-    rows = [r for r in rows if r]
-    if rows and not _numeric(rows[0][0]):
-        rows = rows[1:]
-    if not rows:
+    if isinstance(error, InputError):
+        raise error
+    if first is None:
         raise InputError(f"{path!r} holds no data rows")
-    if fmt == "auto":
-        fmt = "dist" if len(rows[0]) >= 2 else "sample"
     try:
+        if error is not None:
+            raise error
         if fmt == "dist":
-            pairs = []
-            for r in rows:
-                if len(r) < 2:
-                    raise InputError(f"dist rows need value,probability: {r!r}")
-                pairs.append((float(r[0]), float(r[1])))
+            pairs = np.column_stack((values, probs))
             return as_random_variable(DiscreteDistribution.from_pairs(pairs))
-        return rv([float(r[0]) for r in rows])
-    except InputError:
-        raise
+        return rv(values)
     except (ValueError, OrliczError) as exc:
         raise InputError(f"bad data in {path!r}: {exc}") from None
 

@@ -383,7 +383,7 @@ def dual_search(
         candidates = [tuple(rng.dirichlet(np.ones(n))) for _ in range(32)]
 
     best_bound, best_pen, best_Q = evaluate(tuple(float(p) for p in probs))
-    best_q = np.asarray(probs, dtype=float).copy()
+    best_q = probs.copy()
     for q in candidates:
         b, pen, Q = evaluate(q)
         if b > best_bound or (b == best_bound and Q.density < best_Q.density):
@@ -465,7 +465,7 @@ def beta_on_grid(
     phi: OrliczFunction, space, grid_step: float = 0.01
 ) -> list[tuple[MeasureChange, float]]:
     """beta on the simplex grid (plus Q = P), for the entropy bridge."""
-    probs = np.asarray(space.probs, dtype=float)
+    probs = space.probs_array()
     out = []
     seen = set()
     for q in [tuple(float(p) for p in probs)] + simplex_grid(space.n, grid_step):

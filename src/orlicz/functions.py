@@ -40,7 +40,7 @@ from typing import ClassVar, Iterable, Optional
 
 import numpy as np
 
-from .base import DomainError, INF, NEG_INF, NotConvexError
+from .base import VECTOR_MIN, DomainError, INF, NEG_INF, NotConvexError
 
 MIDPOINT_TOL = 1e-9  # slack for numeric midpoint convexity tests
 X_CAP = 1e6  # right end of the numeric x searches in conjugate and beta_primal
@@ -431,6 +431,8 @@ class PiecewiseLinear(OrliczFunction):
             raise ValueError("upper must be at least the last knot location")
         self._kx = tuple(xs)
         self._ky = tuple(ys)
+        self._kx_arr = np.array(xs)
+        self._ky_arr = np.array(ys)
         self._upper = float(upper)
         if value_at_zero is None:
             self._at_zero = ys[0]
@@ -470,8 +472,28 @@ class PiecewiseLinear(OrliczFunction):
         return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
+        """__call__ on every entry, case for case and to the bit."""
         flat = np.asarray(xs, dtype=float)
-        out = np.fromiter((self(v) for v in flat.ravel()), dtype=float, count=flat.size)
+        x = flat.ravel()
+        if x.size < VECTOR_MIN:
+            return np.fromiter(map(self, x), dtype=float, count=x.size).reshape(flat.shape)
+        neg = np.flatnonzero(x < 0)
+        if neg.size:
+            raise DomainError(f"negative input {x[neg[0]]!r}")
+        kx, ky = self._kx_arr, self._ky_arr
+        i = np.searchsorted(kx, x, side="left")
+        i[np.isnan(x)] = 0  # bisect_left places nan before every knot
+        at = np.minimum(i, len(kx) - 1)
+        x0, y0 = kx[np.maximum(i - 1, 0)], ky[np.maximum(i - 1, 0)]
+        x1, y1 = kx[at], ky[at]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inner = y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+            beyond = ky[-1] + self._end_slope * (x - kx[-1])
+        out = np.select(
+            [x == 0.0, x > self._upper, i == len(kx), x1 == x, i == 0],
+            [self._at_zero, INF, beyond, y1, ky[0]],
+            inner,
+        )
         return out.reshape(flat.shape)
 
     @property

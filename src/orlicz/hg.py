@@ -57,7 +57,7 @@ def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) 
         nonlocal count
         count += 1
         shifted = np.maximum(vals - x, 0.0)
-        excess = RandomVariable(X.space, tuple(float(v) for v in shifted))
+        excess = RandomVariable(X.space, tuple(shifted.tolist()))
         return x + orlicz_premium(phi, excess).value
 
     lo = lo_val - spread - 1.0

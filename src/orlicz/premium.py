@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .base import DomainError, INF, InvalidPhiError, NEG_INF, check_tol
+from .base import VECTOR_MIN, DomainError, INF, InvalidPhiError, NEG_INF, check_tol
 from .functions import (
     Expectile,
     GeometricExpectile,
@@ -38,6 +38,7 @@ from .prob import (
     as_random_variable,
     distribution_of,
     quantile,
+    sorted_law,
 )
 from .search import bisect_root_decreasing, bisect_smallest_feasible
 
@@ -178,7 +179,7 @@ def _fast_path(
         value = left_quantile_premium(X, phi.alpha)
         return _finish(phi, vals, probs, value, "closed_form:quantile")
     if isinstance(phi, Expectile):
-        value = _expectile_signed(list(X.values), list(X.space.probs), phi.alpha)
+        value = _expectile_signed(*_columns(X), phi.alpha)
         return _finish(phi, vals, probs, value, "closed_form:expectile")
     if isinstance(phi, LpQuantile):
         value = lp_quantile(X, phi.alpha, phi.p)
@@ -197,12 +198,37 @@ def _fast_path(
 # ---------------------------------------------------------------------------
 
 
-def _aggregate(values: Sequence[float], probs: Sequence[float]) -> tuple[list[float], list[float]]:
+def _columns(X: RandomVariable) -> tuple[Sequence[float], Sequence[float]]:
+    """X's values and probabilities: the cached arrays from VECTOR_MIN outcomes on."""
+    if X.space.n >= VECTOR_MIN:
+        return X.values_array(), X.space.probs_array()
+    return X.values, X.space.probs
+
+
+def _aggregate(
+    values: Sequence[float], probs: Sequence[float]
+) -> tuple[Sequence[float], Sequence[float]]:
+    """Distinct values ascending with their summed probabilities.
+
+    Arrays from VECTOR_MIN entries on (prob.sorted_law), lists below; the
+    sums are the same to the bit.
+    """
+    if len(values) >= VECTOR_MIN:
+        return sorted_law(np.asarray(values, dtype=float), np.asarray(probs, dtype=float))
     acc: dict[float, float] = {}
     for v, p in zip(values, probs):
         acc[v] = acc.get(v, 0.0) + p
     vs = sorted(acc)
     return vs, [acc[v] for v in vs]
+
+
+def _running(first: float, terms: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """[first op t0, (first op t0) op t1, ...]: a loop's running value after each term.
+
+    np.add.accumulate and np.subtract.accumulate work strictly left to
+    right, so each entry is the loop's value to the bit.
+    """
+    return op.accumulate(np.concatenate(([first], terms)))[1:]
 
 
 def _expectile_signed(values: Sequence[float], probs: Sequence[float], alpha: float) -> float:
@@ -214,7 +240,9 @@ def _expectile_signed(values: Sequence[float], probs: Sequence[float], alpha: fl
     """
     vs, ps = _aggregate(values, probs)
     if len(vs) == 1:
-        return vs[0]
+        return float(vs[0])
+    if len(values) >= VECTOR_MIN:
+        return _expectile_sweep(vs, ps, alpha)
     above_m = math.fsum(p * v for p, v in zip(ps, vs))
     above_p = 1.0
     below_m = 0.0
@@ -234,11 +262,32 @@ def _expectile_signed(values: Sequence[float], probs: Sequence[float], alpha: fl
     return vs[-1]
 
 
+def _expectile_sweep(vs: np.ndarray, ps: np.ndarray, alpha: float) -> float:
+    """The loop of _expectile_signed on arrays: its running sums at every j at once."""
+    pv = ps * vs
+    head, ph = pv[:-1], ps[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        above_m = _running(math.fsum(pv.tolist()), head, np.subtract)
+        above_p = _running(1.0, ph, np.subtract)
+        below_m = _running(0.0, head, np.add)
+        below_p = _running(0.0, ph, np.add)
+        nxt = vs[1:]
+        h_next = alpha * (above_m - nxt * above_p) - (1.0 - alpha) * (nxt * below_p - below_m)
+    hits = np.flatnonzero(h_next <= 0.0)
+    if hits.size == 0:
+        return float(vs[-1])
+    j = int(hits[0])
+    k = (alpha * float(above_m[j]) + (1.0 - alpha) * float(below_m[j])) / (
+        alpha * float(above_p[j]) + (1.0 - alpha) * float(below_p[j])
+    )
+    return min(max(k, float(vs[j])), float(nxt[j]))
+
+
 def expectile(X: RandomVariable, alpha: float) -> float:
     """The alpha-expectile of X, 0 < alpha < 1."""
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"expectile level must be in (0, 1), got {alpha!r}")
-    return _expectile_signed(list(X.values), list(X.space.probs), alpha)
+    return _expectile_signed(*_columns(X), alpha)
 
 
 def lp_quantile(X: RandomVariable, alpha: float, p: float) -> float:
@@ -251,14 +300,14 @@ def lp_quantile(X: RandomVariable, alpha: float, p: float) -> float:
         raise DomainError(f"level must be in (0, 1), got {alpha!r}")
     if not (p > 0):
         raise DomainError(f"exponent must be positive, got {p!r}")
-    values, probs = list(X.values), list(X.space.probs)
+    values, probs = _columns(X)
     if p == 1.0:
         return _expectile_signed(values, probs, alpha)
     if p == 2.0:
         return _lp2_exact(values, probs, alpha)
     vs, ps = _aggregate(values, probs)
     if len(vs) == 1:
-        return vs[0]
+        return float(vs[0])
     pa = np.asarray(ps)
     va = np.asarray(vs)
 
@@ -267,13 +316,18 @@ def lp_quantile(X: RandomVariable, alpha: float, p: float) -> float:
         losses = np.maximum(k - va, 0.0) ** p
         return alpha * float(pa @ gains) - (1.0 - alpha) * float(pa @ losses)
 
-    return bisect_root_decreasing(h, vs[0], vs[-1], rel_tol=1e-14)
+    return bisect_root_decreasing(h, float(vs[0]), float(vs[-1]), rel_tol=1e-14)
 
 
 def _lp2_exact(values: Sequence[float], probs: Sequence[float], alpha: float) -> float:
     vs, ps = _aggregate(values, probs)
     if len(vs) == 1:
-        return vs[0]
+        return float(vs[0])
+    if len(values) >= VECTOR_MIN:
+        value = _lp2_sweep(vs, ps, alpha)
+        if value is not None:
+            return value
+        vs, ps = vs.tolist(), ps.tolist()
     a1 = math.fsum(p * v for p, v in zip(ps, vs))
     a2 = math.fsum(p * v * v for p, v in zip(ps, vs))
     ap = 1.0
@@ -296,6 +350,43 @@ def _lp2_exact(values: Sequence[float], probs: Sequence[float], alpha: float) ->
             c0 = alpha * a2 - beta * b2
             return _quadratic_root_in(c2, c1, c0, vs[j], nxt)
     return vs[-1]
+
+
+def _lp2_sweep(vs: np.ndarray, ps: np.ndarray, alpha: float) -> Optional[float]:
+    """The loop of _lp2_exact on arrays; None when a square overflows.
+
+    The squares come from Python's float power, as in the loop: pow(v, 2)
+    and v * v differ in the last bit for some v.  Python's power raises
+    OverflowError where numpy would give inf, and the loop raises it only
+    if its walk reaches that atom, so an overflow hands back to the loop.
+    """
+    try:
+        sq = np.array([v ** 2 for v in vs[:-1].tolist()])
+    except OverflowError:
+        return None
+    beta = 1.0 - alpha
+    pv, p2 = ps * vs, ps[:-1] * sq
+    head, ph = pv[:-1], ps[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a1 = _running(math.fsum(pv.tolist()), head, np.subtract)
+        a2 = _running(math.fsum((pv * vs).tolist()), p2, np.subtract)
+        ap = _running(1.0, ph, np.subtract)
+        b1 = _running(0.0, head, np.add)
+        b2 = _running(0.0, p2, np.add)
+        bp = _running(0.0, ph, np.add)
+        nxt = vs[1:]
+        h_next = alpha * (a2 - 2.0 * nxt * a1 + nxt * nxt * ap) - beta * (
+            nxt * nxt * bp - 2.0 * nxt * b1 + b2
+        )
+    hits = np.flatnonzero(h_next <= 0.0)
+    if hits.size == 0:
+        return float(vs[-1])
+    j = int(hits[0])
+    a1j, a2j, apj, b1j, b2j, bpj = (float(x[j]) for x in (a1, a2, ap, b1, b2, bp))
+    c2 = alpha * apj - beta * bpj
+    c1 = -2.0 * alpha * a1j + 2.0 * beta * b1j
+    c0 = alpha * a2j - beta * b2j
+    return _quadratic_root_in(c2, c1, c0, float(vs[j]), float(nxt[j]))
 
 
 def _quadratic_root_in(c2: float, c1: float, c0: float, lo: float, hi: float) -> float:
@@ -366,8 +457,8 @@ def geometric_expectile(X: RandomVariable, a: float, b: float) -> float:
         return max(X.values)  # zero atoms are harmless here: Phi(0) = 1
     if min(X.values) <= 0.0:
         raise DomainError("geometric expectile needs strictly positive outcomes")
-    logs = [math.log(v) for v in X.values]
-    return math.exp(_expectile_signed(logs, list(X.space.probs), a / (a + b)))
+    logs = list(map(math.log, X.values))
+    return math.exp(_expectile_signed(logs, _columns(X)[1], a / (a + b)))
 
 
 def premium_of_distribution(phi: OrliczFunction, dist: DiscreteDistribution) -> PremiumResult:

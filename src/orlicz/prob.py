@@ -5,6 +5,13 @@ outcome probabilities.  Random variables are nonnegative value vectors
 aligned with the space; distributions are sorted atom/probability lists
 with equal atoms merged.  Expectations run through math.fsum and the
 extended-real convention that a +inf term dominates any -inf term.
+
+The public fields are tuples, so spaces, variables and densities compare
+and hash by value.  probs_array(), values_array() and atoms_array() hand
+out a read-only float64 copy, built on first use and kept.  From VECTOR_MIN entries on,
+validation and the sort that builds a law run on those arrays; below it
+they run as plain loops, which are cheaper at that size.  Both give the
+same result to the bit.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .base import DimensionError, DomainError, ext_weighted_sum
+from .base import VECTOR_MIN, DimensionError, DomainError, ext_weighted_sum
 
 PROB_SUM_TOL = 1e-12
 
@@ -27,11 +34,16 @@ class FiniteProbabilitySpace:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.probs) < 1:
+        probs = self.probs
+        if len(probs) < 1:
             raise ValueError("a space needs at least one outcome")
-        if any(not (p > 0) for p in self.probs):
+        if len(probs) >= VECTOR_MIN:
+            positive = bool((self.probs_array() > 0).all())
+        else:
+            positive = not any(map(math.isnan, probs)) and min(probs) > 0
+        if not positive:
             raise ValueError("all outcome probabilities must be strictly positive")
-        total = math.fsum(self.probs)
+        total = math.fsum(probs)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
 
@@ -40,7 +52,7 @@ class FiniteProbabilitySpace:
         return len(self.probs)
 
     def probs_array(self) -> np.ndarray:
-        return np.asarray(self.probs, dtype=float)
+        return _cached_array(self, "_probs_array", self.probs)
 
 
 @dataclass(frozen=True)
@@ -51,26 +63,69 @@ class RandomVariable:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != self.space.n:
+        values = self.values
+        if len(values) != self.space.n:
             raise DimensionError(
-                f"{len(self.values)} values for a space of {self.space.n} outcomes"
+                f"{len(values)} values for a space of {self.space.n} outcomes"
             )
-        if any(not math.isfinite(v) or v < 0 for v in self.values):
+        if len(values) >= VECTOR_MIN:
+            arr = self.values_array()
+            valid = bool(np.isfinite(arr).all()) and bool((arr >= 0).all())
+        else:
+            valid = all(map(math.isfinite, values)) and min(values) >= 0
+        if not valid:
             raise ValueError("values must be finite and nonnegative")
 
     def values_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        return _cached_array(self, "_values_array", self.values)
+
+
+def _cached_array(owner: object, attr: str, seq: Sequence[float]) -> np.ndarray:
+    """seq as a read-only float64 array, built once and kept on the frozen owner."""
+    arr = owner.__dict__.get(attr)
+    if arr is None:
+        # np.array converts short tuples faster, np.fromiter long ones
+        if len(seq) >= VECTOR_MIN:
+            arr = np.fromiter(seq, dtype=float, count=len(seq))
+        else:
+            arr = np.array(seq, dtype=float)
+        arr.setflags(write=False)
+        object.__setattr__(owner, attr, arr)
+    return arr
 
 
 def rv(values: Sequence[float], probs: Optional[Sequence[float]] = None) -> RandomVariable:
     """Convenience constructor; uniform probabilities when probs is omitted."""
-    vals = tuple(float(v) for v in values)
+    vals = tuple(map(float, values))
     if probs is None:
         n = len(vals)
-        probs_t = tuple([1.0 / n] * n)
+        probs_t = (1.0 / n,) * n
     else:
-        probs_t = tuple(float(p) for p in probs)
+        probs_t = tuple(map(float, probs))
     return RandomVariable(FiniteProbabilitySpace(probs_t), vals)
+
+
+def sorted_law(vals: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values ascending, with the probabilities of equal values summed.
+
+    bincount adds the probabilities of each value one by one, from 0.0,
+    in the order of the sort, and a stable sort keeps equal values in
+    input order: the same sums, to the bit, as a running total per value
+    over the input.  Each distinct value is represented by its first
+    occurrence.  Without ties every sort gives that order, so the stable
+    sort (about four times slower) runs only when there are ties.
+    """
+    order = np.argsort(vals)
+    v = vals[order]
+    if v.size == 0:
+        return v, probs[order]
+    starts = np.empty(v.size, dtype=bool)
+    starts[0] = True
+    np.not_equal(v[1:], v[:-1], out=starts[1:])
+    if not starts.all():
+        order = np.argsort(vals, kind="stable")
+        v = vals[order]
+    return v[starts], np.bincount(np.cumsum(starts) - 1, weights=probs[order])
 
 
 @dataclass(frozen=True)
@@ -81,23 +136,45 @@ class DiscreteDistribution:
     probs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.atoms) != len(self.probs) or not self.atoms:
+        atoms, probs = self.atoms, self.probs
+        if len(atoms) != len(probs) or not atoms:
             raise ValueError("atoms and probs must be nonempty and aligned")
-        if any(self.atoms[i] >= self.atoms[i + 1] for i in range(len(self.atoms) - 1)):
+        if len(atoms) >= VECTOR_MIN:
+            a = self.atoms_array()
+            ascending = not (a[:-1] >= a[1:]).any()
+            positive = bool((self.probs_array() > 0).all())
+        else:
+            ascending = not any(atoms[i] >= atoms[i + 1] for i in range(len(atoms) - 1))
+            positive = not any(map(math.isnan, probs)) and min(probs) > 0
+        if not ascending:
             raise ValueError("atoms must be strictly ascending (merge duplicates first)")
-        if any(not (p > 0) for p in self.probs):
+        if not positive:
             raise ValueError("atom probabilities must be strictly positive")
-        total = math.fsum(self.probs)
+        total = math.fsum(probs)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
+
+    def atoms_array(self) -> np.ndarray:
+        return _cached_array(self, "_atoms_array", self.atoms)
+
+    def probs_array(self) -> np.ndarray:
+        return _cached_array(self, "_probs_array", self.probs)
 
     @classmethod
     def from_pairs(cls, pairs: Sequence[tuple[float, float]]) -> "DiscreteDistribution":
         """Build from (value, probability) pairs, merging equal atoms.
 
-        Only exactly equal values merge, so the law of lam * X is the
-        law of X scaled by lam at every scale.
+        pairs may also be an (n, 2) array.  Only exactly equal values
+        merge, so the law of lam * X is the law of X scaled by lam at
+        every scale.  Pairs with probability zero are dropped.
         """
+        if len(pairs) >= VECTOR_MIN:
+            arr = np.asarray(pairs, dtype=float)
+            kept = arr[arr[:, 1] != 0.0]
+            if (kept[:, 1] < 0).any():
+                raise ValueError("probabilities must be nonnegative")
+            atoms, merged = sorted_law(kept[:, 0], kept[:, 1])
+            return cls(tuple(atoms.tolist()), tuple(merged.tolist()))
         kept = [(float(v), float(p)) for v, p in pairs if p != 0.0]
         if any(p < 0 for _, p in kept):
             raise ValueError("probabilities must be nonnegative")
@@ -157,13 +234,21 @@ def ess_sup(X: RandomVariable) -> float:
 
 def distribution_of(X: RandomVariable) -> DiscreteDistribution:
     """Law of X: sorted atoms, probabilities of equal values aggregated."""
-    return DiscreteDistribution.from_pairs(list(zip(X.values, X.space.probs)))
+    if X.space.n >= VECTOR_MIN:
+        pairs = np.column_stack((X.values_array(), X.space.probs_array()))
+    else:
+        pairs = list(zip(X.values, X.space.probs))
+    return DiscreteDistribution.from_pairs(pairs)
 
 
 def quantile(dist: DiscreteDistribution, t: float) -> float:
     """Left-continuous generalized inverse: inf{x : F(x) >= t}, 0 < t <= 1."""
     if not (0.0 < t <= 1.0):
         raise DomainError(f"quantile level must be in (0, 1], got {t!r}")
+    if len(dist.probs) >= VECTOR_MIN:
+        # the probabilities are positive, so the running sums ascend
+        i = int(np.searchsorted(np.cumsum(dist.probs_array()), t, side="left"))
+        return dist.atoms[min(i, len(dist.atoms) - 1)]
     acc = 0.0
     for a, p in zip(dist.atoms, dist.probs):
         acc += p

@@ -98,7 +98,7 @@ def _random_rv(
 
 def _describe(phi: OrliczFunction, X: RandomVariable, extra: str = "") -> str:
     body = (
-        f"phi={phi.spec_string()} values={list(X.values_array())!r} "
+        f"phi={phi.spec_string()} values={list(X.values)!r} "
         f"probs={list(X.space.probs)!r}"
     )
     return f"{body} {extra}".strip()

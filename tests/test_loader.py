@@ -1,0 +1,161 @@
+"""What cli.load_data reads from a CSV, and which error it raises first.
+
+Each case writes a small file and checks either the variable it yields
+(values and probabilities, compared exactly) or the InputError text, with
+the file path written as PATH.  The larger files run past the size at
+which the library switches to its array kernels, and one bounds the
+memory that loading 1e5 rows takes.
+"""
+
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from orlicz import cli
+
+# Peak traced allocation while loading a 1e5-row sample: about 6.5 MB
+# when rows stream into a float list, about 22 MB when every row is
+# first kept as a list of strings.
+PEAK_BOUND = 12e6
+
+BAD = "bad data in PATH: "
+FINITE = BAD + "values must be finite and nonnegative"
+
+CASES = {
+    "header row": ("value\n1\n3\n", "auto", ((1.0, 3.0), (0.5, 0.5))),
+    "dist header row": ("x,p\n2,0.75\n0.5,0.25\n", "auto", ((0.5, 2.0), (0.25, 0.75))),
+    "only the first row may be a header": (
+        "value,prob\nname,p\n1,1\n",
+        "auto",
+        BAD + "could not convert string to float: 'name'",
+    ),
+    "blank lines": ("\n1\n\n\n2\n\n", "auto", ((1.0, 2.0), (0.5, 0.5))),
+    "empty and padded cells": (
+        " 1.5 , 0.25 \n,, 2 ,, 0.75\n",
+        "auto",
+        ((1.5, 2.0), (0.25, 0.75)),
+    ),
+    "empty first cell in a sample": (",3\n , 1\n", "auto", ((3.0, 1.0), (0.5, 0.5))),
+    "empty first cell read as dist": (
+        ",3\n , 1\n",
+        "dist",
+        "dist rows need value,probability: ['3']",
+    ),
+    "whitespace-only row is blank": ("1\n   \n2\n", "auto", ((1.0, 2.0), (0.5, 0.5))),
+    "quoted cells": ('"1.5","0.25"\n"2",0.75\n', "auto", ((1.5, 2.0), (0.25, 0.75))),
+    "quoted comma is one cell": (
+        '1\n"1,5"\n',
+        "auto",
+        BAD + "could not convert string to float: '1,5'",
+    ),
+    "short dist row": ("1,0.5\n2\n", "auto", "dist rows need value,probability: ['2']"),
+    "short row before a bad float": (
+        "1,0.5\n2\nx,0.5\n",
+        "auto",
+        "dist rows need value,probability: ['2']",
+    ),
+    "bad float before a short row": (
+        "1,0.5\nx,0.25\n2\n",
+        "auto",
+        BAD + "could not convert string to float: 'x'",
+    ),
+    "bad probability before a short row": (
+        "1,0.5\n2,y\n3\n",
+        "auto",
+        BAD + "could not convert string to float: 'y'",
+    ),
+    "one-column file read as dist": ("1\n2\n", "dist", "dist rows need value,probability: ['1']"),
+    "two-column file read as sample": ("1,0.9\n2,0.1\n", "sample", ((1.0, 2.0), (0.5, 0.5))),
+    "nan value": ("1\nnan\n", "auto", FINITE),
+    "inf value": ("inf\n1\n", "auto", FINITE),
+    "negative value": ("1\n-2\n", "auto", FINITE),
+    "nan dist value": ("nan,0.5\n1,0.5\n", "auto", FINITE),
+    "negative dist value": ("-1,0.5\n1,0.5\n", "auto", FINITE),
+    "nan probability": (
+        "1,nan\n2,0.5\n",
+        "auto",
+        BAD + "atom probabilities must be strictly positive",
+    ),
+    "negative probability": ("1,-0.5\n2,1.5\n", "auto", BAD + "probabilities must be nonnegative"),
+    "probabilities off one": ("1,0.5\n2,0.6\n", "auto", BAD + "probabilities sum to 1.1, not 1"),
+    "zero-probability rows": ("1,0\n2,1\n3,0.0\n", "auto", ((2.0,), (1.0,))),
+    "equal atoms merge": ("1,0.25\n2,0\n1,0.5\n3,0.25\n", "auto", ((1.0, 3.0), (0.75, 0.25))),
+    "all probabilities zero": (
+        "1,0\n2,0\n",
+        "auto",
+        BAD + "atoms and probs must be nonempty and aligned",
+    ),
+    "empty file": ("", "auto", "PATH holds no data rows"),
+    "blank file": ("\n \n", "auto", "PATH holds no data rows"),
+    "header-only file": ("value\n", "auto", "PATH holds no data rows"),
+}
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_load_data_semantics(tmp_path, name):
+    text, fmt, want = CASES[name]
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    if isinstance(want, str):
+        with pytest.raises(cli.InputError) as info:
+            cli.load_data(str(path), fmt)
+        assert str(info.value).replace(repr(str(path)), "PATH") == want
+    else:
+        X = cli.load_data(str(path), fmt)
+        assert (X.values, X.space.probs) == want
+
+
+def test_missing_file_is_input_error(tmp_path):
+    with pytest.raises(cli.InputError, match="cannot read"):
+        cli.load_data(str(tmp_path / "absent.csv"))
+
+
+def _law(pairs):
+    """Atoms in ascending order, tied probabilities summed in file order."""
+    acc = {}
+    for v, p in pairs:
+        if p != 0.0:
+            acc[v] = acc.get(v, 0.0) + p
+    atoms = tuple(sorted(acc))
+    return atoms, tuple(acc[a] for a in atoms)
+
+
+@pytest.mark.parametrize("n", [7, 300])
+def test_large_dist_file_merges_ties_in_file_order(tmp_path, n):
+    rng = np.random.default_rng(n)
+    values = np.round(rng.lognormal(0.0, 1.0, n), 1).tolist()
+    weights = rng.uniform(0.5, 1.5, n)
+    weights[::11] = 0.0
+    probs = (weights / weights.sum()).tolist()
+    path = tmp_path / "dist.csv"
+    path.write_text("value,prob\n" + "".join(f"{v!r},{p!r}\n" for v, p in zip(values, probs)))
+    X = cli.load_data(str(path))
+    assert (X.values, X.space.probs) == _law(zip(values, probs))
+
+
+@pytest.mark.parametrize("n", [7, 300])
+def test_large_sample_file_keeps_file_order(tmp_path, n):
+    values = np.random.default_rng(n).lognormal(0.0, 1.0, n).tolist()
+    path = tmp_path / "sample.csv"
+    path.write_text("".join(f" {v!r} \n\n" for v in values))
+    X = cli.load_data(str(path))
+    assert X.values == tuple(values)
+    assert X.space.probs == tuple([1.0 / n] * n)
+
+
+def test_loading_a_large_sample_stays_within_a_memory_bound(tmp_path):
+    n = 100_000
+    values = np.random.default_rng(5).lognormal(0.0, 1.5, n).tolist()
+    path = tmp_path / "big.csv"
+    path.write_text("value\n" + "".join(f"{v!r}\n" for v in values))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        X = cli.load_data(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert X.values == tuple(values)
+    assert peak < PEAK_BOUND, f"peak {peak / 1e6:.1f} MB"
