@@ -3,16 +3,15 @@
 Quantities in this package live in the extended reals and are represented
 as ordinary floats, with ``math.inf`` / ``-math.inf`` standing in for the
 two infinities.  IEEE arithmetic leaves ``-inf + inf`` and ``0 * inf``
-undefined (NaN); the convention used throughout is that in
-expectations a ``+inf`` term dominates any ``-inf`` term.  This makes
-the monotone limits that motivate it come out right, and every module
-applies it.
+undefined (NaN); the convention is that in expectations a ``+inf`` term
+dominates any ``-inf`` term, which makes the monotone limits that
+motivate it come out right.  Its one implementation is
+``premium.phi_moment``, the moment E[Phi(X/k)].
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 INF = math.inf
 NEG_INF = -math.inf
@@ -49,31 +48,6 @@ class DimensionError(OrliczError):
 
 class ToleranceError(OrliczError):
     """Tolerance is non-positive or below floating-point resolution."""
-
-
-def ext_weighted_sum(weights: Iterable[float], values: Iterable[float]) -> float:
-    """Weighted sum of extended-real values with strictly positive weights.
-
-    A +inf term makes the sum +inf regardless of any -inf terms; -inf
-    terms alone give -inf.  Finite sums use math.fsum for reproducibility.
-    """
-    terms = []
-    has_pos = False
-    has_neg = False
-    for w, v in zip(weights, values):
-        if v == INF:
-            has_pos = True
-        elif v == NEG_INF:
-            has_neg = True
-        elif v != v:  # NaN: never expected, fail loudly
-            raise ValueError("NaN encountered in extended-real sum")
-        else:
-            terms.append(w * v)
-    if has_pos:
-        return INF
-    if has_neg:
-        return NEG_INF
-    return math.fsum(terms)
 
 
 def check_tol(tol: float) -> float:

@@ -25,9 +25,10 @@ hidden.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -315,17 +316,12 @@ def simplex_grid(n: int, step: float) -> list[tuple[float, ...]]:
     M = round(1.0 / step)
     if M < 1 or abs(M * step - 1.0) > 1e-9:
         raise ValueError(f"step {step!r} must evenly divide 1")
-    out: list[tuple[float, ...]] = []
-
-    def rec(prefix: tuple[int, ...], left: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (left,))
-            return
-        for m in range(left + 1):
-            rec(prefix + (m,), left - m, slots - 1)
-
-    rec((), M, n)
-    return [tuple(m / M for m in comp) for comp in out]
+    # stars and bars: n - 1 bars among M + n - 1 slots, in lexicographic order
+    end = (M + n - 1,)
+    return [
+        tuple((b - a - 1) / M for a, b in zip((-1,) + bars, bars + end))
+        for bars in itertools.combinations(range(M + n - 1), n - 1)
+    ]
 
 
 def _as_measure(space, q: Sequence[float], probs: np.ndarray) -> MeasureChange:
@@ -441,17 +437,12 @@ def relative_entropy(R: MeasureChange, Q: MeasureChange) -> float:
     return float(math.fsum(terms))
 
 
-BetaGrid = Union[Mapping[MeasureChange, float], Iterable[tuple[MeasureChange, float]]]
-
-
-def alpha_from_beta(beta_values: BetaGrid, R: MeasureChange) -> float:
-    """sup over the grid of beta(Q) * exp(-H(R, Q)); a lower bound on alpha(R)."""
-    if isinstance(beta_values, Mapping):
-        items: Iterable[tuple[MeasureChange, float]] = beta_values.items()
-    else:
-        items = beta_values
+def alpha_from_beta(
+    beta_values: Iterable[tuple[MeasureChange, float]], R: MeasureChange
+) -> float:
+    """sup over the (Q, beta(Q)) pairs of beta(Q) * exp(-H(R, Q)); a lower bound on alpha(R)."""
     best = 0.0
-    for Q, b in items:
+    for Q, b in beta_values:
         if b <= 0.0:
             continue
         h = relative_entropy(R, Q)

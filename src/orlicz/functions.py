@@ -36,7 +36,8 @@ import math
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass, fields
-from typing import ClassVar, Iterable, Optional
+from functools import cached_property
+from typing import ClassVar, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -444,9 +445,6 @@ class PiecewiseLinear(OrliczFunction):
             self._end_slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
         else:
             self._end_slope = 0.0
-        self._convex: Optional[bool] = None
-        self._ga_convex: Optional[bool] = None
-        self._flags_done = False
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
@@ -513,69 +511,25 @@ class PiecewiseLinear(OrliczFunction):
         pts = sorted(set(grid) | {x for x in self._kx if 0 < x <= hi} | {1.0, hi})
         return pts
 
-    def _run_midpoint_tests(self) -> None:
-        """Sampled midpoint convexity tests; sets tri-state flags.
+    def _midpoint_flag(self, xs: list[float], geometric: bool) -> Optional[bool]:
+        """Sampled midpoint convexity test on the pairs of xs; a tri-state flag.
 
         A discovered violation is a certificate of failure.  A clean pass
         is reported as True only when the function is finite everywhere
         it was probed; with a finite upper cap the sweep cannot separate
         'convex' from 'jumps to +inf mid-chord', so the flag stays None.
         """
-        xs = self._sample_xs()
-        arith_pts = [0.0] + xs
-        convex: Optional[bool] = True
-        for i in range(len(arith_pts)):
-            if convex is False:
-                break
-            for j in range(i + 1, len(arith_pts)):
-                x1, x2 = arith_pts[i], arith_pts[j]
-                v1 = self(x1)
-                v2 = self(x2)
-                if v1 == INF or v2 == INF:
-                    continue  # chord ends at +inf: no constraint
-                mid = self(0.5 * (x1 + x2))
-                if mid == INF:
-                    convex = False
-                    break
-                rhs = NEG_INF if (v1 == NEG_INF or v2 == NEG_INF) else 0.5 * (v1 + v2)
-                if mid > rhs + MIDPOINT_TOL:
-                    convex = False
-                    break
-        if convex and self._upper < INF:
-            convex = None
-        ga: Optional[bool] = True
-        for i in range(len(xs)):
-            if ga is False:
-                break
-            for j in range(i + 1, len(xs)):
-                x1, x2 = xs[i], xs[j]
-                v1, v2 = self(x1), self(x2)
-                if v1 == INF or v2 == INF:
-                    continue
-                mid = self(math.sqrt(x1 * x2))
-                if mid == INF:
-                    ga = False
-                    break
-                if mid > 0.5 * (v1 + v2) + MIDPOINT_TOL:
-                    ga = False
-                    break
-        if ga and self._upper < INF:
-            ga = None
-        self._convex = convex
-        self._ga_convex = ga
-        self._flags_done = True
+        if any(gap > MIDPOINT_TOL for gap, _, _ in midpoint_gaps(self, xs, geometric)):
+            return False
+        return True if self._upper == INF else None
 
-    @property
+    @cached_property
     def convex_flag(self) -> Optional[bool]:
-        if not self._flags_done:
-            self._run_midpoint_tests()
-        return self._convex
+        return self._midpoint_flag([0.0] + self._sample_xs(), geometric=False)
 
-    @property
+    @cached_property
     def ga_convex_flag(self) -> Optional[bool]:
-        if not self._flags_done:
-            self._run_midpoint_tests()
-        return self._ga_convex
+        return self._midpoint_flag(self._sample_xs(), geometric=True)
 
     def spec_string(self) -> str:
         body = ";".join(f"{x!r},{y!r}" for x, y in zip(self._kx, self._ky))
@@ -658,14 +612,26 @@ def _validation_grid(phi: PiecewiseLinear) -> list[float]:
     return sorted(grid)
 
 
-def is_convex(phi: OrliczFunction) -> Optional[bool]:
-    """Tri-state convexity of Phi on [0, inf): True / False / None."""
-    return phi.convex_flag
+def midpoint_gaps(
+    phi: OrliczFunction, xs: Sequence[float], geometric: bool
+) -> Iterator[tuple[float, float, float]]:
+    """(gap, x1, x2) for each pair x1 before x2 in xs where Phi is finite at both.
 
-
-def is_ga_convex(phi: OrliczFunction) -> Optional[bool]:
-    """Tri-state convexity of x -> Phi(exp(x)): True / False / None."""
-    return phi.ga_convex_flag
+    gap = Phi(m) - (Phi(x1) + Phi(x2)) / 2 at the midpoint m = (x1 + x2) / 2,
+    or m = sqrt(x1 x2) when geometric; a positive gap is a violation of
+    midpoint (GA-)convexity.  An end at -inf makes the gap +inf unless
+    Phi(m) is -inf too, which gives nan, no violation.  Pairs come
+    lazily, in index order.
+    """
+    vals = [phi(x) for x in xs]
+    for i, (x1, v1) in enumerate(zip(xs, vals)):
+        if v1 == INF:
+            continue
+        for x2, v2 in zip(xs[i + 1 :], vals[i + 1 :]):
+            if v2 == INF:
+                continue  # chord ends at +inf: no constraint
+            m = math.sqrt(x1 * x2) if geometric else 0.5 * (x1 + x2)
+            yield phi(m) - 0.5 * (v1 + v2), x1, x2
 
 
 # ---------------------------------------------------------------------------

@@ -68,18 +68,12 @@ def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) 
     while True:
         xs = np.linspace(lo, hi, COARSE_POINTS)
         gs = [g(float(x)) for x in xs]
-        if extensions >= MAX_EXTENSIONS or gs[0] >= min(gs[1:]) - EDGE_EPS:
+        if floor_active or extensions >= MAX_EXTENSIONS or gs[0] >= min(gs[1:]) - EDGE_EPS:
             break
-        # minimum may sit past the left edge; widen and resweep
-        lo = lo - 2.0 * (hi - lo)
-        if lo <= floor:
-            lo = floor
-            floor_active = True
+        # minimum may sit past the left edge; widen (down to the floor) and resweep
+        lo = max(lo - 2.0 * (hi - lo), floor)
+        floor_active = lo == floor
         extensions += 1
-        if floor_active:
-            xs = np.linspace(lo, hi, COARSE_POINTS)
-            gs = [g(float(x)) for x in xs]
-            break
 
     profile = tuple((float(x), float(v)) for x, v in zip(xs, gs))
     i = min(range(len(gs)), key=lambda k: (gs[k], k))
@@ -87,14 +81,10 @@ def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) 
     blo = float(xs[max(i - 1, 0)])
     bhi = float(xs[min(i + 1, len(xs) - 1)])
 
-    if phi.convex_flag is True:
-        x2, v2 = golden_min(g, blo, bhi, tol=max(tol, 1e-13))
-        if v2 < best_v:
-            best_x, best_v = float(x2), float(v2)
-    else:
-        x2, v2 = _refine_min(g, blo, bhi, tol=max(tol, 1e-13))
-        if v2 < best_v:
-            best_x, best_v = float(x2), float(v2)
+    polish = golden_min if phi.convex_flag is True else _refine_min
+    x2, v2 = polish(g, blo, bhi, tol=max(tol, 1e-13))
+    if v2 < best_v:
+        best_x, best_v = float(x2), float(v2)
 
     return HGResult(
         value=best_v,

@@ -1,10 +1,15 @@
 """Premium computation: smallest k > 0 with E[Phi(X/k)] <= 1.
 
 The map k -> E[Phi(X/k)] is nonincreasing and right-continuous, so the
-premium is found by monotone bracketing plus bisection.  Every built-in
-family also has a dedicated solver exploiting its structure (norms,
-quantiles, expectile-type root equations); the generic and dedicated
-routes agree to solver tolerance and cross-check each other in the tests.
+premium is found by monotone bracketing plus bisection (the generic
+route).  orlicz_premium is the one entry point.  Its auto route hands
+each built-in family except PiecewiseLinear, which has no dedicated
+solver, to a private solver that exploits its structure: closed forms
+for the norms and quantiles, exact segment solves for the expectile, the
+geometric expectile and lp with p in {1, 2}, and a bisection of the
+family's root equation for lp with any other p and for lpq.  The generic
+and dedicated routes agree to solver tolerance and cross-check each
+other in the tests.
 
 Degenerate rule: when Phi(0) = -inf and X carries mass at zero, the
 premium is 0 by definition (each division by smaller k only spreads the
@@ -169,28 +174,28 @@ def _fast_path(
     probs: np.ndarray,
     tol: float,
 ) -> Optional[PremiumResult]:
+    """The family's dedicated solver, or None when it has none (pwl).
+
+    orlicz_premium has already returned for max X = 0 and for mass at
+    zero under Phi(0) = -inf, so the solvers below see neither case.
+    """
     if isinstance(phi, GeometricMean):
-        value = float(np.exp(probs @ np.log(vals)))  # zeros already handled
-        return _finish(phi, vals, probs, value, "closed_form:gm")
-    if isinstance(phi, Power):
-        value = float((probs @ vals ** phi.p) ** (1.0 / phi.p))
-        return _finish(phi, vals, probs, value, "closed_form:power")
-    if isinstance(phi, QuantileStep):
-        value = left_quantile_premium(X, phi.alpha)
-        return _finish(phi, vals, probs, value, "closed_form:quantile")
-    if isinstance(phi, Expectile):
-        value = _expectile_signed(*_columns(X), phi.alpha)
-        return _finish(phi, vals, probs, value, "closed_form:expectile")
-    if isinstance(phi, LpQuantile):
-        value = lp_quantile(X, phi.alpha, phi.p)
-        return _finish(phi, vals, probs, value, "closed_form:lp_quantile")
-    if isinstance(phi, LpqQuantile):
-        value = lpq_quantile(X, phi.a, phi.b, phi.p, phi.q, tol=min(tol, 1e-12))
-        return _finish(phi, vals, probs, value, "closed_form:lpq_quantile")
-    if isinstance(phi, GeometricExpectile):
-        value = geometric_expectile(X, phi.a, phi.b)
-        return _finish(phi, vals, probs, value, "closed_form:geometric_expectile")
-    return None
+        value, route = float(np.exp(probs @ np.log(vals))), "gm"
+    elif isinstance(phi, Power):
+        value, route = float((probs @ vals ** phi.p) ** (1.0 / phi.p)), "power"
+    elif isinstance(phi, QuantileStep):
+        value, route = quantile(distribution_of(X), phi.alpha), "quantile"
+    elif isinstance(phi, Expectile):
+        value, route = _expectile_signed(*_columns(X), phi.alpha), "expectile"
+    elif isinstance(phi, LpQuantile):
+        value, route = _lp_quantile(X, phi.alpha, phi.p), "lp_quantile"
+    elif isinstance(phi, LpqQuantile):
+        value, route = _lpq_quantile(phi, vals, probs, tol=min(tol, 1e-12)), "lpq_quantile"
+    elif isinstance(phi, GeometricExpectile):
+        value, route = _geometric_expectile(X, phi.a, phi.b), "geometric_expectile"
+    else:
+        return None
+    return _finish(phi, vals, probs, value, f"closed_form:{route}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +288,12 @@ def _expectile_sweep(vs: np.ndarray, ps: np.ndarray, alpha: float) -> float:
     return min(max(k, float(vs[j])), float(nxt[j]))
 
 
-def expectile(X: RandomVariable, alpha: float) -> float:
-    """The alpha-expectile of X, 0 < alpha < 1."""
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"expectile level must be in (0, 1), got {alpha!r}")
-    return _expectile_signed(*_columns(X), alpha)
-
-
-def lp_quantile(X: RandomVariable, alpha: float, p: float) -> float:
+def _lp_quantile(X: RandomVariable, alpha: float, p: float) -> float:
     """Root of alpha*E[(X-k)_+^p] = (1-alpha)*E[(k-X)_+^p].
 
     p = 1 is the expectile (exact segment solve); p = 2 solves a quadratic
     per segment; other p bisect the strictly decreasing difference.
     """
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"level must be in (0, 1), got {alpha!r}")
-    if not (p > 0):
-        raise DomainError(f"exponent must be positive, got {p!r}")
     values, probs = _columns(X)
     if p == 1.0:
         return _expectile_signed(values, probs, alpha)
@@ -409,21 +403,14 @@ def _quadratic_root_in(c2: float, c1: float, c0: float, lo: float, hi: float) ->
     return min(max(inside[0], lo), hi)
 
 
-def lpq_quantile(
-    X: RandomVariable, a: float, b: float, p: float, q: float, tol: float = 1e-12
-) -> float:
-    """Premium for Phi(x) = 1 + a(x-1)_+^p - b(x-1)_-^q.
+def _lpq_quantile(phi: LpqQuantile, vals: np.ndarray, probs: np.ndarray, tol: float) -> float:
+    """Premium for Phi(x) = 1 + a(x-1)_+^p - b(x-1)_-^q, by bisection.
 
     Smallest k with a*E[((X-k)_+/k)^p] <= b*E[((k-X)_+/k)^q]; the
     difference is strictly decreasing in k and crosses zero on (0, max X].
     """
-    if not (a > 0 and b >= 0 and p >= 1 and q >= 1):
-        raise DomainError(f"invalid parameters a={a!r} b={b!r} p={p!r} q={q!r}")
-    vals = X.values_array()
-    probs = X.space.probs_array()
+    a, b, p, q = phi.a, phi.b, phi.p, phi.q
     ess = float(vals.max())
-    if ess == 0.0:
-        return 0.0
 
     def hhat(k: float) -> float:
         gains = (np.maximum(vals - k, 0.0) / k) ** p
@@ -439,24 +426,13 @@ def lpq_quantile(
     return value
 
 
-def left_quantile_premium(X: RandomVariable, alpha: float) -> float:
-    """Left alpha-quantile of the law of X (essential sup at alpha = 1)."""
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"level must be in (0, 1], got {alpha!r}")
-    return quantile(distribution_of(X), alpha)
-
-
-def geometric_expectile(X: RandomVariable, a: float, b: float) -> float:
-    """exp of the a/(a+b)-expectile of log X; needs X > 0 everywhere.
+def _geometric_expectile(X: RandomVariable, a: float, b: float) -> float:
+    """exp of the a/(a+b)-expectile of log X; X > 0 everywhere when b > 0.
 
     b = 0 sends the level to 1 and the value to the essential supremum.
     """
-    if not (a > 0 and b >= 0):
-        raise DomainError(f"invalid parameters a={a!r} b={b!r}")
     if b == 0.0:
         return max(X.values)  # zero atoms are harmless here: Phi(0) = 1
-    if min(X.values) <= 0.0:
-        raise DomainError("geometric expectile needs strictly positive outcomes")
     logs = list(map(math.log, X.values))
     return math.exp(_expectile_signed(logs, _columns(X)[1], a / (a + b)))
 

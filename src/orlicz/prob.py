@@ -3,8 +3,7 @@
 Everything downstream works on a finite space with strictly positive
 outcome probabilities.  Random variables are nonnegative value vectors
 aligned with the space; distributions are sorted atom/probability lists
-with equal atoms merged.  Expectations run through math.fsum and the
-extended-real convention that a +inf term dominates any -inf term.
+with equal atoms merged.
 
 The public fields are tuples, so spaces, variables and densities compare
 and hash by value.  probs_array(), values_array() and atoms_array() hand
@@ -18,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .base import VECTOR_MIN, DimensionError, DomainError, ext_weighted_sum
+from .base import VECTOR_MIN, DimensionError, DomainError
 
 PROB_SUM_TOL = 1e-12
 
@@ -212,24 +211,6 @@ class MeasureChange:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def expect(X: RandomVariable, f: Optional[Callable[[float], float]] = None) -> float:
-    """E[f(X)] in the extended reals (identity when f is None).
-
-    +inf terms dominate -inf terms, matching the monotone-limit reading
-    of the expectation; finite parts are fsum-accumulated.
-    """
-    if f is None:
-        vals: Sequence[float] = X.values
-    else:
-        vals = [f(v) for v in X.values]
-    return ext_weighted_sum(X.space.probs, vals)
-
-
-def ess_sup(X: RandomVariable) -> float:
-    """Essential supremum (max over the finitely many outcomes)."""
-    return max(X.values)
 
 
 def distribution_of(X: RandomVariable) -> DiscreteDistribution:

@@ -23,8 +23,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .base import INF
 from .functions import (
+    MIDPOINT_TOL,
     Expectile,
     GeometricExpectile,
     GeometricMean,
@@ -33,6 +33,7 @@ from .functions import (
     OrliczFunction,
     Power,
     QuantileStep,
+    midpoint_gaps,
 )
 from .premium import cash_additivity_probe, orlicz_premium, premium_of_distribution
 from .prob import DiscreteDistribution, RandomVariable, distribution_of, mixture, rv
@@ -212,22 +213,6 @@ _WITNESS_LAM = tuple(round(0.02 * k, 6) for k in range(1, 50))
 _WITNESS_SCALE = (0.5, 1.0, 2.0)
 
 
-def _midpoint_violations(phi: OrliczFunction, geometric: bool) -> list[tuple[float, float, float]]:
-    out = []
-    pool = _WITNESS_POOL
-    for i, x1 in enumerate(pool):
-        for x2 in pool[i + 1 :]:
-            m = math.sqrt(x1 * x2) if geometric else 0.5 * (x1 + x2)
-            v1, v2, vm = phi(x1), phi(x2), phi(m)
-            if vm == INF or v1 == INF or v2 == INF:
-                continue
-            gap = vm - 0.5 * (v1 + v2)
-            if gap > 1e-9:
-                out.append((gap, x1, x2))
-    out.sort(key=lambda g: (-g[0], g[1], g[2]))
-    return out[:40]
-
-
 def find_convexity_witness(
     phi: OrliczFunction, geometric: bool = False
 ) -> Optional[ConvexityWitness]:
@@ -238,7 +223,9 @@ def find_convexity_witness(
     weights, low atoms, and scales.  Returns the first instance whose
     premiums violate the bound by more than 1e-9 * max(1, H(Z)), or None.
     """
-    for gap, x1, x2 in _midpoint_violations(phi, geometric):
+    gaps = [g for g in midpoint_gaps(phi, _WITNESS_POOL, geometric) if g[0] > MIDPOINT_TOL]
+    gaps.sort(key=lambda g: (-g[0], g[1], g[2]))
+    for _, x1, x2 in gaps[:40]:
         m = math.sqrt(x1 * x2) if geometric else 0.5 * (x1 + x2)
         for z in _WITNESS_Z:
             for lam in _WITNESS_LAM:

@@ -1,5 +1,6 @@
 """Dual engine: penalties, certificates, entropy bridge, HG restriction."""
 
+import gc
 import math
 
 import numpy as np
@@ -181,6 +182,25 @@ def test_simplex_grid_counts():
         assert math.fsum(q) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         simplex_grid(2, 0.3)
+
+
+def test_simplex_grid_order_and_no_reference_cycles():
+    assert simplex_grid(1, 0.25) == [(1.0,)]
+    assert simplex_grid(3, 0.5) == [
+        (0.0, 0.0, 1.0),
+        (0.0, 0.5, 0.5),
+        (0.0, 1.0, 0.0),
+        (0.5, 0.0, 0.5),
+        (0.5, 0.5, 0.0),
+        (1.0, 0.0, 0.0),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        simplex_grid(3, 0.01)
+        assert gc.collect() == 0  # nothing left for the cycle collector
+    finally:
+        gc.enable()
 
 
 def test_dual_search_closes_gap_on_power():

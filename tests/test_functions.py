@@ -17,8 +17,6 @@ from orlicz.functions import (
     Power,
     QuantileStep,
     conjugate,
-    is_convex,
-    is_ga_convex,
     piecewise_linear_from_text,
     validate,
 )
@@ -121,8 +119,29 @@ def test_builtins_are_admissible(phi):
 def test_convexity_flags(phi, convex, ga):
     assert phi.convex_flag is convex
     assert phi.ga_convex_flag is ga
-    assert is_convex(phi) is convex
-    assert is_ga_convex(phi) is ga
+
+
+PWL_FLAG_CASES = {
+    "convex": (([(0.0, 0.0), (1.0, 1.0), (4.0, 4.0)], None, INF), True, True),
+    "convex-steep": (([(0.0, 0.2), (1.0, 1.0), (2.0, 3.0)], None, INF), True, True),
+    "concave-kink": (([(0.0, 0.5), (1.0, 1.0), (2.0, 1.2)], None, INF), False, False),
+    "jump": (([(0.0, 0.5), (1.0, 1.0), (1.0, 1.5), (3.0, 2.0)], None, INF), False, False),
+    "jump-at-zero": (([(0.5, 0.5), (1.0, 1.0), (2.0, 2.0)], 0.0, INF), False, True),
+    "finite-upper": (([(0.0, 0.0), (1.0, 1.0), (3.0, 5.0)], None, 3.0), None, None),
+    "neg-inf-at-zero-concave": (([(0.5, 0.1), (1.0, 1.0), (2.0, 1.1)], NEG_INF, INF), False, False),
+    "neg-inf-at-zero-steep": (([(0.5, 0.3), (1.0, 1.0), (2.0, 4.0)], NEG_INF, INF), False, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PWL_FLAG_CASES))
+@pytest.mark.parametrize("ga_first", [False, True])
+def test_piecewise_linear_flags(case, ga_first):
+    (points, at_zero, upper), convex, ga = PWL_FLAG_CASES[case]
+    phi = PiecewiseLinear(points, value_at_zero=at_zero, upper=upper)
+    if ga_first:
+        assert phi.ga_convex_flag is ga
+    assert phi.convex_flag is convex
+    assert phi.ga_convex_flag is ga
 
 
 @given(st.floats(min_value=1e-6, max_value=50.0), st.floats(min_value=1e-6, max_value=50.0))

@@ -46,17 +46,20 @@ def test_closed_forms_bit_equal(monkeypatch, n):
     for _ in range(6):
         values, probs = tied_sample(rng, n)
         for alpha in (0.05, 0.3, 0.5, 0.8, 0.97):
-            got = both_paths(monkeypatch, lambda: premium.expectile(rv(values, probs), alpha))
+            got = both_paths(
+                monkeypatch,
+                lambda: premium._expectile_signed(*premium._columns(rv(values, probs)), alpha),
+            )
             assert got[0] == got[1], (n, alpha)
             for p in (1.0, 2.0, 1.5):
                 got = both_paths(
-                    monkeypatch, lambda: premium.lp_quantile(rv(values, probs), alpha, p)
+                    monkeypatch, lambda: premium._lp_quantile(rv(values, probs), alpha, p)
                 )
                 assert got[0] == got[1], (n, alpha, p)
         positive = [v + 0.01 for v in values]
         for a, b in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0)):
             got = both_paths(
-                monkeypatch, lambda: premium.geometric_expectile(rv(positive, probs), a, b)
+                monkeypatch, lambda: premium._geometric_expectile(rv(positive, probs), a, b)
             )
             assert got[0] == got[1], (n, a, b)
 
@@ -67,7 +70,7 @@ def test_lp2_squares_as_the_loop_does(monkeypatch):
     odd = [v for v in draws if v ** 2 != v * v][:40]
     values = odd + draws[: 200 - len(odd)]
     for alpha in (0.2, 0.5, 0.9):
-        got = both_paths(monkeypatch, lambda: premium.lp_quantile(rv(values), alpha, 2.0))
+        got = both_paths(monkeypatch, lambda: premium._lp_quantile(rv(values), alpha, 2.0))
         assert got[0] == got[1], alpha
 
 
@@ -75,7 +78,7 @@ def test_lp2_overflowing_square_beyond_the_root(monkeypatch):
     # 1.5e154 ** 2 overflows, but the loop finds the root before that atom
     values = [1.0] * 100 + [2.0, 3.0, 1.5e154, 1.6e154]
     probs = [1.0 / 102] * 102 + [5e-324, 5e-324]
-    got = both_paths(monkeypatch, lambda: premium.lp_quantile(rv(values, probs), 0.5, 2.0))
+    got = both_paths(monkeypatch, lambda: premium._lp_quantile(rv(values, probs), 0.5, 2.0))
     assert got[0] == got[1]
     assert 1.0 <= got[0] <= 2.0
 
@@ -101,7 +104,7 @@ def test_quantile_bit_equal_at_exact_cumulative_levels(monkeypatch, n):
     levels = [float(c) for c in np.cumsum(dist.probs)[:: max(1, len(dist.probs) // 7)]]
     levels += [1.0, 0.5, 1e-9, 0.9137331]
     for t in levels:
-        got = both_paths(monkeypatch, lambda: premium.left_quantile_premium(rv(values, probs), t))
+        got = both_paths(monkeypatch, lambda: quantile(distribution_of(rv(values, probs)), t))
         assert got[0] == got[1], (n, t)
         got = both_paths(monkeypatch, lambda: quantile(dist, t))
         assert got[0] == got[1], (n, t)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orlicz.base import DomainError, InvalidPhiError
+from orlicz.base import InvalidPhiError
 from orlicz.functions import (
     Expectile,
     GeometricExpectile,
@@ -234,10 +234,6 @@ def test_geometric_expectile_bisects_log_expectile():
     # b = 0 collapses to the essential sup, zero atoms included
     assert orlicz_premium(GeometricExpectile(2.0, 0.0), rv((1.0, 4.0))).value == 4.0
     assert orlicz_premium(GeometricExpectile(2.0, 0.0), rv((0.0, 4.0))).value == 4.0
-    from orlicz.premium import geometric_expectile
-
-    with pytest.raises(DomainError):
-        geometric_expectile(rv((0.0, 4.0)), 2.0, 1.0)
 
 
 def test_premium_of_distribution_matches_rv_route():

@@ -15,8 +15,6 @@ from orlicz.prob import (
     as_random_variable,
     comonotone_integral,
     distribution_of,
-    ess_sup,
-    expect,
     mixture,
     quantile,
     rv,
@@ -58,13 +56,6 @@ def test_from_pairs_merges_only_equal_atoms():
     d = DiscreteDistribution.from_pairs([(1.0000005e-6, 0.5), (1e-6, 0.25), (1e-6, 0.25)])
     assert d.atoms == (1e-6, 1.0000005e-6)
     assert d.probs == (0.5, 0.5)
-
-
-def test_expect_and_ess_sup():
-    X = rv((1.0, 2.0, 4.0), (0.25, 0.25, 0.5))
-    assert expect(X) == pytest.approx(2.75)
-    assert expect(X, lambda v: v * v) == pytest.approx(0.25 + 1.0 + 8.0)
-    assert ess_sup(X) == 4.0
 
 
 def test_quantile_left_inverse():
