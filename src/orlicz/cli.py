@@ -214,6 +214,7 @@ def _cmd_hg(args) -> int:
             "extensions": res.extensions,
             "floor_active": res.floor_active,
             "profile_written": args.profile or None,
+            "route": res.route,
         },
     )
     return 0
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hg", help="translated-premium risk measure inf_x x + H((X-x)+)")
     add_common(p)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--profile", help="write the coarse x,g sweep to this CSV")
+    p.add_argument("--profile", help="write the x,g points the search kept to this CSV")
     p.set_defaults(func=_cmd_hg)
 
     p = sub.add_parser("dual-verify", help="best dual lower bound vs the primal")

@@ -294,7 +294,8 @@ class LpqQuantile(OrliczFunction):
     a = 0 would leave Phi == 1 beyond x = 1 and break admissibility, so it
     is rejected up front.  Cash behaviour of the induced premium is
     governed by p vs q: additive for p = q, subadditive for p > q,
-    superadditive for p < q.
+    superadditive for p < q.  b = 0 overrides this: the premium is then
+    the essential supremum, which is additive.
     """
 
     a: float

@@ -3,10 +3,20 @@
 rho(X) = inf over x of g(x), where g(x) = x + H((X - x)_+) and H is the
 premium for a fixed admissible Phi.  g(x) >= min X always, and for x at
 or above the essential sup the positive part vanishes, so a finite
-minimizer exists even without convexity.  The solver profiles g on a
-coarse grid, extends the grid left only while the edge strictly
-improves, then polishes with golden section when Phi is convex (g is
-convex then) and with recursive grid refinement otherwise.
+minimizer exists even without convexity.
+
+Two routes:
+
+- cash_additive: when the premium is monotone and cash-additive
+  (premium.expected_cash_behavior says "additive": expectiles,
+  quantiles, L^p-quantiles, lpq with p = q or b = 0, Power(1)),
+  g(x) = x + H((X - x)_+) >= x + H(X - x) = H(X) for every x, with
+  equality for all x <= min X (Bellini & Rosazza Gianin 2008).  So
+  rho(X) = H(X) = g(min X), found with one premium.
+- grid: every other family.  The solver profiles g on a coarse grid,
+  extends the grid left only while the edge strictly improves, then
+  polishes with golden section when Phi is convex (g is convex then)
+  and with recursive grid refinement otherwise.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ import numpy as np
 
 from .base import INF
 from .functions import GeometricMean, OrliczFunction
-from .premium import orlicz_premium
+from .premium import expected_cash_behavior, orlicz_premium
 from .prob import RandomVariable, rv
 from .search import golden_min
 
@@ -32,10 +42,15 @@ GG_TOL = 1e-9  # margin by which the counterexample must break GG-convexity
 class HGResult:
     """Minimum of the translated-premium profile, with search diagnostics.
 
-    profile holds the coarse (x, g(x)) sweep for plotting or export;
-    floor_active flags that the left extension hit its hard floor, in
-    which case the reported value is the best found on the clamped
-    window rather than a certified global minimum.
+    route is "cash_additive" or "grid" (see the module docstring).
+    profile holds the points of g the search kept for plotting or
+    export: the single point (min X, g(min X)) on the cash_additive
+    route, the last coarse sweep on the grid route.  evaluations counts
+    the premiums computed (1 on the cash_additive route).  floor_active
+    flags that the left extension hit its hard floor, in which case the
+    reported value is the best found on the clamped window rather than
+    a certified global minimum; it is always False on the cash_additive
+    route.
     """
 
     value: float
@@ -44,6 +59,7 @@ class HGResult:
     extensions: int
     floor_active: bool
     evaluations: int
+    route: str
 
 
 def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) -> HGResult:
@@ -59,6 +75,19 @@ def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) 
         shifted = np.maximum(vals - x, 0.0)
         excess = RandomVariable(X.space, tuple(shifted.tolist()))
         return x + orlicz_premium(phi, excess).value
+
+    if expected_cash_behavior(phi) == "additive":
+        # g(x) >= H(X) everywhere, with equality at every x <= min X
+        value = g(lo_val)
+        return HGResult(
+            value=value,
+            minimizer_x=lo_val,
+            profile=((lo_val, value),),
+            extensions=0,
+            floor_active=False,
+            evaluations=count,
+            route="cash_additive",
+        )
 
     lo = lo_val - spread - 1.0
     hi = hi_val
@@ -93,6 +122,7 @@ def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) 
         extensions=extensions,
         floor_active=floor_active,
         evaluations=count,
+        route="grid",
     )
 
 

@@ -469,14 +469,15 @@ def expected_cash_behavior(phi: OrliczFunction) -> Optional[str]:
     """Theory prediction for how the premium responds to cash shifts.
 
     Shifted asymmetric power families with equal exponents are additive;
-    unequal exponents tilt sub (p > q) or super (p < q).  Norm families
-    follow the Minkowski direction of their exponent.  Quantiles are
-    additive; the geometric mean is superadditive.
+    unequal exponents tilt sub (p > q) or super (p < q), except that
+    b = 0 makes the premium the essential supremum, which is additive.
+    Norm families follow the Minkowski direction of their exponent.
+    Quantiles are additive; the geometric mean is superadditive.
     """
     if isinstance(phi, (Expectile, LpQuantile, QuantileStep)):
         return "additive"
     if isinstance(phi, LpqQuantile):
-        if phi.p == phi.q:
+        if phi.p == phi.q or phi.b == 0.0:
             return "additive"
         return "subadditive" if phi.p > phi.q else "superadditive"
     if isinstance(phi, Power):

@@ -2,18 +2,41 @@
 
 import math
 
+import numpy as np
 import pytest
 
+import orlicz.hg as hg
 from orlicz import (
     Expectile,
     GeometricMean,
+    LpQuantile,
+    LpqQuantile,
     Power,
     QuantileStep,
+    RandomVariable,
     gg_counterexample_check,
     hg_risk_measure,
+    orlicz_premium,
     rv,
 )
 from orlicz.hg import COARSE_POINTS
+
+# families whose premium is cash-additive, so rho(X) = H(X) = g(min X)
+CASH_ADDITIVE = (
+    Expectile(0.3),
+    Expectile(0.8),
+    LpQuantile(0.7, 2.0),
+    QuantileStep(0.4),
+    LpqQuantile(1.5, 0.5, 2.0, 2.0),
+    LpqQuantile(1.5, 0.5, 1.0, 1.0),
+    Power(1.0),
+    LpqQuantile(2.0, 0.0, 2.0, 1.0),
+)
+
+
+def _g(phi, X, x):
+    shifted = RandomVariable(X.space, tuple(max(v - x, 0.0) for v in X.values))
+    return x + orlicz_premium(phi, shifted).value
 
 
 def test_geometric_mean_two_point_minimum():
@@ -75,8 +98,57 @@ def test_cash_additivity(phi, m):
     assert shifted - base == pytest.approx(m, abs=1e-7)
 
 
+@pytest.mark.parametrize(
+    "X",
+    [rv((0.4, 1.1, 2.5, 3.0), (0.1, 0.4, 0.3, 0.2)), rv((0.0, 0.7, 0.7, 4.0))],
+    ids=["weighted", "zero_atom"],
+)
+@pytest.mark.parametrize("phi", CASH_ADDITIVE, ids=lambda p: p.spec_string())
+def test_cash_additive_route_is_one_premium(phi, X):
+    lo = min(X.values)
+    res = hg_risk_measure(phi, X)
+    assert res.route == "cash_additive"
+    assert res.value == _g(phi, X, lo)
+    assert res.minimizer_x == lo
+    assert res.evaluations == 1
+    assert res.extensions == 0
+    assert not res.floor_active
+    assert res.profile == ((lo, res.value),)
+    # no point of g, at the atoms or left of min X, undercuts the value
+    grid = set(X.values) | set(np.linspace(lo - 4.0, max(X.values), 121).tolist())
+    tol = 1e-9 * max(1.0, abs(res.value))
+    for x in sorted(grid):
+        assert _g(phi, X, x) >= res.value - tol, x
+
+
+@pytest.mark.parametrize(
+    "phi, route",
+    [
+        (Expectile(0.8), "cash_additive"),
+        (LpqQuantile(2.0, 0.0, 1.0, 2.0), "cash_additive"),
+        (Power(2.0), "grid"),
+        (Power(0.5), "grid"),
+        (GeometricMean(), "grid"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v.spec_string(),
+)
+def test_evaluations_count_premium_calls(monkeypatch, phi, route):
+    calls = 0
+    premium = hg.orlicz_premium
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return premium(*args, **kwargs)
+
+    monkeypatch.setattr(hg, "orlicz_premium", counting)
+    res = hg_risk_measure(phi, rv((0.2, 1.4, 3.1)))
+    assert res.route == route
+    assert res.evaluations == calls
+
+
 def test_profile_diagnostics():
-    res = hg_risk_measure(Expectile(0.6), rv((0.2, 1.4, 3.1)))
+    res = hg_risk_measure(Power(0.5), rv((0.2, 1.4, 3.1)))
     assert len(res.profile) == COARSE_POINTS
     xs = [x for x, _ in res.profile]
     assert xs == sorted(xs)

@@ -288,6 +288,8 @@ def test_cash_probe_classifications():
         (LpqQuantile(1.0, 1.0, 2.0, 2.0), "additive"),
         (LpqQuantile(1.0, 1.0, 2.0, 1.0), "subadditive"),
         (LpqQuantile(1.0, 1.0, 1.0, 2.0), "superadditive"),
+        (LpqQuantile(2.0, 0.0, 2.0, 1.0), "additive"),  # b = 0: the essential sup
+        (LpqQuantile(2.0, 0.0, 1.0, 2.0), "additive"),
         (Power(2.0), "subadditive"),
         (Power(0.5), "superadditive"),
         (GeometricMean(), "superadditive"),
