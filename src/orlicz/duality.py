@@ -41,7 +41,7 @@ from .base import (
     NotGAConvexError,
     OrliczError,
 )
-from .functions import X_CAP, OrliczFunction, Power, conjugate, kink_slopes
+from .functions import X_CAP, OrliczFunction, conjugate
 from .prob import MeasureChange, RandomVariable
 from .search import golden_max, golden_min
 
@@ -123,7 +123,8 @@ def _lagrangian(
 def beta_conjugate(phi: OrliczFunction, Q: MeasureChange) -> float:
     """beta(Q) = (inf over lam > 0 of (1/lam) E[1 + Psi(lam * dQ/dP)])^-1.
 
-    Power uses the dual-norm closed form; kinked-linear families minimize
+    A norm premium (phi.holder_exponent = r) has the dual-norm closed form
+    1 / ||dQ/dP||_r; kinked-linear families (phi.kink_slopes) minimize
     exactly over the finite set of slope breakpoints; anything else runs
     golden-section over log lam on the conjugate-based objective, which
     is a perspective of a convex function and hence unimodal.
@@ -131,14 +132,10 @@ def beta_conjugate(phi: OrliczFunction, Q: MeasureChange) -> float:
     _require_convex(phi)
     dens = np.asarray(Q.density, dtype=float)
     probs = Q.space.probs_array()
-    if isinstance(phi, Power):
-        if phi.p == 1.0:
-            denom = float(dens.max())
-        else:
-            r = phi.p / (phi.p - 1.0)
-            denom = float((probs @ dens**r) ** (1.0 / r))
-        return min(1.0, 1.0 / denom)
-    slopes = kink_slopes(phi)
+    r = phi.holder_exponent
+    if r is not None:
+        return min(1.0, 1.0 / float((probs @ dens**r) ** (1.0 / r)))
+    slopes = phi.kink_slopes
     if slopes is not None:
         return min(1.0, 1.0 / _kinked_dual_min(dens, probs, *slopes))
     return min(1.0, 1.0 / _conjugate_dual_min(phi, dens, probs))
@@ -242,7 +239,7 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     if 0.0 < slope_inf < INF:
         lam_min = float(dens.max()) / slope_inf
         cands |= {lam_min, lam_min * (1.0 + 1e-9), lam_min * 1.25, lam_min * 2.0, lam_min * 8.0}
-    slopes = kink_slopes(phi)
+    slopes = phi.kink_slopes
     if slopes is not None:
         a_s, b_s = slopes
         for w in dens:

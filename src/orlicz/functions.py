@@ -47,10 +47,38 @@ MIDPOINT_TOL = 1e-9  # slack for numeric midpoint convexity tests
 X_CAP = 1e6  # right end of the numeric x searches in conjugate and beta_primal
 
 
+@dataclass(frozen=True)
+class Violation:
+    """One admissibility failure: which condition, where, what value."""
+
+    condition: str
+    x: float
+    value: float
+
+
+@dataclass(frozen=True)
+class ValidationReport:
+    ok: bool
+    violations: tuple[Violation, ...]
+    method: str
+
+
 class OrliczFunction(ABC):
-    """Base class for acceptance functions; instances are immutable."""
+    """Base class for acceptance functions; instances are immutable.
+
+    Each family also states what is known about it; solvers read these
+    facts (None: no claim) instead of testing the class.
+    """
 
     name: ClassVar[str] = "orlicz"
+    # H(X + m) against H(X) + m: "additive", "subadditive" or "superadditive"
+    cash_behavior: ClassVar[Optional[str]] = None
+    # (upper slope, lower slope) when Phi is linear on each side of a kink at 1
+    kink_slopes: ClassVar[Optional[tuple[float, float]]] = None
+    # r when the premium is an L^p norm, so that beta(Q) = 1 / ||dQ/dP||_r
+    holder_exponent: ClassVar[Optional[float]] = None
+    # admissibility; the built-in families are admissible by construction
+    validation: ClassVar[ValidationReport] = ValidationReport(True, (), "analytic")
 
     @abstractmethod
     def __call__(self, x: float) -> float:
@@ -111,6 +139,7 @@ class GeometricMean(OrliczFunction):
     """
 
     name: ClassVar[str] = "gm"
+    cash_behavior: ClassVar[Optional[str]] = "superadditive"
 
     def __call__(self, x: float) -> float:
         if x < 0:
@@ -170,6 +199,21 @@ class Power(OrliczFunction):
     def ga_convex_flag(self) -> Optional[bool]:
         return True
 
+    @property
+    def cash_behavior(self) -> Optional[str]:
+        # Minkowski's direction for the norm of X + m
+        if self.p == 1.0:
+            return "additive"
+        return "subadditive" if self.p > 1.0 else "superadditive"
+
+    @property
+    def kink_slopes(self) -> Optional[tuple[float, float]]:
+        return (1.0, 1.0) if self.p == 1.0 else None
+
+    @property
+    def holder_exponent(self) -> Optional[float]:
+        return self.p / (self.p - 1.0) if self.p > 1.0 else None
+
 
 @dataclass(frozen=True, repr=False)
 class QuantileStep(OrliczFunction):
@@ -181,6 +225,7 @@ class QuantileStep(OrliczFunction):
 
     alpha: float
     name: ClassVar[str] = "quantile"
+    cash_behavior: ClassVar[Optional[str]] = "additive"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
@@ -216,6 +261,7 @@ class Expectile(OrliczFunction):
 
     alpha: float
     name: ClassVar[str] = "expectile"
+    cash_behavior: ClassVar[Optional[str]] = "additive"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -244,6 +290,10 @@ class Expectile(OrliczFunction):
     def ga_convex_flag(self) -> Optional[bool]:
         return self.alpha >= 0.5
 
+    @property
+    def kink_slopes(self) -> Optional[tuple[float, float]]:
+        return self.alpha, 1.0 - self.alpha
+
 
 @dataclass(frozen=True, repr=False)
 class LpQuantile(OrliczFunction):
@@ -252,6 +302,7 @@ class LpQuantile(OrliczFunction):
     alpha: float
     p: float
     name: ClassVar[str] = "lp"
+    cash_behavior: ClassVar[Optional[str]] = "additive"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -285,6 +336,10 @@ class LpQuantile(OrliczFunction):
     @property
     def ga_convex_flag(self) -> Optional[bool]:
         return self.p == 1.0 and self.alpha >= 0.5
+
+    @property
+    def kink_slopes(self) -> Optional[tuple[float, float]]:
+        return (self.alpha, 1.0 - self.alpha) if self.p == 1.0 else None
 
 
 @dataclass(frozen=True, repr=False)
@@ -341,6 +396,16 @@ class LpqQuantile(OrliczFunction):
     def ga_convex_flag(self) -> Optional[bool]:
         return self.convex_flag
 
+    @property
+    def cash_behavior(self) -> Optional[str]:
+        if self.p == self.q or self.b == 0.0:
+            return "additive"
+        return "subadditive" if self.p > self.q else "superadditive"
+
+    @property
+    def kink_slopes(self) -> Optional[tuple[float, float]]:
+        return (self.a, self.b) if self.p == 1.0 and self.q == 1.0 else None
+
 
 @dataclass(frozen=True, repr=False)
 class GeometricExpectile(OrliczFunction):
@@ -389,6 +454,10 @@ class GeometricExpectile(OrliczFunction):
     @property
     def ga_convex_flag(self) -> Optional[bool]:
         return self.a >= self.b
+
+    @property
+    def cash_behavior(self) -> Optional[str]:
+        return "additive" if self.b == 0.0 else None  # b = 0: the essential sup
 
 
 class PiecewiseLinear(OrliczFunction):
@@ -532,6 +601,10 @@ class PiecewiseLinear(OrliczFunction):
     def ga_convex_flag(self) -> Optional[bool]:
         return self._midpoint_flag(self._sample_xs(), geometric=True)
 
+    @cached_property
+    def validation(self) -> ValidationReport:
+        return _validate_on_grid(self)
+
     def spec_string(self) -> str:
         body = ";".join(f"{x!r},{y!r}" for x, y in zip(self._kx, self._ky))
         extra = ""
@@ -547,37 +620,31 @@ class PiecewiseLinear(OrliczFunction):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One admissibility failure: which condition, where, what value."""
-
-    condition: str
-    x: float
-    value: float
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[Violation, ...]
-    method: str
-
-
 def validate(phi: OrliczFunction) -> ValidationReport:
     """Check the three admissibility conditions.
 
     Built-in families are admissible by construction (their parameter
-    ranges enforce it) and short-circuit to a pass.  PiecewiseLinear is
-    checked on a 64-point log-spaced grid plus every knot; left-continuity
-    holds structurally for its representation.  Violations carry a
-    witness x.
+    ranges enforce it) and pass analytically.  PiecewiseLinear is
+    checked once, on a 64-point log-spaced grid plus every knot, and
+    keeps the report; left-continuity holds structurally for its
+    representation.  Violations carry a witness x.
     """
-    if not isinstance(phi, PiecewiseLinear):
-        return ValidationReport(ok=True, violations=(), method="analytic")
+    return phi.validation
 
-    bad: list[Violation] = []
-    xs = _validation_grid(phi)
+
+def _validate_on_grid(phi: PiecewiseLinear) -> ValidationReport:
+    kx = [x for x in phi._kx if x > 0]
+    top = max(4.0, 2.0 * max(kx) if kx else 4.0)
+    if phi.upper < INF:
+        top = max(top, 2.0 * phi.upper)
+    lo = min([1e-6] + [x / 2.0 for x in kx])
+    grid = set(float(g) for g in np.geomspace(lo, top, 64))
+    grid |= set(kx) | {1.0, top}
+    # make sure the region just above 1 is probed
+    grid |= {1.0 + d for d in (1e-6, 0.01, 0.1, 0.5)}
+    xs = sorted(grid)
     vals = [phi(x) for x in xs]
+    bad: list[Violation] = []
 
     if phi.at_zero == INF:
         bad.append(Violation("below_one_on_unit", 0.0, INF))
@@ -598,19 +665,6 @@ def validate(phi: OrliczFunction) -> ValidationReport:
         prev_v = v
 
     return ValidationReport(ok=not bad, violations=tuple(bad), method="grid")
-
-
-def _validation_grid(phi: PiecewiseLinear) -> list[float]:
-    kx = [x for x in phi._kx if x > 0]
-    top = max(4.0, 2.0 * max(kx) if kx else 4.0)
-    if phi.upper < INF:
-        top = max(top, 2.0 * phi.upper)
-    lo = min([1e-6] + [x / 2.0 for x in kx])
-    grid = set(float(g) for g in np.geomspace(lo, top, 64))
-    grid |= set(kx) | {1.0, top}
-    # make sure the region just above 1 is probed
-    grid |= {1.0 + d for d in (1e-6, 0.01, 0.1, 0.5)}
-    return sorted(grid)
 
 
 def midpoint_gaps(
@@ -643,11 +697,12 @@ def midpoint_gaps(
 def conjugate(phi: OrliczFunction, y: float) -> float:
     """Psi(y) = sup_{x >= 0} (x*y - Phi(x)) for convex phi and y >= 0.
 
-    Closed forms cover Power(p >= 1), convex Expectile / LpQuantile, and
-    LpqQuantile with p = q = 1; everything else runs a golden-section
-    search over log x on (0, X_CAP], plus the endpoint x = 0.  The
-    supremum is reported as +inf when the objective at X_CAP still
-    exceeds the best interior value by more than 1 (linear growth).
+    Closed forms cover every Phi with kink_slopes (Power(1), convex
+    Expectile, LpQuantile with p = 1, LpqQuantile with p = q = 1) and
+    Power with p > 1; everything else runs a golden-section search over
+    log x on (0, X_CAP], plus the endpoint x = 0.  The supremum is
+    reported as +inf when the objective at X_CAP still exceeds the best
+    interior value by more than 1 (linear growth).
     """
     if y < 0:
         raise DomainError(f"conjugate argument must be nonnegative, got {y!r}")
@@ -655,24 +710,12 @@ def conjugate(phi: OrliczFunction, y: float) -> float:
         raise NotConvexError(
             f"conjugate needs certified convexity; flag is {phi.convex_flag!r} for {phi!r}"
         )
-    if isinstance(phi, Power):
-        if phi.p == 1.0:
-            return 0.0 if y <= 1.0 else INF
-        r = phi.p / (phi.p - 1.0)
-        return (phi.p - 1.0) * (y / phi.p) ** r
-    slopes = kink_slopes(phi)
+    slopes = phi.kink_slopes
     if slopes is not None:
         return _kinked_linear_conjugate(*slopes, y)
+    if isinstance(phi, Power):  # p > 1 here: p == 1 is kinked, p < 1 not convex
+        return (phi.p - 1.0) * (y / phi.p) ** phi.holder_exponent
     return _conjugate_numeric(phi, y)
-
-
-def kink_slopes(phi: OrliczFunction) -> Optional[tuple[float, float]]:
-    """(upper slope, lower slope) when Phi is linear-kinked at 1, else None."""
-    if isinstance(phi, Expectile) or (isinstance(phi, LpQuantile) and phi.p == 1.0):
-        return phi.alpha, 1.0 - phi.alpha
-    if isinstance(phi, LpqQuantile) and phi.p == 1.0 and phi.q == 1.0:
-        return phi.a, phi.b
-    return None
 
 
 def _kinked_linear_conjugate(a: float, b: float, y: float) -> float:

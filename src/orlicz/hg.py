@@ -8,11 +8,11 @@ minimizer exists even without convexity.
 Two routes:
 
 - cash_additive: when the premium is monotone and cash-additive
-  (premium.expected_cash_behavior says "additive": expectiles,
-  quantiles, L^p-quantiles, lpq with p = q or b = 0, Power(1)),
-  g(x) = x + H((X - x)_+) >= x + H(X - x) = H(X) for every x, with
-  equality for all x <= min X (Bellini & Rosazza Gianin 2008).  So
-  rho(X) = H(X) = g(min X), found with one premium.
+  (phi.cash_behavior is "additive": expectiles, quantiles,
+  L^p-quantiles, lpq with p = q or b = 0, gexpectile with b = 0,
+  Power(1)), g(x) = x + H((X - x)_+) >= x + H(X - x) = H(X) for
+  every x, with equality for all x <= min X (Bellini & Rosazza Gianin
+  2008).  So rho(X) = H(X) = g(min X), found with one premium.
 - grid: every other family.  The solver profiles g on a coarse grid,
   extends the grid left only while the edge strictly improves, then
   polishes with golden section when Phi is convex (g is convex then)
@@ -28,7 +28,7 @@ import numpy as np
 
 from .base import INF
 from .functions import GeometricMean, OrliczFunction
-from .premium import expected_cash_behavior, orlicz_premium
+from .premium import orlicz_premium
 from .prob import RandomVariable, rv
 from .search import golden_min
 
@@ -42,7 +42,7 @@ GG_TOL = 1e-9  # margin by which the counterexample must break GG-convexity
 class HGResult:
     """Minimum of the translated-premium profile, with search diagnostics.
 
-    route is "cash_additive" or "grid" (see the module docstring).
+    route is "cash_additive" when phi.cash_behavior is "additive", else "grid".
     profile holds the points of g the search kept for plotting or
     export: the single point (min X, g(min X)) on the cash_additive
     route, the last coarse sweep on the grid route.  evaluations counts
@@ -76,7 +76,7 @@ def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) 
         excess = RandomVariable(X.space, tuple(shifted.tolist()))
         return x + orlicz_premium(phi, excess).value
 
-    if expected_cash_behavior(phi) == "additive":
+    if phi.cash_behavior == "additive":
         # g(x) >= H(X) everywhere, with equality at every x <= min X
         value = g(lo_val)
         return HGResult(

@@ -2,14 +2,17 @@
 
 The map k -> E[Phi(X/k)] is nonincreasing and right-continuous, so the
 premium is found by monotone bracketing plus bisection (the generic
-route).  orlicz_premium is the one entry point.  Its auto route hands
-each built-in family except PiecewiseLinear, which has no dedicated
-solver, to a private solver that exploits its structure: closed forms
-for the norms and quantiles, exact segment solves for the expectile, the
-geometric expectile and lp with p in {1, 2}, and a bisection of the
-family's root equation for lp with any other p and for lpq.  The generic
-and dedicated routes agree to solver tolerance and cross-check each
-other in the tests.
+route).  orlicz_premium is the one entry point.  Its auto route looks
+up each built-in family except PiecewiseLinear, which has no dedicated
+solver, in one table (_SOLVERS) of private solvers that exploit its
+structure: closed forms for the norms and quantiles, exact segment
+solves for the expectile, the geometric expectile and lp with p in
+{1, 2}, and a bisection of the family's root equation for lp with any
+other p and for lpq.  The generic and dedicated routes agree to solver
+tolerance and cross-check each other in the tests.
+
+cash_additivity_probe measures how the premium answers cash shifts and
+compares the result with the family's claim, phi.cash_behavior.
 
 Degenerate rule: when Phi(0) = -inf and X carries mass at zero, the
 premium is 0 by definition (each division by smaller k only spreads the
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -32,10 +35,8 @@ from .functions import (
     LpQuantile,
     LpqQuantile,
     OrliczFunction,
-    PiecewiseLinear,
     Power,
     QuantileStep,
-    validate,
 )
 from .prob import (
     DiscreteDistribution,
@@ -52,22 +53,14 @@ CASH_TOL = 1e-8  # |delta| below this reads as cash-additive
 
 
 def _ensure_admissible(phi: OrliczFunction) -> None:
-    """Validate user-defined functions once; built-ins pass analytically."""
-    if not isinstance(phi, PiecewiseLinear):
-        return
-    cached = getattr(phi, "_admissible_checked", None)
-    if cached is None:
-        report = validate(phi)
-        cached = report.ok
-        phi._admissible_checked = cached
-        if not cached:
-            witness = report.violations[0]
-            raise InvalidPhiError(
-                f"inadmissible function: {witness.condition} fails at x={witness.x!r} "
-                f"(value {witness.value!r})"
-            )
-    elif not cached:
-        raise InvalidPhiError("inadmissible function (cached validation failure)")
+    """Raise with the first witness unless phi.validation passes (the family caches it)."""
+    report = phi.validation
+    if not report.ok:
+        witness = report.violations[0]
+        raise InvalidPhiError(
+            f"inadmissible function: {witness.condition} fails at x={witness.x!r} "
+            f"(value {witness.value!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -125,10 +118,10 @@ def orlicz_premium(
     if phi.at_zero == NEG_INF and float(vals.min()) == 0.0:
         return PremiumResult(0.0, (0.0, 0.0), 0, "closed_form:degenerate", None)
 
-    if route == "auto":
-        fast = _fast_path(phi, X, vals, probs, tol)
-        if fast is not None:
-            return fast
+    solver = _SOLVERS.get(type(phi)) if route == "auto" else None
+    if solver is not None:
+        label, solve = solver
+        return _finish(phi, vals, probs, solve(phi, X, vals, probs, tol), label)
     return _generic(phi, vals, probs, ess, tol)
 
 
@@ -165,37 +158,6 @@ def _finish(phi: OrliczFunction, X_vals: np.ndarray, probs: np.ndarray, value: f
             value = math.nextafter(value, INF)
             g = phi_moment(phi, X_vals, probs, value)
     return PremiumResult(value, (value, value), 0, route, g)
-
-
-def _fast_path(
-    phi: OrliczFunction,
-    X: RandomVariable,
-    vals: np.ndarray,
-    probs: np.ndarray,
-    tol: float,
-) -> Optional[PremiumResult]:
-    """The family's dedicated solver, or None when it has none (pwl).
-
-    orlicz_premium has already returned for max X = 0 and for mass at
-    zero under Phi(0) = -inf, so the solvers below see neither case.
-    """
-    if isinstance(phi, GeometricMean):
-        value, route = float(np.exp(probs @ np.log(vals))), "gm"
-    elif isinstance(phi, Power):
-        value, route = float((probs @ vals ** phi.p) ** (1.0 / phi.p)), "power"
-    elif isinstance(phi, QuantileStep):
-        value, route = quantile(distribution_of(X), phi.alpha), "quantile"
-    elif isinstance(phi, Expectile):
-        value, route = _expectile_signed(*_columns(X), phi.alpha), "expectile"
-    elif isinstance(phi, LpQuantile):
-        value, route = _lp_quantile(X, phi.alpha, phi.p), "lp_quantile"
-    elif isinstance(phi, LpqQuantile):
-        value, route = _lpq_quantile(phi, vals, probs, tol=min(tol, 1e-12)), "lpq_quantile"
-    elif isinstance(phi, GeometricExpectile):
-        value, route = _geometric_expectile(X, phi.a, phi.b), "geometric_expectile"
-    else:
-        return None
-    return _finish(phi, vals, probs, value, f"closed_form:{route}")
 
 
 # ---------------------------------------------------------------------------
@@ -437,6 +399,28 @@ def _geometric_expectile(X: RandomVariable, a: float, b: float) -> float:
     return math.exp(_expectile_signed(logs, _columns(X)[1], a / (a + b)))
 
 
+# family -> (route label, solver(phi, X, values, probs, tol) -> premium).  Keyed
+# by exact class: a subclass may redefine Phi, so it takes the generic route,
+# as PiecewiseLinear does.  orlicz_premium has already returned for max X = 0
+# and for mass at zero under Phi(0) = -inf, so no solver sees either case.
+_SOLVERS: dict[type, tuple[str, Callable[..., float]]] = {
+    GeometricMean: ("closed_form:gm",
+                    lambda phi, X, xs, ps, tol: float(np.exp(ps @ np.log(xs)))),
+    Power: ("closed_form:power",
+            lambda phi, X, xs, ps, tol: float((ps @ xs ** phi.p) ** (1.0 / phi.p))),
+    QuantileStep: ("closed_form:quantile",
+                   lambda phi, X, xs, ps, tol: quantile(distribution_of(X), phi.alpha)),
+    Expectile: ("closed_form:expectile",
+                lambda phi, X, xs, ps, tol: _expectile_signed(*_columns(X), phi.alpha)),
+    LpQuantile: ("closed_form:lp_quantile",
+                 lambda phi, X, xs, ps, tol: _lp_quantile(X, phi.alpha, phi.p)),
+    LpqQuantile: ("closed_form:lpq_quantile",
+                  lambda phi, X, xs, ps, tol: _lpq_quantile(phi, xs, ps, min(tol, 1e-12))),
+    GeometricExpectile: ("closed_form:geometric_expectile",
+                         lambda phi, X, xs, ps, tol: _geometric_expectile(X, phi.a, phi.b)),
+}
+
+
 def premium_of_distribution(phi: OrliczFunction, dist: DiscreteDistribution) -> PremiumResult:
     """Premium of a distribution via its canonical carrier (law invariance)."""
     return orlicz_premium(phi, as_random_variable(dist))
@@ -453,8 +437,8 @@ class CashAdditivityReport:
 
     deltas[i] = H(X + shifts[i]) - (H(X) + shifts[i]).  classification is
     'additive' / 'subadditive' / 'superadditive' / 'neither' at tolerance
-    CASH_TOL; expected is the theory prediction for the family (None when no
-    claim applies) and consistent compares the two.
+    CASH_TOL; expected is the theory prediction phi.cash_behavior (None
+    when no claim applies) and consistent compares the two.
     """
 
     classification: str
@@ -463,30 +447,6 @@ class CashAdditivityReport:
     base_premium: float
     expected: Optional[str]
     consistent: Optional[bool]
-
-
-def expected_cash_behavior(phi: OrliczFunction) -> Optional[str]:
-    """Theory prediction for how the premium responds to cash shifts.
-
-    Shifted asymmetric power families with equal exponents are additive;
-    unequal exponents tilt sub (p > q) or super (p < q), except that
-    b = 0 makes the premium the essential supremum, which is additive.
-    Norm families follow the Minkowski direction of their exponent.
-    Quantiles are additive; the geometric mean is superadditive.
-    """
-    if isinstance(phi, (Expectile, LpQuantile, QuantileStep)):
-        return "additive"
-    if isinstance(phi, LpqQuantile):
-        if phi.p == phi.q or phi.b == 0.0:
-            return "additive"
-        return "subadditive" if phi.p > phi.q else "superadditive"
-    if isinstance(phi, Power):
-        if phi.p == 1.0:
-            return "additive"
-        return "subadditive" if phi.p > 1.0 else "superadditive"
-    if isinstance(phi, GeometricMean):
-        return "superadditive"
-    return None
 
 
 def cash_additivity_probe(
@@ -510,7 +470,7 @@ def cash_additivity_probe(
         cls = "superadditive"
     else:
         cls = "neither"
-    exp = expected_cash_behavior(phi)
+    exp = phi.cash_behavior
     return CashAdditivityReport(
         classification=cls,
         shifts=tuple(float(m) for m in shifts),

@@ -366,17 +366,18 @@ def run_gg_convexity_suite(trials: int, seed: int) -> SuiteReport:
 # cash-additivity collapse
 # ---------------------------------------------------------------------------
 
-COLLAPSE_BATTERY: tuple[tuple[OrliczFunction, str], ...] = (
-    (Expectile(0.7), "additive"),
-    (LpQuantile(0.6, 2.0), "additive"),
-    (QuantileStep(0.4), "additive"),
-    (LpqQuantile(1.0, 1.0, 2.0, 2.0), "additive"),
-    (LpqQuantile(1.0, 1.0, 2.0, 1.0), "subadditive"),
-    (LpqQuantile(1.0, 1.0, 1.0, 2.0), "superadditive"),
-    (Power(1.0), "additive"),
-    (Power(2.0), "subadditive"),
-    (Power(0.5), "superadditive"),
-    (GeometricMean(), "superadditive"),
+# each family's expected class is its own phi.cash_behavior
+COLLAPSE_BATTERY: tuple[OrliczFunction, ...] = (
+    Expectile(0.7),
+    LpQuantile(0.6, 2.0),
+    QuantileStep(0.4),
+    LpqQuantile(1.0, 1.0, 2.0, 2.0),
+    LpqQuantile(1.0, 1.0, 2.0, 1.0),
+    LpqQuantile(1.0, 1.0, 1.0, 2.0),
+    Power(1.0),
+    Power(2.0),
+    Power(0.5),
+    GeometricMean(),
 )
 
 
@@ -398,17 +399,17 @@ def run_collapse_suite(trials: int, seed: int) -> SuiteReport:
     failures = []
     for t in range(trials):
         rng = _trial_rng(seed, t)
-        phi, expected = COLLAPSE_BATTERY[t % len(COLLAPSE_BATTERY)]
+        phi = COLLAPSE_BATTERY[t % len(COLLAPSE_BATTERY)]
         X = _margin_safe_rv(rng, int(rng.choice([2, 3])))
         report = cash_additivity_probe(phi, X)
-        if report.classification != expected:
+        if report.classification != report.expected:
             failures.append(
                 Failure(
                     seed,
                     t,
                     _describe(phi, X, f"deltas={list(report.deltas)!r}"),
                     report.classification,
-                    expected,
+                    report.expected,
                 )
             )
     # pinned counterexample: the geometric-mean premium gains from a unit shift

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from orlicz.base import DimensionError, DomainError, NotConvexError, NotGAConvexError
+from orlicz.base import INF, DimensionError, DomainError, NotConvexError, NotGAConvexError
 from orlicz.duality import (
     alpha_bridge_report,
     alpha_from_beta,
@@ -27,6 +27,7 @@ from orlicz.functions import (
     PiecewiseLinear,
     Power,
     QuantileStep,
+    conjugate,
 )
 from orlicz.premium import orlicz_premium
 from orlicz.prob import FiniteProbabilitySpace, MeasureChange, rv
@@ -141,6 +142,12 @@ def test_penalty_values_are_pinned_to_the_bit():
     assert alpha_penalty(GeometricMean(), Q) == 0.0
     assert alpha_penalty(Power(0.5), Q) == 0.5654092421545872
     assert alpha_penalty(Expectile(0.8), Q) == 0.9665463995862634
+    # Power(1) takes the kinked-linear routes with slopes (1, 1)
+    assert beta_conjugate(Power(1.0), Q) == 0.4
+    assert float(beta_primal(Power(1.0), Q)) == 0.4
+    below, above = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
+    for y, want in [(0.0, 0.0), (0.5, 0.0), (below, 0.0), (1.0, 0.0), (above, INF), (1.5, INF)]:
+        assert conjugate(Power(1.0), y) == want, y
 
 
 def test_relative_entropy_hand_value():

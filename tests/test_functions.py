@@ -95,6 +95,40 @@ def test_builtins_are_admissible(phi):
 
 
 @pytest.mark.parametrize(
+    "phi,cash,slopes,holder",
+    [
+        (GeometricMean(), "superadditive", None, None),
+        (Power(0.5), "superadditive", None, None),
+        (Power(1.0), "additive", (1.0, 1.0), None),
+        (Power(2.0), "subadditive", None, 2.0),
+        (Power(3.0), "subadditive", None, 1.5),
+        (QuantileStep(0.3), "additive", None, None),
+        (QuantileStep(1.0), "additive", None, None),
+        (Expectile(0.3), "additive", (0.3, 0.7), None),
+        (Expectile(0.5), "additive", (0.5, 0.5), None),
+        (Expectile(0.8), "additive", (0.8, 1.0 - 0.8), None),
+        (LpQuantile(0.7, 1.0), "additive", (0.7, 1.0 - 0.7), None),
+        (LpQuantile(0.3, 2.0), "additive", None, None),
+        (LpqQuantile(1.5, 0.5, 1.0, 1.0), "additive", (1.5, 0.5), None),
+        (LpqQuantile(1.0, 1.0, 2.0, 2.0), "additive", None, None),
+        (LpqQuantile(1.0, 1.0, 2.0, 1.0), "subadditive", None, None),
+        (LpqQuantile(1.0, 1.0, 1.0, 2.0), "superadditive", None, None),
+        (LpqQuantile(2.0, 0.0, 2.0, 1.0), "additive", None, None),
+        (LpqQuantile(2.0, 0.0, 1.0, 2.0), "additive", None, None),
+        (LpqQuantile(2.0, 0.0, 1.0, 1.0), "additive", (2.0, 0.0), None),
+        (GeometricExpectile(2.0, 1.0), None, None, None),
+        (GeometricExpectile(2.0, 0.0), "additive", None, None),
+        (PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (4.0, 4.0)]), None, None, None),
+    ],
+    ids=lambda v: v.spec_string() if hasattr(v, "spec_string") else str(v),
+)
+def test_family_facts_at_parameter_edges(phi, cash, slopes, holder):
+    assert phi.cash_behavior == cash
+    assert phi.kink_slopes == slopes
+    assert phi.holder_exponent == holder
+
+
+@pytest.mark.parametrize(
     "phi,convex,ga",
     [
         (GeometricMean(), False, True),

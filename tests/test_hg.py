@@ -8,6 +8,7 @@ import pytest
 import orlicz.hg as hg
 from orlicz import (
     Expectile,
+    GeometricExpectile,
     GeometricMean,
     LpQuantile,
     LpqQuantile,
@@ -31,6 +32,7 @@ CASH_ADDITIVE = (
     LpqQuantile(1.5, 0.5, 1.0, 1.0),
     Power(1.0),
     LpqQuantile(2.0, 0.0, 2.0, 1.0),
+    GeometricExpectile(2.0, 0.0),  # b = 0: the essential sup
 )
 
 

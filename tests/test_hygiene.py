@@ -1,15 +1,23 @@
-"""Static hygiene of the package source: no dead imports, no unread parameters.
+"""Static hygiene of the package source: no dead imports, no unread
+parameters, no family tests outside the family module.
 
-Both checks walk the stdlib ast of every module under src/orlicz.  A
+The checks walk the stdlib ast of every module under src/orlicz.  A
 parameter that no body reads is a knob that changes no result, and an
-import that nothing uses is dead code; either one fails the suite.
+import that nothing uses is dead code.  A fact about a loss family lives
+on the family (functions.py); an isinstance test against a family class
+anywhere else is a second copy of such a fact.  Any of these fails the
+suite.
 """
 
 import ast
 from pathlib import Path
 
+import orlicz
+from orlicz.functions import BUILTIN_FAMILIES
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "orlicz"
 MODULES = sorted(SRC.glob("*.py"))
+FAMILY_NAMES = {cls.__name__ for cls in BUILTIN_FAMILIES}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -80,3 +88,49 @@ def test_no_unused_imports():
 def test_every_parameter_is_read():
     found = {path.name: bad for path in MODULES if (bad := _unread_parameters(_tree(path)))}
     assert not found, f"parameters that no body reads: {found}"
+
+
+def _family_isinstance_calls(tree: ast.Module) -> list[str]:
+    out = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            continue
+        classes = node.args[1]
+        elts = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+        names = {getattr(e, "id", None) or getattr(e, "attr", None) for e in elts}
+        if names & FAMILY_NAMES:
+            out.append(f"line {node.lineno}: {sorted(names & FAMILY_NAMES)}")
+    return out
+
+
+def test_family_facts_are_not_tested_outside_functions():
+    found = {
+        path.name: bad
+        for path in MODULES
+        if path.name != "functions.py" and (bad := _family_isinstance_calls(_tree(path)))
+    }
+    assert not found, f"isinstance against a family class: {found}"
+
+
+def test_duality_imports_no_family_class():
+    imported = {
+        alias.name
+        for node in ast.walk(_tree(SRC / "duality.py"))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert not imported & FAMILY_NAMES
+
+
+def test_ladder_helpers_stay_deleted():
+    import orlicz.functions as functions
+    import orlicz.premium as premium
+
+    assert not hasattr(premium, "expected_cash_behavior")
+    assert not hasattr(functions, "kink_slopes")
+    assert not {"expected_cash_behavior", "kink_slopes"} & set(orlicz.__all__)

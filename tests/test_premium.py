@@ -19,7 +19,6 @@ from orlicz.functions import (
 )
 from orlicz.premium import (
     cash_additivity_probe,
-    expected_cash_behavior,
     orlicz_premium,
     phi_moment,
     premium_of_distribution,
@@ -223,6 +222,17 @@ def test_invalid_pwl_rejected_by_solver():
         orlicz_premium(bad, rv((1.0, 2.0)))
 
 
+def test_invalid_pwl_names_its_witness_on_every_call():
+    bad = PiecewiseLinear([(0.5, 1.5), (1.0, 2.0), (2.0, 3.0)])
+    messages = []
+    for _ in range(2):
+        with pytest.raises(InvalidPhiError) as info:
+            orlicz_premium(bad, rv((1.0, 2.0)))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert "below_one_on_unit fails at x=" in messages[0]
+
+
 def test_geometric_expectile_bisects_log_expectile():
     X = rv((1.0, 4.0), (0.5, 0.5))
     got = orlicz_premium(GeometricExpectile(2.0, 1.0), X).value
@@ -290,6 +300,7 @@ def test_cash_probe_classifications():
         (LpqQuantile(1.0, 1.0, 1.0, 2.0), "superadditive"),
         (LpqQuantile(2.0, 0.0, 2.0, 1.0), "additive"),  # b = 0: the essential sup
         (LpqQuantile(2.0, 0.0, 1.0, 2.0), "additive"),
+        (GeometricExpectile(2.0, 0.0), "additive"),  # b = 0: the essential sup
         (Power(2.0), "subadditive"),
         (Power(0.5), "superadditive"),
         (GeometricMean(), "superadditive"),
@@ -297,6 +308,5 @@ def test_cash_probe_classifications():
     for phi, want in cases:
         report = cash_additivity_probe(phi, X)
         assert report.classification == want, (phi.spec_string(), report)
-        assert report.expected == expected_cash_behavior(phi)
-        if report.expected is not None:
-            assert report.consistent is True
+        assert report.expected == want == phi.cash_behavior
+        assert report.consistent is True
