@@ -16,11 +16,12 @@ minimization built on the convex conjugate.  alpha runs the Lagrangian
 in log coordinates.  A relative-entropy bridge converts beta values
 into alpha values.
 
-Everything here is a certificate engine.  Search is a simplex grid plus
-a deterministic local polish; sampled optimization only ever tightens
-toward the true optimum from the safe side, so no reported lower bound
-can exceed the primal premium beyond fp noise.  Gaps are reported, not
-hidden.
+Everything here is a certificate engine.  A certificate is built at the
+first-order measure Q*, read off Phi'(X/k) at the premium k, which
+attains the premium; a simplex grid plus a deterministic local polish
+is only the fallback when Q* is unavailable or loose.  Any Q gives a
+weak-duality bound, so no reported lower bound can exceed the primal
+premium beyond fp noise.  Gaps are reported, not hidden.
 """
 
 from __future__ import annotations
@@ -55,7 +56,9 @@ class DualCertificate:
 
     lower_bound = penalty * E_Q[X] (arithmetic) or
     penalty * exp(E_Q[log X]) (geometric); weak duality keeps it at or
-    below primal, the premium computed at tol 1e-10.
+    below primal, the premium computed at tol 1e-10.  route says how Q
+    was found: "first_order" (the measure read off Phi'(X/k)) or "grid"
+    (the simplex grid or multistart search with its polish).
     """
 
     measure: MeasureChange
@@ -63,6 +66,7 @@ class DualCertificate:
     lower_bound: float
     kind: str
     primal: float
+    route: str
 
     @property
     def gap(self) -> float:
@@ -84,16 +88,21 @@ def _require_ga_convex(phi: OrliczFunction) -> None:
         )
 
 
-def _seeded_min(f: Callable[[float], float], lams: Sequence[float], tol: float) -> float:
+def _seeded_min(
+    f: Callable[[float], float], lams: Sequence[float], tol: float, reach: float = INF
+) -> float:
     """min of f over the seeds lams, then golden section in log lam
-    between the best finite seed's neighbours; +inf when no seed is finite."""
+    between the best finite seed's neighbours, or, given a finite reach,
+    within a factor 1 + reach of that seed; +inf when no seed is finite."""
     vals = [f(lam) for lam in lams]
     finite = [i for i, v in enumerate(vals) if v < INF]
     if not finite:
         return INF
     i = min(finite, key=lambda k: (vals[k], k))
-    lo = lams[max(i - 1, 0)]
-    hi = lams[min(i + 1, len(lams) - 1)]
+    if reach < INF:
+        lo, hi = lams[i] / (1.0 + reach), lams[i] * (1.0 + reach)
+    else:
+        lo, hi = lams[max(i - 1, 0)], lams[min(i + 1, len(lams) - 1)]
     _, v = golden_min(lambda t: f(math.exp(t)), math.log(lo), math.log(hi), tol=tol)
     return min(vals[i], v)
 
@@ -194,8 +203,11 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     D(lam) = lam + sum_i p_i * sup_x (phi_i x - lam Phi(x)), convex in
     lam.  Each inner problem is concave in x (Phi convex) and solved by
     grid plus golden section on [0, min(X_CAP, upper)]; unbounded rays
-    are detected from the slope of Phi toward that cap.  min_lam D(lam)
-    >= the primal supremum, so 1/D never overstates beta beyond fp noise.
+    are detected from the slope of Phi toward that cap, for the largest
+    density first.  min_lam D(lam) >= the primal supremum, so 1/D never
+    overstates beta beyond fp noise.  For kinked-linear Phi every kink of
+    D is a seed, so the lam polish only reaches a relative 1e-9 around the
+    best one; its cost then does not depend on where the minimum falls.
     """
     _require_convex(phi)
     dens = np.asarray(Q.density, dtype=float)
@@ -213,8 +225,6 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     phi_grid = phi.eval_array(xs_arr)
 
     def inner(lam: float, w: float) -> float:
-        if phi.upper == INF and slope_inf < INF and w - lam * slope_inf > 1e-12 * max(1.0, w):
-            return INF
         obj = w * xs_arr - lam * phi_grid
         obj = np.where(np.isnan(obj), NEG_INF, obj)
         i = int(np.argmax(obj))
@@ -235,9 +245,10 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
 
     # the upper reach matters when the dual objective decreases toward a
     # lam -> inf limit, as it does for functions flat at level 1 on [0, 1]
+    dmax = float(dens.max())
     cands = {1.0} | {float(l) for l in np.geomspace(1e-4, 1e6, 33)}
     if 0.0 < slope_inf < INF:
-        lam_min = float(dens.max()) / slope_inf
+        lam_min = dmax / slope_inf
         cands |= {lam_min, lam_min * (1.0 + 1e-9), lam_min * 1.25, lam_min * 2.0, lam_min * 8.0}
     slopes = phi.kink_slopes
     if slopes is not None:
@@ -248,7 +259,25 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
                 if b_s > 0.0:
                     cands.add(float(w) / b_s)
     lam_list = sorted(c for c in cands if c > 0.0)
-    dmin = _seeded_min(_lagrangian(inner, probs, dens), lam_list, 1e-11)
+    lagrangian = _lagrangian(inner, probs, dens)
+    has_ray = phi.upper == INF and slope_inf < INF
+
+    def dual(lam: float) -> float:
+        # x -> w x - lam Phi(x) grows without bound once w exceeds lam times
+        # the slope toward the cap; the test is monotone in w, so the largest
+        # density settles it for every term before any inner problem is solved
+        if has_ray and dmax - lam * slope_inf > 1e-12 * max(1.0, dmax):
+            return INF
+        return lagrangian(lam)
+
+    # For a kinked Phi, D(lam) = lam + E[max(-lam (1 - b_s), w - lam)] on
+    # lam >= max(w) / a_s is piecewise linear, with its kinks at w / b_s and
+    # its edge at max(w) / a_s, all of them seeds.  The polish then only
+    # steps off the best seed by a relative 1e-9: at the edge the inner
+    # objective is flat out to X_CAP and rounds up by ~1e-10, just above it
+    # it is not.  A fixed reach keeps the polish the same length whatever
+    # the spacing of the seeds around the minimum.
+    dmin = _seeded_min(dual, lam_list, 1e-11, reach=INF if slopes is None else 1e-9)
     if dmin == INF:
         return 0.0  # infinitely penalized: constraint never binds the objective
     if not (dmin > 0.0):
@@ -326,22 +355,54 @@ def _as_measure(space, q: Sequence[float], probs: np.ndarray) -> MeasureChange:
     return MeasureChange(space, dens)
 
 
+def _first_order_weights(
+    phi: OrliczFunction, vals: np.ndarray, probs: np.ndarray, k: float, kind: str
+) -> Optional[np.ndarray]:
+    """Weights of Q* with dQ*/dP = xi / E[xi], or None without a usable xi.
+
+    xi = Phi'_+(X/k) (arithmetic) or (X/k) Phi'_+(X/k) (geometric).
+    Fenchel equality holds for every subgradient, so the right derivative
+    serves at kinks and zero atoms too.  When xi == 0 (or k == 0), Q* is
+    P conditioned on {X = max X}.
+    """
+    deriv = phi.derivative
+    if deriv is None:
+        return None
+    if k > 0.0:
+        x = vals / k
+        xi = deriv(x) if kind == "arithmetic" else x * deriv(x)
+        if not (np.isfinite(xi).all() and (xi >= 0.0).all()):
+            return None
+    else:
+        xi = np.zeros_like(vals)
+    w = probs * xi
+    if not float(w.sum()) > 0.0:
+        w = np.where(vals == vals.max(), probs, 0.0)
+    return w / w.sum()
+
+
 def dual_search(
     phi: OrliczFunction,
     X: RandomVariable,
     kind: str = "arithmetic",
     grid_step: Optional[float] = None,
 ) -> DualCertificate:
-    """Best dual certificate over a simplex grid plus local polish.
+    """Dual certificate at the first-order measure Q*, with a grid fallback.
 
-    For n <= 4 the candidates are the whole simplex grid (step
-    grid_step, default 0.01 for n <= 3 and 0.05 for n = 4); larger
-    spaces use 32 seeded multi-starts.  Q = P is always a candidate.
-    After the sweep, a deterministic pairwise-transfer polish refines
-    the best point with a halving step, which narrows the grid-resolution
-    gap without ever breaking weak duality; the certificate reports the
-    gap that remains.  Ties prefer the lexicographically smallest
-    density, independent of evaluation order.
+    With k the premium at tol 1e-10, Q* has dQ*/dP proportional to
+    Phi'_+(X/k) (arithmetic) or (X/k) Phi'_+(X/k) (geometric) and attains
+    beta(Q*) E_Q*[X] = k (alpha(Q*) exp(E_Q*[log X]) = k); the penalty
+    comes from beta_conjugate / alpha_penalty as for any Q.  Q* is
+    returned with route "first_order" when its gap is within
+    1e-9 * max(1, primal), the slack weak duality is checked with.
+
+    Otherwise (phi.derivative is None, Phi'_+ is infinite at an atom, or
+    the bound is loose) the search runs with route "grid": the better of
+    P and Q* is the incumbent, the candidates are the whole simplex grid
+    (step grid_step, default 0.01 for n <= 3 and 0.05 for n = 4) or 32
+    seeded multistarts for larger n, and a deterministic pairwise-transfer
+    polish with halving step refines the best point.  Ties prefer the
+    lexicographically smallest density, independent of evaluation order.
     """
     if kind not in ("arithmetic", "geometric"):
         raise ValueError(f"kind must be 'arithmetic' or 'geometric', got {kind!r}")
@@ -356,8 +417,11 @@ def dual_search(
         if float(vals.min()) <= 0.0:
             raise DomainError("geometric certificates need strictly positive outcomes")
         logs = np.log(vals)
-    if grid_step is None:
-        grid_step = 0.01 if n <= 3 else 0.05
+
+    from .premium import orlicz_premium
+
+    primal = orlicz_premium(phi, X, tol=1e-10).value
+    slack = 1e-9 * max(1.0, primal)
 
     def evaluate(q: Sequence[float]) -> tuple[float, float, MeasureChange]:
         Q = _as_measure(X.space, q, probs)
@@ -369,17 +433,37 @@ def dual_search(
             val = float(math.exp(np.dot(q, logs))) if pen > 0.0 else 0.0
         return pen * val, pen, Q
 
+    def certificate(bound: float, pen: float, Q: MeasureChange, route: str) -> DualCertificate:
+        if bound > primal + slack:
+            raise OrliczError(f"weak duality violated: bound {bound!r} exceeds primal {primal!r}")
+        return DualCertificate(
+            measure=Q, penalty=pen, lower_bound=bound, kind=kind, primal=primal, route=route
+        )
+
+    q_star = _first_order_weights(phi, vals, probs, primal, kind)
+    if q_star is not None:
+        star = evaluate(q_star)
+        if primal - star[0] <= slack:
+            return certificate(*star, "first_order")
+
+    def better(b: float, Q: MeasureChange) -> bool:
+        return b > best_bound or (b == best_bound and Q.density < best_Q.density)
+
+    best_bound, best_pen, best_Q = evaluate(tuple(float(p) for p in probs))
+    best_q = probs.copy()
+    if q_star is not None and better(star[0], star[2]):
+        (best_bound, best_pen, best_Q), best_q = star, q_star
+    if grid_step is None:
+        grid_step = 0.01 if n <= 3 else 0.05
     if n <= 4:
         candidates: Iterable[Sequence[float]] = simplex_grid(n, grid_step)
     else:
         rng = np.random.default_rng(20210607)
         candidates = [tuple(rng.dirichlet(np.ones(n))) for _ in range(32)]
 
-    best_bound, best_pen, best_Q = evaluate(tuple(float(p) for p in probs))
-    best_q = probs.copy()
     for q in candidates:
         b, pen, Q = evaluate(q)
-        if b > best_bound or (b == best_bound and Q.density < best_Q.density):
+        if better(b, Q):
             best_bound, best_pen, best_Q = b, pen, Q
             best_q = np.asarray(q, dtype=float)
 
@@ -395,6 +479,7 @@ def dual_search(
                 cand = q.copy()
                 cand[i] += delta
                 cand[j] -= delta
+                cand /= math.fsum(cand)  # rounding in the transfers must not drift off the simplex
                 b, pen, Q = evaluate(cand)
                 if b > best_bound:
                     best_bound, best_pen, best_Q = b, pen, Q
@@ -403,16 +488,7 @@ def dual_search(
         if not improved:
             delta *= 0.5
 
-    from .premium import orlicz_premium
-
-    primal = orlicz_premium(phi, X, tol=1e-10).value
-    if best_bound > primal + 1e-9 * max(1.0, primal):
-        raise OrliczError(
-            f"weak duality violated: bound {best_bound!r} exceeds primal {primal!r}"
-        )
-    return DualCertificate(
-        measure=best_Q, penalty=best_pen, lower_bound=best_bound, kind=kind, primal=primal
-    )
+    return certificate(best_bound, best_pen, best_Q, "grid")
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import ClassVar, Iterable, Iterator, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -77,6 +77,8 @@ class OrliczFunction(ABC):
     kink_slopes: ClassVar[Optional[tuple[float, float]]] = None
     # r when the premium is an L^p norm, so that beta(Q) = 1 / ||dQ/dP||_r
     holder_exponent: ClassVar[Optional[float]] = None
+    # xs -> the right derivative Phi'_+ at each entry (+inf at an upward jump)
+    derivative: ClassVar[Optional[Callable[[np.ndarray], np.ndarray]]] = None
     # admissibility; the built-in families are admissible by construction
     validation: ClassVar[ValidationReport] = ValidationReport(True, (), "analytic")
 
@@ -129,6 +131,16 @@ class OrliczFunction(ABC):
 # ---------------------------------------------------------------------------
 
 
+def _two_branch_slope(xs: np.ndarray, a: float, p: float, b: float, q: float) -> np.ndarray:
+    """Right derivative of 1 + a(x-1)_+**p - b(x-1)_-**q; at x = 1 it is
+    a for p = 1, 0 for p > 1 and +inf for p < 1."""
+    d = np.asarray(xs, dtype=float) - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up = a * p * np.maximum(d, 0.0) ** (p - 1.0)
+        down = b * q * np.maximum(-d, 0.0) ** (q - 1.0)
+    return np.where(d >= 0.0, up, down)
+
+
 @dataclass(frozen=True, repr=False)
 class GeometricMean(OrliczFunction):
     """Phi(x) = 1 + log(x), with Phi(0) = -inf.
@@ -151,6 +163,10 @@ class GeometricMean(OrliczFunction):
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return 1.0 + np.log(xs)
+
+    def derivative(self, xs: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.asarray(xs, dtype=float)
 
     @property
     def at_zero(self) -> float:
@@ -186,6 +202,11 @@ class Power(OrliczFunction):
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         return xs ** self.p
+
+    def derivative(self, xs: np.ndarray) -> np.ndarray:
+        # at 0: +inf for p < 1, 1 for p = 1, 0 for p > 1
+        with np.errstate(divide="ignore"):
+            return self.p * np.asarray(xs, dtype=float) ** (self.p - 1.0)
 
     @property
     def at_zero(self) -> float:
@@ -239,6 +260,9 @@ class QuantileStep(OrliczFunction):
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         return np.where(xs > 1.0, 1.0 + self.alpha, self.alpha)
 
+    def derivative(self, xs: np.ndarray) -> np.ndarray:
+        return np.where(np.asarray(xs) == 1.0, INF, 0.0)  # the jump is just right of 1
+
     @property
     def at_zero(self) -> float:
         return self.alpha
@@ -277,6 +301,9 @@ class Expectile(OrliczFunction):
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         d = xs - 1.0
         return 1.0 + self.alpha * np.maximum(d, 0.0) - (1.0 - self.alpha) * np.maximum(-d, 0.0)
+
+    def derivative(self, xs: np.ndarray) -> np.ndarray:
+        return np.where(np.asarray(xs) >= 1.0, self.alpha, 1.0 - self.alpha)
 
     @property
     def at_zero(self) -> float:
@@ -324,6 +351,9 @@ class LpQuantile(OrliczFunction):
             + self.alpha * np.maximum(d, 0.0) ** self.p
             - (1.0 - self.alpha) * np.maximum(-d, 0.0) ** self.p
         )
+
+    def derivative(self, xs: np.ndarray) -> np.ndarray:
+        return _two_branch_slope(xs, self.alpha, self.p, 1.0 - self.alpha, self.p)
 
     @property
     def at_zero(self) -> float:
@@ -381,6 +411,9 @@ class LpqQuantile(OrliczFunction):
             + self.a * np.maximum(d, 0.0) ** self.p
             - self.b * np.maximum(-d, 0.0) ** self.q
         )
+
+    def derivative(self, xs: np.ndarray) -> np.ndarray:
+        return _two_branch_slope(xs, self.a, self.p, self.b, self.q)
 
     @property
     def at_zero(self) -> float:
@@ -442,6 +475,12 @@ class GeometricExpectile(OrliczFunction):
         if self.b > 0:
             out = out - self.b * np.maximum(-lx, 0.0)
         return out
+
+    def derivative(self, xs: np.ndarray) -> np.ndarray:
+        x = np.asarray(xs, dtype=float)
+        w = np.where(x >= 1.0, self.a, self.b)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(w > 0.0, w / x, 0.0)
 
     @property
     def at_zero(self) -> float:
@@ -563,6 +602,21 @@ class PiecewiseLinear(OrliczFunction):
             inner,
         )
         return out.reshape(flat.shape)
+
+    def derivative(self, xs: np.ndarray) -> np.ndarray:
+        """Slope of the segment right of each x, 0 below the first knot;
+        +inf at an upward jump (Phi(x+) > Phi(x)) and from a finite upper on."""
+        x = np.asarray(xs, dtype=float)
+        kx, ky = self._kx_arr, self._ky_arr
+        j = np.searchsorted(kx, x, side="right")  # kx[:j] are the knots at or left of x
+        lo, hi = np.maximum(j - 1, 0), np.minimum(j, len(kx) - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = (ky[hi] - ky[lo]) / (kx[hi] - kx[lo])
+        slope = np.select([j == 0, j == len(kx)], [0.0, self._end_slope], inner)
+        # on a knot or at 0, Phi(x+) is exactly ky[lo], so a jump shows as inequality
+        on_knot = (x == 0.0) | ((j > 0) & (kx[lo] == x))
+        jump = on_knot & (ky[lo] > self.eval_array(x))
+        return np.where(jump | (x >= self._upper), INF, slope)
 
     @property
     def at_zero(self) -> float:

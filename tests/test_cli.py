@@ -114,6 +114,19 @@ def test_dual_verify_expectile(capsys, tmp_path):
     assert res["best_bound"] == pytest.approx(2.6, abs=1e-9)
     assert abs(res["gap"]) <= 1e-9
     assert res["argmax_density"] == pytest.approx([0.4, 1.6], abs=1e-9)
+    assert env["diagnostics"]["route"] == "first_order"
+
+
+def test_dual_verify_pwl_takes_the_first_order_route(capsys, tmp_path):
+    # a grid search here ran 5,151 numeric-conjugate penalties and took minutes
+    pwl = write(tmp_path / "phi.txt", "0.5,0.25\n1,1\n2,3\n4,9\n")
+    data = write(tmp_path / "x.csv", "0.7\n1.9\n2.6\n")
+    rc, out, _ = run_cli(capsys, "dual-verify", "--phi", f"pwl:{pwl}", "--data", data)
+    assert rc == 0
+    env = json.loads(out)
+    res = env["result"]
+    assert env["diagnostics"]["route"] == "first_order"
+    assert abs(res["gap"]) <= 1e-9 * max(1.0, res["primal"])
 
 
 def test_hg_profile_export(capsys, tmp_path):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import orlicz.duality as duality
 from orlicz.base import INF, DimensionError, DomainError, NotConvexError, NotGAConvexError
 from orlicz.duality import (
     alpha_bridge_report,
@@ -21,6 +22,7 @@ from orlicz.duality import (
 )
 from orlicz.functions import (
     Expectile,
+    GeometricExpectile,
     GeometricMean,
     LpQuantile,
     LpqQuantile,
@@ -113,6 +115,63 @@ def test_beta_numeric_fallback_on_convex_pwl():
     phi = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (3.0, 3.0)])
     Q = MeasureChange(UNIFORM2, (0.5, 1.5))
     assert beta_conjugate(phi, Q) == pytest.approx(1.0 / 1.5, rel=1e-6)
+
+
+KINKED_BATTERY = [phi for phi in CONVEX_BATTERY if phi.kink_slopes is not None]
+
+
+@pytest.mark.parametrize("phi", KINKED_BATTERY, ids=lambda phi: phi.spec_string())
+def test_kinked_beta_primal_polishes_next_to_its_best_seed(monkeypatch, phi):
+    # every kink of the piecewise-linear Lagrangian is a seed, so the lambda
+    # polish stays within a relative 1e-9 of the best one, however far away
+    # the neighbouring seeds are, and still meets the conjugate route
+    widths = []
+    polish = duality.golden_min
+
+    def spy(f, lo, hi, tol):
+        widths.append(hi - lo)
+        return polish(f, lo, hi, tol=tol)
+
+    monkeypatch.setattr(duality, "golden_min", spy)
+    rng = np.random.default_rng(41)
+    for n in (2, 3, 5, 8):
+        for _ in range(4):
+            probs = rng.dirichlet(np.ones(n))
+            dens = rng.uniform(0.0, 4.0, n)
+            Q = MeasureChange(FiniteProbabilitySpace(tuple(probs)), tuple(dens / (probs @ dens)))
+            b_primal, b_conj = beta_primal(phi, Q), beta_conjugate(phi, Q)
+            assert b_conj - 5e-12 <= b_primal <= b_conj + 1e-14, (Q.density, b_primal, b_conj)
+    assert widths and max(widths) <= 2.0 * math.log1p(1e-9) * (1.0 + 1e-6)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [Expectile(0.8), Power(2.0), PiecewiseLinear([(0.5, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)])],
+    ids=lambda phi: phi.spec_string(),
+)
+def test_beta_primal_work_does_not_depend_on_atom_order(monkeypatch, phi):
+    # a multiplier too small for the largest density is rejected before any
+    # inner problem is solved, wherever that density sits
+    solves = 0
+    inner_max = duality.golden_max
+
+    def counting(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return inner_max(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "golden_max", counting)
+    probs, dens = (0.3, 0.3, 0.2, 0.2), (0.5, 0.6, 0.8, 2.55)
+    counts, values = [], []
+    for order in ((0, 1, 2, 3), (3, 2, 1, 0)):
+        Q = MeasureChange(
+            FiniteProbabilitySpace(tuple(probs[i] for i in order)), tuple(dens[i] for i in order)
+        )
+        solves = 0
+        values.append(beta_primal(phi, Q))
+        counts.append(solves)
+    assert counts[0] == counts[1]
+    assert values[0] == pytest.approx(values[1], rel=1e-12)
 
 
 def test_alpha_gm_is_entropy_indicator():
@@ -245,13 +304,135 @@ def test_dual_search_geometric_needs_positive_outcomes():
         dual_search(GeometricMean(), rv((0.0, 2.0)), kind="geometric")
 
 
-def test_dual_search_exhaustive_dimension_guard():
+def test_dual_search_first_order_is_tight_beyond_grid_dimensions():
     X = rv((1.0, 2.0, 3.0, 4.0, 5.0))
-    # n = 5 falls back to seeded multistarts and stays below primal
+    # n = 5 is past the simplex grid; Q* needs no search at any n
     cert = dual_search(Power(2.0), X, grid_step=0.05)
     primal = orlicz_premium(Power(2.0), X).value
-    assert cert.lower_bound <= primal + 1e-9
-    assert cert.lower_bound >= 0.9 * primal  # multistart plus polish gets close
+    assert cert.route == "first_order"
+    assert abs(primal - cert.lower_bound) <= 1e-9 * max(1.0, primal)
+
+
+SLACK = 1e-9  # weak duality's relative slack
+
+
+def _assert_tight(cert):
+    slack = SLACK * max(1.0, cert.primal)
+    assert cert.route == "first_order", cert
+    assert cert.lower_bound <= cert.primal + slack, cert
+    assert cert.gap <= slack, cert
+
+
+CONVEX_PWL = PiecewiseLinear([(0.5, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)])
+FIRST_ORDER_ARITH = [
+    Power(1.5),
+    Power(2.0),
+    Power(3.0),
+    Expectile(0.8),
+    LpQuantile(0.7, 1.0),
+    LpqQuantile(1.5, 0.5, 1.0, 1.0),
+    LpqQuantile(2.0, 0.0, 2.0, 1.0),
+    CONVEX_PWL,
+]
+FIRST_ORDER_GEOM = [
+    GeometricMean(),
+    Power(0.5),
+    Power(2.0),
+    GeometricExpectile(2.0, 1.0),
+    Expectile(0.8),
+]
+FIRST_ORDER_CASES = [
+    (kind, phi, n)
+    for n in (2, 3, 5, 8, 50)
+    for kind, battery in (("arithmetic", FIRST_ORDER_ARITH), ("geometric", FIRST_ORDER_GEOM))
+    for phi in battery
+]
+
+
+def _draw(n, salt):
+    rng = np.random.default_rng([n, salt])
+    vals = tuple(float(v) for v in rng.uniform(0.3, 3.0, n))
+    probs = tuple(float(p) for p in rng.dirichlet(np.ones(n)))
+    return rv(vals, probs)
+
+
+@pytest.mark.parametrize(
+    "kind,phi,n",
+    FIRST_ORDER_CASES,
+    ids=[f"{k[:5]}-{phi.spec_string()}-n{n}" for k, phi, n in FIRST_ORDER_CASES],
+)
+def test_first_order_certificate_is_tight(kind, phi, n):
+    _assert_tight(dual_search(phi, _draw(n, 7), kind=kind))
+
+
+def test_first_order_at_an_atom_on_the_kink():
+    # the 0.8-expectile of (0, 1, 1.25) is 1, so X/k = 1 on an atom
+    X = rv((0.0, 1.0, 1.25))
+    cert = dual_search(Expectile(0.8), X)
+    assert abs(cert.primal - 1.0) <= 1e-12
+    _assert_tight(cert)
+    assert cert.measure.density == pytest.approx((1.0 / 3.0, 4.0 / 3.0, 4.0 / 3.0), abs=1e-12)
+
+
+def test_first_order_with_a_zero_atom():
+    # Phi'(0) = 0, so Q* puts no mass on the zero atom
+    cert = dual_search(Power(3.0), rv((0.0, 1.0, 2.0)))
+    _assert_tight(cert)
+    assert cert.measure.density[0] == 0.0
+
+
+def test_first_order_when_the_derivative_vanishes_everywhere():
+    # lpq:2,0,2,1 has Phi' = 0 on [0, 1] and the premium is max X, so
+    # xi == 0 and Q* is P conditioned on {X = max X}
+    X = rv((0.5, 2.0, 1.0, 2.0), (0.1, 0.2, 0.3, 0.4))
+    cert = dual_search(LpqQuantile(2.0, 0.0, 2.0, 1.0), X)
+    _assert_tight(cert)
+    assert cert.primal == 2.0
+    assert cert.measure.density == pytest.approx((0.0, 1.0 / 0.6, 0.0, 1.0 / 0.6), rel=1e-15)
+    # all-zero X: premium 0, and any measure is tight
+    _assert_tight(dual_search(Power(2.0), rv((0.0, 0.0))))
+
+
+ORACLE_CASES = [(phi, n) for n in (2, 3) for phi in FIRST_ORDER_ARITH]
+
+
+@pytest.mark.parametrize(
+    "phi,n", ORACLE_CASES, ids=[f"{phi.spec_string()}-n{n}" for phi, n in ORACLE_CASES]
+)
+def test_first_order_bound_dominates_the_grid(phi, n):
+    X = _draw(n, 11)
+    cert = dual_search(phi, X)
+    _assert_tight(cert)
+    # the pwl's numeric conjugate costs about 0.1 s per measure
+    step = {2: 0.01, 3: 0.05} if phi is not CONVEX_PWL else {2: 0.125, 3: 0.25}
+    probs, vals = X.space.probs_array(), X.values_array()
+    for Q, b in beta_on_grid(phi, X.space, grid_step=step[n]):
+        assert cert.lower_bound >= b * float(probs @ (np.asarray(Q.density) * vals)) - 1e-12
+
+
+def test_no_derivative_falls_back_to_the_grid():
+    class NoSlope(Power):
+        derivative = None
+
+    X = rv((1.0, 3.0))
+    cert = dual_search(NoSlope(2.0), X, grid_step=0.05)
+    assert cert.route == "grid"
+    assert abs(cert.gap) <= 1e-9
+
+
+def test_loose_first_order_measure_seeds_the_grid():
+    # a wrong slope gives Q* = P, which is loose; the grid and polish close the gap
+    class FlatSlope(Power):
+        def derivative(self, xs):
+            return np.ones_like(xs)
+
+    X = rv((1.0, 3.0))
+    phi = FlatSlope(2.0)
+    cert = dual_search(phi, X, grid_step=0.05)
+    assert cert.route == "grid"
+    at_p = beta_conjugate(phi, MeasureChange(X.space, (1.0, 1.0))) * 2.0
+    assert cert.lower_bound > at_p + 0.1
+    assert abs(cert.gap) <= 1e-9
 
 
 def test_hg_dual_check_mean_premium():

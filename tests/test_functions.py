@@ -13,6 +13,7 @@ from orlicz.functions import (
     GeometricMean,
     LpQuantile,
     LpqQuantile,
+    OrliczFunction,
     PiecewiseLinear,
     Power,
     QuantileStep,
@@ -310,3 +311,88 @@ def test_numeric_conjugate_on_convex_pwl():
         assert conjugate(phi, y) == pytest.approx(_conjugate_oracle(phi, y), abs=1e-6)
     # beyond the terminal slope 3 the sup runs away
     assert conjugate(phi, 3.5) == INF
+
+
+# --- right derivative -------------------------------------------------------
+
+CONVEX_PWL = PiecewiseLinear([(0.5, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)])
+JUMP_PWL = PiecewiseLinear([(1.0, 0.5), (1.0, 1.5), (2.0, 3.0)], value_at_zero=NEG_INF, upper=5.0)
+DERIVATIVE_FAMILIES = ALL_FAMILIES + [
+    Power(1.5),
+    LpQuantile(0.7, 0.5),
+    LpQuantile(0.7, 1.0),
+    LpqQuantile(1.5, 0.5, 1.0, 1.0),
+    LpqQuantile(2.0, 0.0, 2.0, 1.0),
+    GeometricExpectile(2.0, 0.0),
+    CONVEX_PWL,
+    JUMP_PWL,
+]
+# kinks, knots and jumps of the families above; the smooth-point check keeps off them
+NONSMOOTH = (0.0, 0.5, 1.0, 2.0, 4.0, 5.0)
+
+
+@pytest.mark.parametrize("phi", DERIVATIVE_FAMILIES, ids=lambda f: f.spec_string())
+def test_derivative_matches_one_sided_differences_away_from_kinks(phi):
+    grid = np.geomspace(0.03, 7.0, 41)
+    xs = np.array([x for x in grid if min(abs(x - k) for k in NONSMOOTH) > 1e-3 and x < phi.upper])
+    got = phi.derivative(xs)
+    assert got.shape == xs.shape
+    for x, d in zip(xs, got):
+        x = float(x)
+        h = 1e-7 * x
+        right = (phi(x + h) - phi(x)) / h
+        left = (phi(x) - phi(x - h)) / h
+        assert d == pytest.approx(right, rel=1e-5, abs=1e-9), x
+        assert d == pytest.approx(left, rel=1e-5, abs=1e-9), x
+
+
+@pytest.mark.parametrize(
+    "phi,x,want",
+    [
+        (GeometricMean(), 0.0, INF),
+        (GeometricMean(), 1.0, 1.0),
+        (Power(0.5), 0.0, INF),
+        (Power(1.0), 0.0, 1.0),
+        (Power(2.0), 0.0, 0.0),
+        (Power(3.0), 1.0, 3.0),
+        (QuantileStep(0.3), 1.0, INF),
+        (QuantileStep(0.3), 0.0, 0.0),
+        (Expectile(0.8), 1.0, 0.8),
+        (Expectile(0.8), 0.0, 1.0 - 0.8),
+        (Expectile(0.3), 1.0, 0.3),
+        (LpQuantile(0.7, 1.0), 1.0, 0.7),
+        (LpQuantile(0.7, 2.0), 1.0, 0.0),
+        (LpQuantile(0.7, 0.5), 1.0, INF),
+        (LpqQuantile(1.5, 0.5, 1.0, 1.0), 1.0, 1.5),
+        (LpqQuantile(1.5, 0.5, 1.0, 1.0), 0.0, 0.5),
+        (LpqQuantile(2.0, 0.0, 2.0, 1.0), 1.0, 0.0),
+        (LpqQuantile(2.0, 0.0, 2.0, 1.0), 0.5, 0.0),
+        (LpqQuantile(1.0, 1.0, 2.0, 1.0), 0.0, 1.0),
+        (GeometricExpectile(2.0, 1.0), 1.0, 2.0),
+        (GeometricExpectile(2.0, 1.0), 0.0, INF),
+        (GeometricExpectile(2.0, 0.0), 0.0, 0.0),
+        (GeometricExpectile(2.0, 0.0), 0.5, 0.0),
+        (CONVEX_PWL, 0.0, 0.0),  # flat below the first knot
+        (CONVEX_PWL, 0.25, 0.0),
+        (CONVEX_PWL, 0.5, 1.5),  # each knot takes the slope on its right
+        (CONVEX_PWL, 1.0, 2.0),
+        (CONVEX_PWL, 2.0, 3.0),
+        (CONVEX_PWL, 4.0, 3.0),  # the last slope extends beyond the last knot
+        (JUMP_PWL, 0.0, INF),  # Phi(0) = -inf below Phi(0+)
+        (JUMP_PWL, 0.5, 0.0),
+        (JUMP_PWL, 1.0, INF),  # upward jump
+        (JUMP_PWL, 2.0, 1.5),
+        (JUMP_PWL, 5.0, INF),  # the domain ends at upper
+    ],
+    ids=lambda v: v.spec_string() if hasattr(v, "spec_string") else repr(v),
+)
+def test_derivative_takes_the_right_slope_at_kinks_and_knots(phi, x, want):
+    assert phi.derivative(np.array([x]))[0] == want
+    if want < INF:
+        h = 1e-7
+        assert (phi(x + h) - phi(x)) / h == pytest.approx(want, rel=1e-5, abs=1e-6)
+
+
+def test_derivative_is_no_claim_on_the_base_class():
+    assert OrliczFunction.derivative is None
+    assert Power(2.0).derivative(np.array([[1.0, 2.0]])).shape == (1, 2)
