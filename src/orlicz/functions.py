@@ -20,7 +20,9 @@ QuantileStep(alpha)    alpha on [0,1], 1+alpha above; premium is the left
                        alpha-quantile (alpha = 1 gives the essential sup).
 Expectile(alpha)       1 + alpha(x-1)_+ - (1-alpha)(x-1)_-.
 LpQuantile(alpha, p)   1 + alpha(x-1)_+**p - (1-alpha)(x-1)_-**p.
-LpqQuantile(a,b,p,q)   1 + a(x-1)_+**p - b(x-1)_-**q.
+LpqQuantile(a,b,p,q)   1 + a(x-1)_+**p - b(x-1)_-**q; for p = q the premium
+                       is the L^p-quantile at level a/(a+b), for b = 0 the
+                       essential supremum.
 GeometricExpectile(a,b) 1 + a(log x)_+ - b(log x)_-.
 PiecewiseLinear        user-supplied knots, left-continuous at jumps.
 
@@ -129,16 +131,6 @@ class OrliczFunction(ABC):
 # ---------------------------------------------------------------------------
 # built-in families
 # ---------------------------------------------------------------------------
-
-
-def _two_branch_slope(xs: np.ndarray, a: float, p: float, b: float, q: float) -> np.ndarray:
-    """Right derivative of 1 + a(x-1)_+**p - b(x-1)_-**q; at x = 1 it is
-    a for p = 1, 0 for p > 1 and +inf for p < 1."""
-    d = np.asarray(xs, dtype=float) - 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        up = a * p * np.maximum(d, 0.0) ** (p - 1.0)
-        down = b * q * np.maximum(-d, 0.0) ** (q - 1.0)
-    return np.where(d >= 0.0, up, down)
 
 
 @dataclass(frozen=True, repr=False)
@@ -276,8 +268,76 @@ class QuantileStep(OrliczFunction):
         return False
 
 
+class _TwoBranch(OrliczFunction):
+    """Phi(x) = 1 + a(x-1)_+**p - b(x-1)_-**q: the loss of Expectile,
+    LpQuantile and LpqQuantile.
+
+    Each subclass maps its fields to (a, b, p, q) in __post_init__; every
+    other fact follows from the four numbers.  Each also binds eval_array
+    in its own class body, where a tracer that wraps it per family (the
+    benchmark's bench/spans.py) looks for it.
+    """
+
+    a: float
+    b: float
+    p: float
+    q: float
+
+    def _branches(self, a: float, b: float, p: float, q: float) -> None:
+        # plain attributes, not properties: the scalar call reads them
+        for name, value in zip("abpq", (a, b, p, q)):
+            object.__setattr__(self, name, value)
+
+    def __call__(self, x: float) -> float:
+        if x < 0:
+            raise DomainError(f"negative input {x!r}")
+        if x >= 1.0:
+            d = x - 1.0
+            return 1.0 + self.a * (d if self.p == 1.0 else d ** self.p)
+        d = 1.0 - x
+        return 1.0 - self.b * (d if self.q == 1.0 else d ** self.q)
+
+    def eval_array(self, xs: np.ndarray) -> np.ndarray:
+        d = xs - 1.0
+        return 1.0 + self.a * np.maximum(d, 0.0) ** self.p - self.b * np.maximum(-d, 0.0) ** self.q
+
+    def derivative(self, xs: np.ndarray) -> np.ndarray:
+        # at x = 1: a for p = 1, 0 for p > 1, +inf for p < 1
+        x = np.asarray(xs, dtype=float)
+        up, down = self.a * self.p, self.b * self.q
+        if self.p != 1.0 or self.q != 1.0:  # two linear branches need no powers
+            with np.errstate(divide="ignore", invalid="ignore"):
+                up = up * np.maximum(x - 1.0, 0.0) ** (self.p - 1.0)
+                down = down * np.maximum(1.0 - x, 0.0) ** (self.q - 1.0)
+        return np.where(x >= 1.0, up, down)
+
+    @property
+    def at_zero(self) -> float:
+        return 1.0 - self.b
+
+    @property
+    def convex_flag(self) -> Optional[bool]:
+        if self.b == 0.0:
+            return self.p >= 1.0
+        return self.p == 1.0 and self.q == 1.0 and self.a >= self.b
+
+    @property
+    def ga_convex_flag(self) -> Optional[bool]:
+        return self.convex_flag
+
+    @property
+    def cash_behavior(self) -> Optional[str]:
+        if self.p == self.q or self.b == 0.0:
+            return "additive"
+        return "subadditive" if self.p > self.q else "superadditive"
+
+    @property
+    def kink_slopes(self) -> Optional[tuple[float, float]]:
+        return (self.a, self.b) if self.p == 1.0 and self.q == 1.0 else None
+
+
 @dataclass(frozen=True, repr=False)
-class Expectile(OrliczFunction):
+class Expectile(_TwoBranch):
     """Phi(x) = 1 + alpha(x-1)_+ - (1-alpha)(x-1)_-, 0 < alpha < 1.
 
     Convex (and GA-convex) iff alpha >= 1/2.
@@ -285,102 +345,41 @@ class Expectile(OrliczFunction):
 
     alpha: float
     name: ClassVar[str] = "expectile"
-    cash_behavior: ClassVar[Optional[str]] = "additive"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"expectile level must be in (0, 1), got {self.alpha!r}")
-
-    def __call__(self, x: float) -> float:
-        if x < 0:
-            raise DomainError(f"negative input {x!r}")
-        if x >= 1.0:
-            return 1.0 + self.alpha * (x - 1.0)
-        return 1.0 - (1.0 - self.alpha) * (1.0 - x)
+        self._branches(self.alpha, 1.0 - self.alpha, 1.0, 1.0)
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        d = xs - 1.0
-        return 1.0 + self.alpha * np.maximum(d, 0.0) - (1.0 - self.alpha) * np.maximum(-d, 0.0)
-
-    def derivative(self, xs: np.ndarray) -> np.ndarray:
-        return np.where(np.asarray(xs) >= 1.0, self.alpha, 1.0 - self.alpha)
-
-    @property
-    def at_zero(self) -> float:
-        return self.alpha
-
-    @property
-    def convex_flag(self) -> Optional[bool]:
-        return self.alpha >= 0.5
-
-    @property
-    def ga_convex_flag(self) -> Optional[bool]:
-        return self.alpha >= 0.5
-
-    @property
-    def kink_slopes(self) -> Optional[tuple[float, float]]:
-        return self.alpha, 1.0 - self.alpha
+        d = xs - 1.0  # p = q = 1: no powers
+        return 1.0 + self.a * np.maximum(d, 0.0) - self.b * np.maximum(-d, 0.0)
 
 
 @dataclass(frozen=True, repr=False)
-class LpQuantile(OrliczFunction):
+class LpQuantile(_TwoBranch):
     """Phi(x) = 1 + alpha(x-1)_+**p - (1-alpha)(x-1)_-**p, p > 0."""
 
     alpha: float
     p: float
     name: ClassVar[str] = "lp"
-    cash_behavior: ClassVar[Optional[str]] = "additive"
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"level must be in (0, 1), got {self.alpha!r}")
         if not (self.p > 0):
             raise ValueError(f"exponent must be positive, got {self.p!r}")
+        self._branches(self.alpha, 1.0 - self.alpha, self.p, self.p)
 
-    def __call__(self, x: float) -> float:
-        if x < 0:
-            raise DomainError(f"negative input {x!r}")
-        if x >= 1.0:
-            return 1.0 + self.alpha * (x - 1.0) ** self.p
-        return 1.0 - (1.0 - self.alpha) * (1.0 - x) ** self.p
-
-    def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        d = xs - 1.0
-        return (
-            1.0
-            + self.alpha * np.maximum(d, 0.0) ** self.p
-            - (1.0 - self.alpha) * np.maximum(-d, 0.0) ** self.p
-        )
-
-    def derivative(self, xs: np.ndarray) -> np.ndarray:
-        return _two_branch_slope(xs, self.alpha, self.p, 1.0 - self.alpha, self.p)
-
-    @property
-    def at_zero(self) -> float:
-        return self.alpha
-
-    @property
-    def convex_flag(self) -> Optional[bool]:
-        return self.p == 1.0 and self.alpha >= 0.5
-
-    @property
-    def ga_convex_flag(self) -> Optional[bool]:
-        return self.p == 1.0 and self.alpha >= 0.5
-
-    @property
-    def kink_slopes(self) -> Optional[tuple[float, float]]:
-        return (self.alpha, 1.0 - self.alpha) if self.p == 1.0 else None
+    eval_array = _TwoBranch.eval_array
 
 
 @dataclass(frozen=True, repr=False)
-class LpqQuantile(OrliczFunction):
+class LpqQuantile(_TwoBranch):
     """Phi(x) = 1 + a(x-1)_+**p - b(x-1)_-**q with a > 0, b >= 0, p, q >= 1.
 
     a = 0 would leave Phi == 1 beyond x = 1 and break admissibility, so it
-    is rejected up front.  Cash behaviour of the induced premium is
-    governed by p vs q: additive for p = q, subadditive for p > q,
-    superadditive for p < q.  b = 0 overrides this: the premium is then
-    the essential supremum, which is additive.
+    is rejected up front.
     """
 
     a: float
@@ -397,47 +396,7 @@ class LpqQuantile(OrliczFunction):
         if not (self.p >= 1 and self.q >= 1):
             raise ValueError(f"exponents must be >= 1, got p={self.p!r}, q={self.q!r}")
 
-    def __call__(self, x: float) -> float:
-        if x < 0:
-            raise DomainError(f"negative input {x!r}")
-        if x >= 1.0:
-            return 1.0 + self.a * (x - 1.0) ** self.p
-        return 1.0 - self.b * (1.0 - x) ** self.q
-
-    def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        d = xs - 1.0
-        return (
-            1.0
-            + self.a * np.maximum(d, 0.0) ** self.p
-            - self.b * np.maximum(-d, 0.0) ** self.q
-        )
-
-    def derivative(self, xs: np.ndarray) -> np.ndarray:
-        return _two_branch_slope(xs, self.a, self.p, self.b, self.q)
-
-    @property
-    def at_zero(self) -> float:
-        return 1.0 - self.b
-
-    @property
-    def convex_flag(self) -> Optional[bool]:
-        if self.b == 0.0:
-            return True
-        return self.p == 1.0 and self.q == 1.0 and self.a >= self.b
-
-    @property
-    def ga_convex_flag(self) -> Optional[bool]:
-        return self.convex_flag
-
-    @property
-    def cash_behavior(self) -> Optional[str]:
-        if self.p == self.q or self.b == 0.0:
-            return "additive"
-        return "subadditive" if self.p > self.q else "superadditive"
-
-    @property
-    def kink_slopes(self) -> Optional[tuple[float, float]]:
-        return (self.a, self.b) if self.p == 1.0 and self.q == 1.0 else None
+    eval_array = _TwoBranch.eval_array
 
 
 @dataclass(frozen=True, repr=False)
@@ -752,11 +711,11 @@ def conjugate(phi: OrliczFunction, y: float) -> float:
     """Psi(y) = sup_{x >= 0} (x*y - Phi(x)) for convex phi and y >= 0.
 
     Closed forms cover every Phi with kink_slopes (Power(1), convex
-    Expectile, LpQuantile with p = 1, LpqQuantile with p = q = 1) and
-    Power with p > 1; everything else runs a golden-section search over
-    log x on (0, X_CAP], plus the endpoint x = 0.  The supremum is
-    reported as +inf when the objective at X_CAP still exceeds the best
-    interior value by more than 1 (linear growth).
+    Expectile, LpQuantile with p = 1, LpqQuantile with p = q = 1), Power
+    with p > 1 and PiecewiseLinear; everything else runs a golden-section
+    search over log x on (0, X_CAP], plus the endpoint x = 0.  The
+    supremum is reported as +inf when the objective at X_CAP still
+    exceeds the best interior value by more than 1 (linear growth).
     """
     if y < 0:
         raise DomainError(f"conjugate argument must be nonnegative, got {y!r}")
@@ -769,6 +728,8 @@ def conjugate(phi: OrliczFunction, y: float) -> float:
         return _kinked_linear_conjugate(*slopes, y)
     if isinstance(phi, Power):  # p > 1 here: p == 1 is kinked, p < 1 not convex
         return (phi.p - 1.0) * (y / phi.p) ** phi.holder_exponent
+    if isinstance(phi, PiecewiseLinear):
+        return _pwl_conjugate(phi, y)
     return _conjugate_numeric(phi, y)
 
 
@@ -779,6 +740,14 @@ def _kinked_linear_conjugate(a: float, b: float, y: float) -> float:
     if y >= b:
         return y - 1.0
     return b - 1.0
+
+
+def _pwl_conjugate(phi: PiecewiseLinear, y: float) -> float:
+    # a convex pwl is finite (upper = inf) and linear between its knots and
+    # beyond the last one, so x*y - Phi(x) peaks at 0 or at a knot, or runs away
+    if y > phi._end_slope:
+        return INF
+    return max([-phi.at_zero] + [x * y - v for x, v in zip(phi._kx, phi._ky)])
 
 
 def _conjugate_numeric(phi: OrliczFunction, y: float) -> float:

@@ -5,11 +5,13 @@ premium is found by monotone bracketing plus bisection (the generic
 route).  orlicz_premium is the one entry point.  Its auto route looks
 up each built-in family except PiecewiseLinear, which has no dedicated
 solver, in one table (_SOLVERS) of private solvers that exploit its
-structure: closed forms for the norms and quantiles, exact segment
-solves for the expectile, the geometric expectile and lp with p in
-{1, 2}, and a bisection of the family's root equation for lp with any
-other p and for lpq.  The generic and dedicated routes agree to solver
-tolerance and cross-check each other in the tests.
+structure: closed forms for the norms and quantiles, and one solver
+(_two_branch) for the loss 1 + a(x-1)_+^p - b(x-1)_-^q shared by the
+expectile, lp and lpq.  b = 0 gives the essential supremum.  p = q gives
+the L^p-quantile at level a/(a+b): an exact segment solve for p in
+{1, 2}, a bisection of its root equation for other p.  Only lpq with
+p != q bisects its scaled inequality.  The generic and dedicated routes
+agree to solver tolerance and cross-check each other in the tests.
 
 cash_additivity_probe measures how the premium answers cash shifts and
 compares the result with the family's claim, phi.cash_behavior.
@@ -250,29 +252,53 @@ def _expectile_sweep(vs: np.ndarray, ps: np.ndarray, alpha: float) -> float:
     return min(max(k, float(vs[j])), float(nxt[j]))
 
 
-def _lp_quantile(X: RandomVariable, alpha: float, p: float) -> float:
-    """Root of alpha*E[(X-k)_+^p] = (1-alpha)*E[(k-X)_+^p].
+def _two_branch(
+    phi: OrliczFunction, X: RandomVariable, vals: np.ndarray, probs: np.ndarray, tol: float
+) -> float:
+    """Premium for Phi(x) = 1 + a(x-1)_+^p - b(x-1)_-^q (expectile, lp, lpq).
 
-    p = 1 is the expectile (exact segment solve); p = 2 solves a quadratic
-    per segment; other p bisect the strictly decreasing difference.
+    b = 0 leaves only the gain branch: the premium is max X.  For p = q,
+    a*E[((X-k)_+/k)^p] <= b*E[((k-X)_+/k)^p] times k^p is the L^p-quantile
+    at level alpha = a/(a+b): the root of the strictly decreasing
+    alpha*E[(X-k)_+^p] - (1-alpha)*E[(k-X)_+^p], solved per segment for
+    p in {1, 2} and bisected for other p.  p != q bisects the scaled
+    difference, strictly decreasing in k with its zero on (0, max X].
     """
-    values, probs = _columns(X)
-    if p == 1.0:
-        return _expectile_signed(values, probs, alpha)
-    if p == 2.0:
-        return _lp2_exact(values, probs, alpha)
-    vs, ps = _aggregate(values, probs)
-    if len(vs) == 1:
-        return float(vs[0])
-    pa = np.asarray(ps)
-    va = np.asarray(vs)
+    a, b, p, q = phi.a, phi.b, phi.p, phi.q
+    if b == 0.0:
+        return float(vals.max())
+    if p == q:
+        alpha = a / (a + b)
+        values, weights = _columns(X)
+        if p == 1.0:
+            return _expectile_signed(values, weights, alpha)
+        if p == 2.0:
+            return _lp2_exact(values, weights, alpha)
+        vs, ps = _aggregate(values, weights)
+        if len(vs) == 1:
+            return float(vs[0])
+        pa, va = np.asarray(ps), np.asarray(vs)
 
-    def h(k: float) -> float:
-        gains = np.maximum(va - k, 0.0) ** p
-        losses = np.maximum(k - va, 0.0) ** p
-        return alpha * float(pa @ gains) - (1.0 - alpha) * float(pa @ losses)
+        def h(k: float) -> float:
+            gains = np.maximum(va - k, 0.0) ** p
+            losses = np.maximum(k - va, 0.0) ** p
+            return alpha * float(pa @ gains) - (1.0 - alpha) * float(pa @ losses)
 
-    return bisect_root_decreasing(h, float(vs[0]), float(vs[-1]), rel_tol=1e-14)
+        return bisect_root_decreasing(h, float(vs[0]), float(vs[-1]), rel_tol=1e-14)
+
+    def hhat(k: float) -> float:
+        gains = (np.maximum(vals - k, 0.0) / k) ** p
+        losses = (np.maximum(k - vals, 0.0) / k) ** q
+        return a * float(probs @ gains) - b * float(probs @ losses)
+
+    ess = float(vals.max())
+    lo = ess * 1e-3
+    while hhat(lo) <= 0.0 and lo > LOWER_FLOOR:
+        lo *= 1e-2
+    if hhat(lo) <= 0.0:
+        return lo
+    value, _, _, _ = bisect_smallest_feasible(hhat, lo, ess, 0.0, rel_tol=min(tol, 1e-12))
+    return value
 
 
 def _lp2_exact(values: Sequence[float], probs: Sequence[float], alpha: float) -> float:
@@ -365,29 +391,6 @@ def _quadratic_root_in(c2: float, c1: float, c0: float, lo: float, hi: float) ->
     return min(max(inside[0], lo), hi)
 
 
-def _lpq_quantile(phi: LpqQuantile, vals: np.ndarray, probs: np.ndarray, tol: float) -> float:
-    """Premium for Phi(x) = 1 + a(x-1)_+^p - b(x-1)_-^q, by bisection.
-
-    Smallest k with a*E[((X-k)_+/k)^p] <= b*E[((k-X)_+/k)^q]; the
-    difference is strictly decreasing in k and crosses zero on (0, max X].
-    """
-    a, b, p, q = phi.a, phi.b, phi.p, phi.q
-    ess = float(vals.max())
-
-    def hhat(k: float) -> float:
-        gains = (np.maximum(vals - k, 0.0) / k) ** p
-        losses = (np.maximum(k - vals, 0.0) / k) ** q
-        return a * float(probs @ gains) - b * float(probs @ losses)
-
-    lo = ess * 1e-3
-    while hhat(lo) <= 0.0 and lo > LOWER_FLOOR:
-        lo *= 1e-2
-    if hhat(lo) <= 0.0:
-        return lo
-    value, _, _, _ = bisect_smallest_feasible(hhat, lo, ess, 0.0, rel_tol=tol)
-    return value
-
-
 def _geometric_expectile(X: RandomVariable, a: float, b: float) -> float:
     """exp of the a/(a+b)-expectile of log X; X > 0 everywhere when b > 0.
 
@@ -410,12 +413,9 @@ _SOLVERS: dict[type, tuple[str, Callable[..., float]]] = {
             lambda phi, X, xs, ps, tol: float((ps @ xs ** phi.p) ** (1.0 / phi.p))),
     QuantileStep: ("closed_form:quantile",
                    lambda phi, X, xs, ps, tol: quantile(distribution_of(X), phi.alpha)),
-    Expectile: ("closed_form:expectile",
-                lambda phi, X, xs, ps, tol: _expectile_signed(*_columns(X), phi.alpha)),
-    LpQuantile: ("closed_form:lp_quantile",
-                 lambda phi, X, xs, ps, tol: _lp_quantile(X, phi.alpha, phi.p)),
-    LpqQuantile: ("closed_form:lpq_quantile",
-                  lambda phi, X, xs, ps, tol: _lpq_quantile(phi, xs, ps, min(tol, 1e-12))),
+    Expectile: ("closed_form:expectile", _two_branch),
+    LpQuantile: ("closed_form:lp_quantile", _two_branch),
+    LpqQuantile: ("closed_form:lpq_quantile", _two_branch),
     GeometricExpectile: ("closed_form:geometric_expectile",
                          lambda phi, X, xs, ps, tol: _geometric_expectile(X, phi.a, phi.b)),
 }

@@ -17,6 +17,7 @@ from orlicz.functions import (
     PiecewiseLinear,
     Power,
     QuantileStep,
+    _conjugate_numeric,
     conjugate,
     piecewise_linear_from_text,
     validate,
@@ -313,6 +314,26 @@ def test_numeric_conjugate_on_convex_pwl():
     assert conjugate(phi, 3.5) == INF
 
 
+@pytest.mark.parametrize(
+    "phi",
+    [
+        PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 4.0)]),
+        PiecewiseLinear([(0.5, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)]),
+        PiecewiseLinear([(0.25, 0.1), (1.0, 1.0), (3.0, 5.0)]),
+    ],
+    ids=range(3),
+)
+def test_exact_pwl_conjugate_matches_the_numeric_search(phi):
+    # the maximum over the knots and 0 against the 257-point search and polish
+    assert phi.convex_flag is True
+    end_slope = float(phi.derivative(np.array([phi.points[-1][0]]))[0])
+    for y in (0.0, 0.2, 0.5, 1.0, 1.7, 2.5, end_slope):
+        if y <= end_slope:
+            want = _conjugate_numeric(phi, y)
+            assert conjugate(phi, y) == pytest.approx(want, rel=1e-12, abs=1e-12), y
+    assert conjugate(phi, math.nextafter(end_slope, INF)) == INF
+
+
 # --- right derivative -------------------------------------------------------
 
 CONVEX_PWL = PiecewiseLinear([(0.5, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)])
@@ -329,6 +350,11 @@ DERIVATIVE_FAMILIES = ALL_FAMILIES + [
 ]
 # kinks, knots and jumps of the families above; the smooth-point check keeps off them
 NONSMOOTH = (0.0, 0.5, 1.0, 2.0, 4.0, 5.0)
+
+
+@pytest.mark.parametrize("phi", DERIVATIVE_FAMILIES + [LpQuantile(0.3, 1.5)], ids=repr)
+def test_at_zero_is_phi_of_zero(phi):
+    assert phi.at_zero == phi(0.0) == phi.eval_array(np.zeros(1))[0]
 
 
 @pytest.mark.parametrize("phi", DERIVATIVE_FAMILIES, ids=lambda f: f.spec_string())

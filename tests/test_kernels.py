@@ -13,7 +13,7 @@ import pytest
 
 from orlicz import functions, premium, prob
 from orlicz.base import VECTOR_MIN, DomainError
-from orlicz.functions import PiecewiseLinear
+from orlicz.functions import LpQuantile, LpqQuantile, PiecewiseLinear
 from orlicz.prob import DiscreteDistribution, distribution_of, quantile, rv
 from orlicz.properties import _describe
 
@@ -29,6 +29,11 @@ def both_paths(monkeypatch, call):
             monkeypatch.setattr(module, "VECTOR_MIN", threshold)
         out.append(call())
     return out
+
+
+def two_branch(phi, X):
+    """The expectile/lp/lpq solver itself, without _finish's ulp nudges."""
+    return premium._two_branch(phi, X, X.values_array(), X.space.probs_array(), 1e-10)
 
 
 def tied_sample(rng, n, signed=False):
@@ -53,9 +58,15 @@ def test_closed_forms_bit_equal(monkeypatch, n):
             assert got[0] == got[1], (n, alpha)
             for p in (1.0, 2.0, 1.5):
                 got = both_paths(
-                    monkeypatch, lambda: premium._lp_quantile(rv(values, probs), alpha, p)
+                    monkeypatch, lambda: two_branch(LpQuantile(alpha, p), rv(values, probs))
                 )
                 assert got[0] == got[1], (n, alpha, p)
+        for a, b in ((1.5, 0.5), (1.0, 3.0)):
+            for p in (1.0, 2.0):
+                got = both_paths(
+                    monkeypatch, lambda: two_branch(LpqQuantile(a, b, p, p), rv(values, probs))
+                )
+                assert got[0] == got[1], (n, a, b, p)
         positive = [v + 0.01 for v in values]
         for a, b in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0)):
             got = both_paths(
@@ -70,7 +81,7 @@ def test_lp2_squares_as_the_loop_does(monkeypatch):
     odd = [v for v in draws if v ** 2 != v * v][:40]
     values = odd + draws[: 200 - len(odd)]
     for alpha in (0.2, 0.5, 0.9):
-        got = both_paths(monkeypatch, lambda: premium._lp_quantile(rv(values), alpha, 2.0))
+        got = both_paths(monkeypatch, lambda: two_branch(LpQuantile(alpha, 2.0), rv(values)))
         assert got[0] == got[1], alpha
 
 
@@ -78,7 +89,7 @@ def test_lp2_overflowing_square_beyond_the_root(monkeypatch):
     # 1.5e154 ** 2 overflows, but the loop finds the root before that atom
     values = [1.0] * 100 + [2.0, 3.0, 1.5e154, 1.6e154]
     probs = [1.0 / 102] * 102 + [5e-324, 5e-324]
-    got = both_paths(monkeypatch, lambda: premium._lp_quantile(rv(values, probs), 0.5, 2.0))
+    got = both_paths(monkeypatch, lambda: two_branch(LpQuantile(0.5, 2.0), rv(values, probs)))
     assert got[0] == got[1]
     assert 1.0 <= got[0] <= 2.0
 

@@ -134,6 +134,38 @@ def test_lp_quantile_p2_matches_bisection_oracle():
         assert got == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+def test_lpq_with_equal_exponents_is_the_lp_quantile(p):
+    # a*E[((X-k)_+/k)^p] <= b*E[((k-X)_+/k)^p] times k^p: level a/(a+b)
+    rng = np.random.default_rng(int(10 * p))
+    for _ in range(60):
+        values, probs = _random_instance(rng, n_max=9)
+        a, b = (float(w) for w in rng.uniform(0.1, 4.0, 2))
+        X = rv(values, probs)
+        got = orlicz_premium(LpqQuantile(a, b, p, p), X)
+        want = orlicz_premium(LpQuantile(a / (a + b), p), X).value
+        assert got.value == pytest.approx(want, rel=1e-12), (a, b, values, probs)
+        assert got.route == "closed_form:lpq_quantile"
+
+
+def test_zero_loss_weight_gives_the_essential_supremum():
+    # dyadic probabilities: every order of summing them gives exactly 1
+    rng = np.random.default_rng(37)
+    for _ in range(40):
+        n = int(rng.integers(1, 9))
+        cuts = np.sort(rng.choice(np.arange(1, 64), n - 1, replace=False))
+        probs = (np.diff(np.concatenate(([0], cuts, [64]))) / 64.0).tolist()
+        values = rng.uniform(0.0, 5.0, n).round(3).tolist()
+        if n > 1:
+            values[0] = 0.0
+        X = rv(values, probs)
+        a, p, q = float(rng.uniform(0.1, 4.0)), float(rng.uniform(1.0, 3.0)), 2.0
+        for phi in (LpqQuantile(a, 0.0, p, q), LpqQuantile(a, 0.0, p, p), GeometricExpectile(a, 0.0)):
+            res = orlicz_premium(phi, X)
+            assert res.value == max(values), (phi, values, probs)
+            assert res.g_at_value == 1.0
+
+
 def test_quantile_premium_is_left_quantile():
     X = rv((1.0, 2.0, 3.0), (0.3, 0.3, 0.4))
     assert orlicz_premium(QuantileStep(0.3), X).value == 1.0
