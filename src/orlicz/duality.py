@@ -11,10 +11,10 @@ and for GA-convex Phi a geometric dual form
 both over probability measures Q << P.  The penalties take values in
 [0, 1]; 0 encodes an infinitely implausible model.  beta has two
 independent computation routes that cross-check each other: a separable
-Lagrangian over the primal constraint set {E[Phi(X)] <= 1}, and a 1-D
-minimization built on the convex conjugate.  alpha runs the Lagrangian
-in log coordinates.  A relative-entropy bridge converts beta values
-into alpha values.
+Lagrangian over the primal constraint set {E[Phi(X)] <= 1}, searched
+numerically, and an exact minimization built on the closed-form convex
+conjugate.  alpha runs the Lagrangian in log coordinates.  A
+relative-entropy bridge converts beta values into alpha values.
 
 Everything here is a certificate engine.  A certificate is built at the
 first-order measure Q*, read off Phi'(X/k) at the premium k, which
@@ -42,10 +42,11 @@ from .base import (
     NotGAConvexError,
     OrliczError,
 )
-from .functions import X_CAP, OrliczFunction, conjugate
+from .functions import OrliczFunction, conjugate
 from .prob import MeasureChange, RandomVariable
 from .search import golden_max, golden_min
 
+X_CAP = 1e6  # right end of beta_primal's x grid when upper = inf
 YCAP = 60.0  # log-coordinate box for the geometric Lagrangian
 GROWTH_EPS = 1e-9  # cap-growth threshold: larger slope means an unbounded ray
 
@@ -132,11 +133,12 @@ def _lagrangian(
 def beta_conjugate(phi: OrliczFunction, Q: MeasureChange) -> float:
     """beta(Q) = (inf over lam > 0 of (1/lam) E[1 + Psi(lam * dQ/dP)])^-1.
 
-    A norm premium (phi.holder_exponent = r) has the dual-norm closed form
-    1 / ||dQ/dP||_r; kinked-linear families (phi.kink_slopes) minimize
-    exactly over the finite set of slope breakpoints; anything else runs
-    golden-section over log lam on the conjugate-based objective, which
-    is a perspective of a convex function and hence unimodal.
+    Three exact cases.  A norm premium (phi.holder_exponent = r) has the
+    dual-norm closed form 1 / ||dQ/dP||_r.  Phi == 1 on all of [0, 1]
+    makes the premium the essential sup and beta exactly 1, the infimum
+    approached as lam -> 0.  Any other convex built-in is piecewise
+    linear, and the infimum sits on a breakpoint (_breakpoint_dual_min;
+    the kinked families keep its vectorized form, _kinked_dual_min).
     """
     _require_convex(phi)
     dens = np.asarray(Q.density, dtype=float)
@@ -147,7 +149,9 @@ def beta_conjugate(phi: OrliczFunction, Q: MeasureChange) -> float:
     slopes = phi.kink_slopes
     if slopes is not None:
         return min(1.0, 1.0 / _kinked_dual_min(dens, probs, *slopes))
-    return min(1.0, 1.0 / _conjugate_dual_min(phi, dens, probs))
+    if phi.at_zero == 1.0:
+        return 1.0
+    return min(1.0, 1.0 / _breakpoint_dual_min(phi, dens, probs))
 
 
 def _kinked_dual_min(dens: np.ndarray, probs: np.ndarray, a_s: float, b_s: float) -> float:
@@ -173,22 +177,32 @@ def _kinked_dual_min(dens: np.ndarray, probs: np.ndarray, a_s: float, b_s: float
     return best
 
 
-def _conjugate_dual_min(phi: OrliczFunction, dens: np.ndarray, probs: np.ndarray) -> float:
-    # Phi == 1 on all of [0, 1] makes the premium the essential sup and the
-    # objective's infimum exactly 1, approached only as lam -> 0
-    if phi.at_zero >= 1.0 - 1e-15:
-        return 1.0
+def _breakpoint_dual_min(phi: OrliczFunction, dens: np.ndarray, probs: np.ndarray) -> float:
+    """inf over lam > 0 of f(lam) = (1 + E[Psi(lam w)]) / lam for piecewise-linear Phi.
 
-    def f(lam: float) -> float:
-        total = 1.0
-        for p_i, w in zip(probs, dens):
-            psi = conjugate(phi, lam * float(w))
-            if psi == INF:
-                return INF
-            total += p_i * psi
-        return total / lam
-
-    return _seeded_min(f, [float(lam) for lam in np.geomspace(1e-6, 1e6, 49)], 1e-12)
+    Psi is piecewise linear with its breaks at the slopes s of Phi, read
+    off phi.derivative at 0 and at the knots.  Between the breakpoints
+    s / w_i, f is c0 / lam + c1 and so monotone: its infimum sits on a
+    breakpoint, on the edge s_end / max w beyond which Psi is +inf (upper
+    = inf; y is clipped to s_end there against rounding), or at the limit
+    upper that f reaches as lam -> inf (upper < inf).
+    """
+    if phi.derivative is None or not phi.points:
+        raise NotImplementedError(f"no exact beta for {phi!r}: it has no knots")
+    knots = np.array([0.0] + [x for x, _ in phi.points])
+    slopes = {float(s) for s in phi.derivative(knots) if 0.0 < s < INF}
+    capped = phi.upper < INF
+    s_end = max(slopes, default=0.0)
+    edge = INF if capped else s_end / float(dens.max())
+    cands = {s / w for s in slopes for w in dens.tolist() if w > 0.0 and s / w <= edge}
+    if 0.0 < edge < INF:
+        cands.add(edge)
+    best = phi.upper
+    for lam in cands:
+        y = lam * dens if capped else np.minimum(lam * dens, s_end)
+        psi = np.array([conjugate(phi, v) for v in y.tolist()])
+        best = min(best, (1.0 + float(probs @ psi)) / lam)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,9 @@ PiecewiseLinear        user-supplied knots, left-continuous at jumps.
 Two convexity notions matter here.  Plain convexity of Phi makes the
 premium convex.  GA-convexity (convexity of x -> Phi(exp(x))) makes the
 premium geometrically convex (multiplicatively, between scaled copies).
-Both flags are tri-state: True / False / None for "not determined".
+Both flags are tri-state: True / False / None for "not determined"; the
+built-in families, PiecewiseLinear included, state them exactly.  Each
+convex built-in states its convex conjugate in closed form.
 """
 
 from __future__ import annotations
@@ -44,9 +46,6 @@ from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from .base import VECTOR_MIN, DomainError, INF, NEG_INF, NotConvexError
-
-MIDPOINT_TOL = 1e-9  # slack for numeric midpoint convexity tests
-X_CAP = 1e6  # right end of the numeric x searches in conjugate and beta_primal
 
 
 @dataclass(frozen=True)
@@ -81,6 +80,9 @@ class OrliczFunction(ABC):
     holder_exponent: ClassVar[Optional[float]] = None
     # xs -> the right derivative Phi'_+ at each entry (+inf at an upward jump)
     derivative: ClassVar[Optional[Callable[[np.ndarray], np.ndarray]]] = None
+    # y -> Psi(y) = sup_x (x*y - Phi(x)) for y >= 0; holds where convex_flag
+    # is True, which conjugate() checks before it calls this
+    conjugate: ClassVar[Optional[Callable[[float], float]]] = None
     # admissibility; the built-in families are admissible by construction
     validation: ClassVar[ValidationReport] = ValidationReport(True, (), "analytic")
 
@@ -200,6 +202,11 @@ class Power(OrliczFunction):
         with np.errstate(divide="ignore"):
             return self.p * np.asarray(xs, dtype=float) ** (self.p - 1.0)
 
+    def conjugate(self, y: float) -> float:
+        if self.p == 1.0:
+            return _kinked_linear_conjugate(1.0, 1.0, y)
+        return (self.p - 1.0) * (y / self.p) ** self.holder_exponent
+
     @property
     def at_zero(self) -> float:
         return 0.0
@@ -310,6 +317,14 @@ class _TwoBranch(OrliczFunction):
                 up = up * np.maximum(x - 1.0, 0.0) ** (self.p - 1.0)
                 down = down * np.maximum(1.0 - x, 0.0) ** (self.q - 1.0)
         return np.where(x >= 1.0, up, down)
+
+    def conjugate(self, y: float) -> float:
+        # convex means p = 1 (kinked), or b = 0 and p > 1: then the sup sits
+        # at x = 1 + (y / (a p))^(1 / (p - 1))
+        a, p = self.a, self.p
+        if p == 1.0:
+            return _kinked_linear_conjugate(a, self.b, y)
+        return y - 1.0 + (p - 1.0) * a * (y / (a * p)) ** (p / (p - 1.0))
 
     @property
     def at_zero(self) -> float:
@@ -471,7 +486,11 @@ class PiecewiseLinear(OrliczFunction):
     effective domain: Phi(x) = +inf for x > upper.
 
     No admissibility checking happens here; run validate() for that.
-    Convexity flags come from a sampled midpoint test and may be None.
+    The convexity flags are exact, read off the knots in O(K): convex iff
+    the slopes (0 below a first knot at x > 0, then each segment's) never
+    fall, Phi jumps at no positive knot below upper, and Phi(0) >= Phi(0+);
+    GA-convex iff the slopes are nonnegative and never fall and Phi jumps
+    at no positive knot below upper.
     """
 
     name: ClassVar[str] = "pwl"
@@ -513,6 +532,17 @@ class PiecewiseLinear(OrliczFunction):
             self._end_slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
         else:
             self._end_slope = 0.0
+        slopes = [0.0] if xs[0] > 0.0 else []
+        jump = False
+        for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
+            if x1 > x0:
+                slopes.append((y1 - y0) / (x1 - x0))
+            elif y1 != y0 and 0.0 < x0 < upper:
+                jump = True
+        rising = not jump and all(s0 <= s1 for s0, s1 in zip(slopes, slopes[1:]))
+        zero_plus = ys[max(xs.count(0.0), 1) - 1]  # Phi(0+): the last knot at 0, else the first
+        self._convex = rising and self._at_zero >= zero_plus
+        self._ga_convex = rising and (not slopes or slopes[0] >= 0.0)
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
@@ -585,34 +615,23 @@ class PiecewiseLinear(OrliczFunction):
     def upper(self) -> float:
         return self._upper
 
-    def _sample_xs(self) -> list[float]:
-        hi = min(self._upper, max(4.0, 2.0 * self._kx[-1] if self._kx[-1] > 0 else 4.0))
-        lo = min(1e-3, *(x / 2.0 for x in self._kx if x > 0)) if any(
-            x > 0 for x in self._kx
-        ) else 1e-3
-        grid = list(np.geomspace(lo, hi, 33))
-        pts = sorted(set(grid) | {x for x in self._kx if 0 < x <= hi} | {1.0, hi})
-        return pts
-
-    def _midpoint_flag(self, xs: list[float], geometric: bool) -> Optional[bool]:
-        """Sampled midpoint convexity test on the pairs of xs; a tri-state flag.
-
-        A discovered violation is a certificate of failure.  A clean pass
-        is reported as True only when the function is finite everywhere
-        it was probed; with a finite upper cap the sweep cannot separate
-        'convex' from 'jumps to +inf mid-chord', so the flag stays None.
-        """
-        if any(gap > MIDPOINT_TOL for gap, _, _ in midpoint_gaps(self, xs, geometric)):
-            return False
-        return True if self._upper == INF else None
-
-    @cached_property
+    @property
     def convex_flag(self) -> Optional[bool]:
-        return self._midpoint_flag([0.0] + self._sample_xs(), geometric=False)
+        return self._convex
 
-    @cached_property
+    @property
     def ga_convex_flag(self) -> Optional[bool]:
-        return self._midpoint_flag(self._sample_xs(), geometric=True)
+        return self._ga_convex
+
+    def conjugate(self, y: float) -> float:
+        # x*y - Phi(x) is linear between the knots and beyond the last one, so
+        # its sup sits at 0, at a knot or at a finite upper, or runs away
+        if self._upper == INF and y > self._end_slope:
+            return INF
+        ends = [-self._at_zero] + [x * y - v for x, v in zip(self._kx, self._ky)]
+        if self._upper < INF:
+            ends.append(self._upper * y - self(self._upper))
+        return max(ends)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -710,12 +729,10 @@ def midpoint_gaps(
 def conjugate(phi: OrliczFunction, y: float) -> float:
     """Psi(y) = sup_{x >= 0} (x*y - Phi(x)) for convex phi and y >= 0.
 
-    Closed forms cover every Phi with kink_slopes (Power(1), convex
-    Expectile, LpQuantile with p = 1, LpqQuantile with p = q = 1), Power
-    with p > 1 and PiecewiseLinear; everything else runs a golden-section
-    search over log x on (0, X_CAP], plus the endpoint x = 0.  The
-    supremum is reported as +inf when the objective at X_CAP still
-    exceeds the best interior value by more than 1 (linear growth).
+    Checks y and the convexity flag, then calls the family's closed form
+    phi.conjugate, which every convex built-in states (for PiecewiseLinear,
+    the maximum over 0, the knots and a finite upper).  +inf means the
+    supremum runs away.
     """
     if y < 0:
         raise DomainError(f"conjugate argument must be nonnegative, got {y!r}")
@@ -723,14 +740,9 @@ def conjugate(phi: OrliczFunction, y: float) -> float:
         raise NotConvexError(
             f"conjugate needs certified convexity; flag is {phi.convex_flag!r} for {phi!r}"
         )
-    slopes = phi.kink_slopes
-    if slopes is not None:
-        return _kinked_linear_conjugate(*slopes, y)
-    if isinstance(phi, Power):  # p > 1 here: p == 1 is kinked, p < 1 not convex
-        return (phi.p - 1.0) * (y / phi.p) ** phi.holder_exponent
-    if isinstance(phi, PiecewiseLinear):
-        return _pwl_conjugate(phi, y)
-    return _conjugate_numeric(phi, y)
+    if phi.conjugate is None:
+        raise NotImplementedError(f"{phi!r} states no closed-form conjugate")
+    return phi.conjugate(y)
 
 
 def _kinked_linear_conjugate(a: float, b: float, y: float) -> float:
@@ -740,40 +752,6 @@ def _kinked_linear_conjugate(a: float, b: float, y: float) -> float:
     if y >= b:
         return y - 1.0
     return b - 1.0
-
-
-def _pwl_conjugate(phi: PiecewiseLinear, y: float) -> float:
-    # a convex pwl is finite (upper = inf) and linear between its knots and
-    # beyond the last one, so x*y - Phi(x) peaks at 0 or at a knot, or runs away
-    if y > phi._end_slope:
-        return INF
-    return max([-phi.at_zero] + [x * y - v for x, v in zip(phi._kx, phi._ky)])
-
-
-def _conjugate_numeric(phi: OrliczFunction, y: float) -> float:
-    from .search import golden_max
-
-    def obj(x: float) -> float:
-        v = phi(x)
-        if v == INF:
-            return NEG_INF
-        return x * y - v
-
-    xs = [0.0] + list(np.geomspace(1e-9, X_CAP, 257))
-    xs.extend(x for x, _ in phi.points if 0 < x < X_CAP)
-    xs.sort()
-    vals = [obj(x) for x in xs]
-    best_inner = max(vals[:-1])
-    if vals[-1] > best_inner + 1.0:
-        return INF
-    i = max(range(len(xs)), key=lambda k: (vals[k], -k))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, len(xs) - 1)]
-    if lo > 0:
-        _, v = golden_max(lambda t: obj(math.exp(t)), math.log(lo), math.log(hi), tol=1e-13)
-    else:
-        _, v = golden_max(obj, lo, hi, tol=1e-13)
-    return max(v, vals[i])
 
 
 def piecewise_linear_from_text(text: str) -> PiecewiseLinear:

@@ -24,7 +24,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .functions import (
-    MIDPOINT_TOL,
     Expectile,
     GeometricExpectile,
     GeometricMean,
@@ -39,6 +38,7 @@ from .premium import cash_additivity_probe, orlicz_premium, premium_of_distribut
 from .prob import DiscreteDistribution, RandomVariable, distribution_of, mixture, rv
 
 PROB_UNITS = 1_000_000  # probabilities live on a 1e-6 grid so repros are exact
+MIDPOINT_TOL = 1e-9  # a Phi-level midpoint gap must exceed this to seed a witness
 
 
 @dataclass(frozen=True)

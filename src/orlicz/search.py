@@ -77,12 +77,14 @@ def bisect_smallest_feasible(
 ) -> tuple[float, float, float, int]:
     """Smallest k with g(k) <= threshold for nonincreasing g.
 
-    Requires g(lo) > threshold >= g(hi) on entry.  Returns
-    (value, bracket_lo, bracket_hi, iterations) where value == bracket_hi,
-    g(value) <= threshold is guaranteed, and g(bracket_lo) > threshold.
+    Requires g(lo) > threshold >= g(hi) on entry.  Stops once the
+    bracket is narrower than rel_tol * |hi|, relative at every scale.
+    Returns (value, bracket_lo, bracket_hi, iterations) where value ==
+    bracket_hi, g(value) <= threshold is guaranteed, and g(bracket_lo) >
+    threshold.
     """
     it = 0
-    while (hi - lo) > rel_tol * max(1.0, abs(hi)) and it < BISECT_ITERS:
+    while (hi - lo) > rel_tol * abs(hi) and it < BISECT_ITERS:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # fp exhaustion
             break
@@ -100,9 +102,10 @@ def bisect_root_decreasing(
     hi: float,
     rel_tol: float = 1e-14,
 ) -> float:
-    """Root of a continuous nonincreasing h with h(lo) >= 0 >= h(hi)."""
+    """Root of a continuous nonincreasing h with h(lo) >= 0 >= h(hi), to
+    a bracket narrower than rel_tol * max(|lo|, |hi|)."""
     for _ in range(BISECT_ITERS):
-        if (hi - lo) <= rel_tol * max(1.0, abs(hi), abs(lo)):
+        if (hi - lo) <= rel_tol * max(abs(hi), abs(lo)):
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

@@ -129,6 +129,40 @@ def test_dual_verify_pwl_takes_the_first_order_route(capsys, tmp_path):
     assert abs(res["gap"]) <= 1e-9 * max(1.0, res["primal"])
 
 
+CAPPED_CONVEX_PWL = "0.5,0.5\n1,1\n2,3\n5,inf\n"  # slopes 0, 1, 2; +inf beyond 5
+
+
+def test_conjugate_on_a_capped_convex_pwl(capsys, tmp_path):
+    # a finite upper does not keep the convexity flag from being certified
+    pwl = write(tmp_path / "phi.txt", CAPPED_CONVEX_PWL)
+    rc, out, _ = run_cli(capsys, "conjugate", "--phi", f"pwl:{pwl}", "--at", "0,1,2,3,10")
+    assert rc == 0
+    env = json.loads(out)
+    assert env["diagnostics"]["convex_flag"] is True
+    # past the end slope the sup stops at x = upper: 5 y - Phi(5) = 5 y - 9
+    assert env["result"]["pairs"] == [[0.0, -0.5], [1.0, 0.0], [2.0, 1.0], [3.0, 6.0], [10.0, 41.0]]
+
+
+def test_dual_verify_on_a_capped_convex_pwl(capsys, tmp_path):
+    pwl = write(tmp_path / "phi.txt", CAPPED_CONVEX_PWL)
+    data = write(tmp_path / "x.csv", "1\n3\n")
+    rc, out, _ = run_cli(capsys, "dual-verify", "--phi", f"pwl:{pwl}", "--data", data)
+    assert rc == 0
+    env = json.loads(out)
+    res = env["result"]
+    assert env["diagnostics"]["route"] == "first_order"
+    assert res["primal"] == pytest.approx(2.4, rel=1e-9)  # Phi(1/2.4) = 0.5, Phi(3/2.4) = 1.5
+    assert abs(res["gap"]) <= 1e-9 * max(1.0, res["primal"])
+
+
+def test_conjugate_of_lpq_without_loss_weight_is_the_closed_form(capsys):
+    # Psi(y) = y - 1 + (p-1) a (y / (a p))^(p / (p-1)) = y - 1 + y^2 / 8 for a = p = 2
+    rc, out, _ = run_cli(capsys, "conjugate", "--phi", "lpq:2,0,2,1", "--at", "0,0.5,1,2,4")
+    assert rc == 0
+    pairs = json.loads(out)["result"]["pairs"]
+    assert pairs == [[0.0, -1.0], [0.5, -0.46875], [1.0, 0.125], [2.0, 1.5], [4.0, 5.0]]
+
+
 def test_hg_profile_export(capsys, tmp_path):
     data = write(tmp_path / "x.csv", "1\n3\n")
     prof = tmp_path / "profile.csv"

@@ -110,11 +110,40 @@ def test_beta_routes_agree_on_random_instances():
         assert abs(b1 - b2) <= 1e-4, (phi.spec_string(), Q.density, b1, b2)
 
 
-def test_beta_numeric_fallback_on_convex_pwl():
+def test_beta_of_identity_pwl_is_one_over_max_density():
     # identity-like pwl should behave like Power(1): beta = 1/max density
     phi = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (3.0, 3.0)])
     Q = MeasureChange(UNIFORM2, (0.5, 1.5))
-    assert beta_conjugate(phi, Q) == pytest.approx(1.0 / 1.5, rel=1e-6)
+    assert beta_conjugate(phi, Q) == 1.0 / 1.5
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        PiecewiseLinear([(0.5, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)]),
+        PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (2.0, 3.0)]),
+        PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)], upper=5.0),
+        PiecewiseLinear([(0.5, 0.2), (1.0, 1.0), (2.0, 4.0)], upper=2.0),
+    ],
+    ids=lambda phi: phi.spec_string(),
+)
+def test_pwl_beta_breakpoint_minimum_meets_the_lagrangian(phi):
+    # the exact breakpoint minimum against the separable Lagrangian route,
+    # and against the conjugate objective on a dense lambda grid it must not exceed
+    rng = np.random.default_rng(31)
+    lams = np.geomspace(1e-3, 1e3, 241).tolist()
+    for n in (2, 3, 5, 8):
+        for _ in range(3):
+            probs = rng.dirichlet(np.ones(n))
+            dens = rng.uniform(0.0, 4.0, n)
+            Q = MeasureChange(FiniteProbabilitySpace(tuple(probs)), tuple(dens / (probs @ dens)))
+            b = beta_conjugate(phi, Q)
+            assert b == pytest.approx(beta_primal(phi, Q), rel=1e-10, abs=1e-10), Q.density
+            w = np.asarray(Q.density)
+            for lam in lams:
+                psi = [conjugate(phi, lam * wi) for wi in w.tolist()]
+                if INF not in psi:
+                    assert 1.0 / b <= (1.0 + float(probs @ np.array(psi))) / lam + 1e-12, lam
 
 
 KINKED_BATTERY = [phi for phi in CONVEX_BATTERY if phi.kink_slopes is not None]
@@ -197,7 +226,7 @@ def test_penalty_values_are_pinned_to_the_bit():
     assert float(beta_primal(Power(2.0), Q)) == 0.7832604499879573
     assert float(beta_primal(Expectile(0.8), Q)) == 0.8988764044943727
     assert float(beta_primal(pwl, Q)) == 0.8
-    assert float(beta_conjugate(pwl, Q)) == 0.799999999999977
+    assert float(beta_conjugate(pwl, Q)) == 0.8
     assert alpha_penalty(GeometricMean(), Q) == 0.0
     assert alpha_penalty(Power(0.5), Q) == 0.5654092421545872
     assert alpha_penalty(Expectile(0.8), Q) == 0.9665463995862634
@@ -403,11 +432,19 @@ def test_first_order_bound_dominates_the_grid(phi, n):
     X = _draw(n, 11)
     cert = dual_search(phi, X)
     _assert_tight(cert)
-    # the pwl's numeric conjugate costs about 0.1 s per measure
-    step = {2: 0.01, 3: 0.05} if phi is not CONVEX_PWL else {2: 0.125, 3: 0.25}
+    step = {2: 0.01, 3: 0.05}
     probs, vals = X.space.probs_array(), X.values_array()
     for Q, b in beta_on_grid(phi, X.space, grid_step=step[n]):
         assert cert.lower_bound >= b * float(probs @ (np.asarray(Q.density) * vals)) - 1e-12
+
+
+def test_capped_convex_pwl_gets_a_tight_certificate():
+    # a finite upper does not keep the convexity flag from being certified
+    phi = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)], upper=5.0)
+    assert phi.convex_flag is True
+    cert = dual_search(phi, rv((1.0, 3.0)))
+    _assert_tight(cert)
+    assert cert.primal == pytest.approx(7.0 / 3.0, rel=1e-9)
 
 
 def test_no_derivative_falls_back_to_the_grid():

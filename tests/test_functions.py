@@ -17,7 +17,6 @@ from orlicz.functions import (
     PiecewiseLinear,
     Power,
     QuantileStep,
-    _conjugate_numeric,
     conjugate,
     piecewise_linear_from_text,
     validate,
@@ -163,9 +162,15 @@ PWL_FLAG_CASES = {
     "concave-kink": (([(0.0, 0.5), (1.0, 1.0), (2.0, 1.2)], None, INF), False, False),
     "jump": (([(0.0, 0.5), (1.0, 1.0), (1.0, 1.5), (3.0, 2.0)], None, INF), False, False),
     "jump-at-zero": (([(0.5, 0.5), (1.0, 1.0), (2.0, 2.0)], 0.0, INF), False, True),
-    "finite-upper": (([(0.0, 0.0), (1.0, 1.0), (3.0, 5.0)], None, 3.0), None, None),
+    "finite-upper": (([(0.0, 0.0), (1.0, 1.0), (3.0, 5.0)], None, 3.0), True, True),
     "neg-inf-at-zero-concave": (([(0.5, 0.1), (1.0, 1.0), (2.0, 1.1)], NEG_INF, INF), False, False),
     "neg-inf-at-zero-steep": (([(0.5, 0.3), (1.0, 1.0), (2.0, 4.0)], NEG_INF, INF), False, True),
+    # the slope falls from 1.2 to 1.1 at x = 1: a geometric-midpoint gap of only
+    # +4.9e-5, which midpoints sampled off the knots can miss
+    "slope-drop-at-one": (([(0.5, 0.4), (1.0, 1.0), (2.0, 2.1), (4.0, 8.0)], None, INF), False, False),
+    "capped-jump": (([(0.5, 0.2), (1.0, 1.0), (2.0, 3.0), (2.0, 5.0)], None, 2.0), True, True),
+    "capped-jump-below-upper": (([(0.5, 0.2), (1.0, 1.0), (2.0, 3.0), (2.0, 5.0)], None, 3.0), False, False),
+    "falling-first-slope": (([(0.0, 0.5), (1.0, 0.2), (2.0, 3.0)], None, INF), True, False),
 }
 
 
@@ -212,7 +217,8 @@ def test_pwl_capped_domain():
     assert phi.upper == 2.0
     assert phi(2.0) == 4.0
     assert phi(2.0000001) == INF
-    assert phi.convex_flag is None  # finite cap blocks the midpoint certificate
+    assert phi.convex_flag is True  # slopes 0, 1.6, 3 and Phi(0) = Phi(0+)
+    assert phi.ga_convex_flag is True
 
 
 def test_pwl_from_text():
@@ -306,12 +312,40 @@ def test_conjugate_requires_convexity_and_domain():
         conjugate(Power(2.0), -0.5)
 
 
-def test_numeric_conjugate_on_convex_pwl():
+def test_convex_pwl_conjugate_matches_the_grid():
     phi = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 4.0)])
     for y in (0.3, 1.0, 2.5):
         assert conjugate(phi, y) == pytest.approx(_conjugate_oracle(phi, y), abs=1e-6)
     # beyond the terminal slope 3 the sup runs away
     assert conjugate(phi, 3.5) == INF
+
+
+def _conjugate_numeric(phi, y, x_cap=1e6):
+    # 257 log-spaced points on (0, x_cap], 0 and the knots, then a golden
+    # polish in log x around the best; +inf when the objective at x_cap
+    # still exceeds the best interior value by more than 1 (linear growth)
+    from orlicz.search import golden_max
+
+    def obj(x):
+        v = phi(x)
+        return -math.inf if v == INF else x * y - v
+
+    xs = [0.0] + list(np.geomspace(1e-9, x_cap, 257))
+    xs.extend(x for x, _ in phi.points if 0 < x < x_cap)
+    xs.sort()
+    vals = [obj(x) for x in xs]
+    if vals[-1] > max(vals[:-1]) + 1.0:
+        return INF
+    i = max(range(len(xs)), key=lambda k: (vals[k], -k))
+    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+    if lo > 0:
+        _, v = golden_max(lambda t: obj(math.exp(t)), math.log(lo), math.log(hi), tol=1e-13)
+    else:
+        _, v = golden_max(obj, lo, hi, tol=1e-13)
+    return max(v, vals[i])
+
+
+CONJUGATE_YS = (0.0, 0.2, 0.5, 1.0, 1.7, 2.5)
 
 
 @pytest.mark.parametrize(
@@ -327,11 +361,58 @@ def test_exact_pwl_conjugate_matches_the_numeric_search(phi):
     # the maximum over the knots and 0 against the 257-point search and polish
     assert phi.convex_flag is True
     end_slope = float(phi.derivative(np.array([phi.points[-1][0]]))[0])
-    for y in (0.0, 0.2, 0.5, 1.0, 1.7, 2.5, end_slope):
+    for y in CONJUGATE_YS + (end_slope,):
         if y <= end_slope:
             want = _conjugate_numeric(phi, y)
             assert conjugate(phi, y) == pytest.approx(want, rel=1e-12, abs=1e-12), y
     assert conjugate(phi, math.nextafter(end_slope, INF)) == INF
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)], upper=5.0),
+        PiecewiseLinear([(0.5, 0.2), (1.0, 1.0), (2.0, 4.0)], upper=2.0),
+        PiecewiseLinear([(0.5, 0.2), (1.0, 1.0), (2.0, 3.0), (2.0, 5.0)], upper=2.0),
+    ],
+    ids=range(3),
+)
+def test_capped_pwl_conjugate_is_finite_and_matches_the_numeric_search(phi):
+    # beyond upper Phi is +inf, so the sup stops at x = upper for every y
+    assert phi.convex_flag is True
+    for y in CONJUGATE_YS + (3.0, 10.0, 1e3):
+        got = conjugate(phi, y)
+        assert got < INF
+        assert got == pytest.approx(_conjugate_numeric(phi, y), rel=1e-12, abs=1e-12), y
+    assert conjugate(phi, 1e3) == 1e3 * phi.upper - phi(phi.upper)
+
+
+@pytest.mark.parametrize(
+    "phi", [LpqQuantile(2.0, 0.0, 2.0, 1.0), LpqQuantile(1.5, 0.0, 1.5, 3.0)], ids=repr
+)
+def test_lpq_conjugate_without_loss_weight_has_a_closed_form(phi):
+    # Phi == 1 on [0, 1] and 1 + a (x-1)^p beyond: Psi(y) = y - 1 + (p-1) a (y/(a p))^(p/(p-1))
+    a, p = phi.a, phi.p
+    for y in CONJUGATE_YS + (4.0,):
+        want = y - 1.0 + (p - 1.0) * a * (y / (a * p)) ** (p / (p - 1.0))
+        assert conjugate(phi, y) == want
+        assert want == pytest.approx(_conjugate_numeric(phi, y), rel=1e-12, abs=1e-12), y
+
+
+def test_lpq_conjugate_without_loss_weight_at_p_one_is_kinked():
+    # b = 0, p = 1: slopes (a, 0) whatever q is
+    for q in (1.0, 2.0):
+        phi = LpqQuantile(2.0, 0.0, 1.0, q)
+        assert [conjugate(phi, y) for y in (0.0, 0.5, 2.0, 2.5)] == [-1.0, -0.5, 1.0, INF]
+
+
+def test_conjugate_needs_a_stated_closed_form():
+    class NoConjugate(Power):
+        conjugate = None
+
+    assert OrliczFunction.conjugate is None
+    with pytest.raises(NotImplementedError):
+        conjugate(NoConjugate(2.0), 1.0)
 
 
 # --- right derivative -------------------------------------------------------

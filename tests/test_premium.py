@@ -185,6 +185,34 @@ def test_quantile_premium_homogeneous_at_small_and_large_scale():
             assert got == pytest.approx(want, rel=1e-12), (scale, alpha)
 
 
+HOMOGENEITY_FAMILIES = [
+    GeometricMean(),
+    Power(0.5),
+    Power(2.0),
+    QuantileStep(0.7),
+    Expectile(0.8),
+    LpQuantile(0.7, 1.5),
+    LpQuantile(0.7, 2.0),
+    LpqQuantile(1.5, 0.5, 2.0, 1.0),
+    LpqQuantile(1.5, 0.5, 1.0, 2.0),
+    GeometricExpectile(2.0, 1.0),
+    PiecewiseLinear([(0.5, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)]),
+]
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+@pytest.mark.parametrize("route", ["auto", "generic"])
+@pytest.mark.parametrize("phi", HOMOGENEITY_FAMILIES, ids=lambda f: f.spec_string())
+def test_positive_homogeneity_holds_to_tol_at_every_scale(phi, route, scale):
+    # tol is relative: H(cX) and c H(X) both lie within tol of the truth;
+    # a stopping width absolute below 1 would leave errors up to 3.8e-5 at 1e-6
+    tol = 1e-10
+    values = np.random.default_rng(0).lognormal(0.0, 1.5, 50)
+    base = orlicz_premium(phi, rv(values.tolist()), tol=tol, route=route).value
+    got = orlicz_premium(phi, rv((scale * values).tolist()), tol=tol, route=route).value
+    assert got == pytest.approx(scale * base, rel=2.0 * tol, abs=0.0)
+
+
 def test_degenerate_zero_mass_with_unbounded_below_phi():
     X = rv((0.0, 2.0))
     res = orlicz_premium(GeometricMean(), X)
