@@ -210,6 +210,7 @@ def _cmd_hg(args) -> int:
         {"phi": phi.spec_string(), "data": args.data, "tol": args.tol},
         {"value": res.value, "minimizer_x": res.minimizer_x},
         {
+            "attained": res.attained,
             "evaluations": res.evaluations,
             "extensions": res.extensions,
             "floor_active": res.floor_active,
@@ -317,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hg", help="translated-premium risk measure inf_x x + H((X-x)+)")
     add_common(p)
     p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--profile", help="write the x,g points the search kept to this CSV")
+    p.add_argument("--profile", help="write the x,g points the route evaluated to this CSV")
     p.set_defaults(func=_cmd_hg)
 
     p = sub.add_parser("dual-verify", help="best dual lower bound vs the primal")

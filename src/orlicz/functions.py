@@ -83,6 +83,11 @@ class OrliczFunction(ABC):
     # y -> Psi(y) = sup_x (x*y - Phi(x)) for y >= 0; holds where convex_flag
     # is True, which conjugate() checks before it calls this
     conjugate: ClassVar[Optional[Callable[[float], float]]] = None
+    # (values, probs) -> lim of x + H((X - x)_+) as x -> -inf when that limit
+    # is the HG infimum, else None
+    hg_limit: ClassVar[Optional[Callable[[Sequence[float], Sequence[float]], Optional[float]]]] = None
+    # True when the premium is concave on nonnegative variables
+    premium_concave: ClassVar[Optional[bool]] = None
     # admissibility; the built-in families are admissible by construction
     validation: ClassVar[ValidationReport] = ValidationReport(True, (), "analytic")
 
@@ -207,6 +212,13 @@ class Power(OrliczFunction):
             return _kinked_linear_conjugate(1.0, 1.0, y)
         return (self.p - 1.0) * (y / self.p) ** self.holder_exponent
 
+    def hg_limit(self, values: Sequence[float], probs: Sequence[float]) -> Optional[float]:
+        # p > 1: ||X + c||_p - c falls to E[X] as c grows, and Jensen gives
+        # ||Y||_p >= E[Y], so x + H((X - x)_+) >= x + E[X - x] = E[X] everywhere
+        if self.p > 1.0:
+            return math.fsum(w * v for w, v in zip(probs, values))
+        return None
+
     @property
     def at_zero(self) -> float:
         return 0.0
@@ -229,6 +241,11 @@ class Power(OrliczFunction):
     @property
     def kink_slopes(self) -> Optional[tuple[float, float]]:
         return (1.0, 1.0) if self.p == 1.0 else None
+
+    @property
+    def premium_concave(self) -> Optional[bool]:
+        # the p-norm is concave on the nonnegative orthant for p <= 1, convex above
+        return self.p <= 1.0
 
     @property
     def holder_exponent(self) -> Optional[float]:
@@ -325,6 +342,13 @@ class _TwoBranch(OrliczFunction):
         if p == 1.0:
             return _kinked_linear_conjugate(a, self.b, y)
         return y - 1.0 + (p - 1.0) * a * (y / (a * p)) ** (p / (p - 1.0))
+
+    def hg_limit(self, values: Sequence[float], probs: Sequence[float]) -> Optional[float]:
+        # b > 0, p > q: at shift c the gain term shrinks like c^(q-p) against
+        # the loss term, so H(X + c) - c falls to the essential infimum
+        if self.b > 0.0 and self.p > self.q:
+            return min(v for v, w in zip(values, probs) if w > 0.0)
+        return None
 
     @property
     def at_zero(self) -> float:

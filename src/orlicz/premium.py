@@ -69,8 +69,12 @@ def _ensure_admissible(phi: OrliczFunction) -> None:
 class PremiumResult:
     """Premium value with solver diagnostics.
 
-    bracket is (lo, hi) with lo <= value <= hi; for bisection routes
-    E[Phi(X/lo)] > 1 and value = hi.  g_at_value is E[Phi(X/value)]
+    bracket is (lo, hi) with lo <= value <= hi, and iterations counts
+    the bisection steps that narrowed it.  A closed form reports
+    (value, value) and 0.  The generic route and lpq with p != q bisect
+    the moment condition: E[Phi(X/lo)] > 1 and value = hi.  The
+    L^p-quantile with p not in {1, 2} bisects its root equation and
+    returns the bracket's midpoint.  g_at_value is E[Phi(X/value)]
     (None for the definitional zero-premium cases where it is vacuous).
     """
 
@@ -123,7 +127,9 @@ def orlicz_premium(
     solver = _SOLVERS.get(type(phi)) if route == "auto" else None
     if solver is not None:
         label, solve = solver
-        return _finish(phi, vals, probs, solve(phi, X, vals, probs, tol), label)
+        out = solve(phi, X, vals, probs, tol)
+        value, bracket, iterations = out if isinstance(out, tuple) else (out, None, 0)
+        return _finish(phi, vals, probs, value, label, bracket, iterations)
     return _generic(phi, vals, probs, ess, tol)
 
 
@@ -150,8 +156,21 @@ def _generic(
     return PremiumResult(value, (blo, bhi), iters, "generic", g(value))
 
 
-def _finish(phi: OrliczFunction, X_vals: np.ndarray, probs: np.ndarray, value: float, route: str) -> PremiumResult:
-    """Package a dedicated-route value, nudging up by ulps if fp left g > 1."""
+def _finish(
+    phi: OrliczFunction,
+    X_vals: np.ndarray,
+    probs: np.ndarray,
+    value: float,
+    route: str,
+    bracket: Optional[tuple[float, float]],
+    iterations: int,
+) -> PremiumResult:
+    """Package a dedicated-route value, nudging up by ulps if fp left g > 1.
+
+    bracket and iterations come from a route that bisected (None and 0
+    for a closed form, whose bracket is the value itself); a nudge past
+    the bracket's top raises the top to the value.
+    """
     g = phi_moment(phi, X_vals, probs, value) if value > 0 else None
     if value > 0 and g is not None:
         for _ in range(8):
@@ -159,7 +178,8 @@ def _finish(phi: OrliczFunction, X_vals: np.ndarray, probs: np.ndarray, value: f
                 break
             value = math.nextafter(value, INF)
             g = phi_moment(phi, X_vals, probs, value)
-    return PremiumResult(value, (value, value), 0, route, g)
+    bracket = (value, value) if bracket is None else (bracket[0], max(bracket[1], value))
+    return PremiumResult(value, bracket, iterations, route, g)
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +274,7 @@ def _expectile_sweep(vs: np.ndarray, ps: np.ndarray, alpha: float) -> float:
 
 def _two_branch(
     phi: OrliczFunction, X: RandomVariable, vals: np.ndarray, probs: np.ndarray, tol: float
-) -> float:
+) -> float | tuple[float, tuple[float, float], int]:
     """Premium for Phi(x) = 1 + a(x-1)_+^p - b(x-1)_-^q (expectile, lp, lpq).
 
     b = 0 leaves only the gain branch: the premium is max X.  For p = q,
@@ -263,6 +283,8 @@ def _two_branch(
     alpha*E[(X-k)_+^p] - (1-alpha)*E[(k-X)_+^p], solved per segment for
     p in {1, 2} and bisected for other p.  p != q bisects the scaled
     difference, strictly decreasing in k with its zero on (0, max X].
+    A bisecting branch returns (value, bracket, bisection steps), an exact
+    one the value alone.
     """
     a, b, p, q = phi.a, phi.b, phi.p, phi.q
     if b == 0.0:
@@ -284,7 +306,8 @@ def _two_branch(
             losses = np.maximum(k - va, 0.0) ** p
             return alpha * float(pa @ gains) - (1.0 - alpha) * float(pa @ losses)
 
-        return bisect_root_decreasing(h, float(vs[0]), float(vs[-1]), rel_tol=1e-14)
+        value, blo, bhi, iters = bisect_root_decreasing(h, float(vs[0]), float(vs[-1]), rel_tol=1e-14)
+        return value, (blo, bhi), iters
 
     def hhat(k: float) -> float:
         gains = (np.maximum(vals - k, 0.0) / k) ** p
@@ -296,9 +319,9 @@ def _two_branch(
     while hhat(lo) <= 0.0 and lo > LOWER_FLOOR:
         lo *= 1e-2
     if hhat(lo) <= 0.0:
-        return lo
-    value, _, _, _ = bisect_smallest_feasible(hhat, lo, ess, 0.0, rel_tol=min(tol, 1e-12))
-    return value
+        return lo, (0.0, lo), 0
+    value, blo, bhi, iters = bisect_smallest_feasible(hhat, lo, ess, 0.0, rel_tol=min(tol, 1e-12))
+    return value, (blo, bhi), iters
 
 
 def _lp2_exact(values: Sequence[float], probs: Sequence[float], alpha: float) -> float:
@@ -391,6 +414,20 @@ def _quadratic_root_in(c2: float, c1: float, c0: float, lo: float, hi: float) ->
     return min(max(inside[0], lo), hi)
 
 
+def _left_quantile(X: RandomVariable, alpha: float) -> float:
+    """prob.quantile of X's law, to the bit.
+
+    From VECTOR_MIN outcomes on it reads the arrays of prob.sorted_law
+    directly instead of building a DiscreteDistribution, which would turn
+    them into tuples and back; below that the tuple law costs less.
+    """
+    if X.space.n < VECTOR_MIN:
+        return quantile(distribution_of(X), alpha)
+    vs, ps = sorted_law(X.values_array(), X.space.probs_array())
+    i = int(np.searchsorted(np.cumsum(ps), alpha, side="left"))
+    return float(vs[min(i, vs.size - 1)])
+
+
 def _geometric_expectile(X: RandomVariable, a: float, b: float) -> float:
     """exp of the a/(a+b)-expectile of log X; X > 0 everywhere when b > 0.
 
@@ -412,7 +449,7 @@ _SOLVERS: dict[type, tuple[str, Callable[..., float]]] = {
     Power: ("closed_form:power",
             lambda phi, X, xs, ps, tol: float((ps @ xs ** phi.p) ** (1.0 / phi.p))),
     QuantileStep: ("closed_form:quantile",
-                   lambda phi, X, xs, ps, tol: quantile(distribution_of(X), phi.alpha)),
+                   lambda phi, X, xs, ps, tol: _left_quantile(X, phi.alpha)),
     Expectile: ("closed_form:expectile", _two_branch),
     LpQuantile: ("closed_form:lp_quantile", _two_branch),
     LpqQuantile: ("closed_form:lpq_quantile", _two_branch),

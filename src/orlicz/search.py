@@ -101,10 +101,15 @@ def bisect_root_decreasing(
     lo: float,
     hi: float,
     rel_tol: float = 1e-14,
-) -> float:
+) -> tuple[float, float, float, int]:
     """Root of a continuous nonincreasing h with h(lo) >= 0 >= h(hi), to
-    a bracket narrower than rel_tol * max(|lo|, |hi|)."""
-    for _ in range(BISECT_ITERS):
+    a bracket narrower than rel_tol * max(|lo|, |hi|).
+
+    Returns (root, bracket_lo, bracket_hi, iterations), the root being
+    the midpoint of the final bracket.
+    """
+    it = 0
+    while it < BISECT_ITERS:
         if (hi - lo) <= rel_tol * max(abs(hi), abs(lo)):
             break
         mid = 0.5 * (lo + hi)
@@ -114,5 +119,6 @@ def bisect_root_decreasing(
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        it += 1
+    return 0.5 * (lo + hi), lo, hi, it
 

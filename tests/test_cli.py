@@ -171,11 +171,29 @@ def test_hg_profile_export(capsys, tmp_path):
     )
     assert rc == 0
     env = json.loads(out)
-    assert env["result"]["value"] == pytest.approx(1.0, abs=1e-9)
+    assert env["result"] == {"value": 1.0, "minimizer_x": 1.0}
     assert env["diagnostics"]["profile_written"] == str(prof)
-    lines = prof.read_text().strip().splitlines()
-    assert lines[0] == "x,g"
-    assert len(lines) == 1 + 256
+    assert env["diagnostics"]["route"] == "neg_inf_at_zero"
+    assert env["diagnostics"]["attained"] is True
+    # Phi(0) = -inf settles gm from the one point it evaluates, g(min X)
+    assert prof.read_text().strip().splitlines() == ["x,g", "1.0,1.0"]
+
+
+def test_hg_power_two_is_the_unattained_mean(capsys, tmp_path):
+    data = write(tmp_path / "x.csv", "1,0.25\n2,0.25\n4.5,0.5\n")
+    prof = tmp_path / "profile.csv"
+    rc, out, _ = run_cli(
+        capsys, "hg", "--phi", "power:2", "--data", data, "--profile", str(prof)
+    )
+    assert rc == 0
+    env = json.loads(out)
+    assert env["result"] == {"value": 3.0, "minimizer_x": "-inf"}
+    diag = env["diagnostics"]
+    assert diag["attained"] is False
+    assert diag["route"] == "limit"
+    assert diag["evaluations"] == 0
+    assert (diag["extensions"], diag["floor_active"]) == (0, False)
+    assert prof.read_text().strip().splitlines() == ["x,g"]
 
 
 def test_properties_single_suite(capsys):

@@ -18,12 +18,13 @@ from orlicz.functions import (
     QuantileStep,
 )
 from orlicz.premium import (
+    _left_quantile,
     cash_additivity_probe,
     orlicz_premium,
     phi_moment,
     premium_of_distribution,
 )
-from orlicz.prob import DiscreteDistribution, rv
+from orlicz.prob import DiscreteDistribution, distribution_of, quantile, rv
 
 # --- independent oracles (no code shared with the solver) -------------------
 
@@ -183,6 +184,42 @@ def test_quantile_premium_homogeneous_at_small_and_large_scale():
             want = scale * orlicz_premium(QuantileStep(alpha), rv(values)).value
             got = orlicz_premium(QuantileStep(alpha), X).value
             assert got == pytest.approx(want, rel=1e-12), (scale, alpha)
+
+
+def test_quantile_route_reads_the_law_to_the_bit():
+    # from VECTOR_MIN outcomes on the route skips the DiscreteDistribution;
+    # _finish may still nudge the premium by ulps, so compare before it
+    rng = np.random.default_rng(5)
+    for values in (rng.lognormal(0.0, 1.5, 500), np.round(rng.uniform(0.0, 3.0, 400), 1)):
+        w = rng.uniform(0.5, 1.5, values.size)
+        X = rv(values.tolist(), (w / w.sum()).tolist())
+        law = distribution_of(X)
+        for alpha in (0.001, 0.25, 0.5, 0.9137331, 1.0):
+            assert _left_quantile(X, alpha) == quantile(law, alpha)
+
+
+@pytest.mark.parametrize(
+    "phi", [LpQuantile(0.7, 1.5), LpqQuantile(1.5, 0.5, 2.0, 1.0)], ids=lambda f: f.spec_string()
+)
+def test_two_branch_bisections_report_their_steps_and_bracket(phi):
+    X = rv(np.random.default_rng(0).lognormal(0.0, 1.0, 50).tolist())
+    res = orlicz_premium(phi, X)
+    lo, hi = res.bracket
+    assert res.iterations > 0
+    assert lo < hi
+    assert lo <= res.value <= hi
+    assert hi - lo <= 1e-10 * hi
+    assert phi_moment(phi, X.values_array(), X.space.probs_array(), lo) > 1.0
+
+
+@pytest.mark.parametrize(
+    "phi", [Expectile(0.8), LpQuantile(0.7, 2.0), LpqQuantile(2.0, 0.0, 2.0, 1.0)],
+    ids=lambda f: f.spec_string(),
+)
+def test_two_branch_closed_forms_report_no_steps(phi):
+    res = orlicz_premium(phi, rv((0.3, 1.2, 2.6, 4.0)))
+    assert res.iterations == 0
+    assert res.bracket == (res.value, res.value)
 
 
 HOMOGENEITY_FAMILIES = [
