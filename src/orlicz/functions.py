@@ -345,7 +345,8 @@ class _TwoBranch(OrliczFunction):
 
     def hg_limit(self, values: Sequence[float], probs: Sequence[float]) -> Optional[float]:
         # b > 0, p > q: at shift c the gain term shrinks like c^(q-p) against
-        # the loss term, so H(X + c) - c falls to the essential infimum
+        # the loss term, so H(X + c) - c falls to the essential infimum, the
+        # least value that carries weight
         if self.b > 0.0 and self.p > self.q:
             return min(v for v, w in zip(values, probs) if w > 0.0)
         return None

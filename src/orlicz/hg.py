@@ -18,13 +18,15 @@ match wins:
 - limit (phi.hg_limit returns a value): the family knows that g falls to
   its x -> -inf limit and never goes below it, e.g. E[X] for Power(p > 1)
   by Jensen.  rho is that limit, not attained; no premium.
-- atoms (superadditive, phi.premium_concave): left of min X,
-  H(X - x) >= H(X - min X) + (min X - x), so g(x) >= g(min X).  Between
-  two neighbouring atoms (X - x)_+ is affine in x, so g is concave there
-  and its minimum sits at an atom.  rho = the least g over the atoms,
-  at most n premiums.
-- window (other superadditive families): the same argument confines the
-  minimum to [min X, max X], which a coarse sweep plus polish searches.
+- atoms (superadditive, phi.premium_concave, at most COARSE_POINTS
+  distinct values): left of min X, H(X - x) >= H(X - min X) + (min X - x),
+  so g(x) >= g(min X).  Between two neighbouring atoms (X - x)_+ is
+  affine in x, so g is concave there and its minimum sits at an atom.
+  rho = the least g over the atoms, one premium per atom.
+- window (other superadditive families, and concave ones with more
+  distinct values than a sweep has points): the same argument confines
+  the minimum to [min X, max X], which a coarse sweep plus polish
+  searches.
 - grid (no claim): a coarse sweep that extends left, down to a hard
   floor, while its left edge strictly improves, then a polish: golden
   section when Phi is convex (g is convex then), recursive grid
@@ -108,8 +110,10 @@ def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) 
         return HGResult(limit, NEG_INF, (), 0, False, 0, "limit", False)
 
     if phi.cash_behavior == "superadditive":
-        if phi.premium_concave:
-            profile = tuple((x, g(x)) for x in sorted(set(X.values)))
+        atoms = sorted(set(X.values))
+        # each premium costs O(n), so the atoms beat the sweep only while few
+        if phi.premium_concave and len(atoms) <= COARSE_POINTS:
+            profile = tuple((x, g(x)) for x in atoms)
             best_x, best_v = min(profile, key=lambda pt: pt[1])
             return HGResult(best_v, best_x, profile, 0, False, count, "atoms", True)
         floor: Optional[float] = None

@@ -227,15 +227,24 @@ def quantile(dist: DiscreteDistribution, t: float) -> float:
     if not (0.0 < t <= 1.0):
         raise DomainError(f"quantile level must be in (0, 1], got {t!r}")
     if len(dist.probs) >= VECTOR_MIN:
-        # the probabilities are positive, so the running sums ascend
-        i = int(np.searchsorted(np.cumsum(dist.probs_array()), t, side="left"))
-        return dist.atoms[min(i, len(dist.atoms) - 1)]
+        return dist.atoms[quantile_index(dist.probs_array(), t)]
     acc = 0.0
     for a, p in zip(dist.atoms, dist.probs):
         acc += p
         if acc >= t:
             return a
     return dist.atoms[-1]  # guard against fp undershoot of the final cumsum
+
+
+def quantile_index(probs: np.ndarray, t: float) -> int:
+    """Where quantile's running sum first reaches t, over a law's probabilities.
+
+    The probabilities are positive, so the running sums ascend, and cumsum
+    adds left to right like the loop.  Clamped to the last atom against fp
+    undershoot of the final sum.
+    """
+    i = int(np.searchsorted(np.cumsum(probs), t, side="left"))
+    return min(i, probs.size - 1)
 
 
 def mixture(F: DiscreteDistribution, G: DiscreteDistribution, lam: float) -> DiscreteDistribution:

@@ -229,6 +229,24 @@ def test_power_below_one_no_grid_point_undercuts_the_atoms(p):
             assert _g(phi, X, x) >= res.value - tol, (X, x)
 
 
+def test_concave_premium_with_many_atoms_sweeps_the_window():
+    # one premium per atom costs O(n) each: past COARSE_POINTS distinct
+    # values the window sweep, whose count does not grow with n, is cheaper
+    phi = Power(0.5)
+    rng = np.random.default_rng(4)
+    few = rv(rng.lognormal(0.0, 1.0, COARSE_POINTS).tolist())
+    assert hg_risk_measure(phi, few).route == "atoms"
+    n = 10**4
+    X = rv(rng.lognormal(0.0, 1.0, n).tolist())
+    res = hg_risk_measure(phi, X)
+    assert res.route == "window"
+    assert (res.extensions, res.floor_active, res.attained) == (0, False, True)
+    assert res.evaluations < n // 10
+    atoms = np.sort(X.values_array())
+    for x in atoms[:: n // 40].tolist():
+        assert res.value <= _g(phi, X, x) + 1e-12 * res.value
+
+
 def test_lpq_loss_power_above_gain_power_searches_only_the_window():
     # superadditive: g(x) >= g(min X) left of min X, so no left extension
     phi = LpqQuantile(1.5, 0.5, 1.0, 2.0)

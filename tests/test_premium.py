@@ -187,10 +187,13 @@ def test_quantile_premium_homogeneous_at_small_and_large_scale():
 
 
 def test_quantile_route_reads_the_law_to_the_bit():
-    # from VECTOR_MIN outcomes on the route skips the DiscreteDistribution;
-    # _finish may still nudge the premium by ulps, so compare before it
+    # from QUANTILE_ARRAY_MIN outcomes on the route skips the
+    # DiscreteDistribution; sizes on both sides of it, with and without
+    # ties.  _finish may still nudge the premium by ulps, so compare before it
     rng = np.random.default_rng(5)
-    for values in (rng.lognormal(0.0, 1.5, 500), np.round(rng.uniform(0.0, 3.0, 400), 1)):
+    samples = [rng.lognormal(0.0, 1.5, n) for n in (1, 2, 5, 8, 63, 500)]
+    samples += [np.round(rng.uniform(0.0, 3.0, n), 1) for n in (6, 40, 400)]
+    for values in samples:
         w = rng.uniform(0.5, 1.5, values.size)
         X = rv(values.tolist(), (w / w.sum()).tolist())
         law = distribution_of(X)
