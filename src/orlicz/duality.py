@@ -137,8 +137,8 @@ def beta_conjugate(phi: OrliczFunction, Q: MeasureChange) -> float:
     dual-norm closed form 1 / ||dQ/dP||_r.  Phi == 1 on all of [0, 1]
     makes the premium the essential sup and beta exactly 1, the infimum
     approached as lam -> 0.  Any other convex built-in is piecewise
-    linear, and the infimum sits on a breakpoint (_breakpoint_dual_min;
-    the kinked families keep its vectorized form, _kinked_dual_min).
+    linear (PiecewiseLinear, Power(1), the two-branch losses with p = 1),
+    and the infimum sits on a breakpoint (_breakpoint_dual_min).
     """
     _require_convex(phi)
     dens = np.asarray(Q.density, dtype=float)
@@ -146,51 +146,33 @@ def beta_conjugate(phi: OrliczFunction, Q: MeasureChange) -> float:
     r = phi.holder_exponent
     if r is not None:
         return min(1.0, 1.0 / float((probs @ dens**r) ** (1.0 / r)))
-    slopes = phi.kink_slopes
-    if slopes is not None:
-        return min(1.0, 1.0 / _kinked_dual_min(dens, probs, *slopes))
     if phi.at_zero == 1.0:
         return 1.0
     return min(1.0, 1.0 / _breakpoint_dual_min(phi, dens, probs))
 
 
-def _kinked_dual_min(dens: np.ndarray, probs: np.ndarray, a_s: float, b_s: float) -> float:
-    # objective is piecewise (const + c/lam) between slope breakpoints, so
-    # its minimum sits on a breakpoint or on the feasibility edge a_s/max
-    dmax = float(dens.max())
-    lam_hi = a_s / dmax
-    cands = {lam_hi}
-    for w in dens:
-        if w <= 0.0:
-            continue
-        for s in (a_s, b_s):
-            if s > 0.0:
-                lam = s / w
-                if lam <= lam_hi * (1.0 + 1e-12):
-                    cands.add(min(lam, lam_hi))
-    best = INF
-    for lam in cands:
-        y = lam * dens
-        psi = np.where(y >= b_s, y - 1.0, b_s - 1.0)
-        f = (1.0 + float(probs @ psi)) / lam
-        best = min(best, f)
-    return best
+def _knot_slopes(phi: OrliczFunction) -> set[float]:
+    """The finite positive slopes of a piecewise-linear Phi, read off
+    phi.derivative at 0 and at its knots; empty when Phi states no knots."""
+    if phi.derivative is None or not phi.points:
+        return set()
+    knots = np.array([0.0] + [x for x, _ in phi.points])
+    return {float(s) for s in phi.derivative(knots) if 0.0 < s < INF}
 
 
 def _breakpoint_dual_min(phi: OrliczFunction, dens: np.ndarray, probs: np.ndarray) -> float:
     """inf over lam > 0 of f(lam) = (1 + E[Psi(lam w)]) / lam for piecewise-linear Phi.
 
-    Psi is piecewise linear with its breaks at the slopes s of Phi, read
-    off phi.derivative at 0 and at the knots.  Between the breakpoints
-    s / w_i, f is c0 / lam + c1 and so monotone: its infimum sits on a
-    breakpoint, on the edge s_end / max w beyond which Psi is +inf (upper
-    = inf; y is clipped to s_end there against rounding), or at the limit
-    upper that f reaches as lam -> inf (upper < inf).
+    Psi is piecewise linear with its breaks at the slopes s of Phi
+    (_knot_slopes).  Between the breakpoints s / w_i, f is c0 / lam + c1
+    and so monotone: its infimum sits on a breakpoint, on the edge
+    s_end / max w beyond which Psi is +inf (upper = inf; y is clipped to
+    s_end there against rounding), or at the limit upper that f reaches
+    as lam -> inf (upper < inf).
     """
-    if phi.derivative is None or not phi.points:
+    slopes = _knot_slopes(phi)
+    if not slopes:
         raise NotImplementedError(f"no exact beta for {phi!r}: it has no knots")
-    knots = np.array([0.0] + [x for x, _ in phi.points])
-    slopes = {float(s) for s in phi.derivative(knots) if 0.0 < s < INF}
     capped = phi.upper < INF
     s_end = max(slopes, default=0.0)
     edge = INF if capped else s_end / float(dens.max())
@@ -219,9 +201,9 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     grid plus golden section on [0, min(X_CAP, upper)]; unbounded rays
     are detected from the slope of Phi toward that cap, for the largest
     density first.  min_lam D(lam) >= the primal supremum, so 1/D never
-    overstates beta beyond fp noise.  For kinked-linear Phi every kink of
-    D is a seed, so the lam polish only reaches a relative 1e-9 around the
-    best one; its cost then does not depend on where the minimum falls.
+    overstates beta beyond fp noise.  For piecewise-linear Phi every kink
+    of D is a seed, so the lam polish only reaches a relative 1e-9 around
+    the best one; its cost then does not depend on where the minimum falls.
     """
     _require_convex(phi)
     dens = np.asarray(Q.density, dtype=float)
@@ -264,14 +246,8 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     if 0.0 < slope_inf < INF:
         lam_min = dmax / slope_inf
         cands |= {lam_min, lam_min * (1.0 + 1e-9), lam_min * 1.25, lam_min * 2.0, lam_min * 8.0}
-    slopes = phi.kink_slopes
-    if slopes is not None:
-        a_s, b_s = slopes
-        for w in dens:
-            if w > 0.0:
-                cands.add(float(w) / a_s)
-                if b_s > 0.0:
-                    cands.add(float(w) / b_s)
+    slopes = _knot_slopes(phi)
+    cands |= {float(w) / s for s in slopes for w in dens if w > 0.0}
     lam_list = sorted(c for c in cands if c > 0.0)
     lagrangian = _lagrangian(inner, probs, dens)
     has_ray = phi.upper == INF and slope_inf < INF
@@ -284,14 +260,15 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
             return INF
         return lagrangian(lam)
 
-    # For a kinked Phi, D(lam) = lam + E[max(-lam (1 - b_s), w - lam)] on
-    # lam >= max(w) / a_s is piecewise linear, with its kinks at w / b_s and
-    # its edge at max(w) / a_s, all of them seeds.  The polish then only
-    # steps off the best seed by a relative 1e-9: at the edge the inner
-    # objective is flat out to X_CAP and rounds up by ~1e-10, just above it
-    # it is not.  A fixed reach keeps the polish the same length whatever
-    # the spacing of the seeds around the minimum.
-    dmin = _seeded_min(dual, lam_list, 1e-11, reach=INF if slopes is None else 1e-9)
+    # For a piecewise-linear Phi each inner sup sits at 0, a knot or upper,
+    # so D(lam) is piecewise linear where it is finite, with its kinks at
+    # w / s for the slopes s of Phi and (upper = inf) its edge at
+    # max(w) / s_end, all of them seeds.  The polish then only steps off
+    # the best seed by a relative 1e-9: at the edge the inner objective is
+    # flat out to X_CAP and rounds up by ~1e-10, just above it it is not.
+    # A fixed reach keeps the polish the same length whatever the spacing
+    # of the seeds around the minimum.
+    dmin = _seeded_min(dual, lam_list, 1e-11, reach=1e-9 if slopes else INF)
     if dmin == INF:
         return 0.0  # infinitely penalized: constraint never binds the objective
     if not (dmin > 0.0):
@@ -311,8 +288,12 @@ def alpha_penalty(phi: OrliczFunction, Q: MeasureChange) -> float:
     Lagrangian applies in log coordinates on the box [-YCAP, YCAP].
     Positive growth at either box edge certifies an unbounded feasible
     ray (the objective is concave), which sends the penalty to exactly 0.
+    Phi == 1 on all of [0, 1] forces Y <= 0, so the sup is 0 and alpha
+    exactly 1, the infimum the Lagrangian only approaches as lam -> inf.
     """
     _require_ga_convex(phi)
+    if phi.at_zero == 1.0:
+        return 1.0
     dens = np.asarray(Q.density, dtype=float)
     probs = Q.space.probs_array()
 

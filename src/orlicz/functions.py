@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Callable, ClassVar, Iterable, Iterator, Optional, Sequence
@@ -74,8 +74,6 @@ class OrliczFunction(ABC):
     name: ClassVar[str] = "orlicz"
     # H(X + m) against H(X) + m: "additive", "subadditive" or "superadditive"
     cash_behavior: ClassVar[Optional[str]] = None
-    # (upper slope, lower slope) when Phi is linear on each side of a kink at 1
-    kink_slopes: ClassVar[Optional[tuple[float, float]]] = None
     # r when the premium is an L^p norm, so that beta(Q) = 1 / ||dQ/dP||_r
     holder_exponent: ClassVar[Optional[float]] = None
     # xs -> the right derivative Phi'_+ at each entry (+inf at an upward jump)
@@ -111,7 +109,13 @@ class OrliczFunction(ABC):
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
-        """Knots (x, y) of a piecewise-linear Phi; none for analytic families."""
+        """Knots (x, y) of a piecewise-linear Phi, ascending; empty otherwise.
+
+        A repeated x is a jump (PiecewiseLinear).  Power(1) and the
+        two-branch losses with p = 1 and q = 1 or b = 0 are piecewise
+        linear too and state (0, Phi(0)) and (1, 1).  The slopes are read
+        off derivative at 0 and at the knots.
+        """
         return ()
 
     @property
@@ -209,7 +213,7 @@ class Power(OrliczFunction):
 
     def conjugate(self, y: float) -> float:
         if self.p == 1.0:
-            return _kinked_linear_conjugate(1.0, 1.0, y)
+            return _knot_conjugate(self, 1.0, y)
         return (self.p - 1.0) * (y / self.p) ** self.holder_exponent
 
     def hg_limit(self, values: Sequence[float], probs: Sequence[float]) -> Optional[float]:
@@ -239,8 +243,8 @@ class Power(OrliczFunction):
         return "subadditive" if self.p > 1.0 else "superadditive"
 
     @property
-    def kink_slopes(self) -> Optional[tuple[float, float]]:
-        return (1.0, 1.0) if self.p == 1.0 else None
+    def points(self) -> tuple[tuple[float, float], ...]:
+        return ((0.0, 0.0), (1.0, 1.0)) if self.p == 1.0 else ()
 
     @property
     def premium_concave(self) -> Optional[bool]:
@@ -336,11 +340,11 @@ class _TwoBranch(OrliczFunction):
         return np.where(x >= 1.0, up, down)
 
     def conjugate(self, y: float) -> float:
-        # convex means p = 1 (kinked), or b = 0 and p > 1: then the sup sits
+        # convex means p = 1 (knotted), or b = 0 and p > 1: then the sup sits
         # at x = 1 + (y / (a p))^(1 / (p - 1))
         a, p = self.a, self.p
         if p == 1.0:
-            return _kinked_linear_conjugate(a, self.b, y)
+            return _knot_conjugate(self, a, y)
         return y - 1.0 + (p - 1.0) * a * (y / (a * p)) ** (p / (p - 1.0))
 
     def hg_limit(self, values: Sequence[float], probs: Sequence[float]) -> Optional[float]:
@@ -372,8 +376,10 @@ class _TwoBranch(OrliczFunction):
         return "subadditive" if self.p > self.q else "superadditive"
 
     @property
-    def kink_slopes(self) -> Optional[tuple[float, float]]:
-        return (self.a, self.b) if self.p == 1.0 and self.q == 1.0 else None
+    def points(self) -> tuple[tuple[float, float], ...]:
+        if self.p == 1.0 and (self.q == 1.0 or self.b == 0.0):
+            return ((0.0, 1.0 - self.b), (1.0, 1.0))
+        return ()
 
 
 @dataclass(frozen=True, repr=False)
@@ -565,8 +571,9 @@ class PiecewiseLinear(OrliczFunction):
             elif y1 != y0 and 0.0 < x0 < upper:
                 jump = True
         rising = not jump and all(s0 <= s1 for s0, s1 in zip(slopes, slopes[1:]))
-        zero_plus = ys[max(xs.count(0.0), 1) - 1]  # Phi(0+): the last knot at 0, else the first
-        self._convex = rising and self._at_zero >= zero_plus
+        # Phi(0+): the last knot at 0, else the first
+        self._zero_plus = ys[max(xs.count(0.0), 1) - 1]
+        self._convex = rising and self._at_zero >= self._zero_plus
         self._ga_convex = rising and (not slopes or slopes[0] >= 0.0)
 
     @property
@@ -649,18 +656,49 @@ class PiecewiseLinear(OrliczFunction):
         return self._ga_convex
 
     def conjugate(self, y: float) -> float:
-        # x*y - Phi(x) is linear between the knots and beyond the last one, so
-        # its sup sits at 0, at a knot or at a finite upper, or runs away
-        if self._upper == INF and y > self._end_slope:
-            return INF
-        ends = [-self._at_zero] + [x * y - v for x, v in zip(self._kx, self._ky)]
-        if self._upper < INF:
-            ends.append(self._upper * y - self(self._upper))
-        return max(ends)
+        return _knot_conjugate(self, self._end_slope, y)
 
     @cached_property
     def validation(self) -> ValidationReport:
-        return _validate_on_grid(self)
+        """Admissibility read off the knots, where Phi is linear between them.
+
+        Phi is nondecreasing once it rises (to 1e-12) from Phi(0) to Phi(0+),
+        across every segment and jump and along the last piece.  Then
+        Phi <= 1 on [0, 1] needs Phi(0), Phi(1) <= 1 (to 1e-12; Phi(1) is
+        inf when upper < 1), and Phi > 1 beyond needs Phi(1+) >= 1 and the
+        piece right of 1 to end above 1.  Knot values are finite, so
+        Phi > -inf on (0, inf).
+        """
+        kx, ky, upper = self._kx, self._ky, self._upper
+        bad: list[Violation] = []
+        for x in (0.0, 1.0):
+            v = self(x)
+            if v > 1.0 + 1e-12:
+                bad.append(Violation("below_one_on_unit", x, v))
+        if upper > 1.0:
+            j = bisect_right(kx, 1.0)  # kx[:j] are the knots at or left of 1
+            right = ky[j - 1] if j and kx[j - 1] == 1.0 else self(1.0)  # Phi(1+)
+            # the value where the piece right of 1 ends
+            if j < len(kx):
+                end = self(kx[j])
+            elif upper < INF:
+                end = self(upper)
+            else:
+                end = INF if self._end_slope > 0.0 else right
+            if not (right >= 1.0 and end > 1.0):
+                x = math.nextafter(1.0, INF)
+                bad.append(Violation("above_one_beyond_unit", x, self(x)))
+        walk = [(0.0, self._at_zero), (0.0, self._zero_plus)]
+        walk += [(x, y) for x, y in zip(kx, ky) if x > 0.0]
+        if kx[-2:] == (upper, upper):
+            walk.pop()  # a restart at upper is never a value: Phi = inf past it
+        for (_, y0), (x1, y1) in zip(walk, walk[1:]):
+            if y1 < y0 - 1e-12:
+                bad.append(Violation("nondecreasing", x1, y1))
+        if self._end_slope < 0.0 and upper > kx[-1]:
+            x = min(upper, kx[-1] + 1.0)
+            bad.append(Violation("nondecreasing", x, self(x)))
+        return ValidationReport(ok=not bad, violations=tuple(bad), method="knots")
 
     def spec_string(self) -> str:
         body = ";".join(f"{x!r},{y!r}" for x, y in zip(self._kx, self._ky))
@@ -682,46 +720,11 @@ def validate(phi: OrliczFunction) -> ValidationReport:
 
     Built-in families are admissible by construction (their parameter
     ranges enforce it) and pass analytically.  PiecewiseLinear is
-    checked once, on a 64-point log-spaced grid plus every knot, and
-    keeps the report; left-continuity holds structurally for its
+    checked once, exactly, at its knots, Phi(0), 1 and upper, and keeps
+    the report; left-continuity holds structurally for its
     representation.  Violations carry a witness x.
     """
     return phi.validation
-
-
-def _validate_on_grid(phi: PiecewiseLinear) -> ValidationReport:
-    kx = [x for x in phi._kx if x > 0]
-    top = max(4.0, 2.0 * max(kx) if kx else 4.0)
-    if phi.upper < INF:
-        top = max(top, 2.0 * phi.upper)
-    lo = min([1e-6] + [x / 2.0 for x in kx])
-    grid = set(float(g) for g in np.geomspace(lo, top, 64))
-    grid |= set(kx) | {1.0, top}
-    # make sure the region just above 1 is probed
-    grid |= {1.0 + d for d in (1e-6, 0.01, 0.1, 0.5)}
-    xs = sorted(grid)
-    vals = [phi(x) for x in xs]
-    bad: list[Violation] = []
-
-    if phi.at_zero == INF:
-        bad.append(Violation("below_one_on_unit", 0.0, INF))
-    elif phi.at_zero > 1.0 + 1e-12:
-        bad.append(Violation("below_one_on_unit", 0.0, phi.at_zero))
-    for x, v in zip(xs, vals):
-        if v == NEG_INF and x > 0:
-            bad.append(Violation("finite_on_positive", x, v))
-        if x <= 1.0 and v > 1.0 + 1e-12:
-            bad.append(Violation("below_one_on_unit", x, v))
-        if x > 1.0 and v <= 1.0:
-            bad.append(Violation("above_one_beyond_unit", x, v))
-
-    prev_v = phi.at_zero
-    for x, v in zip(xs, vals):
-        if v < prev_v - 1e-12:
-            bad.append(Violation("nondecreasing", x, v))
-        prev_v = v
-
-    return ValidationReport(ok=not bad, violations=tuple(bad), method="grid")
 
 
 def midpoint_gaps(
@@ -770,13 +773,21 @@ def conjugate(phi: OrliczFunction, y: float) -> float:
     return phi.conjugate(y)
 
 
-def _kinked_linear_conjugate(a: float, b: float, y: float) -> float:
-    # Phi has slope b on [0,1] and a on [1,inf) with Phi(1) = 1, Phi(0) = 1-b
-    if y > a:
+def _knot_conjugate(phi: OrliczFunction, end_slope: float, y: float) -> float:
+    """Psi(y) for a piecewise-linear Phi whose last piece has slope end_slope.
+
+    x*y - Phi(x) is linear between the knots and beyond the last one, so
+    its sup sits at a knot, at a finite upper or at 0, or runs away.  A
+    tie goes to the earliest term: a knot (0, 0) gives +0.0 where -Phi(0)
+    would give -0.0.
+    """
+    if phi.upper == INF and y > end_slope:
         return INF
-    if y >= b:
-        return y - 1.0
-    return b - 1.0
+    ends = [x * y - v for x, v in phi.points]
+    if phi.upper < INF:
+        ends.append(phi.upper * y - phi(phi.upper))
+    ends.append(-phi.at_zero)
+    return max(ends)
 
 
 def piecewise_linear_from_text(text: str) -> PiecewiseLinear:

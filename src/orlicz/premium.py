@@ -134,7 +134,7 @@ def orlicz_premium(
     if solver is not None:
         label, solve = solver
         value, bracket, iterations = solve(phi, X, vals, probs, tol)
-        return _finish(phi, vals, probs, value, label, bracket, iterations)
+        return _finish(phi, vals, probs, ess, value, label, bracket, iterations)
     return _generic(phi, vals, probs, ess, tol)
 
 
@@ -165,6 +165,7 @@ def _finish(
     phi: OrliczFunction,
     X_vals: np.ndarray,
     probs: np.ndarray,
+    ess: float,
     value: float,
     route: str,
     bracket: Optional[tuple[float, float]],
@@ -174,12 +175,14 @@ def _finish(
 
     bracket and iterations come from a route that bisected (None and 0
     for a closed form, whose bracket is the value itself); a nudge past
-    the bracket's top raises the top to the value.
+    the bracket's top raises the top to the value.  No nudge passes ess,
+    max X: from there on every Phi(X/k) is at most 1, and a g above 1 is
+    only the rounding of the sum of the probabilities.
     """
     g = phi_moment(phi, X_vals, probs, value) if value > 0 else None
     if value > 0 and g is not None:
         for _ in range(8):
-            if not (g > 1.0) or g == INF:
+            if not (g > 1.0) or g == INF or value >= ess:
                 break
             value = math.nextafter(value, INF)
             g = phi_moment(phi, X_vals, probs, value)

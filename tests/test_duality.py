@@ -146,10 +146,14 @@ def test_pwl_beta_breakpoint_minimum_meets_the_lagrangian(phi):
                     assert 1.0 / b <= (1.0 + float(probs @ np.array(psi))) / lam + 1e-12, lam
 
 
-KINKED_BATTERY = [phi for phi in CONVEX_BATTERY if phi.kink_slopes is not None]
+KNOTTED_BATTERY = [phi for phi in CONVEX_BATTERY if phi.points] + [
+    LpqQuantile(2.0, 0.0, 1.0, 2.0),
+    PiecewiseLinear([(0.5, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)]),
+    PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)], upper=5.0),
+]
 
 
-@pytest.mark.parametrize("phi", KINKED_BATTERY, ids=lambda phi: phi.spec_string())
+@pytest.mark.parametrize("phi", KNOTTED_BATTERY, ids=lambda phi: phi.spec_string())
 def test_kinked_beta_primal_polishes_next_to_its_best_seed(monkeypatch, phi):
     # every kink of the piecewise-linear Lagrangian is a seed, so the lambda
     # polish stays within a relative 1e-9 of the best one, however far away
@@ -218,6 +222,30 @@ def test_alpha_requires_ga_convexity():
         alpha_penalty(QuantileStep(0.3), P2)
 
 
+@pytest.mark.parametrize(
+    "phi",
+    [
+        LpqQuantile(2.0, 0.0, 2.0, 1.0),
+        GeometricExpectile(2.0, 0.0),
+        PiecewiseLinear([(0.0, 1.0), (1.0, 1.0), (3.0, 5.0)]),
+    ],
+    ids=lambda phi: phi.spec_string(),
+)
+def test_alpha_is_one_when_phi_is_one_on_the_unit_interval(phi):
+    # E[Phi(e^Y)] <= 1 then forces Y <= 0, so sup E_Q[Y] = 0 for every Q:
+    # the Lagrangian only reaches it as lam -> inf
+    rng = np.random.default_rng(43)
+    for n in (2, 3, 5):
+        space = FiniteProbabilitySpace(tuple(float(p) for p in rng.dirichlet(np.ones(n))))
+        for _ in range(4):
+            assert alpha_penalty(phi, _random_measure(rng, space)) == 1.0
+    # the first-order measure, P on max X, is then tight without the grid
+    X = rv((0.7, 1.9, 2.6))
+    cert = dual_search(phi, X, kind="geometric")
+    assert cert.route == "first_order"
+    assert cert.gap == 0.0
+
+
 def test_penalty_values_are_pinned_to_the_bit():
     # the route cross-checks above hold only to 1e-4; these exact values
     # catch any drift in the lambda searches, grids or kink handling
@@ -230,7 +258,7 @@ def test_penalty_values_are_pinned_to_the_bit():
     assert alpha_penalty(GeometricMean(), Q) == 0.0
     assert alpha_penalty(Power(0.5), Q) == 0.5654092421545872
     assert alpha_penalty(Expectile(0.8), Q) == 0.9665463995862634
-    # Power(1) takes the kinked-linear routes with slopes (1, 1)
+    # Power(1) takes the knot routes: knots (0, 0) and (1, 1), slope 1
     assert beta_conjugate(Power(1.0), Q) == 0.4
     assert float(beta_primal(Power(1.0), Q)) == 0.4
     below, above = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)

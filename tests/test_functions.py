@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orlicz.base import INF, NEG_INF, DomainError, NotConvexError
+from orlicz.base import INF, NEG_INF, DomainError, InvalidPhiError, NotConvexError
 from orlicz.functions import (
     Expectile,
     GeometricExpectile,
@@ -21,6 +21,8 @@ from orlicz.functions import (
     piecewise_linear_from_text,
     validate,
 )
+from orlicz.premium import orlicz_premium
+from orlicz.prob import rv
 
 ALL_FAMILIES = [
     GeometricMean(),
@@ -95,38 +97,55 @@ def test_builtins_are_admissible(phi):
     assert report.ok, report.violations
 
 
+def _unit_kink(b):
+    # the knots of a loss with slope b on [0, 1], 1 at 1 and linear beyond
+    return ((0.0, 1.0 - b), (1.0, 1.0))
+
+
 @pytest.mark.parametrize(
-    "phi,cash,slopes,holder",
+    "phi,cash,knots,holder",
     [
-        (GeometricMean(), "superadditive", None, None),
-        (Power(0.5), "superadditive", None, None),
-        (Power(1.0), "additive", (1.0, 1.0), None),
-        (Power(2.0), "subadditive", None, 2.0),
-        (Power(3.0), "subadditive", None, 1.5),
-        (QuantileStep(0.3), "additive", None, None),
-        (QuantileStep(1.0), "additive", None, None),
-        (Expectile(0.3), "additive", (0.3, 0.7), None),
-        (Expectile(0.5), "additive", (0.5, 0.5), None),
-        (Expectile(0.8), "additive", (0.8, 1.0 - 0.8), None),
-        (LpQuantile(0.7, 1.0), "additive", (0.7, 1.0 - 0.7), None),
-        (LpQuantile(0.3, 2.0), "additive", None, None),
-        (LpqQuantile(1.5, 0.5, 1.0, 1.0), "additive", (1.5, 0.5), None),
-        (LpqQuantile(1.0, 1.0, 2.0, 2.0), "additive", None, None),
-        (LpqQuantile(1.0, 1.0, 2.0, 1.0), "subadditive", None, None),
-        (LpqQuantile(1.0, 1.0, 1.0, 2.0), "superadditive", None, None),
-        (LpqQuantile(2.0, 0.0, 2.0, 1.0), "additive", None, None),
-        (LpqQuantile(2.0, 0.0, 1.0, 2.0), "additive", None, None),
-        (LpqQuantile(2.0, 0.0, 1.0, 1.0), "additive", (2.0, 0.0), None),
-        (GeometricExpectile(2.0, 1.0), None, None, None),
-        (GeometricExpectile(2.0, 0.0), "additive", None, None),
-        (PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (4.0, 4.0)]), None, None, None),
+        (GeometricMean(), "superadditive", (), None),
+        (Power(0.5), "superadditive", (), None),
+        (Power(1.0), "additive", _unit_kink(1.0), None),
+        (Power(2.0), "subadditive", (), 2.0),
+        (Power(3.0), "subadditive", (), 1.5),
+        (QuantileStep(0.3), "additive", (), None),
+        (QuantileStep(1.0), "additive", (), None),
+        (Expectile(0.3), "additive", _unit_kink(0.7), None),
+        (Expectile(0.5), "additive", _unit_kink(0.5), None),
+        (Expectile(0.8), "additive", _unit_kink(1.0 - 0.8), None),
+        (LpQuantile(0.7, 1.0), "additive", _unit_kink(1.0 - 0.7), None),
+        (LpQuantile(0.3, 2.0), "additive", (), None),
+        (LpqQuantile(1.5, 0.5, 1.0, 1.0), "additive", _unit_kink(0.5), None),
+        (LpqQuantile(1.0, 1.0, 2.0, 2.0), "additive", (), None),
+        (LpqQuantile(1.0, 1.0, 2.0, 1.0), "subadditive", (), None),
+        (LpqQuantile(1.0, 1.0, 1.0, 2.0), "superadditive", (), None),
+        (LpqQuantile(2.0, 0.0, 2.0, 1.0), "additive", (), None),
+        (LpqQuantile(2.0, 0.0, 1.0, 2.0), "additive", _unit_kink(0.0), None),
+        (LpqQuantile(2.0, 0.0, 1.0, 1.0), "additive", _unit_kink(0.0), None),
+        (GeometricExpectile(2.0, 1.0), None, (), None),
+        (GeometricExpectile(2.0, 0.0), "additive", (), None),
+        (
+            PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (4.0, 4.0)]),
+            None,
+            ((0.0, 0.0), (1.0, 1.0), (4.0, 4.0)),
+            None,
+        ),
     ],
     ids=lambda v: v.spec_string() if hasattr(v, "spec_string") else str(v),
 )
-def test_family_facts_at_parameter_edges(phi, cash, slopes, holder):
+def test_family_facts_at_parameter_edges(phi, cash, knots, holder):
     assert phi.cash_behavior == cash
-    assert phi.kink_slopes == slopes
+    assert phi.points == knots
     assert phi.holder_exponent == holder
+    if knots:
+        # Phi is linear between the knots and beyond the last one
+        xs = np.linspace(0.0, 6.0, 61)
+        kx, ky = zip(*knots)
+        end = float(phi.derivative(np.array([kx[-1]]))[0])
+        want = np.where(xs <= kx[-1], np.interp(xs, kx, ky), ky[-1] + end * (xs - kx[-1]))
+        assert phi.eval_array(xs) == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -254,6 +273,82 @@ def test_validate_flags_inadmissible_pwl():
     flat = PiecewiseLinear([(0.0, 0.0), (5.0, 0.5)])
     report = validate(flat)
     assert not report.ok
+
+
+DOWNWARD_JUMPS = [
+    PiecewiseLinear([(0, 0), (1, 1), (2, 3), (2, 2.5), (3, 9)]),
+    PiecewiseLinear([(0, 0), (1, 1), (2, 3), (2, 2.5), (2.0001, 3.1), (4, 9)]),
+]
+
+
+@pytest.mark.parametrize("phi", DOWNWARD_JUMPS, ids=lambda f: f.spec_string())
+def test_validate_catches_a_drop_at_a_jump(phi):
+    # Phi(2) = 3 but Phi(2+) = 2.5; no sample grid lands on the restart value
+    report = validate(phi)
+    assert [v.condition for v in report.violations] == ["nondecreasing"]
+    assert (report.violations[0].x, report.violations[0].value) == (2.0, 2.5)
+    with pytest.raises(InvalidPhiError, match="nondecreasing"):
+        orlicz_premium(phi, rv((1.0, 2.0)))
+
+
+def _admissibility_oracle(phi):
+    """The violated conditions seen on a dense sample: 0, each knot and the
+    floats either side of it, 1, points of every piece from 1e-6 of its
+    length on, and points past the last knot and past upper.  Phi > 1 is
+    read from 1 + 1e-9 on: at 1 + ulp the interpolation can round to 1."""
+    kx = sorted({0.0, 1.0} | {x for x, _ in phi.points})
+    last = max(kx[-1], 1.0) + 3.0
+    if phi.upper < INF:
+        last = max(last, 2.0 * phi.upper + 1.0)
+        kx = sorted(set(kx) | {phi.upper})
+    xs = set(kx) | {math.nextafter(x, INF) for x in kx} | {math.nextafter(x, 0.0) for x in kx}
+    for x0, x1 in zip(kx + [kx[-1]], kx[1:] + [last]):
+        xs |= {x0 + t * (x1 - x0) for t in [1e-6, 1e-3] + np.linspace(0.0, 1.0, 41).tolist()}
+    xs = sorted(x for x in xs if x >= 0.0)
+    vals = [phi(x) for x in xs]
+    bad = set()
+    for x, v in zip(xs, vals):
+        if x <= 1.0 and v > 1.0 + 1e-12:
+            bad.add("below_one_on_unit")
+        if x > 1.0 + 1e-9 and not v > 1.0:
+            bad.add("above_one_beyond_unit")
+    if any(v1 < v0 - 1e-12 for v0, v1 in zip(vals, vals[1:])):
+        bad.add("nondecreasing")
+    return bad
+
+
+def _random_pwl(rng):
+    # knots on a coarse lattice around a knot at 1, at most 1 up to x = 1
+    # and at least 1 beyond, so that ties with 1, flat pieces and both
+    # outcomes all happen
+    n = int(rng.integers(1, 6))
+    xs = sorted({1.0} | set(rng.choice(np.arange(0.0, 3.01, 0.25), n, replace=False).tolist()))
+    low = np.arange(0.0, 1.01, 0.25)
+    high = np.arange(1.0, 4.01, 0.25)
+    ys = sorted(1.0 if x == 1.0 else float(rng.choice(low if x < 1.0 else high)) for x in xs)
+    pts = []
+    for x, y in zip(xs, ys):
+        if rng.random() < 0.15:  # a jump up or down, left value first
+            pts.append((x, y + float(rng.choice([-0.75, -0.25, 0.25, 0.75]))))
+        pts.append((x, y))
+    zero = rng.choice([None, None, None, 0.0, 1.25, -INF])
+    upper = INF if rng.random() < 0.6 else xs[-1] + float(rng.choice([0.0, 0.5, 2.0]))
+    return PiecewiseLinear(pts, value_at_zero=zero, upper=upper)
+
+
+def test_validate_at_the_knots_matches_a_dense_oracle():
+    rng = np.random.default_rng(47)
+    outcomes = {True: 0, False: 0}
+    for _ in range(600):
+        phi = _random_pwl(rng)
+        want = _admissibility_oracle(phi)
+        got = {v.condition for v in validate(phi).violations}
+        assert validate(phi).ok == (not want), (phi.spec_string(), got, want)
+        # below a drop the sample can exceed 1 inside (0, 1) where the knots
+        # check Phi(0) and Phi(1); the drop is reported either way
+        assert got == want or "nondecreasing" in got & want, (phi.spec_string(), got, want)
+        outcomes[not want] += 1
+    assert min(outcomes.values()) >= 60, outcomes
 
 
 # --- conjugates -------------------------------------------------------------

@@ -135,4 +135,9 @@ def test_ladder_helpers_stay_deleted():
     assert not hasattr(functions, "_conjugate_numeric")
     assert not hasattr(duality, "_conjugate_dual_min")
     assert not {"_sample_xs", "_midpoint_flag"} & set(vars(functions.PiecewiseLinear))
+    # the second description of a piecewise-linear Phi, which knots replaced
+    assert not hasattr(duality, "_kinked_dual_min")
+    assert not {"_kinked_linear_conjugate", "_validate_on_grid"} & set(vars(functions))
+    families = (functions.OrliczFunction,) + functions.BUILTIN_FAMILIES
+    assert not [cls.__name__ for cls in families if hasattr(cls, "kink_slopes")]
     assert not {"expected_cash_behavior", "kink_slopes"} & set(orlicz.__all__)

@@ -186,19 +186,41 @@ def test_quantile_premium_homogeneous_at_small_and_large_scale():
             assert got == pytest.approx(want, rel=1e-12), (scale, alpha)
 
 
-def test_quantile_route_reads_the_law_to_the_bit():
-    # from QUANTILE_ARRAY_MIN outcomes on the route skips the
-    # DiscreteDistribution; sizes on both sides of it, with and without
-    # ties.  _finish may still nudge the premium by ulps, so compare before it
+def _weighted_draws():
+    # lognormal draws on both sides of QUANTILE_ARRAY_MIN, and rounded
+    # uniform ones with ties, each with normalized uniform(0.5, 1.5) weights
     rng = np.random.default_rng(5)
     samples = [rng.lognormal(0.0, 1.5, n) for n in (1, 2, 5, 8, 63, 500)]
     samples += [np.round(rng.uniform(0.0, 3.0, n), 1) for n in (6, 40, 400)]
     for values in samples:
         w = rng.uniform(0.5, 1.5, values.size)
-        X = rv(values.tolist(), (w / w.sum()).tolist())
+        yield rv(values.tolist(), (w / w.sum()).tolist())
+
+
+def test_quantile_route_reads_the_law_to_the_bit():
+    # from QUANTILE_ARRAY_MIN outcomes on the route skips the
+    # DiscreteDistribution; sizes on both sides of it, with and without
+    # ties.  _finish may still nudge the premium by ulps, so compare before it
+    for X in _weighted_draws():
         law = distribution_of(X)
         for alpha in (0.001, 0.25, 0.5, 0.9137331, 1.0):
             assert _left_quantile(X, alpha) == quantile(law, alpha)
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [QuantileStep(1.0), LpqQuantile(2.0, 0.0, 2.0, 1.0), GeometricExpectile(2.0, 0.0)],
+    ids=lambda f: f.spec_string(),
+)
+def test_essential_sup_is_not_nudged_past_max_x(phi):
+    # Phi(X/k) <= 1 for every k >= max X, so a moment above 1 there is the
+    # rounding of the sum of the probabilities (1 + 2.2e-16 on the n = 63
+    # and the tied n = 6 draws), and no ulp nudge could cure it
+    for X in _weighted_draws():
+        res = orlicz_premium(phi, X)
+        assert res.value == max(X.values)
+        assert res.bracket == (res.value, res.value)
+        assert res.g_at_value == pytest.approx(1.0, abs=1e-15)
 
 
 @pytest.mark.parametrize(
