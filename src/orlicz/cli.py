@@ -104,39 +104,74 @@ def _convert(rows, fmt: str, values: list[float], probs: list[float]) -> Optiona
             v, p = float(cells[0]), float(cells[1])
             values.append(v)
             probs.append(p)
+    except UnicodeDecodeError:  # a ValueError, but a read error
+        raise
     except (ValueError, InputError) as exc:
         return exc
     return None
 
 
+def _table(fh, skip: int, fmt: str) -> Optional[np.ndarray]:
+    """The data columns from numpy's C reader, or None if it refuses the file.
+
+    numpy reads the open file from its start and passes over its first
+    skip lines, which end with the header.  Every cell must parse as a
+    float, so a quoted or empty cell, a whitespace-only row or a change
+    in the column count sends the file to the row reader; on the files
+    numpy accepts, both readers give the same rows and floats.
+    """
+    fh.seek(0)
+    try:
+        table = np.loadtxt(fh, delimiter=",", comments=None, skiprows=skip, ndmin=2)
+    except ValueError:
+        return None
+    width = 2 if fmt == "dist" else 1
+    return table[:, :width] if table.shape[1] >= width else None
+
+
 def load_data(path: str, fmt: str = "auto"):
-    """Read a CSV of outcomes.
+    """Read a CSV of outcomes as a random variable.
 
     dist format has value,probability rows; sample format has one value
-    per row (uniform weights).  auto picks by column count.  A single
-    non-numeric header row is skipped.
+    per row (uniform weights).  auto picks dist when the first data row
+    has two or more cells.  Blank rows are skipped, and so is the first
+    non-blank row if its first cell is not a number (a header).  The file
+    is opened once and read as UTF-8.
 
-    Rows stream from the reader into float columns in file order, so the
-    first bad row is the one reported.  The file is still read to its
-    end first, as a read error outranks a bad row.
+    If the file can seek, numpy's C reader reads the data rows in one
+    call.  Where it refuses the file, or the file is a pipe, the row
+    reader reads it instead, in file order, so the first bad row is the
+    one reported; it reads the file to its end first, as a read error
+    outranks a bad row.
     """
     values: list[float] = []
     probs: list[float] = []
     first: Optional[list[str]] = None
+    table: Optional[np.ndarray] = None
     error: Optional[Exception] = None
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             rows = csv.reader(fh)
             first = next((c for c in map(_cells, rows) if c), None)
+            skip = 0
             if first is not None and not _numeric(first[0]):
+                skip = rows.line_num
                 first = next((c for c in map(_cells, rows) if c), None)
             if first is not None:
                 if fmt == "auto":
                     fmt = "dist" if len(first) >= 2 else "sample"
-                error = _convert(itertools.chain([first], rows), fmt, values, probs)
-                for _ in rows:
-                    pass
-    except OSError as exc:
+                if fh.seekable():
+                    consumed = rows.line_num
+                    table = _table(fh, skip, fmt)
+                    if table is None:  # numpy moved the handle: reread the head
+                        fh.seek(0)
+                        rows = csv.reader(fh)
+                        next(_ for _ in rows if rows.line_num >= consumed)
+                if table is None:
+                    error = _convert(itertools.chain([first], rows), fmt, values, probs)
+                    for _ in rows:
+                        pass
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from None
     if isinstance(error, InputError):
         raise error
@@ -146,9 +181,9 @@ def load_data(path: str, fmt: str = "auto"):
         if error is not None:
             raise error
         if fmt == "dist":
-            pairs = np.column_stack((values, probs))
+            pairs = np.column_stack((values, probs)) if table is None else table
             return as_random_variable(DiscreteDistribution.from_pairs(pairs))
-        return rv(values)
+        return rv(values if table is None else table[:, 0].tolist())
     except (ValueError, OrliczError) as exc:
         raise InputError(f"bad data in {path!r}: {exc}") from None
 

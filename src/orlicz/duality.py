@@ -419,13 +419,17 @@ def dual_search(
     slack = 1e-9 * max(1.0, primal)
 
     def evaluate(q: Sequence[float]) -> tuple[float, float, MeasureChange]:
+        # a Q-mean lies between the least and greatest value Q charges;
+        # clamping keeps the rounding of the dot product inside that range
         Q = _as_measure(X.space, q, probs)
+        charged = vals[np.asarray(q) > 0.0]
+        lo, hi = float(charged.min()), float(charged.max())
         if kind == "arithmetic":
             pen = beta_conjugate(phi, Q)
-            val = float(np.dot(q, vals))
+            val = min(max(float(np.dot(q, vals)), lo), hi)
         else:
             pen = alpha_penalty(phi, Q)
-            val = float(math.exp(np.dot(q, logs))) if pen > 0.0 else 0.0
+            val = min(max(math.exp(np.dot(q, logs)), lo), hi) if pen > 0.0 else 0.0
         return pen * val, pen, Q
 
     def certificate(bound: float, pen: float, Q: MeasureChange, route: str) -> DualCertificate:

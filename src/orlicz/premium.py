@@ -171,21 +171,34 @@ def _finish(
     bracket: Optional[tuple[float, float]],
     iterations: int,
 ) -> PremiumResult:
-    """Package a dedicated-route value, nudging up by ulps if fp left g > 1.
+    """Package a dedicated-route value, moving up by ulps if fp left g > 1.
 
     bracket and iterations come from a route that bisected (None and 0
     for a closed form, whose bracket is the value itself); a nudge past
-    the bracket's top raises the top to the value.  No nudge passes ess,
-    max X: from there on every Phi(X/k) is at most 1, and a g above 1 is
-    only the rounding of the sum of the probabilities.
+    the bracket's top raises the top to the value.  A gallop tries the
+    value plus 1, 2, 4, ... of its ulps up to the first with g <= 1, and
+    a bisection between that float and the last one tried with g > 1
+    then narrows to a float with g <= 1 whose next float down has g > 1,
+    so the value is feasible however far the closed form and the moment
+    disagree, and no further above the root than the rounding needs.  No nudge
+    passes ess, max X: from there on every Phi(X/k) is at most 1, and a
+    g above 1 is only the rounding of the sum of the probabilities.
     """
     g = phi_moment(phi, X_vals, probs, value) if value > 0 else None
     if value > 0 and g is not None:
-        for _ in range(8):
-            if not (g > 1.0) or g == INF or value >= ess:
-                break
-            value = math.nextafter(value, INF)
+        start, step, below = value, math.ulp(value), value
+        while g > 1.0 and g != INF and value < ess:
+            below, value = value, min(start + step, ess)
+            step *= 2.0
             g = phi_moment(phi, X_vals, probs, value)
+        mid = below + (value - below) / 2
+        while g <= 1.0 and below < mid < value:
+            g_mid = phi_moment(phi, X_vals, probs, mid)
+            if g_mid <= 1.0:
+                value, g = mid, g_mid
+            else:
+                below = mid
+            mid = below + (value - below) / 2
     bracket = (value, value) if bracket is None else (bracket[0], max(bracket[1], value))
     return PremiumResult(value, bracket, iterations, route, g)
 

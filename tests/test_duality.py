@@ -518,3 +518,18 @@ def test_hg_dual_check_expectile_twopoint():
 def test_hg_dual_check_dimension_guard():
     with pytest.raises(DimensionError):
         hg_dual_check(Power(2.0), rv((1.0, 2.0, 3.0, 4.0, 5.0)))
+
+
+@pytest.mark.parametrize("kind", ["arithmetic", "geometric"])
+@pytest.mark.parametrize(
+    "phi",
+    [LpqQuantile(2.0, 0.0, 2.0, 1.0), PiecewiseLinear([(1.0, 1.0), (3.0, 5.0)], value_at_zero=1.0)],
+    ids=lambda f: f.spec_string(),
+)
+def test_bound_at_max_x_leaves_no_negative_gap(phi, kind):
+    # Q* sits on max X = 3 with penalty 1; exp(E_Q[log X]) rounds to
+    # 3.0000000000000004, which the clamp to the charged values removes
+    cert = dual_search(phi, rv((1.0, 3.0)), kind=kind)
+    assert cert.primal == 3.0
+    assert cert.lower_bound <= cert.primal
+    assert cert.gap >= 0.0

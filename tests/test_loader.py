@@ -4,10 +4,15 @@ Each case writes a small file and checks either the variable it yields
 (values and probabilities, compared exactly) or the InputError text, with
 the file path written as PATH.  The larger files run past the size at
 which the library switches to its array kernels, and one bounds the
-memory that loading 1e5 rows takes.
+memory that loading 1e5 rows takes.  load_data reads the data rows with
+numpy's C reader and hands the files it refuses to the row reader; the
+last tests check that both readers give the same variable on the files
+both accept, and that plain files take the numpy path.
 """
 
 import gc
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -15,9 +20,10 @@ import pytest
 
 from orlicz import cli
 
-# Peak traced allocation while loading a 1e5-row sample: about 6.5 MB
-# when rows stream into a float list, about 22 MB when every row is
-# first kept as a list of strings.
+# Peak traced allocation while loading a 1e5-row sample: about 7.4 MB
+# when numpy's reader reads the rows (6.5 MB when rows streamed into a
+# float list, about 22 MB when every row was first kept as a list of
+# strings).
 PEAK_BOUND = 12e6
 
 BAD = "bad data in PATH: "
@@ -90,6 +96,12 @@ CASES = {
     "empty file": ("", "auto", "PATH holds no data rows"),
     "blank file": ("\n \n", "auto", "PATH holds no data rows"),
     "header-only file": ("value\n", "auto", "PATH holds no data rows"),
+    "bare CR line ends": ("value\r1\r\r3\r", "auto", ((1.0, 3.0), (0.5, 0.5))),
+    "CRLF line ends": ("x,p\r\n2,0.75\r\n0.5,0.25\r\n", "auto", ((0.5, 2.0), (0.25, 0.75))),
+    "underscores in a number": ("1_0\n2\n", "auto", ((10.0, 2.0), (0.5, 0.5))),
+    "non-numeric extra column": ("1,0.5,a\n2,0.5,b\n", "auto", ((1.0, 2.0), (0.5, 0.5))),
+    "quoted cell spanning lines": ('1,1,"x\n2,0.5,y"\n', "auto", ((1.0,), (1.0,))),
+    "quoted cell spanning lines in a sample": ('1,"x\n2,y"\n', "sample", ((1.0,), (1.0,))),
 }
 
 
@@ -159,3 +171,98 @@ def test_loading_a_large_sample_stays_within_a_memory_bound(tmp_path):
         tracemalloc.stop()
     assert X.values == tuple(values)
     assert peak < PEAK_BOUND, f"peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b"\xff\xfe1\x00\n\x002\x00\n\x00", b"1\n2\n\xff\n", b"1\nx\n\xe9\n"],
+    ids=["utf-16", "bad byte after good rows", "bad byte after a bad row"],
+)
+def test_non_utf8_file_is_input_error(tmp_path, data):
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    with pytest.raises(cli.InputError, match="cannot read .*'utf-8' codec can't decode"):
+        cli.load_data(str(path))
+
+
+def _agreement_file(n, fmt, rng):
+    """A file both readers accept, with every form of cell they share.
+
+    Dist rows carry two extra columns; numpy's reader needs the same
+    number of columns on every row.
+    """
+    extremes = [5e-324, 1e-300, 2.5e-308, 1e300, 1.7976931348623157e308]
+    values = rng.lognormal(0.0, 3.0, n) * 10.0 ** rng.integers(-300, 300, n) / 1e3
+    values[: len(extremes)] = extremes[:n]
+    if fmt == "dist":
+        values[1::3] = values[::3][: len(values[1::3])]  # ties
+        weights = rng.uniform(0.5, 1.5, n)
+        weights[::5] = 0.0
+        probs = weights / weights.sum()
+    cells = []
+    for i, v in enumerate(values.tolist()):
+        cell = [f"{v!r}", f" {v!r}", f"\t{v:.17g} ", f"{v:.17e}"][i % 4]
+        if fmt == "dist":
+            cell += f", {probs[i].item()!r},4.5,-1e-5"
+        cells.append(cell)
+    body = ["value,prob" if fmt == "dist" else "value", ""]
+    for i, cell in enumerate(cells):
+        body.append(cell)
+        if i % 11 == 5:
+            body.append("")
+    return "\r\n".join(body) + "\r\n"
+
+
+@pytest.mark.parametrize("fmt", ["sample", "dist"])
+@pytest.mark.parametrize("n", [7, 300, 100_000])
+def test_numpy_reader_agrees_with_the_row_reader(tmp_path, monkeypatch, n, fmt):
+    path = tmp_path / "data.csv"
+    path.write_bytes(_agreement_file(n, fmt, np.random.default_rng(n)).encode())
+    tables = []
+    table = cli._table
+
+    def spy(*args):
+        tables.append(table(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "_table", spy)
+    X = cli.load_data(str(path))
+    assert tables[0] is not None, "numpy's reader refused the file"
+    monkeypatch.setattr(cli, "_table", lambda *args: None)  # the row reader reads it
+    Y = cli.load_data(str(path), fmt)
+    assert (X.values, X.space.probs) == (Y.values, Y.space.probs)
+
+
+def test_plain_file_loads_without_the_row_reader(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the row reader ran")
+
+    values = np.random.default_rng(9).lognormal(0.0, 1.5, 10**4).tolist()
+    path = tmp_path / "plain.csv"
+    path.write_text("value\n" + "".join(f"{v!r}\n" for v in values))
+    monkeypatch.setattr(cli, "_convert", refuse)
+    assert cli.load_data(str(path)).values == tuple(values)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("fmt", ["sample", "dist"])
+def test_pipe_loads_like_a_file(tmp_path, fmt):
+    # a pipe cannot seek back to its start, so it must be read once, by
+    # the row reader; 3,000 rows are far more than one read buffer
+    text = _agreement_file(3000, fmt, np.random.default_rng(5))
+    plain = tmp_path / "data.csv"
+    plain.write_text(text, newline="")
+    fifo = tmp_path / "data.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "w", newline="") as fh:
+            fh.write(text)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    X = cli.load_data(str(fifo))
+    writer.join(timeout=10)
+    Y = cli.load_data(str(plain))
+    assert len(X.values) > 1000
+    assert (X.values, X.space.probs) == (Y.values, Y.space.probs)

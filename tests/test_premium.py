@@ -224,6 +224,33 @@ def test_essential_sup_is_not_nudged_past_max_x(phi):
 
 
 @pytest.mark.parametrize(
+    "phi",
+    [Expectile(0.8), LpQuantile(0.7, 1.5), LpqQuantile(1.5, 0.5, 2.0, 1.0), GeometricExpectile(2.0, 1.0)],
+    ids=lambda f: f.spec_string(),
+)
+def test_dedicated_routes_return_feasible_values_at_size(phi):
+    # at 1e4 lognormal points the expectile root and the dot-product
+    # moment disagree by about 1,600 ulps (g = 1 + 6e-14 at the root for
+    # seed 0), more than any fixed number of nudges covers
+    for seed in (0, 1, 2):
+        X = rv(np.random.default_rng(seed).lognormal(0.0, 1.5, 10**4).tolist())
+        res = orlicz_premium(phi, X)
+        assert res.g_at_value <= 1.0
+        assert res.g_at_value == phi_moment(phi, X.values_array(), X.space.probs_array(), res.value)
+        assert res.value == pytest.approx(orlicz_premium(phi, X, route="generic").value, rel=1e-9)
+
+
+def test_nudged_value_is_the_least_feasible_float():
+    # the gallop overshoots the first feasible float by up to its last
+    # step; the bisection after it leaves an infeasible float just below
+    X = rv(np.random.default_rng(0).lognormal(0.0, 1.5, 10**4).tolist())
+    res = orlicz_premium(Expectile(0.8), X)
+    below = math.nextafter(res.value, 0.0)
+    assert res.g_at_value <= 1.0
+    assert phi_moment(Expectile(0.8), X.values_array(), X.space.probs_array(), below) > 1.0
+
+
+@pytest.mark.parametrize(
     "phi", [LpQuantile(0.7, 1.5), LpqQuantile(1.5, 0.5, 2.0, 1.0)], ids=lambda f: f.spec_string()
 )
 def test_two_branch_bisections_report_their_steps_and_bracket(phi):
