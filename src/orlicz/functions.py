@@ -516,7 +516,7 @@ class PiecewiseLinear(OrliczFunction):
     value_at_zero overrides Phi(0); it may be -inf.  upper caps the
     effective domain: Phi(x) = +inf for x > upper.
 
-    No admissibility checking happens here; run validate() for that.
+    No admissibility checking happens here; read .validation for that.
     The convexity flags are exact, read off the knots in O(K): convex iff
     the slopes (0 below a first knot at x > 0, then each segment's) never
     fall, Phi jumps at no positive knot below upper, and Phi(0) >= Phi(0+);
@@ -708,23 +708,6 @@ class PiecewiseLinear(OrliczFunction):
         if self._upper < INF:
             extra += f";upper={self._upper!r}"
         return f"pwl[{body}{extra}]"
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-
-def validate(phi: OrliczFunction) -> ValidationReport:
-    """Check the three admissibility conditions.
-
-    Built-in families are admissible by construction (their parameter
-    ranges enforce it) and pass analytically.  PiecewiseLinear is
-    checked once, exactly, at its knots, Phi(0), 1 and upper, and keeps
-    the report; left-continuity holds structurally for its
-    representation.  Violations carry a witness x.
-    """
-    return phi.validation
 
 
 def midpoint_gaps(

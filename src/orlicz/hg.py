@@ -23,33 +23,39 @@ match wins:
   so g(x) >= g(min X).  Between two neighbouring atoms (X - x)_+ is
   affine in x, so g is concave there and its minimum sits at an atom.
   rho = the least g over the atoms, one premium per atom.
-- window (other superadditive families, and concave ones with more
-  distinct values than a sweep has points): the same argument confines
-  the minimum to [min X, max X], which a coarse sweep plus polish
-  searches.
-- grid (no claim): a coarse sweep that extends left, down to a hard
-  floor, while its left edge strictly improves, then a polish: golden
-  section when Phi is convex (g is convex then), recursive grid
-  refinement otherwise.
+- tail (knotted Phi, continuous at 1, convex): Phi is linear on each side
+  of 1 with slopes s+ and s-, out to the nearest knots 1 + d+ and 1 - d-.
+  Far enough left every (X - x)/k lies between them, and E[Phi] = 1
+  reads s+ E[(X - x - k)_+] = s- E[(x + k - X)_+]: x + k is the
+  tau-expectile e of X, tau = s+/(s+ + s-).  So g(x) = e for every
+  x <= x_L = e - max((max X - e)/d+, (e - min X)/d-).  A convex Phi makes
+  g convex, and a convex g that is constant on a half-line has that
+  constant as its infimum: rho = e, attained at x_L; no premium.
+- window (other superadditive families, concave ones with more distinct
+  values than a sweep has points, and other knotted Phi continuous at 1):
+  the arguments above confine the minimum to [min X, max X], or for a
+  knotted Phi to [x_L, max X] with e the value left of it, which a
+  coarse sweep plus polish searches.
+
+Any other Phi (a pwl that jumps at 1 or ends there, a family that states
+no facts) raises OrliczError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .base import INF, NEG_INF
+from .base import INF, NEG_INF, OrliczError
 from .functions import GeometricMean, OrliczFunction
-from .premium import orlicz_premium
+from .premium import _ensure_admissible, _expectile_signed, orlicz_premium
 from .prob import RandomVariable, rv
 from .search import golden_min
 
 COARSE_POINTS = 256
-EDGE_EPS = 1e-12  # strict-improvement margin for extending the search window
-MAX_EXTENSIONS = 6
 GG_TOL = 1e-9  # margin by which the counterexample must break GG-convexity
 
 
@@ -58,18 +64,18 @@ class HGResult:
     """Infimum of the translated-premium profile g, with search diagnostics.
 
     route names how the value was found (see the module docstring):
-    "constant", "cash_additive", "neg_inf_at_zero" and "limit" are exact
-    by a one-line bound, "atoms" is exact by concavity between atoms,
-    "window" and "grid" are sweeps.  attained is True when value =
+    "constant", "cash_additive", "neg_inf_at_zero", "limit" and "tail"
+    are exact by a one-line bound, "atoms" is exact by concavity between
+    atoms, "window" is a sweep.  attained is True when value =
     g(minimizer_x) at a finite point; on the "limit" route it is False,
     minimizer_x is -inf and value is lim g(x) as x -> -inf.  profile
     holds points (x, g(x)) the route evaluated: the single point on the
-    one-premium routes, none on "limit", every atom on "atoms", the last
-    coarse sweep on "window" and "grid".  evaluations counts the premiums
-    computed.  extensions counts left widenings of the "grid" sweep, and
-    floor_active flags that they hit the hard floor, in which case value
-    is the best found on the clamped window rather than a certified
-    infimum; they are 0 and False on every other route.
+    one-premium routes, none on "limit" and "tail", every atom on
+    "atoms", the coarse sweep on "window".  evaluations counts the
+    premiums computed.  extensions and floor_active are always 0 and
+    False: no route widens its window or clamps it to a floor any more.
+    They stay because the CLI's hg envelope prints them and the
+    benchmark's tracer reads them.
     """
 
     value: float
@@ -109,6 +115,7 @@ def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) 
     if limit is not None:
         return HGResult(limit, NEG_INF, (), 0, False, 0, "limit", False)
 
+    tail_x, tail_v = INF, INF  # no value left of the window
     if phi.cash_behavior == "superadditive":
         atoms = sorted(set(X.values))
         # each premium costs O(n), so the atoms beat the sweep only while few
@@ -116,66 +123,65 @@ def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) 
             profile = tuple((x, g(x)) for x in atoms)
             best_x, best_v = min(profile, key=lambda pt: pt[1])
             return HGResult(best_v, best_x, profile, 0, False, count, "atoms", True)
-        floor: Optional[float] = None
         lo = lo_val
-        route = "window"
     else:
-        spread = hi_val - lo_val
-        floor = lo_val - 64.0 * (spread + 1.0) - 1.0
-        lo = lo_val - spread - 1.0
-        route = "grid"
-    best_x, best_v, profile, extensions, floor_active = _sweep(
-        g, lo, hi_val, floor, phi.convex_flag is True, tol
+        tail_x, tail_v = _linear_tail(phi, X, lo_val, hi_val)
+        if phi.convex_flag is True:
+            return HGResult(tail_v, tail_x, (), 0, False, 0, "tail", True)
+        lo = tail_x
+    best_x, best_v, profile = _sweep(g, lo, hi_val, phi.premium_concave is True, tol)
+    if tail_v < best_v:
+        best_x, best_v = tail_x, tail_v
+    return HGResult(best_v, best_x, profile, 0, False, count, "window", True)
+
+
+def _linear_tail(
+    phi: OrliczFunction, X: RandomVariable, lo: float, hi: float
+) -> tuple[float, float]:
+    """(x_L, e) with g(x) = e for every x <= x_L (see the module docstring).
+
+    Raises OrliczError unless Phi has knots, Phi(1) = 1 and a finite
+    slope right of 1.
+    """
+    _ensure_admissible(phi)  # the tail route computes no premium that would check
+    knots = [x for x, _ in phi.points]
+    if knots and phi(1.0) == 1.0:
+        s_up, s_down = phi.derivative(np.array([1.0, math.nextafter(1.0, 0.0)])).tolist()
+        if math.isfinite(s_up):  # else a jump at 1, or upper == 1
+            e = _expectile_signed(X.values, X.space.probs, s_up / (s_up + s_down))
+            d_up = min([x for x in knots if x > 1.0] + [phi.upper]) - 1.0
+            d_down = 1.0 - max([x for x in knots if x < 1.0] + [0.0])
+            return e - max((hi - e) / d_up, (e - lo) / d_down), e
+    raise OrliczError(
+        f"no HG route for {phi!r}: it needs knots, Phi(1) = 1 and a finite slope right of 1"
     )
-    return HGResult(best_v, best_x, profile, extensions, floor_active, count, route, True)
 
 
 def _sweep(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    floor: Optional[float],
-    convex: bool,
-    tol: float,
-) -> tuple[float, float, tuple[tuple[float, float], ...], int, bool]:
+    g: Callable[[float], float], lo: float, hi: float, concave: bool, tol: float
+) -> tuple[float, float, tuple[tuple[float, float], ...]]:
     """Coarse sweep of g on [lo, hi], then a polish around its best point.
 
-    With a floor, the window widens left (down to the floor) while its
-    left edge strictly improves.  Returns (x, g(x), last sweep,
-    extensions, floor reached).
+    With a concave premium g is concave between atoms, where golden
+    section can miss; _refine_min polishes it.  Returns (x, g(x), sweep).
     """
-    floor_active = False
-    extensions = 0
-    while True:
-        xs = np.linspace(lo, hi, COARSE_POINTS)
-        gs = [g(float(x)) for x in xs]
-        if (
-            floor is None
-            or floor_active
-            or extensions >= MAX_EXTENSIONS
-            or gs[0] >= min(gs[1:]) - EDGE_EPS
-        ):
-            break
-        # minimum may sit past the left edge; widen (down to the floor) and resweep
-        lo = max(lo - 2.0 * (hi - lo), floor)
-        floor_active = lo == floor
-        extensions += 1
-
+    xs = np.linspace(lo, hi, COARSE_POINTS)
+    gs = [g(float(x)) for x in xs]
     profile = tuple((float(x), float(v)) for x, v in zip(xs, gs))
     i = min(range(len(gs)), key=lambda k: (gs[k], k))
     best_x, best_v = float(xs[i]), float(gs[i])
     blo = float(xs[max(i - 1, 0)])
     bhi = float(xs[min(i + 1, len(xs) - 1)])
 
-    polish = golden_min if convex else _refine_min
+    polish = _refine_min if concave else golden_min
     x2, v2 = polish(g, blo, bhi, tol=max(tol, 1e-13))
     if v2 < best_v:
         best_x, best_v = float(x2), float(v2)
-    return best_x, best_v, profile, extensions, floor_active
+    return best_x, best_v, profile
 
 
 def _refine_min(g, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    # no convexity to exploit: shrink a 64-point grid around the best sample
+    # g concave between atoms: shrink a 64-point grid around the best sample
     best_x = lo
     best_v = INF
     for _ in range(48):

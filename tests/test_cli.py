@@ -196,6 +196,15 @@ def test_hg_power_two_is_the_unattained_mean(capsys, tmp_path):
     assert prof.read_text().strip().splitlines() == ["x,g"]
 
 
+def test_hg_pwl_that_jumps_at_one_exits_1(capsys, tmp_path):
+    pwl = write(tmp_path / "phi.txt", "0,0.5\n1,1\n1,1.5\n3,2\n")
+    data = write(tmp_path / "x.csv", "1\n3\n")
+    rc, out, err = run_cli(capsys, "hg", "--phi", f"pwl:{pwl}", "--data", data)
+    assert rc == 1
+    assert out == ""
+    assert "computation error: no HG route" in err
+
+
 def test_properties_single_suite(capsys):
     rc, out, _ = run_cli(
         capsys, "properties", "--suite", "axioms", "--trials", "8", "--seed", "1"

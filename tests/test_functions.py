@@ -19,7 +19,6 @@ from orlicz.functions import (
     QuantileStep,
     conjugate,
     piecewise_linear_from_text,
-    validate,
 )
 from orlicz.premium import orlicz_premium
 from orlicz.prob import rv
@@ -93,7 +92,7 @@ def test_negative_input_rejected(phi):
 
 @pytest.mark.parametrize("phi", ALL_FAMILIES, ids=lambda f: f.spec_string())
 def test_builtins_are_admissible(phi):
-    report = validate(phi)
+    report = phi.validation
     assert report.ok, report.violations
 
 
@@ -266,12 +265,12 @@ def test_pwl_from_text_rejects_garbage():
 def test_validate_flags_inadmissible_pwl():
     # exceeds 1 inside [0, 1]
     bad = PiecewiseLinear([(0.5, 1.5), (1.0, 2.0), (2.0, 3.0)])
-    report = validate(bad)
+    report = bad.validation
     assert not report.ok
     assert any(v.condition == "below_one_on_unit" for v in report.violations)
     # never exceeds 1 at all
     flat = PiecewiseLinear([(0.0, 0.0), (5.0, 0.5)])
-    report = validate(flat)
+    report = flat.validation
     assert not report.ok
 
 
@@ -284,7 +283,7 @@ DOWNWARD_JUMPS = [
 @pytest.mark.parametrize("phi", DOWNWARD_JUMPS, ids=lambda f: f.spec_string())
 def test_validate_catches_a_drop_at_a_jump(phi):
     # Phi(2) = 3 but Phi(2+) = 2.5; no sample grid lands on the restart value
-    report = validate(phi)
+    report = phi.validation
     assert [v.condition for v in report.violations] == ["nondecreasing"]
     assert (report.violations[0].x, report.violations[0].value) == (2.0, 2.5)
     with pytest.raises(InvalidPhiError, match="nondecreasing"):
@@ -342,8 +341,8 @@ def test_validate_at_the_knots_matches_a_dense_oracle():
     for _ in range(600):
         phi = _random_pwl(rng)
         want = _admissibility_oracle(phi)
-        got = {v.condition for v in validate(phi).violations}
-        assert validate(phi).ok == (not want), (phi.spec_string(), got, want)
+        got = {v.condition for v in phi.validation.violations}
+        assert phi.validation.ok == (not want), (phi.spec_string(), got, want)
         # below a drop the sample can exceed 1 inside (0, 1) where the knots
         # check Phi(0) and Phi(1); the drop is reported either way
         assert got == want or "nondecreasing" in got & want, (phi.spec_string(), got, want)

@@ -12,16 +12,20 @@ from orlicz import (
     GeometricMean,
     LpQuantile,
     LpqQuantile,
+    MeasureChange,
+    OrliczError,
     PiecewiseLinear,
     Power,
     QuantileStep,
     RandomVariable,
+    beta_conjugate,
     gg_counterexample_check,
     hg_risk_measure,
     orlicz_premium,
     rv,
 )
 from orlicz.hg import COARSE_POINTS
+from orlicz.premium import _expectile_signed
 
 # families whose premium is cash-additive, so rho(X) = H(X) = g(min X)
 CASH_ADDITIVE = (
@@ -38,6 +42,8 @@ CASH_ADDITIVE = (
 
 
 CONVEX_PWL = PiecewiseLinear([(0.5, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)])
+# slopes 1.6, 0.4, 2: continuous at 1 but not convex
+NONCONVEX_PWL = PiecewiseLinear([(0.0, 0.0), (0.5, 0.8), (1.0, 1.0), (2.0, 3.0)])
 
 
 def _g(phi, X, x):
@@ -77,21 +83,103 @@ def test_quantile_step_plateau_value():
     assert res.value == pytest.approx(1.0, abs=1e-8)
 
 
-def test_floor_is_flagged_when_the_infimum_lies_past_it():
-    # a convex pwl with slope 2 on [0.999, 1.001] only: Phi(t) >= 1 + 2(t - 1)
-    # gives g >= E[X] = 2, and g reaches 2 only from about x = -1000 on, far
-    # past the sweep's floor at min X - 64 (spread + 1) - 1 = -192
+def test_convex_pwl_far_tail_is_its_expectile():
+    # a convex pwl with slope 2 on [0.999, 1.001] only: g reaches E[X] = 2
+    # (slopes 2 and 2 on either side of 1, so tau = 1/2) only from
+    # x_L = 2 - 1/0.001 = -998 on; a left-extending sweep clamped to a floor
+    # at -192 used to stop there with a gap above 0.5
     phi = PiecewiseLinear([(0.999, 0.998), (1.001, 1.002), (2.0, 4.998)])
     X = rv((1.0, 3.0))
     res = hg_risk_measure(phi, X)
-    assert res.route == "grid"
+    assert res.route == "tail"
+    assert res.value == 2.0
     assert res.attained
-    assert res.floor_active
-    assert res.extensions >= 1
-    assert res.minimizer_x == -192.0
-    assert res.value == _g(phi, X, res.minimizer_x)
-    assert res.value > 2.0 + 0.5  # the clamped window leaves a real gap
-    assert _g(phi, X, -1200.0) == pytest.approx(2.0, abs=1e-6)  # premium tol at k ~ 1200
+    assert res.minimizer_x == pytest.approx(-998.0, rel=1e-12)
+    assert (res.evaluations, res.profile, res.extensions, res.floor_active) == (0, (), 0, False)
+    assert _g(phi, X, res.minimizer_x) == pytest.approx(2.0, abs=1e-6)  # premium tol at k ~ 1000
+    assert _g(phi, X, -1200.0) == pytest.approx(2.0, abs=1e-6)
+
+
+def _expectile(X, tau):
+    return _expectile_signed(X.values, X.space.probs, tau)
+
+
+# convex pwl, continuous at 1: knots on both sides, close to 1, at 0, and a
+# finite upper
+TAIL_PWL = (
+    CONVEX_PWL,
+    PiecewiseLinear([(0.999, 0.998), (1.001, 1.002), (2.0, 4.998)]),
+    PiecewiseLinear([(0.0, 0.5), (1.0, 1.0), (3.0, 4.0), (5.0, 10.0)]),
+    PiecewiseLinear([(0.2, 0.0), (1.0, 1.0), (1.5, 2.0)], upper=4.0),
+)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 20])
+@pytest.mark.parametrize("phi", TAIL_PWL, ids=lambda p: p.spec_string())
+def test_tail_route_has_a_two_sided_certificate(phi, n):
+    # upper side: g(x_L) = rho.  Lower side, independent of the search:
+    # dQ/dP proportional to s+ on {X > rho} and s- on {X <= rho} has
+    # beta(Q) = 1 and E_Q[X] = rho, so weak duality gives rho >= E_Q[X]
+    rng = np.random.default_rng(n)
+    X = rv(np.round(rng.uniform(0.1, 5.0, n), 4).tolist(), rng.dirichlet(np.ones(n)).tolist())
+    res = hg_risk_measure(phi, X)
+    assert (res.route, res.evaluations, res.attained) == ("tail", 0, True)
+    s_up, s_down = phi.derivative(np.array([1.0, math.nextafter(1.0, 0.0)])).tolist()
+    assert res.value == _expectile(X, s_up / (s_up + s_down))
+    rho = res.value
+    slopes = [s_up if v > rho else s_down for v in X.values]
+    mean = math.fsum(p * s for p, s in zip(X.space.probs, slopes))
+    Q = MeasureChange(X.space, tuple(s / mean for s in slopes))
+    assert beta_conjugate(phi, Q) == pytest.approx(1.0, abs=1e-12)
+    q_mean = math.fsum(p * d * v for p, d, v in zip(X.space.probs, Q.density, X.values))
+    assert q_mean == pytest.approx(rho, rel=1e-12)
+    k = rho - res.minimizer_x
+    assert _g(phi, X, res.minimizer_x) == pytest.approx(rho, abs=1e-10 * k)
+    assert _g(phi, X, res.minimizer_x - 50.0) == pytest.approx(rho, abs=1e-10 * (k + 50.0))
+
+
+def test_nonconvex_pwl_sweeps_right_of_its_tail():
+    # g = e left of x_L, so the window starts there and rho <= e
+    X = rv((0.4, 1.3, 4.15), (0.5, 0.3, 0.2))
+    e = _expectile(X, 2.0 / (2.0 + 0.4))  # s+ = 2, s- = 0.4
+    res = hg_risk_measure(NONCONVEX_PWL, X)
+    assert res.route == "window"
+    x_left = res.profile[0][0]
+    assert x_left == pytest.approx(e - max((4.15 - e) / 1.0, (e - 0.4) / 0.5), rel=1e-12)
+    assert res.value <= e
+    for x in (x_left, x_left - 1.0, x_left - 50.0):
+        assert _g(NONCONVEX_PWL, X, x) == pytest.approx(e, abs=1e-10 * (e - x))  # premium tol
+    assert res.value <= min(gv for _, gv in res.profile)
+
+
+class _Bare(Power):
+    # a family that states no cash behaviour, limit or knots
+    cash_behavior = None
+    hg_limit = None
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        PiecewiseLinear([(0.0, 0.5), (1.0, 1.0), (1.0, 1.5), (3.0, 2.0)]),  # jumps at 1
+        PiecewiseLinear([(0.0, 0.0), (1.0, 1.0)], upper=1.0),  # ends at 1
+        _Bare(2.0),
+    ],
+    ids=["jump-at-1", "upper-1", "no-facts"],
+)
+def test_phi_without_a_route_raises(phi):
+    with pytest.raises(OrliczError, match="no HG route"):
+        hg_risk_measure(phi, rv((0.4, 1.3, 4.15)))
+
+
+def test_tail_with_a_flat_piece_below_one_is_the_maximum():
+    # s- = 0 gives tau = 1: the expectile is max X, and g is flat at it
+    phi = PiecewiseLinear([(0.0, 1.0), (1.0, 1.0), (2.0, 3.0)])
+    X = rv((0.4, 1.3, 4.15), (0.5, 0.3, 0.2))
+    res = hg_risk_measure(phi, X)
+    assert (res.route, res.value, res.evaluations) == ("tail", 4.15, 0)
+    assert res.minimizer_x == pytest.approx(0.4, abs=1e-12)  # d- = 1: x_L = max X - spread
+    assert _g(phi, X, res.minimizer_x) == pytest.approx(4.15, rel=1e-10)
 
 
 @pytest.mark.parametrize("m", [0.25, 1.0])
@@ -140,7 +228,8 @@ def test_cash_additive_route_is_one_premium(phi, X):
         (Power(2.0), "limit"),
         (Power(0.5), "atoms"),
         (LpqQuantile(1.5, 0.5, 1.0, 2.0), "window"),
-        (CONVEX_PWL, "grid"),
+        (CONVEX_PWL, "tail"),
+        (NONCONVEX_PWL, "window"),
     ],
     ids=lambda v: v if isinstance(v, str) else v.spec_string(),
 )
@@ -157,11 +246,13 @@ def test_evaluations_count_premium_calls(monkeypatch, phi, route):
     res = hg_risk_measure(phi, rv((0.2, 1.4, 3.1)))
     assert res.route == route
     assert res.evaluations == calls
+    if route == "tail":
+        assert calls == 0
 
 
 def test_profile_diagnostics():
-    res = hg_risk_measure(CONVEX_PWL, rv((0.2, 1.4, 3.1)))
-    assert res.route == "grid"
+    res = hg_risk_measure(NONCONVEX_PWL, rv((0.2, 1.4, 3.1)))
+    assert res.route == "window"
     assert len(res.profile) == COARSE_POINTS
     xs = [x for x, _ in res.profile]
     assert xs == sorted(xs)

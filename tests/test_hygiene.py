@@ -124,10 +124,10 @@ def test_duality_imports_no_family_class():
 
 
 def test_ladder_helpers_stay_deleted():
-    import orlicz.functions as functions
-    import orlicz.premium as premium
-
     import orlicz.duality as duality
+    import orlicz.functions as functions
+    import orlicz.hg as hg
+    import orlicz.premium as premium
 
     assert not hasattr(premium, "expected_cash_behavior")
     assert not hasattr(functions, "kink_slopes")
@@ -141,3 +141,7 @@ def test_ladder_helpers_stay_deleted():
     families = (functions.OrliczFunction,) + functions.BUILTIN_FAMILIES
     assert not [cls.__name__ for cls in families if hasattr(cls, "kink_slopes")]
     assert not {"expected_cash_behavior", "kink_slopes"} & set(orlicz.__all__)
+    # the left-extending HG sweep, which the linear tail of a knotted Phi replaced
+    assert not {"MAX_EXTENSIONS", "EDGE_EPS"} & set(vars(hg))
+    # a one-line wrapper over phi.validation
+    assert not hasattr(functions, "validate") and "validate" not in orlicz.__all__
