@@ -352,7 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hg", help="translated-premium risk measure inf_x x + H((X-x)+)")
     add_common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=1e-10,
+        help="relative accuracy of every premium, and the width of the window route's polish",
+    )
     p.add_argument("--profile", help="write the x,g points the route evaluated to this CSV")
     p.set_defaults(func=_cmd_hg)
 

@@ -777,9 +777,10 @@ def piecewise_linear_from_text(text: str) -> PiecewiseLinear:
     """Parse a piecewise-linear function from 'x,y' lines with ascending x.
 
     Blank lines and lines starting with '#' are skipped.  A row with
-    x = 0 sets the value at zero (y may be -inf).  A final row whose y is
-    inf caps the domain at its x (the function is +inf beyond).  A
-    repeated x encodes a jump, exactly as in the constructor.
+    x = 0 and a finite y is a knot like any other; a row 0,-inf sets the
+    value at zero to -inf.  A final row whose y is inf caps the domain at
+    its x (the function is +inf beyond).  A repeated x encodes a jump,
+    exactly as in the constructor, at 0 as anywhere else.
     """
     points: list[tuple[float, float]] = []
     value_at_zero: Optional[float] = None
@@ -796,7 +797,7 @@ def piecewise_linear_from_text(text: str) -> PiecewiseLinear:
             y = float(parts[1])
         except ValueError as exc:
             raise ValueError(f"non-numeric entry in line {raw!r}") from exc
-        if x == 0.0:
+        if x == 0.0 and not math.isfinite(y):
             value_at_zero = y
         elif y == INF:
             upper = x

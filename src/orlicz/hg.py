@@ -1,10 +1,11 @@
 """Haezendonck-Goovaerts risk measures on finite distributions.
 
 rho(X) = inf over x of g(x), where g(x) = x + H((X - x)_+) and H is the
-premium for a fixed admissible Phi.  H is monotone, normalized and
-positively homogeneous, so g(x) >= max(x, min X) for every x: right of
-min X, H >= 0; left of it, (X - x)_+ >= min X - x pointwise.  At or above
-max X the positive part vanishes and g(x) = x.
+premium for a fixed admissible Phi, computed at hg_risk_measure's tol.
+H is monotone, normalized and positively homogeneous, so g(x) >=
+max(x, min X) for every x: right of min X, H >= 0; left of it,
+(X - x)_+ >= min X - x pointwise.  At or above max X the positive part
+vanishes and g(x) = x.
 
 hg_risk_measure picks its route from facts the family states, first
 match wins:
@@ -18,11 +19,15 @@ match wins:
 - limit (phi.hg_limit returns a value): the family knows that g falls to
   its x -> -inf limit and never goes below it, e.g. E[X] for Power(p > 1)
   by Jensen.  rho is that limit, not attained; no premium.
-- atoms (superadditive, phi.premium_concave, at most COARSE_POINTS
-  distinct values): left of min X, H(X - x) >= H(X - min X) + (min X - x),
-  so g(x) >= g(min X).  Between two neighbouring atoms (X - x)_+ is
-  affine in x, so g is concave there and its minimum sits at an atom.
-  rho = the least g over the atoms, one premium per atom.
+- atoms (superadditive, phi.premium_concave): left of min X,
+  H(X - x) >= H(X - min X) + (min X - x), so g(x) >= g(min X).  Between
+  two neighbouring atoms (X - x)_+ is affine in x, so g is concave there
+  and its minimum sits at an atom.  rho = the least g over the atoms.
+  Up to COARSE_POINTS distinct values g is taken at every atom.  Past
+  that, at COARSE_POINTS atoms spread evenly by rank; then, H being
+  monotone, g(x) >= x + g(b) - b for x <= b, so a gap between evaluated
+  atoms a < b is split at its middle atom while its first inner atom
+  plus g(b) - b is below the least g found, until no gap is.
 - tail (knotted Phi, continuous at 1, convex): Phi is linear on each side
   of 1 with slopes s+ and s-, out to the nearest knots 1 + d+ and 1 - d-.
   Far enough left every (X - x)/k lies between them, and E[Phi] = 1
@@ -31,11 +36,11 @@ match wins:
   x <= x_L = e - max((max X - e)/d+, (e - min X)/d-).  A convex Phi makes
   g convex, and a convex g that is constant on a half-line has that
   constant as its infimum: rho = e, attained at x_L; no premium.
-- window (other superadditive families, concave ones with more distinct
-  values than a sweep has points, and other knotted Phi continuous at 1):
-  the arguments above confine the minimum to [min X, max X], or for a
-  knotted Phi to [x_L, max X] with e the value left of it, which a
-  coarse sweep plus polish searches.
+- window (the superadditive families whose premium is not concave, lpq
+  with p < q, and the other knotted Phi continuous at 1): the arguments
+  above confine the minimum to [min X, max X], or for a knotted Phi to
+  [x_L, max X] with e the value left of it, which a coarse sweep plus a
+  golden-section polish searches.
 
 Any other Phi (a pwl that jumps at 1 or ends there, a family that states
 no facts) raises OrliczError.
@@ -65,17 +70,17 @@ class HGResult:
 
     route names how the value was found (see the module docstring):
     "constant", "cash_additive", "neg_inf_at_zero", "limit" and "tail"
-    are exact by a one-line bound, "atoms" is exact by concavity between
-    atoms, "window" is a sweep.  attained is True when value =
+    are exact by a one-line bound, "atoms" by concavity between atoms,
+    "window" sweeps a non-concave g.  attained is True when value =
     g(minimizer_x) at a finite point; on the "limit" route it is False,
     minimizer_x is -inf and value is lim g(x) as x -> -inf.  profile
-    holds points (x, g(x)) the route evaluated: the single point on the
-    one-premium routes, none on "limit" and "tail", every atom on
-    "atoms", the coarse sweep on "window".  evaluations counts the
-    premiums computed.  extensions and floor_active are always 0 and
-    False: no route widens its window or clamps it to a floor any more.
-    They stay because the CLI's hg envelope prints them and the
-    benchmark's tracer reads them.
+    holds points (x, g(x)) the route evaluated, ascending: the single
+    point on the one-premium routes, none on "limit" and "tail", the
+    atoms evaluated on "atoms", the coarse sweep on "window".
+    evaluations counts the premiums computed.  extensions and
+    floor_active are always 0 and False: no route widens its window or
+    clamps it to a floor any more.  They stay because the CLI's hg
+    envelope prints them and the benchmark's tracer reads them.
     """
 
     value: float
@@ -99,7 +104,7 @@ def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) 
         count += 1
         shifted = np.maximum(vals - x, 0.0)
         excess = RandomVariable(X.space, tuple(shifted.tolist()))
-        return x + orlicz_premium(phi, excess).value
+        return x + orlicz_premium(phi, excess, tol).value
 
     def at_min(route: str) -> HGResult:
         value = g(lo_val)
@@ -117,10 +122,8 @@ def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) 
 
     tail_x, tail_v = INF, INF  # no value left of the window
     if phi.cash_behavior == "superadditive":
-        atoms = sorted(set(X.values))
-        # each premium costs O(n), so the atoms beat the sweep only while few
-        if phi.premium_concave and len(atoms) <= COARSE_POINTS:
-            profile = tuple((x, g(x)) for x in atoms)
+        if phi.premium_concave:
+            profile = _atom_profile(g, sorted(set(X.values)))
             best_x, best_v = min(profile, key=lambda pt: pt[1])
             return HGResult(best_v, best_x, profile, 0, False, count, "atoms", True)
         lo = lo_val
@@ -129,7 +132,7 @@ def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) 
         if phi.convex_flag is True:
             return HGResult(tail_v, tail_x, (), 0, False, 0, "tail", True)
         lo = tail_x
-    best_x, best_v, profile = _sweep(g, lo, hi_val, phi.premium_concave is True, tol)
+    best_x, best_v, profile = _sweep(g, lo, hi_val, tol)
     if tail_v < best_v:
         best_x, best_v = tail_x, tail_v
     return HGResult(best_v, best_x, profile, 0, False, count, "window", True)
@@ -157,14 +160,31 @@ def _linear_tail(
     )
 
 
-def _sweep(
-    g: Callable[[float], float], lo: float, hi: float, concave: bool, tol: float
-) -> tuple[float, float, tuple[tuple[float, float], ...]]:
-    """Coarse sweep of g on [lo, hi], then a polish around its best point.
+def _atom_profile(g: Callable[[float], float], atoms: list[float]) -> tuple[tuple[float, float], ...]:
+    """(x, g(x)) at the atoms the atoms route evaluates (module docstring), ascending."""
+    if len(atoms) <= COARSE_POINTS:
+        return tuple((x, g(x)) for x in atoms)
+    step = (len(atoms) - 1) / (COARSE_POINTS - 1)  # > 1, so the ranks are distinct
+    ranks = [round(k * step) for k in range(COARSE_POINTS)]
+    seen = {r: g(atoms[r]) for r in ranks}
+    best = min(seen.values())
+    gaps = list(zip(ranks, ranks[1:]))
+    while gaps:
+        lo, hi = gaps.pop()
+        # g(x) >= x + g(b) - b for x <= b = atoms[hi], so this bounds the atoms inside
+        if hi - lo > 1 and atoms[lo + 1] + seen[hi] - atoms[hi] < best:
+            mid = (lo + hi) // 2
+            seen[mid] = g(atoms[mid])
+            best = min(best, seen[mid])
+            gaps += [(lo, mid), (mid, hi)]
+    return tuple((atoms[r], seen[r]) for r in sorted(seen))
 
-    With a concave premium g is concave between atoms, where golden
-    section can miss; _refine_min polishes it.  Returns (x, g(x), sweep).
-    """
+
+def _sweep(
+    g: Callable[[float], float], lo: float, hi: float, tol: float
+) -> tuple[float, float, tuple[tuple[float, float], ...]]:
+    """Coarse sweep of g on [lo, hi], then golden section around its best
+    point.  Returns (x, g(x), sweep)."""
     xs = np.linspace(lo, hi, COARSE_POINTS)
     gs = [g(float(x)) for x in xs]
     profile = tuple((float(x), float(v)) for x, v in zip(xs, gs))
@@ -172,30 +192,10 @@ def _sweep(
     best_x, best_v = float(xs[i]), float(gs[i])
     blo = float(xs[max(i - 1, 0)])
     bhi = float(xs[min(i + 1, len(xs) - 1)])
-
-    polish = _refine_min if concave else golden_min
-    x2, v2 = polish(g, blo, bhi, tol=max(tol, 1e-13))
+    x2, v2 = golden_min(g, blo, bhi, tol=max(tol, 1e-13))
     if v2 < best_v:
         best_x, best_v = float(x2), float(v2)
     return best_x, best_v, profile
-
-
-def _refine_min(g, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    # g concave between atoms: shrink a 64-point grid around the best sample
-    best_x = lo
-    best_v = INF
-    for _ in range(48):
-        xs = np.linspace(lo, hi, 65)
-        gs = [g(float(x)) for x in xs]
-        i = min(range(65), key=lambda k: (gs[k], k))
-        if gs[i] < best_v:
-            best_x, best_v = float(xs[i]), float(gs[i])
-        lo2 = float(xs[max(i - 1, 0)])
-        hi2 = float(xs[min(i + 1, 64)])
-        if hi2 - lo2 <= tol * max(1.0, abs(best_x)):
-            break
-        lo, hi = lo2, hi2
-    return best_x, best_v
 
 
 @dataclass(frozen=True)

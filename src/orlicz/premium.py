@@ -80,8 +80,11 @@ class PremiumResult:
     (value, value) and 0.  The generic route and lpq with p != q bisect
     the moment condition: E[Phi(X/lo)] > 1 and value = hi.  The
     L^p-quantile with p not in {1, 2} bisects its root equation and
-    returns the bracket's midpoint.  g_at_value is E[Phi(X/value)]
-    (None for the definitional zero-premium cases where it is vacuous).
+    returns the bracket's midpoint.  route is "generic", or for a
+    dedicated solver "bisect:<family>" when it bisected and
+    "closed_form:<family>" when it did not.  g_at_value is
+    E[Phi(X/value)] (None for the definitional zero-premium cases where
+    it is vacuous).
     """
 
     value: float
@@ -132,8 +135,9 @@ def orlicz_premium(
 
     solver = _SOLVERS.get(type(phi)) if route == "auto" else None
     if solver is not None:
-        label, solve = solver
+        name, solve = solver
         value, bracket, iterations = solve(phi, X, vals, probs, tol)
+        label = ("closed_form:" if bracket is None else "bisect:") + name
         return _finish(phi, vals, probs, ess, value, label, bracket, iterations)
     return _generic(phi, vals, probs, ess, tol)
 
@@ -460,22 +464,23 @@ def _geometric_expectile(X: RandomVariable, a: float, b: float) -> float:
     return math.exp(_expectile_signed(logs, _columns(X)[1], a / (a + b)))
 
 
-# family -> (route label, solver(phi, X, values, probs, tol) -> (premium,
-# bisection bracket or None for a closed form, bisection steps)).  Keyed
-# by exact class: a subclass may redefine Phi, so it takes the generic route,
+# family -> (route name, solver(phi, X, values, probs, tol) -> (premium,
+# bisection bracket or None for a closed form, bisection steps)); the label
+# is "bisect:<name>" with a bracket, else "closed_form:<name>".  Keyed by
+# exact class: a subclass may redefine Phi, so it takes the generic route,
 # as PiecewiseLinear does.  orlicz_premium has already returned for max X = 0
 # and for mass at zero under Phi(0) = -inf, so no solver sees either case.
 _SOLVERS: dict[type, tuple[str, Callable[..., tuple]]] = {
-    GeometricMean: ("closed_form:gm",
+    GeometricMean: ("gm",
                     lambda phi, X, xs, ps, tol: (float(np.exp(ps @ np.log(xs))), None, 0)),
-    Power: ("closed_form:power",
+    Power: ("power",
             lambda phi, X, xs, ps, tol: (float((ps @ xs ** phi.p) ** (1.0 / phi.p)), None, 0)),
-    QuantileStep: ("closed_form:quantile",
+    QuantileStep: ("quantile",
                    lambda phi, X, xs, ps, tol: (_left_quantile(X, phi.alpha), None, 0)),
-    Expectile: ("closed_form:expectile", _two_branch),
-    LpQuantile: ("closed_form:lp_quantile", _two_branch),
-    LpqQuantile: ("closed_form:lpq_quantile", _two_branch),
-    GeometricExpectile: ("closed_form:geometric_expectile",
+    Expectile: ("expectile", _two_branch),
+    LpQuantile: ("lp_quantile", _two_branch),
+    LpqQuantile: ("lpq_quantile", _two_branch),
+    GeometricExpectile: ("geometric_expectile",
                          lambda phi, X, xs, ps, tol: (
                              _geometric_expectile(X, phi.a, phi.b), None, 0)),
 }

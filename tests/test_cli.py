@@ -78,13 +78,36 @@ def test_explicit_dist_format(capsys, dist_csv):
 def test_pwl_spec_from_file(capsys, tmp_path):
     pwl = write(
         tmp_path / "phi.txt",
-        "# identity up to 1, slope 2 beyond\n0,0\n0.5,0.5\n1,1\n2,3\n",
+        "# the identity up to 1 (0,0 is a knot), slope 2 beyond\n0,0\n0.5,0.5\n1,1\n2,3\n",
     )
     data = write(tmp_path / "x.csv", "2\n")
     rc, out, _ = run_cli(capsys, "premium", "--phi", f"pwl:{pwl}", "--data", data)
     assert rc == 0
     env = json.loads(out)
     assert env["result"]["value"] == pytest.approx(2.0, rel=1e-9)
+    assert cli.parse_phi_spec(f"pwl:{pwl}")(0.25) == 0.25  # the 0,0 row is a knot
+
+
+def test_pwl_file_knot_at_zero_makes_a_convex_phi(capsys, tmp_path):
+    pwl = write(tmp_path / "phi.txt", "0,0\n1,1\n2,3\n4,9\n")
+    data = write(tmp_path / "x.csv", "0.4\n1.3\n4.15\n")
+    phi = cli.parse_phi_spec(f"pwl:{pwl}")
+    assert phi.points[0] == (0.0, 0.0)
+    assert phi.convex_flag is True
+    rc, out, _ = run_cli(capsys, "hg", "--phi", f"pwl:{pwl}", "--data", data)
+    assert rc == 0
+    diag = json.loads(out)["diagnostics"]
+    assert (diag["route"], diag["evaluations"]) == ("tail", 0)
+
+
+def test_pwl_file_rows_at_zero(tmp_path):
+    # two finite 0,y rows are a jump at 0; 0,-inf sets only the value at zero
+    jump = cli.parse_phi_spec("pwl:" + write(tmp_path / "j.txt", "0,0.5\n0,0\n1,1\n"))
+    assert (jump.at_zero, jump(0.5)) == (0.5, 0.5)
+    assert jump.convex_flag is True  # Phi(0) >= Phi(0+)
+    logs = cli.parse_phi_spec("pwl:" + write(tmp_path / "l.txt", "0,-inf\n0,0\n1,1\n"))
+    assert logs.at_zero == float("-inf")
+    assert logs.points == ((0.0, 0.0), (1.0, 1.0))
 
 
 def test_conjugate_table(capsys):

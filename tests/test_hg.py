@@ -250,6 +250,29 @@ def test_evaluations_count_premium_calls(monkeypatch, phi, route):
         assert calls == 0
 
 
+@pytest.mark.parametrize(
+    "phi, route",
+    [
+        (Expectile(0.8), "cash_additive"),
+        (Power(0.5), "atoms"),
+        (LpqQuantile(1.5, 0.5, 1.0, 2.0), "window"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v.spec_string(),
+)
+def test_tol_reaches_every_premium(monkeypatch, phi, route):
+    tols = []
+    premium = hg.orlicz_premium
+
+    def recording(phi, X, tol=1e-10, **kwargs):
+        tols.append(tol)
+        return premium(phi, X, tol, **kwargs)
+
+    monkeypatch.setattr(hg, "orlicz_premium", recording)
+    res = hg_risk_measure(phi, rv((0.2, 1.4, 3.1)), tol=1e-7)
+    assert res.route == route
+    assert tols and set(tols) == {1e-7}
+
+
 def test_profile_diagnostics():
     res = hg_risk_measure(NONCONVEX_PWL, rv((0.2, 1.4, 3.1)))
     assert res.route == "window"
@@ -320,9 +343,10 @@ def test_power_below_one_no_grid_point_undercuts_the_atoms(p):
             assert _g(phi, X, x) >= res.value - tol, (X, x)
 
 
-def test_concave_premium_with_many_atoms_sweeps_the_window():
+def test_concave_premium_with_many_atoms_stays_on_the_atoms():
     # one premium per atom costs O(n) each: past COARSE_POINTS distinct
-    # values the window sweep, whose count does not grow with n, is cheaper
+    # values the route samples atoms by rank and evaluates only the atoms
+    # that a lower bound cannot rule out
     phi = Power(0.5)
     rng = np.random.default_rng(4)
     few = rv(rng.lognormal(0.0, 1.0, COARSE_POINTS).tolist())
@@ -330,12 +354,45 @@ def test_concave_premium_with_many_atoms_sweeps_the_window():
     n = 10**4
     X = rv(rng.lognormal(0.0, 1.0, n).tolist())
     res = hg_risk_measure(phi, X)
-    assert res.route == "window"
+    assert res.route == "atoms"
     assert (res.extensions, res.floor_active, res.attained) == (0, False, True)
     assert res.evaluations < n // 10
+    assert len(res.profile) == res.evaluations
+    xs = [x for x, _ in res.profile]
+    assert xs == sorted(xs)
+    assert (xs[0], xs[-1]) == (min(X.values), max(X.values))
     atoms = np.sort(X.values_array())
     for x in atoms[:: n // 40].tolist():
         assert res.value <= _g(phi, X, x) + 1e-12 * res.value
+
+
+def _two_clusters(rng):
+    return np.abs(np.concatenate([rng.normal(2.0, 0.5, 300), rng.normal(6.0, 0.05, 300)]))
+
+
+def _least_g_over_atoms(X, p):
+    vals, probs = X.values_array(), X.space.probs_array()
+    return min(
+        float(x + (probs @ np.maximum(vals - x, 0.0) ** p) ** (1.0 / p)) for x in np.unique(vals)
+    )
+
+
+@pytest.mark.parametrize(
+    "p, values",
+    [
+        # the polish that stepped over atoms missed this minimum by 2.77e-6
+        (0.5, np.random.default_rng(6).lognormal(0.0, 1.0, 3000)),
+        # two clusters: the least atom is not next to the best of the
+        # rank sample, which misses it by 1.9e-4
+        (0.3, _two_clusters(np.random.default_rng(13))),
+    ],
+    ids=["lognormal-3000", "two-clusters-600"],
+)
+def test_concave_premium_past_the_sample_finds_the_least_atom(p, values):
+    X = rv(values.tolist())
+    res = hg_risk_measure(Power(p), X)
+    assert res.route == "atoms"
+    assert res.value == pytest.approx(_least_g_over_atoms(X, p), rel=1e-13, abs=0.0)
 
 
 def test_lpq_loss_power_above_gain_power_searches_only_the_window():

@@ -143,5 +143,7 @@ def test_ladder_helpers_stay_deleted():
     assert not {"expected_cash_behavior", "kink_slopes"} & set(orlicz.__all__)
     # the left-extending HG sweep, which the linear tail of a knotted Phi replaced
     assert not {"MAX_EXTENSIONS", "EDGE_EPS"} & set(vars(hg))
+    # the grid polish for a concave premium, which the atoms route replaced
+    assert not hasattr(hg, "_refine_min")
     # a one-line wrapper over phi.validation
     assert not hasattr(functions, "validate") and "validate" not in orlicz.__all__

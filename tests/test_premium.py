@@ -146,7 +146,8 @@ def test_lpq_with_equal_exponents_is_the_lp_quantile(p):
         got = orlicz_premium(LpqQuantile(a, b, p, p), X)
         want = orlicz_premium(LpQuantile(a / (a + b), p), X).value
         assert got.value == pytest.approx(want, rel=1e-12), (a, b, values, probs)
-        assert got.route == "closed_form:lpq_quantile"
+        # p = 1.5 bisects its root equation; p in {1, 2} solves per segment
+        assert got.route == ("bisect:" if p == 1.5 else "closed_form:") + "lpq_quantile"
 
 
 def test_zero_loss_weight_gives_the_essential_supremum():
@@ -272,6 +273,22 @@ def test_two_branch_closed_forms_report_no_steps(phi):
     res = orlicz_premium(phi, rv((0.3, 1.2, 2.6, 4.0)))
     assert res.iterations == 0
     assert res.bracket == (res.value, res.value)
+    assert res.route.startswith("closed_form:")
+
+
+@pytest.mark.parametrize(
+    "phi, route",
+    [
+        (LpQuantile(0.7, 1.5), "bisect:lp_quantile"),
+        (LpqQuantile(1.5, 0.5, 1.5, 1.5), "bisect:lpq_quantile"),
+        (LpqQuantile(1.5, 0.5, 2.0, 1.0), "bisect:lpq_quantile"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v.spec_string(),
+)
+def test_two_branch_bisections_are_labelled_bisect(phi, route):
+    res = orlicz_premium(phi, rv((0.3, 1.2, 2.6, 4.0)))
+    assert res.route == route
+    assert res.iterations > 0
 
 
 HOMOGENEITY_FAMILIES = [
