@@ -14,6 +14,8 @@ import csv
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import fields
 from typing import Optional, Sequence
@@ -111,18 +113,49 @@ def _convert(rows, fmt: str, values: list[float], probs: list[float]) -> Optiona
     return None
 
 
-def _table(fh, skip: int, fmt: str) -> Optional[np.ndarray]:
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
+def _file_name(path: str, fh) -> Optional[str]:
+    """An absolute name for fh's regular file if path still names it, else None.
+
+    numpy's loader opens a name ending in a compression suffix with that
+    decompressor, and fetches a name that reads as a URL, so it gets the
+    absolute name, and never one with such a suffix.
+    """
+    if path.endswith(_COMPRESSED):
+        return None
+    try:
+        opened, named = os.fstat(fh.fileno()), os.stat(path)
+        name = os.path.abspath(path)
+    except OSError:
+        return None
+    return name if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, named) else None
+
+
+def _table(fh, path: str, skip: int, fmt: str) -> Optional[np.ndarray]:
     """The data columns from numpy's C reader, or None if it refuses the file.
 
-    numpy reads the open file from its start and passes over its first
-    skip lines, which end with the header.  Every cell must parse as a
-    float, so a quoted or empty cell, a whitespace-only row or a change
-    in the column count sends the file to the row reader; on the files
-    numpy accepts, both readers give the same rows and floats.
+    numpy reads the file from its start and passes over its first skip
+    lines, which end with the header.  Where path still names the open
+    regular file, numpy opens it by name and reads it in large chunks;
+    otherwise it reads the open handle line by line.  Either way it splits
+    lines at LF, CR and CRLF, as the csv reader does.  Every cell must
+    parse as a float, so a quoted or empty cell, a whitespace-only row or
+    a change in the column count sends the file to the row reader; on the
+    files numpy accepts, both readers give the same rows and floats.
     """
+    name = _file_name(path, fh)
     fh.seek(0)
     try:
-        table = np.loadtxt(fh, delimiter=",", comments=None, skiprows=skip, ndmin=2)
+        table = np.loadtxt(
+            fh if name is None else name,
+            delimiter=",",
+            comments=None,
+            skiprows=skip,
+            ndmin=2,
+            encoding="utf-8",
+        )
     except ValueError:
         return None
     width = 2 if fmt == "dist" else 1
@@ -136,13 +169,15 @@ def load_data(path: str, fmt: str = "auto"):
     per row (uniform weights).  auto picks dist when the first data row
     has two or more cells.  Blank rows are skipped, and so is the first
     non-blank row if its first cell is not a number (a header).  The file
-    is opened once and read as UTF-8.
+    is read as UTF-8.
 
-    If the file can seek, numpy's C reader reads the data rows in one
-    call.  Where it refuses the file, or the file is a pipe, the row
-    reader reads it instead, in file order, so the first bad row is the
-    one reported; it reads the file to its end first, as a read error
-    outranks a bad row.
+    The csv reader reads the head of the file to find the header and the
+    format.  If the file can seek, numpy's C reader then reads the data
+    rows in one call (see _table), and the sample column or the pairs
+    go to the law as arrays.  Where numpy refuses the file, or the file
+    is a pipe, the row reader reads it instead, in file order, so the
+    first bad row is the one reported; it reads the file to its end
+    first, as a read error outranks a bad row.
     """
     values: list[float] = []
     probs: list[float] = []
@@ -162,8 +197,8 @@ def load_data(path: str, fmt: str = "auto"):
                     fmt = "dist" if len(first) >= 2 else "sample"
                 if fh.seekable():
                     consumed = rows.line_num
-                    table = _table(fh, skip, fmt)
-                    if table is None:  # numpy moved the handle: reread the head
+                    table = _table(fh, path, skip, fmt)
+                    if table is None:  # _table moved the handle: reread the head
                         fh.seek(0)
                         rows = csv.reader(fh)
                         next(_ for _ in rows if rows.line_num >= consumed)
@@ -183,7 +218,7 @@ def load_data(path: str, fmt: str = "auto"):
         if fmt == "dist":
             pairs = np.column_stack((values, probs)) if table is None else table
             return as_random_variable(DiscreteDistribution.from_pairs(pairs))
-        return rv(values if table is None else table[:, 0].tolist())
+        return rv(values if table is None else table[:, 0])
     except (ValueError, OrliczError) as exc:
         raise InputError(f"bad data in {path!r}: {exc}") from None
 

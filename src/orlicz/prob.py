@@ -7,7 +7,11 @@ with equal atoms merged.
 
 The public fields are tuples, so spaces, variables and densities compare
 and hash by value.  probs_array(), values_array() and atoms_array() hand
-out a read-only float64 copy, built on first use and kept.  From VECTOR_MIN entries on,
+out a read-only float64 copy of them, kept on the object.  A constructor
+that already holds the arrays hands them in (rv of a float64 array and
+its uniform weights, from_pairs from VECTOR_MIN pairs on, and
+as_random_variable, which shares the law's arrays); otherwise they are
+built from the tuples on first use.  From VECTOR_MIN entries on,
 validation and the sort that builds a law run on those arrays; below it
 they run as plain loops, which are cheaper at that size.  Both give the
 same result to the bit.
@@ -88,20 +92,47 @@ def _cached_array(owner: object, attr: str, seq: Sequence[float]) -> np.ndarray:
             arr = np.fromiter(seq, dtype=float, count=len(seq))
         else:
             arr = np.array(seq, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(owner, attr, arr)
+        object.__setattr__(owner, attr, _frozen(arr))
     return arr
 
 
+def _with_arrays(cls, arrays: dict[str, Optional[np.ndarray]], *args):
+    """cls(*args) with the given read-only array caches in place before validation reads them."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update((attr, arr) for attr, arr in arrays.items() if arr is not None)
+    obj.__init__(*args)
+    return obj
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+def _tuple_and_array(seq: Sequence[float]) -> tuple[tuple[float, ...], Optional[np.ndarray]]:
+    """seq as a float tuple, and a read-only copy if it is a float64 vector of VECTOR_MIN or more."""
+    if isinstance(seq, np.ndarray) and seq.dtype == np.float64 and seq.ndim == 1:
+        if seq.size >= VECTOR_MIN:
+            arr = _frozen(seq.copy())  # the caller may still write to seq
+            return tuple(arr.tolist()), arr
+    return tuple(map(float, seq)), None
+
+
 def rv(values: Sequence[float], probs: Optional[Sequence[float]] = None) -> RandomVariable:
-    """Convenience constructor; uniform probabilities when probs is omitted."""
-    vals = tuple(map(float, values))
+    """Convenience constructor; uniform probabilities when probs is omitted.
+
+    A float64 array of VECTOR_MIN or more values (or probabilities) is
+    copied once and kept as the variable's array, not rebuilt from the tuple.
+    """
+    vals, vals_arr = _tuple_and_array(values)
     if probs is None:
         n = len(vals)
         probs_t = (1.0 / n,) * n
+        probs_arr = _frozen(np.full(n, 1.0 / n)) if n >= VECTOR_MIN else None
     else:
-        probs_t = tuple(map(float, probs))
-    return RandomVariable(FiniteProbabilitySpace(probs_t), vals)
+        probs_t, probs_arr = _tuple_and_array(probs)
+    space = _with_arrays(FiniteProbabilitySpace, {"_probs_array": probs_arr}, probs_t)
+    return _with_arrays(RandomVariable, {"_values_array": vals_arr}, space, vals)
 
 
 def sorted_law(vals: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,7 +204,12 @@ class DiscreteDistribution:
             if (kept[:, 1] < 0).any():
                 raise ValueError("probabilities must be nonnegative")
             atoms, merged = sorted_law(kept[:, 0], kept[:, 1])
-            return cls(tuple(atoms.tolist()), tuple(merged.tolist()))
+            return _with_arrays(
+                cls,
+                {"_atoms_array": _frozen(atoms), "_probs_array": _frozen(merged)},
+                tuple(atoms.tolist()),
+                tuple(merged.tolist()),
+            )
         kept = [(float(v), float(p)) for v, p in pairs if p != 0.0]
         if any(p < 0 for _, p in kept):
             raise ValueError("probabilities must be nonnegative")
@@ -257,8 +293,17 @@ def mixture(F: DiscreteDistribution, G: DiscreteDistribution, lam: float) -> Dis
 
 
 def as_random_variable(dist: DiscreteDistribution) -> RandomVariable:
-    """Canonical carrier: a variable on the space whose outcomes are the atoms."""
-    return RandomVariable(FiniteProbabilitySpace(dist.probs), dist.atoms)
+    """Canonical carrier: a variable on the space whose outcomes are the atoms.
+
+    The space and the variable share the law's arrays where it holds them.
+    """
+    cached = dist.__dict__.get
+    space = _with_arrays(
+        FiniteProbabilitySpace, {"_probs_array": cached("_probs_array")}, dist.probs
+    )
+    return _with_arrays(
+        RandomVariable, {"_values_array": cached("_atoms_array")}, space, dist.atoms
+    )
 
 
 def comonotone_integral(X: RandomVariable, phi_Q: MeasureChange) -> float:

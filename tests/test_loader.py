@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from orlicz import cli
+from orlicz.base import VECTOR_MIN
 
 # Peak traced allocation while loading a 1e5-row sample: about 7.4 MB
 # when numpy's reader reads the rows (6.5 MB when rows streamed into a
@@ -185,7 +186,7 @@ def test_non_utf8_file_is_input_error(tmp_path, data):
         cli.load_data(str(path))
 
 
-def _agreement_file(n, fmt, rng):
+def _agreement_file(n, fmt, rng, newline="\r\n"):
     """A file both readers accept, with every form of cell they share.
 
     Dist rows carry two extra columns; numpy's reader needs the same
@@ -210,14 +211,17 @@ def _agreement_file(n, fmt, rng):
         body.append(cell)
         if i % 11 == 5:
             body.append("")
-    return "\r\n".join(body) + "\r\n"
+    return newline.join(body) + newline
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"], ids=["LF", "CR", "CRLF"])
 @pytest.mark.parametrize("fmt", ["sample", "dist"])
 @pytest.mark.parametrize("n", [7, 300, 100_000])
-def test_numpy_reader_agrees_with_the_row_reader(tmp_path, monkeypatch, n, fmt):
+def test_numpy_reader_agrees_with_the_row_reader(tmp_path, monkeypatch, n, fmt, newline):
+    # numpy opens the file by name with universal newlines, while the csv
+    # reader reads it with newline=""; both must split the same lines
     path = tmp_path / "data.csv"
-    path.write_bytes(_agreement_file(n, fmt, np.random.default_rng(n)).encode())
+    path.write_bytes(_agreement_file(n, fmt, np.random.default_rng(n), newline).encode())
     tables = []
     table = cli._table
 
@@ -242,6 +246,54 @@ def test_plain_file_loads_without_the_row_reader(tmp_path, monkeypatch):
     path.write_text("value\n" + "".join(f"{v!r}\n" for v in values))
     monkeypatch.setattr(cli, "_convert", refuse)
     assert cli.load_data(str(path)).values == tuple(values)
+
+
+@pytest.mark.parametrize("moved", [False, True], ids=["same file", "path moved"])
+def test_numpy_reads_by_name_only_the_file_the_path_still_names(tmp_path, monkeypatch, moved):
+    # where os.stat of the path reports another inode than the open
+    # handle, numpy reads the handle; the values are the same either way
+    values = np.random.default_rng(3).lognormal(0.0, 1.5, 500).tolist()
+    path = tmp_path / "data.csv"
+    path.write_text("value\n" + "".join(f"{v!r}\n" for v in values))
+    real_stat, real_loadtxt = os.stat, np.loadtxt
+    sources = []
+
+    def other_inode(name, *args, **kwargs):
+        st = real_stat(name, *args, **kwargs)
+        if os.fspath(name) != str(path):
+            return st
+        fields = list(st)
+        fields[1] += 1  # st_ino
+        return os.stat_result(fields)
+
+    def spy(source, *args, **kwargs):
+        sources.append(source)
+        return real_loadtxt(source, *args, **kwargs)
+
+    if moved:
+        monkeypatch.setattr(os, "stat", other_inode)
+    monkeypatch.setattr(np, "loadtxt", spy)
+    X = cli.load_data(str(path))
+    assert X.values == tuple(values)
+    assert len(sources) == 1
+    assert isinstance(sources[0], str) != moved
+
+
+@pytest.mark.parametrize("fmt", ["sample", "dist"])
+@pytest.mark.parametrize("n", [7, 64, 300, 100_000])
+def test_loaded_variable_holds_its_arrays(tmp_path, n, fmt):
+    # from VECTOR_MIN rows on the arrays the loader built are kept, not
+    # rebuilt from the tuples; at every size they match the tuples' bits
+    path = tmp_path / "data.csv"
+    path.write_bytes(_agreement_file(n, fmt, np.random.default_rng(n)).encode())
+    X = cli.load_data(str(path))
+    pairs = ((X, "_values_array", X.values_array, X.values),
+             (X.space, "_probs_array", X.space.probs_array, X.space.probs))
+    for owner, attr, array, seq in pairs:
+        assert (attr in owner.__dict__) == (n >= VECTOR_MIN), attr
+        arr = array()
+        assert not arr.flags.writeable
+        assert arr.tobytes() == np.fromiter(seq, float, len(seq)).tobytes()
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")

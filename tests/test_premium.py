@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orlicz import premium
 from orlicz.base import InvalidPhiError
 from orlicz.functions import (
     Expectile,
@@ -249,6 +250,24 @@ def test_nudged_value_is_the_least_feasible_float():
     below = math.nextafter(res.value, 0.0)
     assert res.g_at_value <= 1.0
     assert phi_moment(Expectile(0.8), X.values_array(), X.space.probs_array(), below) > 1.0
+
+
+def test_nudges_count_the_moments_after_the_first(monkeypatch):
+    # every phi_moment call of a closed-form route is _finish's: the first
+    # at the closed-form value, then one per gallop or bisection step
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return phi_moment(*args)
+
+    X = rv(np.random.default_rng(0).lognormal(0.0, 1.5, 10**5))
+    monkeypatch.setattr(premium, "phi_moment", counted)
+    res = orlicz_premium(Expectile(0.8), X)
+    assert res.route == "closed_form:expectile"
+    assert res.nudges == len(calls) - 1 > 0
+    assert res.iterations == 0
+    assert orlicz_premium(Power(2.0), rv([1.0, 2.0])).nudges == 0
 
 
 @pytest.mark.parametrize(

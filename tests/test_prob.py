@@ -119,3 +119,44 @@ def test_comonotone_integral_rejects_mismatched_spaces():
     other = MeasureChange(FiniteProbabilitySpace((0.25, 0.75)), (2.0, 2 / 3))
     with pytest.raises(DimensionError):
         comonotone_integral(X, other)
+
+
+def _same_bits(arr, seq):
+    return not arr.flags.writeable and arr.tobytes() == np.fromiter(seq, float, len(seq)).tobytes()
+
+
+@pytest.mark.parametrize("n", [7, 64, 300, 100_000])
+def test_rv_of_an_array_equals_rv_of_its_list(n):
+    rng = np.random.default_rng(n)
+    values = rng.lognormal(0.0, 1.5, n)
+    weights = rng.uniform(0.5, 1.5, n)
+    probs = weights / weights.sum()
+    for args in ((values,), (values, probs)):
+        X = rv(*args)
+        Y = rv(*(a.tolist() for a in args))
+        assert X == Y
+        assert hash(X) == hash(Y)
+        assert X.values_array().tobytes() == Y.values_array().tobytes()
+        assert X.space.probs_array().tobytes() == Y.space.probs_array().tobytes()
+        assert _same_bits(X.values_array(), X.values)
+        assert _same_bits(X.space.probs_array(), X.space.probs)
+    values[0] = 9.0  # rv copied the array, and left the caller's writable
+    assert X.values[0] == Y.values[0] == X.values_array()[0] != 9.0
+
+
+@pytest.mark.parametrize("n", [64, 300, 100_000])
+def test_law_arrays_are_built_once_and_shared_by_its_carrier(n):
+    rng = np.random.default_rng(n)
+    values = np.round(rng.lognormal(0.0, 1.0, n), 1)  # ties
+    X = rv(values)
+    d = distribution_of(X)
+    for owner, attrs in ((X.space, ["_probs_array"]), (X, ["_values_array"]),
+                         (d, ["_atoms_array", "_probs_array"])):
+        for attr in attrs:
+            assert not owner.__dict__[attr].flags.writeable, attr
+    assert _same_bits(d.atoms_array(), d.atoms)
+    assert _same_bits(d.probs_array(), d.probs)
+    Y = as_random_variable(d)
+    assert Y.values_array() is d.atoms_array()
+    assert Y.space.probs_array() is d.probs_array()
+    assert Y == RandomVariable(FiniteProbabilitySpace(d.probs), d.atoms)
