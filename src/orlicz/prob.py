@@ -96,10 +96,12 @@ def _cached_array(owner: object, attr: str, seq: Sequence[float]) -> np.ndarray:
     return arr
 
 
-def _with_arrays(cls, arrays: dict[str, Optional[np.ndarray]], *args):
-    """cls(*args) with the given read-only array caches in place before validation reads them."""
+def _with_arrays(cls, arrays: dict[str, np.ndarray], *args):
+    """cls(*args), with arrays in place as its read-only caches before validation reads them."""
+    if not arrays:
+        return cls(*args)
     obj = cls.__new__(cls)
-    obj.__dict__.update((attr, arr) for attr, arr in arrays.items() if arr is not None)
+    obj.__dict__.update(arrays)
     obj.__init__(*args)
     return obj
 
@@ -109,13 +111,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _tuple_and_array(seq: Sequence[float]) -> tuple[tuple[float, ...], Optional[np.ndarray]]:
-    """seq as a float tuple, and a read-only copy if it is a float64 vector of VECTOR_MIN or more."""
+def _tuple_and_cache(seq: Sequence[float], attr: str) -> tuple[tuple[float, ...], dict]:
+    """seq as a float tuple, with {attr: read-only copy} for a float64 array of VECTOR_MIN or more."""
     if isinstance(seq, np.ndarray) and seq.dtype == np.float64 and seq.ndim == 1:
         if seq.size >= VECTOR_MIN:
             arr = _frozen(seq.copy())  # the caller may still write to seq
-            return tuple(arr.tolist()), arr
-    return tuple(map(float, seq)), None
+            return tuple(arr.tolist()), {attr: arr}
+    return tuple(map(float, seq)), {}
 
 
 def rv(values: Sequence[float], probs: Optional[Sequence[float]] = None) -> RandomVariable:
@@ -124,15 +126,15 @@ def rv(values: Sequence[float], probs: Optional[Sequence[float]] = None) -> Rand
     A float64 array of VECTOR_MIN or more values (or probabilities) is
     copied once and kept as the variable's array, not rebuilt from the tuple.
     """
-    vals, vals_arr = _tuple_and_array(values)
+    vals, vals_cache = _tuple_and_cache(values, "_values_array")
     if probs is None:
         n = len(vals)
         probs_t = (1.0 / n,) * n
-        probs_arr = _frozen(np.full(n, 1.0 / n)) if n >= VECTOR_MIN else None
+        probs_cache = {"_probs_array": _frozen(np.full(n, 1.0 / n))} if n >= VECTOR_MIN else {}
     else:
-        probs_t, probs_arr = _tuple_and_array(probs)
-    space = _with_arrays(FiniteProbabilitySpace, {"_probs_array": probs_arr}, probs_t)
-    return _with_arrays(RandomVariable, {"_values_array": vals_arr}, space, vals)
+        probs_t, probs_cache = _tuple_and_cache(probs, "_probs_array")
+    space = _with_arrays(FiniteProbabilitySpace, probs_cache, probs_t)
+    return _with_arrays(RandomVariable, vals_cache, space, vals)
 
 
 def sorted_law(vals: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,15 +297,13 @@ def mixture(F: DiscreteDistribution, G: DiscreteDistribution, lam: float) -> Dis
 def as_random_variable(dist: DiscreteDistribution) -> RandomVariable:
     """Canonical carrier: a variable on the space whose outcomes are the atoms.
 
-    The space and the variable share the law's arrays where it holds them.
+    Where the law holds its arrays (from VECTOR_MIN atoms, or pairs, on),
+    the space and the variable share them.
     """
-    cached = dist.__dict__.get
-    space = _with_arrays(
-        FiniteProbabilitySpace, {"_probs_array": cached("_probs_array")}, dist.probs
-    )
-    return _with_arrays(
-        RandomVariable, {"_values_array": cached("_atoms_array")}, space, dist.atoms
-    )
+    if "_atoms_array" not in dist.__dict__:
+        return RandomVariable(FiniteProbabilitySpace(dist.probs), dist.atoms)
+    space = _with_arrays(FiniteProbabilitySpace, {"_probs_array": dist.probs_array()}, dist.probs)
+    return _with_arrays(RandomVariable, {"_values_array": dist.atoms_array()}, space, dist.atoms)
 
 
 def comonotone_integral(X: RandomVariable, phi_Q: MeasureChange) -> float:
