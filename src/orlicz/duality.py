@@ -13,8 +13,13 @@ both over probability measures Q << P.  The penalties take values in
 independent computation routes that cross-check each other: a separable
 Lagrangian over the primal constraint set {E[Phi(X)] <= 1}, searched
 numerically, and an exact minimization built on the closed-form convex
-conjugate.  alpha runs the Lagrangian in log coordinates.  A
-relative-entropy bridge converts beta values into alpha values.
+conjugate.  alpha runs the Lagrangian in log coordinates.  Both
+Lagrangian searches solve a multiplier seed only while its grid floor,
+a lower bound on the dual read off the inner problems' grids for every
+seed in one array pass, leaves it a chance to win; the seeds they skip
+never change a result.  Phi == 1 on all of [0, 1] gives both penalties
+exactly 1 without a search.  A relative-entropy bridge converts beta
+values into alpha values.
 
 Everything here is a certificate engine.  A certificate is built at the
 first-order measure Q*, read off Phi'(X/k) at the premium k, which
@@ -90,22 +95,42 @@ def _require_ga_convex(phi: OrliczFunction) -> None:
 
 
 def _seeded_min(
-    f: Callable[[float], float], lams: Sequence[float], tol: float, reach: float = INF
+    f: Callable[[float], float],
+    lams: Sequence[float],
+    tol: float,
+    reach: float = INF,
+    floors: Optional[np.ndarray] = None,
 ) -> float:
     """min of f over the seeds lams, then golden section in log lam
     between the best finite seed's neighbours, or, given a finite reach,
-    within a factor 1 + reach of that seed; +inf when no seed is finite."""
-    vals = [f(lam) for lam in lams]
-    finite = [i for i, v in enumerate(vals) if v < INF]
-    if not finite:
+    within a factor 1 + reach of that seed; +inf when no seed is finite.
+
+    floors[k], when given, must be at most f(lams[k]) (+inf only where f
+    is +inf).  Seeds are then solved in ascending (floors[k], k) until
+    the next one can no longer beat the best (value, index) found, and a
+    seed with an infinite floor is never solved, so the best seed, its
+    tie-break and the polish are those of solving every seed.  A NaN
+    floor bounds nothing; its seed is always solved.
+    """
+    if floors is None:
+        keys = [NEG_INF] * len(lams)
+    else:
+        keys = np.where(np.isnan(floors), NEG_INF, floors).tolist()
+    best, i = INF, -1
+    for k in sorted(range(len(lams)), key=lambda k: (keys[k], k)):
+        if keys[k] == INF or (i >= 0 and (keys[k], k) > (best, i)):
+            break
+        v = f(lams[k])
+        if v < INF and (i < 0 or (v, k) < (best, i)):
+            best, i = v, k
+    if i < 0:
         return INF
-    i = min(finite, key=lambda k: (vals[k], k))
     if reach < INF:
         lo, hi = lams[i] / (1.0 + reach), lams[i] * (1.0 + reach)
     else:
         lo, hi = lams[max(i - 1, 0)], lams[min(i + 1, len(lams) - 1)]
     _, v = golden_min(lambda t: f(math.exp(t)), math.log(lo), math.log(hi), tol=tol)
-    return min(vals[i], v)
+    return min(best, v)
 
 
 def _lagrangian(
@@ -123,6 +148,37 @@ def _lagrangian(
         return total
 
     return dual
+
+
+def _grid_floors(
+    lams: Sequence[float],
+    grid: np.ndarray,
+    phi_grid: np.ndarray,
+    probs: np.ndarray,
+    dens: np.ndarray,
+    edge_growth: bool = False,
+) -> np.ndarray:
+    """Lower bounds on the _lagrangian at every lam at once, for an inner
+    problem that returns at least its grid maximum of w * grid - lam * phi_grid.
+
+    The terms are summed in atom order with _lagrangian's own float
+    operations, and rounding is monotone, so each floor is at most the
+    Lagrangian in floating point too.  With edge_growth, a floor is +inf
+    where some term fails the inner problem's edge-growth test, as the
+    Lagrangian then is.
+    """
+    lam = np.asarray(lams, dtype=float)
+    total = lam.copy()
+    unbounded = np.zeros(len(lam), dtype=bool)
+    for p_i, w in zip(probs, dens):
+        obj = float(w) * grid - lam[:, None] * phi_grid
+        obj = np.where(np.isnan(obj), NEG_INF, obj)
+        if edge_growth:
+            unbounded |= obj[:, 0] > obj[:, 1] + GROWTH_EPS
+            unbounded |= obj[:, -1] > obj[:, -2] + GROWTH_EPS
+        total += p_i * obj.max(axis=1)
+    total[unbounded] = INF
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +260,17 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     overstates beta beyond fp noise.  For piecewise-linear Phi every kink
     of D is a seed, so the lam polish only reaches a relative 1e-9 around
     the best one; its cost then does not depend on where the minimum falls.
+
+    Each inner value is at least its grid maximum, so the grid gives every
+    seed a floor under D (_grid_floors), +inf where the ray test rejects
+    the seed; a seed whose floor is above the best value found, or whose
+    floor is +inf, is never solved.  Phi == 1 on all of [0, 1] (and > 1
+    beyond it) makes {E[Phi(X)] <= 1} = {X <= 1 a.s.}, so sup E_Q[X] = 1
+    and beta is exactly 1, the infimum the Lagrangian only approaches.
     """
     _require_convex(phi)
+    if phi.at_zero == 1.0:
+        return 1.0
     dens = np.asarray(Q.density, dtype=float)
     probs = Q.space.probs_array()
 
@@ -252,13 +317,18 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     lagrangian = _lagrangian(inner, probs, dens)
     has_ray = phi.upper == INF and slope_inf < INF
 
+    # x -> w x - lam Phi(x) grows without bound once w exceeds lam times
+    # the slope toward the cap; the test is monotone in w, so the largest
+    # density settles it for every term before any inner problem is solved
+    def ray(lam):
+        return dmax - lam * slope_inf > 1e-12 * max(1.0, dmax)
+
     def dual(lam: float) -> float:
-        # x -> w x - lam Phi(x) grows without bound once w exceeds lam times
-        # the slope toward the cap; the test is monotone in w, so the largest
-        # density settles it for every term before any inner problem is solved
-        if has_ray and dmax - lam * slope_inf > 1e-12 * max(1.0, dmax):
-            return INF
-        return lagrangian(lam)
+        return INF if has_ray and ray(lam) else lagrangian(lam)
+
+    floors = _grid_floors(lam_list, xs_arr, phi_grid, probs, dens)
+    if has_ray:
+        floors[ray(np.asarray(lam_list))] = INF
 
     # For a piecewise-linear Phi each inner sup sits at 0, a knot or upper,
     # so D(lam) is piecewise linear where it is finite, with its kinks at
@@ -268,7 +338,7 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     # flat out to X_CAP and rounds up by ~1e-10, just above it it is not.
     # A fixed reach keeps the polish the same length whatever the spacing
     # of the seeds around the minimum.
-    dmin = _seeded_min(dual, lam_list, 1e-11, reach=1e-9 if slopes else INF)
+    dmin = _seeded_min(dual, lam_list, 1e-11, reach=1e-9 if slopes else INF, floors=floors)
     if dmin == INF:
         return 0.0  # infinitely penalized: constraint never binds the objective
     if not (dmin > 0.0):
@@ -290,6 +360,8 @@ def alpha_penalty(phi: OrliczFunction, Q: MeasureChange) -> float:
     ray (the objective is concave), which sends the penalty to exactly 0.
     Phi == 1 on all of [0, 1] forces Y <= 0, so the sup is 0 and alpha
     exactly 1, the infimum the Lagrangian only approaches as lam -> inf.
+    As in beta_primal, a seed is solved only while its grid floor can
+    still win; the floor is +inf where the edge-growth test fires.
     """
     _require_ga_convex(phi)
     if phi.at_zero == 1.0:
@@ -319,7 +391,9 @@ def alpha_penalty(phi: OrliczFunction, Q: MeasureChange) -> float:
 
     cands = {1.0} | {float(w) for w in dens if w > 0.0}
     cands |= {float(l) for l in np.geomspace(1e-4, 1e4, 25)}
-    dmin = _seeded_min(_lagrangian(inner, probs, dens), sorted(cands), 1e-11)
+    lam_list = sorted(cands)
+    floors = _grid_floors(lam_list, ys, phi_e, probs, dens, edge_growth=True)
+    dmin = _seeded_min(_lagrangian(inner, probs, dens), lam_list, 1e-11, floors=floors)
     if dmin == INF:
         return 0.0
     return min(1.0, math.exp(-dmin))

@@ -157,7 +157,8 @@ KNOTTED_BATTERY = [phi for phi in CONVEX_BATTERY if phi.points] + [
 def test_kinked_beta_primal_polishes_next_to_its_best_seed(monkeypatch, phi):
     # every kink of the piecewise-linear Lagrangian is a seed, so the lambda
     # polish stays within a relative 1e-9 of the best one, however far away
-    # the neighbouring seeds are, and still meets the conjugate route
+    # the neighbouring seeds are, and still meets the conjugate route; Phi
+    # == 1 on [0, 1] gives beta = 1 exactly, with no search at all
     widths = []
     polish = duality.golden_min
 
@@ -174,7 +175,12 @@ def test_kinked_beta_primal_polishes_next_to_its_best_seed(monkeypatch, phi):
             Q = MeasureChange(FiniteProbabilitySpace(tuple(probs)), tuple(dens / (probs @ dens)))
             b_primal, b_conj = beta_primal(phi, Q), beta_conjugate(phi, Q)
             assert b_conj - 5e-12 <= b_primal <= b_conj + 1e-14, (Q.density, b_primal, b_conj)
-    assert widths and max(widths) <= 2.0 * math.log1p(1e-9) * (1.0 + 1e-6)
+            if phi.at_zero == 1.0:
+                assert b_primal == 1.0
+    if phi.at_zero == 1.0:
+        assert widths == []
+    else:
+        assert widths and max(widths) <= 2.0 * math.log1p(1e-9) * (1.0 + 1e-6)
 
 
 @pytest.mark.parametrize(
@@ -205,6 +211,92 @@ def test_beta_primal_work_does_not_depend_on_atom_order(monkeypatch, phi):
         counts.append(solves)
     assert counts[0] == counts[1]
     assert values[0] == pytest.approx(values[1], rel=1e-12)
+
+
+def _solve_every_seed(monkeypatch):
+    seeded_min = duality._seeded_min
+
+    def every_seed(f, lams, tol, reach=INF, floors=None):
+        return seeded_min(f, lams, tol, reach)
+
+    monkeypatch.setattr(duality, "_seeded_min", every_seed)
+
+
+FLOOR_BATTERY = CONVEX_BATTERY + [
+    Power(0.5),
+    Power(1.5),
+    GeometricMean(),
+    GeometricExpectile(2.0, 1.0),
+    LpqQuantile(2.0, 0.0, 1.0, 2.0),
+    PiecewiseLinear([(0.5, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)]),
+    PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)], upper=5.0),
+    PiecewiseLinear([(0.5, 0.2), (1.0, 1.0), (2.0, 4.0)], upper=2.0),
+    PiecewiseLinear([(0.0, 0.2), (1.0, 1.0), (2.0, 3.0)]),
+]
+
+
+def test_penalty_floors_change_no_value(monkeypatch):
+    # the grid floors only skip seeds that cannot win: every penalty is the
+    # float that solving every seed gives
+    rng = np.random.default_rng(47)
+    cases = []
+    for i in range(200):
+        n = int(rng.integers(2, 9))
+        probs = rng.dirichlet(np.ones(n))
+        dens = rng.uniform(0.0, 4.0, n)
+        if i % 3 == 0:
+            dens[rng.integers(0, n)] = 0.0
+        Q = MeasureChange(FiniteProbabilitySpace(tuple(probs)), tuple(dens / (probs @ dens)))
+        cycle, k = divmod(i, len(FLOOR_BATTERY))
+        phi = FLOOR_BATTERY[k]
+        # a family with both flags alternates between the two penalties
+        arith = phi.convex_flag and not (phi.ga_convex_flag and cycle % 2)
+        cases.append((beta_primal if arith else alpha_penalty, phi, Q))
+    with_floors = [penalty(phi, Q) for penalty, phi, Q in cases]
+    _solve_every_seed(monkeypatch)
+    for (penalty, phi, Q), got in zip(cases, with_floors):
+        assert got == penalty(phi, Q), (penalty.__name__, phi.spec_string(), Q.density)
+
+
+def test_beta_primal_floors_skip_a_third_of_the_inner_solves(monkeypatch):
+    solves = 0
+    inner_max = duality.golden_max
+
+    def counting(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return inner_max(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "golden_max", counting)
+    Q = MeasureChange(FiniteProbabilitySpace((0.3, 0.3, 0.2, 0.2)), (0.5, 0.6, 0.8, 2.55))
+    counts, values = [], []
+    for every_seed in (False, True):
+        if every_seed:
+            _solve_every_seed(monkeypatch)
+        solves = 0
+        values.append(beta_primal(Power(2.0), Q))
+        counts.append(solves)
+    assert values[0] == values[1]
+    assert counts[0] <= counts[1] * 2 / 3, counts
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        LpqQuantile(2.0, 0.0, 2.0, 1.0),
+        LpqQuantile(2.0, 0.0, 1.0, 2.0),
+        PiecewiseLinear([(0.0, 1.0), (1.0, 1.0), (3.0, 5.0)]),
+    ],
+    ids=lambda phi: phi.spec_string(),
+)
+def test_beta_primal_is_one_when_phi_is_one_on_the_unit_interval(phi):
+    # E[Phi(X)] <= 1 then means X <= 1 a.s., so sup E_Q[X] = 1 for every Q:
+    # the Lagrangian only reaches it as lam -> inf
+    rng = np.random.default_rng(53)
+    for n in (2, 3, 5):
+        space = FiniteProbabilitySpace(tuple(float(p) for p in rng.dirichlet(np.ones(n))))
+        for _ in range(4):
+            assert beta_primal(phi, _random_measure(rng, space)) == 1.0
 
 
 def test_alpha_gm_is_entropy_indicator():
