@@ -31,6 +31,7 @@ premium beyond fp noise.  Gaps are reported, not hidden.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -101,9 +102,12 @@ def _seeded_min(
     reach: float = INF,
     floors: Optional[np.ndarray] = None,
 ) -> float:
-    """min of f over the seeds lams, then golden section in log lam
-    between the best finite seed's neighbours, or, given a finite reach,
-    within a factor 1 + reach of that seed; +inf when no seed is finite.
+    """min of f over the ascending seeds lams, then golden section in log
+    lam between the best finite seed's neighbours, or, given a finite
+    reach, within a factor 1 + reach of that seed; +inf when no seed is
+    finite.  The neighbours are the nearest seeds more than a relative
+    tol away, so seeds an ulp apart (densities that differ only by
+    rounding) neither narrow the bracket to one side nor change its cost.
 
     floors[k], when given, must be at most f(lams[k]) (+inf only where f
     is +inf).  Seeds are then solved in ascending (floors[k], k) until
@@ -128,7 +132,10 @@ def _seeded_min(
     if reach < INF:
         lo, hi = lams[i] / (1.0 + reach), lams[i] * (1.0 + reach)
     else:
-        lo, hi = lams[max(i - 1, 0)], lams[min(i + 1, len(lams) - 1)]
+        # seeds within a relative tol of the best one are the same point
+        # to the polish, so the bracket reaches past them on either side
+        lo = lams[max(bisect.bisect_left(lams, lams[i] / (1.0 + tol)) - 1, 0)]
+        hi = lams[min(bisect.bisect_right(lams, lams[i] * (1.0 + tol)), len(lams) - 1)]
     _, v = golden_min(lambda t: f(math.exp(t)), math.log(lo), math.log(hi), tol=tol)
     return min(best, v)
 

@@ -280,6 +280,31 @@ def test_beta_primal_floors_skip_a_third_of_the_inner_solves(monkeypatch):
     assert counts[0] <= counts[1] * 2 / 3, counts
 
 
+def test_alpha_penalty_work_does_not_depend_on_rounding_in_the_densities(monkeypatch):
+    # a first-order gm certificate has Q* = P only up to an ulp in each
+    # density; seeds that close to lam = 1 once narrowed the lambda polish
+    # to one side of it, and the polish then walked into the finite sliver
+    # around lam = 1: 45 inner solves against 3 for exact densities
+    solves = 0
+    inner_max = duality.golden_max
+
+    def counting(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return inner_max(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "golden_max", counting)
+    space = FiniteProbabilitySpace((0.2, 0.3, 0.5))
+    up, down = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
+    counts = []
+    for dens in ((1.0, 1.0, 1.0), (up, up, up), (up, 1.0, up), (1.0, down, 1.0), (down, up, 1.0)):
+        solves = 0
+        alpha = alpha_penalty(GeometricMean(), MeasureChange(space, dens))
+        counts.append(solves)
+        assert 1.0 - 1e-13 <= alpha <= 1.0
+    assert counts == [3] * len(counts)
+
+
 @pytest.mark.parametrize(
     "phi",
     [
