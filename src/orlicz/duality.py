@@ -11,15 +11,20 @@ and for GA-convex Phi a geometric dual form
 both over probability measures Q << P.  The penalties take values in
 [0, 1]; 0 encodes an infinitely implausible model.  beta has two
 independent computation routes that cross-check each other: a separable
-Lagrangian over the primal constraint set {E[Phi(X)] <= 1}, searched
-numerically, and an exact minimization built on the closed-form convex
-conjugate.  alpha runs the Lagrangian in log coordinates.  Both
-Lagrangian searches solve a multiplier seed only while its grid floor,
-a lower bound on the dual read off the inner problems' grids for every
-seed in one array pass, leaves it a chance to win; the seeds they skip
-never change a result.  Phi == 1 on all of [0, 1] gives both penalties
-exactly 1 without a search.  A relative-entropy bridge converts beta
-values into alpha values.
+Lagrangian over the primal constraint set {E[Phi(X)] <= 1}, and an
+exact minimization built on the closed-form convex conjugate.  alpha
+runs the Lagrangian in log coordinates.  Each Lagrangian sums its terms
+in a canonical atom order, so its value, and the work of the searches
+that stop on it, does not depend on how Q lists its atoms.  For a
+piecewise-linear Phi, beta's Lagrangian is exact at the knots of Phi and
+at its own kinks, and needs no search.  Otherwise its inner problems and
+the multiplier polish run Brent's method (search.golden_max), which
+stops once the value is flat to rounding; a multiplier seed is solved
+only while its grid floor, a lower bound on the dual read off the inner
+problems' grids for every seed in one array pass, leaves it a chance to
+win, and the seeds skipped never change a result.  Phi == 1 on all of
+[0, 1] gives both penalties exactly 1 without a search.  A
+relative-entropy bridge converts beta values into alpha values.
 
 Everything here is a certificate engine.  A certificate is built at the
 first-order measure Q*, read off Phi'(X/k) at the premium k, which
@@ -99,15 +104,15 @@ def _seeded_min(
     f: Callable[[float], float],
     lams: Sequence[float],
     tol: float,
-    reach: float = INF,
     floors: Optional[np.ndarray] = None,
 ) -> float:
-    """min of f over the ascending seeds lams, then golden section in log
-    lam between the best finite seed's neighbours, or, given a finite
-    reach, within a factor 1 + reach of that seed; +inf when no seed is
-    finite.  The neighbours are the nearest seeds more than a relative
-    tol away, so seeds an ulp apart (densities that differ only by
-    rounding) neither narrow the bracket to one side nor change its cost.
+    """min of f over the ascending seeds lams, then Brent's search
+    (golden_min) in log lam between the best finite seed's neighbours;
+    +inf when no seed is finite.  The neighbours are the nearest seeds
+    more than a relative tol away, so seeds an ulp apart (densities that
+    differ only by rounding) neither narrow the bracket to one side nor
+    change its cost.  The polish stops at tol or once f is flat to
+    rounding.
 
     floors[k], when given, must be at most f(lams[k]) (+inf only where f
     is +inf).  Seeds are then solved in ascending (floors[k], k) until
@@ -129,15 +134,25 @@ def _seeded_min(
             best, i = v, k
     if i < 0:
         return INF
-    if reach < INF:
-        lo, hi = lams[i] / (1.0 + reach), lams[i] * (1.0 + reach)
-    else:
-        # seeds within a relative tol of the best one are the same point
-        # to the polish, so the bracket reaches past them on either side
-        lo = lams[max(bisect.bisect_left(lams, lams[i] / (1.0 + tol)) - 1, 0)]
-        hi = lams[min(bisect.bisect_right(lams, lams[i] * (1.0 + tol)), len(lams) - 1)]
+    # seeds within a relative tol of the best one are the same point to
+    # the polish, so the bracket reaches past them on either side
+    lo = lams[max(bisect.bisect_left(lams, lams[i] / (1.0 + tol)) - 1, 0)]
+    hi = lams[min(bisect.bisect_right(lams, lams[i] * (1.0 + tol)), len(lams) - 1)]
     _, v = golden_min(lambda t: f(math.exp(t)), math.log(lo), math.log(hi), tol=tol)
     return min(best, v)
+
+
+def _canonical_atoms(Q: MeasureChange) -> tuple[np.ndarray, np.ndarray]:
+    """(probs, dens) of Q sorted by (density, prob).
+
+    The Lagrangians and their grid floors sum their terms in this order,
+    so neither their values nor the searches that stop on those values
+    depend on the order in which Q lists its atoms.
+    """
+    dens = np.asarray(Q.density, dtype=float)
+    probs = Q.space.probs_array()
+    order = np.lexsort((probs, dens))
+    return probs[order], dens[order]
 
 
 def _lagrangian(
@@ -168,11 +183,11 @@ def _grid_floors(
     """Lower bounds on the _lagrangian at every lam at once, for an inner
     problem that returns at least its grid maximum of w * grid - lam * phi_grid.
 
-    The terms are summed in atom order with _lagrangian's own float
-    operations, and rounding is monotone, so each floor is at most the
-    Lagrangian in floating point too.  With edge_growth, a floor is +inf
-    where some term fails the inner problem's edge-growth test, as the
-    Lagrangian then is.
+    The terms are summed in the order given (_canonical_atoms) with
+    _lagrangian's own float operations, and rounding is monotone, so each
+    floor is at most the Lagrangian in floating point too.  With
+    edge_growth, a floor is +inf where some term fails the inner
+    problem's edge-growth test, as the Lagrangian then is.
     """
     lam = np.asarray(lams, dtype=float)
     total = lam.copy()
@@ -242,11 +257,13 @@ def _breakpoint_dual_min(phi: OrliczFunction, dens: np.ndarray, probs: np.ndarra
     cands = {s / w for s in slopes for w in dens.tolist() if w > 0.0 and s / w <= edge}
     if 0.0 < edge < INF:
         cands.add(edge)
+    lams = list(cands)
+    y = np.multiply.outer(lams, dens)
+    # one array pass gives Psi(lam w_i) for every candidate lam and atom
+    psi = conjugate(phi, y if capped else np.minimum(y, s_end))
     best = phi.upper
-    for lam in cands:
-        y = lam * dens if capped else np.minimum(lam * dens, s_end)
-        psi = np.array([conjugate(phi, v) for v in y.tolist()])
-        best = min(best, (1.0 + float(probs @ psi)) / lam)
+    for lam, row in zip(lams, psi):
+        best = min(best, (1.0 + float(np.dot(probs, row))) / lam)
     return best
 
 
@@ -260,68 +277,38 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
 
     The constraint is separable, so for a multiplier lam >= 0 the dual is
     D(lam) = lam + sum_i p_i * sup_x (phi_i x - lam Phi(x)), convex in
-    lam.  Each inner problem is concave in x (Phi convex) and solved by
-    grid plus golden section on [0, min(X_CAP, upper)]; unbounded rays
-    are detected from the slope of Phi toward that cap, for the largest
-    density first.  min_lam D(lam) >= the primal supremum, so 1/D never
-    overstates beta beyond fp noise.  For piecewise-linear Phi every kink
-    of D is a seed, so the lam polish only reaches a relative 1e-9 around
-    the best one; its cost then does not depend on where the minimum falls.
+    lam, summed in the canonical atom order (_canonical_atoms).
+    min_lam D(lam) >= the primal supremum, so 1/D never overstates beta
+    beyond fp noise.  Unbounded rays are detected from the slope of Phi
+    toward min(X_CAP, upper), for the largest density first.  With a
+    finite upper, D(0) = upper * E_P[dQ/dP] is the lam -> 0 end.
 
-    Each inner value is at least its grid maximum, so the grid gives every
-    seed a floor under D (_grid_floors), +inf where the ray test rejects
-    the seed; a seed whose floor is above the best value found, or whose
-    floor is +inf, is never solved.  Phi == 1 on all of [0, 1] (and > 1
-    beyond it) makes {E[Phi(X)] <= 1} = {X <= 1 a.s.}, so sup E_Q[X] = 1
-    and beta is exactly 1, the infimum the Lagrangian only approaches.
+    For a piecewise-linear Phi (_knot_slopes non-empty) each inner sup
+    sits at 0, at a knot or at a finite upper, so D is evaluated there
+    exactly, and D is piecewise linear with its kinks at w / s for the
+    slopes s of Phi: its minimum over those kinks (and lam = 0) is the
+    answer, with no search at all.
+
+    Any other Phi solves each inner problem, concave in x (Phi convex),
+    by grid plus Brent's search on [0, min(X_CAP, upper)].  Each inner
+    value is at least its grid maximum, so the grid gives every seed a
+    floor under D (_grid_floors), +inf where the ray test rejects the
+    seed; a seed whose floor is above the best value found, or whose
+    floor is +inf, is never solved, and a lam polish follows the best
+    seed (_seeded_min).  Phi == 1 on all of [0, 1] (and > 1 beyond it)
+    makes {E[Phi(X)] <= 1} = {X <= 1 a.s.}, so sup E_Q[X] = 1 and beta
+    is exactly 1, the infimum the Lagrangian only approaches.
     """
     _require_convex(phi)
     if phi.at_zero == 1.0:
         return 1.0
-    dens = np.asarray(Q.density, dtype=float)
-    probs = Q.space.probs_array()
+    probs, dens = _canonical_atoms(Q)
 
     top = min(X_CAP, phi.upper)
     v_top = phi(top)
     v_half = phi(top * 0.5)
     slope_inf = INF if v_top == INF else (v_top - v_half) / (top * 0.5)
-
-    xs = [0.0] + [float(x) for x in np.geomspace(1e-9, top, 41)]
-    xs.extend(x for x, _ in phi.points if 0.0 < x < top)
-    xs = sorted(set(xs))
-    xs_arr = np.asarray(xs)
-    phi_grid = phi.eval_array(xs_arr)
-
-    def inner(lam: float, w: float) -> float:
-        obj = w * xs_arr - lam * phi_grid
-        obj = np.where(np.isnan(obj), NEG_INF, obj)
-        i = int(np.argmax(obj))
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, len(xs) - 1)]
-
-        def scalar(x: float) -> float:
-            v = phi(x)
-            return NEG_INF if v == INF else w * x - lam * v
-
-        if lo > 0.0:
-            _, v2 = golden_max(
-                lambda t: scalar(math.exp(t)), math.log(lo), math.log(hi), tol=1e-11
-            )
-        else:
-            _, v2 = golden_max(scalar, lo, hi, tol=1e-13)
-        return max(float(obj[i]), v2)
-
-    # the upper reach matters when the dual objective decreases toward a
-    # lam -> inf limit, as it does for functions flat at level 1 on [0, 1]
     dmax = float(dens.max())
-    cands = {1.0} | {float(l) for l in np.geomspace(1e-4, 1e6, 33)}
-    if 0.0 < slope_inf < INF:
-        lam_min = dmax / slope_inf
-        cands |= {lam_min, lam_min * (1.0 + 1e-9), lam_min * 1.25, lam_min * 2.0, lam_min * 8.0}
-    slopes = _knot_slopes(phi)
-    cands |= {float(w) / s for s in slopes for w in dens if w > 0.0}
-    lam_list = sorted(c for c in cands if c > 0.0)
-    lagrangian = _lagrangian(inner, probs, dens)
     has_ray = phi.upper == INF and slope_inf < INF
 
     # x -> w x - lam Phi(x) grows without bound once w exceeds lam times
@@ -330,22 +317,63 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     def ray(lam):
         return dmax - lam * slope_inf > 1e-12 * max(1.0, dmax)
 
-    def dual(lam: float) -> float:
-        return INF if has_ray and ray(lam) else lagrangian(lam)
+    slopes = _knot_slopes(phi)
+    if slopes:
+        # the floors on the exact inner values are D itself at every kink
+        knots = [(x, y) for x, y in phi.points if x < phi.upper]
+        if phi.upper < INF:
+            knots.append((phi.upper, phi(phi.upper)))
+        xs_arr = np.array([0.0] + [x for x, _ in knots])
+        phi_grid = np.array([phi.at_zero] + [y for _, y in knots])
+        lam_list = sorted({float(w) / s for s in slopes for w in dens if w > 0.0})
+        d_seeds = _grid_floors(lam_list, xs_arr, phi_grid, probs, dens)
+        if has_ray:
+            d_seeds[ray(np.asarray(lam_list))] = INF
+        dmin = float(d_seeds.min(initial=INF))
+    else:
+        xs = [0.0] + [float(x) for x in np.geomspace(1e-9, top, 41)]
+        xs.extend(x for x, _ in phi.points if 0.0 < x < top)
+        xs = sorted(set(xs))
+        xs_arr = np.asarray(xs)
+        phi_grid = phi.eval_array(xs_arr)
 
-    floors = _grid_floors(lam_list, xs_arr, phi_grid, probs, dens)
-    if has_ray:
-        floors[ray(np.asarray(lam_list))] = INF
+        def inner(lam: float, w: float) -> float:
+            obj = w * xs_arr - lam * phi_grid
+            obj = np.where(np.isnan(obj), NEG_INF, obj)
+            i = int(np.argmax(obj))
+            lo = xs[max(i - 1, 0)]
+            hi = xs[min(i + 1, len(xs) - 1)]
 
-    # For a piecewise-linear Phi each inner sup sits at 0, a knot or upper,
-    # so D(lam) is piecewise linear where it is finite, with its kinks at
-    # w / s for the slopes s of Phi and (upper = inf) its edge at
-    # max(w) / s_end, all of them seeds.  The polish then only steps off
-    # the best seed by a relative 1e-9: at the edge the inner objective is
-    # flat out to X_CAP and rounds up by ~1e-10, just above it it is not.
-    # A fixed reach keeps the polish the same length whatever the spacing
-    # of the seeds around the minimum.
-    dmin = _seeded_min(dual, lam_list, 1e-11, reach=1e-9 if slopes else INF, floors=floors)
+            def scalar(x: float) -> float:
+                v = phi(x)
+                return NEG_INF if v == INF else w * x - lam * v
+
+            if lo > 0.0:
+                _, v2 = golden_max(
+                    lambda t: scalar(math.exp(t)), math.log(lo), math.log(hi), tol=1e-11
+                )
+            else:
+                _, v2 = golden_max(scalar, lo, hi, tol=1e-13)
+            return max(float(obj[i]), v2)
+
+        # the upper reach matters when the dual objective decreases toward a
+        # lam -> inf limit, as it does for functions flat at level 1 on [0, 1]
+        cands = {1.0} | {float(l) for l in np.geomspace(1e-4, 1e6, 33)}
+        if 0.0 < slope_inf < INF:
+            lam_min = dmax / slope_inf
+            cands |= {lam_min, lam_min * (1.0 + 1e-9), lam_min * 1.25, lam_min * 2.0, lam_min * 8.0}
+        lam_list = sorted(c for c in cands if c > 0.0)
+        lagrangian = _lagrangian(inner, probs, dens)
+
+        def dual(lam: float) -> float:
+            return INF if has_ray and ray(lam) else lagrangian(lam)
+
+        floors = _grid_floors(lam_list, xs_arr, phi_grid, probs, dens)
+        if has_ray:
+            floors[ray(np.asarray(lam_list))] = INF
+        dmin = _seeded_min(dual, lam_list, 1e-11, floors=floors)
+    if phi.upper < INF:
+        dmin = min(dmin, phi.upper * float(probs @ dens))
     if dmin == INF:
         return 0.0  # infinitely penalized: constraint never binds the objective
     if not (dmin > 0.0):
@@ -362,9 +390,13 @@ def alpha_penalty(phi: OrliczFunction, Q: MeasureChange) -> float:
     """alpha(Q) = exp(-sup{E_Q[Y] : E[Phi(e^Y)] <= 1}), 0 when the sup is inf.
 
     GA-convexity makes y -> Phi(e^y) convex, so the same separable
-    Lagrangian applies in log coordinates on the box [-YCAP, YCAP].
-    Positive growth at either box edge certifies an unbounded feasible
-    ray (the objective is concave), which sends the penalty to exactly 0.
+    Lagrangian applies in log coordinates on the box [-YCAP, YCAP],
+    summed in the canonical atom order (_canonical_atoms), with each
+    inner problem solved by grid plus Brent's search.  That holds for a
+    piecewise-linear Phi too: Phi(e^y) is not piecewise linear in y, so
+    its knots do not end the search as they do in beta_primal.  Positive
+    growth at either box edge certifies an unbounded feasible ray (the
+    objective is concave), which sends the penalty to exactly 0.
     Phi == 1 on all of [0, 1] forces Y <= 0, so the sup is 0 and alpha
     exactly 1, the infimum the Lagrangian only approaches as lam -> inf.
     As in beta_primal, a seed is solved only while its grid floor can
@@ -373,18 +405,24 @@ def alpha_penalty(phi: OrliczFunction, Q: MeasureChange) -> float:
     _require_ga_convex(phi)
     if phi.at_zero == 1.0:
         return 1.0
-    dens = np.asarray(Q.density, dtype=float)
-    probs = Q.space.probs_array()
+    probs, dens = _canonical_atoms(Q)
 
     ys = np.linspace(-YCAP, YCAP, 97)
     with np.errstate(over="ignore"):
         phi_e = phi.eval_array(np.exp(ys))
 
+    # the edge-growth test reads two grid points at each end; it runs first,
+    # with the grid's own float operations, so a multiplier it rejects (most
+    # polish steps for gm) costs no pass over the grid
+    edges = [(float(ys[j]), float(phi_e[j])) for j in (0, 1, -2, -1)]
+
     def inner(lam: float, w: float) -> float:
+        o = [w * y - lam * v for y, v in edges]
+        o = [NEG_INF if t != t else t for t in o]  # nan -> -inf, as on the grid
+        if o[0] > o[1] + GROWTH_EPS or o[3] > o[2] + GROWTH_EPS:
+            return INF
         obj = w * ys - lam * phi_e
         obj = np.where(np.isnan(obj), NEG_INF, obj)
-        if obj[0] > obj[1] + GROWTH_EPS or obj[-1] > obj[-2] + GROWTH_EPS:
-            return INF
         i = int(np.argmax(obj))
         lo = float(ys[max(i - 1, 0)])
         hi = float(ys[min(i + 1, len(ys) - 1)])

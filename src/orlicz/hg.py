@@ -40,7 +40,7 @@ match wins:
   with p < q, and the other knotted Phi continuous at 1): the arguments
   above confine the minimum to [min X, max X], or for a knotted Phi to
   [x_L, max X] with e the value left of it, which a coarse sweep plus a
-  golden-section polish searches.
+  polish by Brent's method (search.golden_min) searches.
 
 Any other Phi (a pwl that jumps at 1 or ends there, a family that states
 no facts) raises OrliczError.
@@ -183,8 +183,8 @@ def _atom_profile(g: Callable[[float], float], atoms: list[float]) -> tuple[tupl
 def _sweep(
     g: Callable[[float], float], lo: float, hi: float, tol: float
 ) -> tuple[float, float, tuple[tuple[float, float], ...]]:
-    """Coarse sweep of g on [lo, hi], then golden section around its best
-    point.  Returns (x, g(x), sweep)."""
+    """Coarse sweep of g on [lo, hi], then Brent's method (golden_min)
+    around its best point.  Returns (x, g(x), sweep)."""
     xs = np.linspace(lo, hi, COARSE_POINTS)
     gs = [g(float(x)) for x in xs]
     profile = tuple((float(x), float(v)) for x, v in zip(xs, gs))

@@ -5,8 +5,10 @@ checks the module entry point wiring.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -310,11 +312,16 @@ def test_stdout_is_deterministic(capsys, dist_csv):
 
 
 def test_module_entry_point(tmp_path):
+    # the child does not inherit pytest's pythonpath setting, so it is
+    # handed the source tree on PYTHONPATH, as the tier-1 command does
     data = write(tmp_path / "x.csv", "1\n2\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "orlicz.cli", "premium", "--phi", "power:1", "--data", str(data)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     env = json.loads(proc.stdout)

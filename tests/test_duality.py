@@ -155,10 +155,10 @@ KNOTTED_BATTERY = [phi for phi in CONVEX_BATTERY if phi.points] + [
 
 @pytest.mark.parametrize("phi", KNOTTED_BATTERY, ids=lambda phi: phi.spec_string())
 def test_kinked_beta_primal_polishes_next_to_its_best_seed(monkeypatch, phi):
-    # every kink of the piecewise-linear Lagrangian is a seed, so the lambda
-    # polish stays within a relative 1e-9 of the best one, however far away
-    # the neighbouring seeds are, and still meets the conjugate route; Phi
-    # == 1 on [0, 1] gives beta = 1 exactly, with no search at all
+    # each inner sup of a piecewise-linear Phi sits at 0, a knot or upper,
+    # so D(lam) is exact at every kink seed and its least seed value is the
+    # answer: no lambda polish runs, and the value meets the conjugate
+    # route to rounding; Phi == 1 on [0, 1] gives beta = 1 exactly
     widths = []
     polish = duality.golden_min
 
@@ -174,13 +174,10 @@ def test_kinked_beta_primal_polishes_next_to_its_best_seed(monkeypatch, phi):
             dens = rng.uniform(0.0, 4.0, n)
             Q = MeasureChange(FiniteProbabilitySpace(tuple(probs)), tuple(dens / (probs @ dens)))
             b_primal, b_conj = beta_primal(phi, Q), beta_conjugate(phi, Q)
-            assert b_conj - 5e-12 <= b_primal <= b_conj + 1e-14, (Q.density, b_primal, b_conj)
+            assert b_conj * (1.0 - 1e-14) <= b_primal <= b_conj + 1e-14, (Q.density, b_primal, b_conj)
             if phi.at_zero == 1.0:
                 assert b_primal == 1.0
-    if phi.at_zero == 1.0:
-        assert widths == []
-    else:
-        assert widths and max(widths) <= 2.0 * math.log1p(1e-9) * (1.0 + 1e-6)
+    assert widths == []
 
 
 @pytest.mark.parametrize(
@@ -216,8 +213,8 @@ def test_beta_primal_work_does_not_depend_on_atom_order(monkeypatch, phi):
 def _solve_every_seed(monkeypatch):
     seeded_min = duality._seeded_min
 
-    def every_seed(f, lams, tol, reach=INF, floors=None):
-        return seeded_min(f, lams, tol, reach)
+    def every_seed(f, lams, tol, floors=None):
+        return seeded_min(f, lams, tol)
 
     monkeypatch.setattr(duality, "_seeded_min", every_seed)
 
@@ -278,6 +275,81 @@ def test_beta_primal_floors_skip_a_third_of_the_inner_solves(monkeypatch):
         counts.append(solves)
     assert values[0] == values[1]
     assert counts[0] <= counts[1] * 2 / 3, counts
+
+
+def _count_inner_searches(monkeypatch):
+    calls = []
+    inner_max = duality.golden_max
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner_max(*args, **kwargs)
+
+    monkeypatch.setattr(duality, "golden_max", counting)
+    return calls
+
+
+def test_beta_primal_power_work_is_bounded(monkeypatch):
+    # golden section to 1e-11 made 236 inner solves here, 232 of them in the
+    # lambda polish; Brent's search stops once the Lagrangian is flat
+    calls = _count_inner_searches(monkeypatch)
+    Q = MeasureChange(FiniteProbabilitySpace((0.3, 0.3, 0.2, 0.2)), (0.5, 0.6, 0.8, 2.55))
+    beta = beta_primal(Power(2.0), Q)
+    assert len(calls) <= 80
+    assert beta == pytest.approx(beta_conjugate(Power(2.0), Q), rel=1e-15)
+
+
+@pytest.mark.parametrize("phi", KNOTTED_BATTERY, ids=lambda phi: phi.spec_string())
+def test_knotted_beta_primal_solves_no_inner_problem(monkeypatch, phi):
+    # each inner sup sits at 0, a knot or upper, and is read off there
+    calls = _count_inner_searches(monkeypatch)
+    rng = np.random.default_rng(59)
+    for n in (2, 5):
+        probs = rng.dirichlet(np.ones(n))
+        dens = rng.uniform(0.0, 4.0, n)
+        Q = MeasureChange(FiniteProbabilitySpace(tuple(probs)), tuple(dens / (probs @ dens)))
+        beta_primal(phi, Q)
+    assert calls == []
+
+
+@pytest.mark.parametrize("probs, dens", [((0.04, 0.96), (25.0, 0.0)), ((0.1, 0.9), (10.0, 0.0))])
+def test_capped_beta_primal_takes_the_zero_multiplier(probs, dens):
+    # X = upper = 5 on the charged atom costs E[Phi(X)] = p * Phi(5) <= 1, so
+    # sup E_Q[X] = 5 and beta = 1 / upper: D(0) = upper * E_P[dQ/dP], the
+    # lam -> 0 end that no positive seed reaches
+    phi = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)], upper=5.0)
+    Q = MeasureChange(FiniteProbabilitySpace(probs), dens)
+    assert beta_primal(phi, Q) == 0.2
+    assert beta_conjugate(phi, Q) == 0.2
+
+
+def test_breakpoint_minimum_matches_scalar_conjugates():
+    # one array pass of Psi per candidate set is the scalar conjugate at
+    # every (lam, atom), to the bit
+    rng = np.random.default_rng(61)
+    for i in range(60):
+        phi = KNOTTED_BATTERY[i % len(KNOTTED_BATTERY)]
+        if phi.at_zero == 1.0:
+            continue
+        n = int(rng.integers(2, 9))
+        probs = rng.dirichlet(np.ones(n))
+        dens = rng.uniform(0.0, 4.0, n)
+        if i % 3 == 0:
+            dens[rng.integers(0, n)] = 0.0
+        dens = dens / (probs @ dens)
+        slopes = duality._knot_slopes(phi)
+        s_end = max(slopes)
+        capped = phi.upper < INF
+        edge = INF if capped else s_end / float(dens.max())
+        cands = {s / w for s in slopes for w in dens.tolist() if w > 0.0 and s / w <= edge}
+        if 0.0 < edge < INF:
+            cands.add(edge)
+        want = phi.upper
+        for lam in cands:
+            y = lam * dens if capped else np.minimum(lam * dens, s_end)
+            psi = np.array([conjugate(phi, v) for v in y.tolist()])
+            want = min(want, (1.0 + float(probs @ psi)) / lam)
+        assert duality._breakpoint_dual_min(phi, dens, probs) == want
 
 
 def test_alpha_penalty_work_does_not_depend_on_rounding_in_the_densities(monkeypatch):
@@ -369,12 +441,12 @@ def test_penalty_values_are_pinned_to_the_bit():
     Q = MeasureChange(FiniteProbabilitySpace((0.2, 0.3, 0.5)), (2.5, 0.25, 0.85))
     pwl = PiecewiseLinear([(0.5, 0.5), (1.0, 1.0), (2.0, 3.0)])
     assert float(beta_primal(Power(2.0), Q)) == 0.7832604499879573
-    assert float(beta_primal(Expectile(0.8), Q)) == 0.8988764044943727
+    assert float(beta_primal(Expectile(0.8), Q)) == 0.898876404494382
     assert float(beta_primal(pwl, Q)) == 0.8
     assert float(beta_conjugate(pwl, Q)) == 0.8
     assert alpha_penalty(GeometricMean(), Q) == 0.0
-    assert alpha_penalty(Power(0.5), Q) == 0.5654092421545872
-    assert alpha_penalty(Expectile(0.8), Q) == 0.9665463995862634
+    assert alpha_penalty(Power(0.5), Q) == 0.5654092421545873
+    assert alpha_penalty(Expectile(0.8), Q) == 0.9665463995862633
     # Power(1) takes the knot routes: knots (0, 0) and (1, 1), slope 1
     assert beta_conjugate(Power(1.0), Q) == 0.4
     assert float(beta_primal(Power(1.0), Q)) == 0.4
