@@ -257,13 +257,11 @@ def _breakpoint_dual_min(phi: OrliczFunction, dens: np.ndarray, probs: np.ndarra
     cands = {s / w for s in slopes for w in dens.tolist() if w > 0.0 and s / w <= edge}
     if 0.0 < edge < INF:
         cands.add(edge)
-    lams = list(cands)
-    y = np.multiply.outer(lams, dens)
-    # one array pass gives Psi(lam w_i) for every candidate lam and atom
-    psi = conjugate(phi, y if capped else np.minimum(y, s_end))
     best = phi.upper
-    for lam, row in zip(lams, psi):
-        best = min(best, (1.0 + float(np.dot(probs, row))) / lam)
+    for lam in cands:
+        y = lam * dens if capped else np.minimum(lam * dens, s_end)
+        psi = np.array([conjugate(phi, v) for v in y.tolist()])
+        best = min(best, (1.0 + float(probs @ psi)) / lam)
     return best
 
 
@@ -284,10 +282,11 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     finite upper, D(0) = upper * E_P[dQ/dP] is the lam -> 0 end.
 
     For a piecewise-linear Phi (_knot_slopes non-empty) each inner sup
-    sits at 0, at a knot or at a finite upper, so D is evaluated there
-    exactly, and D is piecewise linear with its kinks at w / s for the
-    slopes s of Phi: its minimum over those kinks (and lam = 0) is the
-    answer, with no search at all.
+    sits at 0, at a knot below a finite upper or at upper itself
+    (phi._sup_points, which the conjugate reads too), so D is evaluated
+    there exactly, and D is piecewise linear with its kinks at w / s for
+    the slopes s of Phi: its minimum over those kinks (and lam = 0) is
+    the answer, with no search at all.
 
     Any other Phi solves each inner problem, concave in x (Phi convex),
     by grid plus Brent's search on [0, min(X_CAP, upper)].  Each inner
@@ -320,11 +319,7 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     slopes = _knot_slopes(phi)
     if slopes:
         # the floors on the exact inner values are D itself at every kink
-        knots = [(x, y) for x, y in phi.points if x < phi.upper]
-        if phi.upper < INF:
-            knots.append((phi.upper, phi(phi.upper)))
-        xs_arr = np.array([0.0] + [x for x, _ in knots])
-        phi_grid = np.array([phi.at_zero] + [y for _, y in knots])
+        xs_arr, phi_grid = np.array(phi._sup_points).T
         lam_list = sorted({float(w) / s for s in slopes for w in dens if w > 0.0})
         d_seeds = _grid_floors(lam_list, xs_arr, phi_grid, probs, dens)
         if has_ray:

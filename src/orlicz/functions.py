@@ -78,9 +78,8 @@ class OrliczFunction(ABC):
     holder_exponent: ClassVar[Optional[float]] = None
     # xs -> the right derivative Phi'_+ at each entry (+inf at an upward jump)
     derivative: ClassVar[Optional[Callable[[np.ndarray], np.ndarray]]] = None
-    # y -> Psi(y) = sup_x (x*y - Phi(x)) for y >= 0, entrywise on an array;
-    # holds where convex_flag is True, which conjugate() checks before it
-    # calls this
+    # y -> Psi(y) = sup_x (x*y - Phi(x)) for y >= 0; holds where convex_flag
+    # is True, which conjugate() checks before it calls this
     conjugate: ClassVar[Optional[Callable[[float], float]]] = None
     # (values, probs) -> lim of x + H((X - x)_+) as x -> -inf when that limit
     # is the HG infimum, else None
@@ -118,6 +117,24 @@ class OrliczFunction(ABC):
         off derivative at 0 and at the knots.
         """
         return ()
+
+    @cached_property
+    def _sup_points(self) -> tuple[tuple[float, float], ...]:
+        """(x, Phi(x)) for a piecewise-linear Phi at its knots below a
+        finite upper, at upper itself, then at 0.
+
+        Phi is linear between the knots, so a sup over x of w*x - lam*Phi(x)
+        sits at one of these points or runs away past the last knot: the
+        conjugate and beta_primal's inner problems read it here.  The knots
+        at upper give way to upper's own row: a jump there restarts Phi at
+        a value no point of the domain takes.
+        """
+        upper = self.upper
+        rows = [(x, v) for x, v in self.points if x < upper]
+        if upper < INF:
+            rows.append((upper, self(upper)))
+        rows.append((0.0, self.at_zero))
+        return tuple(rows)
 
     @property
     @abstractmethod
@@ -739,15 +756,14 @@ def midpoint_gaps(
 
 
 def conjugate(phi: OrliczFunction, y: float) -> float:
-    """Psi(y) = sup_{x >= 0} (x*y - Phi(x)) for convex phi and y >= 0,
-    entrywise when y is an array.
+    """Psi(y) = sup_{x >= 0} (x*y - Phi(x)) for convex phi and y >= 0.
 
     Checks y and the convexity flag, then calls the family's closed form
     phi.conjugate, which every convex built-in states (for PiecewiseLinear,
     the maximum over 0, the knots and a finite upper).  +inf means the
     supremum runs away.
     """
-    if (y < 0).any() if isinstance(y, np.ndarray) else y < 0:
+    if y < 0:
         raise DomainError(f"conjugate argument must be nonnegative, got {y!r}")
     if phi.convex_flag is not True:
         raise NotConvexError(
@@ -759,33 +775,16 @@ def conjugate(phi: OrliczFunction, y: float) -> float:
 
 
 def _knot_conjugate(phi: OrliczFunction, end_slope: float, y: float) -> float:
-    """Psi(y) for a piecewise-linear Phi whose last piece has slope end_slope;
-    entrywise when y is an array.
+    """Psi(y) for a piecewise-linear Phi whose last piece has slope end_slope.
 
     x*y - Phi(x) is linear between the knots and beyond the last one, so
-    its sup sits at a knot, at a finite upper or at 0, or runs away.  A
-    tie goes to the earliest term: a scalar y with a knot (0, 0) gives
-    +0.0 where -Phi(0) would give -0.0.
+    its sup is the maximum over phi._sup_points, or runs away.  A tie
+    goes to the earliest point: a knot (0, 0) gives +0.0 where -Phi(0)
+    would give -0.0.
     """
-    if isinstance(y, np.ndarray):
-        ends = list(phi.points)
-        if phi.upper < INF:
-            ends.append((phi.upper, phi(phi.upper)))
-        # the terms at x = 0 are constants: fold them into one scalar
-        psi = max([-phi.at_zero] + [-v for x, v in ends if x == 0.0])
-        for x, v in ends:
-            if x != 0.0:
-                psi = np.maximum(psi, x * y - v)
-        if phi.upper == INF:
-            psi = np.where(y > end_slope, INF, psi)
-        return psi if np.shape(psi) == y.shape else np.full(y.shape, psi)
     if phi.upper == INF and y > end_slope:
         return INF
-    ends = [x * y - v for x, v in phi.points]
-    if phi.upper < INF:
-        ends.append(phi.upper * y - phi(phi.upper))
-    ends.append(-phi.at_zero)
-    return max(ends)
+    return max([x * y - v for x, v in phi._sup_points])
 
 
 def piecewise_linear_from_text(text: str) -> PiecewiseLinear:

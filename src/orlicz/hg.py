@@ -192,7 +192,11 @@ def _sweep(
     best_x, best_v = float(xs[i]), float(gs[i])
     blo = float(xs[max(i - 1, 0)])
     bhi = float(xs[min(i + 1, len(xs) - 1)])
-    x2, v2 = golden_min(g, blo, bhi, tol=max(tol, 1e-13))
+    # the polish starts from two sweep points: their premiums are known
+    swept = dict(profile)
+    x2, v2 = golden_min(
+        lambda x: swept[x] if x in swept else g(x), blo, bhi, tol=max(tol, 1e-13)
+    )
     if v2 < best_v:
         best_x, best_v = float(x2), float(v2)
     return best_x, best_v, profile

@@ -51,9 +51,11 @@ def golden_max(
     parabolic step checks the parabola against f: a value that misses
     the parabola by more than the change the parabola predicted (and
     MODEL_ULPS ulps of rounding) shows a kink, or noise in f beyond
-    rounding.  Comparing two values at a distance the noise can swamp
-    could then move the bracket past the optimum, so that step leaves
-    the bracket alone, and golden-section steps alone close it.
+    rounding, and golden-section steps alone close the bracket from
+    there.  A vertex next to an end of the bracket is taken two least
+    steps inside that end, not a least step from x as in Brent's
+    original: values a least step apart may differ by noise alone, and
+    that comparison would cut off the rest of the bracket.
     """
     best_x, best_v = lo, f(lo)
     v_hi = f(hi)
@@ -93,8 +95,7 @@ def golden_max(
                 # the step before last, so the steps shrink at least geometrically
                 if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
                     e, d = d, p / q
-                    if x + d - a < 2.0 * step or b - x - d < 2.0 * step:
-                        d = step if mid >= x else -step
+                    d = min(max(d, a + 2.0 * step - x), b - 2.0 * step - x)
                     parabolic = True
                     model = close
         if not parabolic:
@@ -111,20 +112,17 @@ def golden_max(
             slope = (fw - fx) / (w - x)
             at_u = fx + (u - x) * (slope + (u - w) * ((fv - fw) / (v - w) - slope) / (v - x))
             smooth = abs(fu - at_u) <= abs(at_u - fx) + MODEL_ULPS * math.ulp(fx)
-        moves = smooth or not parabolic  # whether this comparison moves the bracket
         if fu >= fx:
-            if moves:
-                if u >= x:
-                    a = x
-                else:
-                    b = x
+            if u >= x:
+                a = x
+            else:
+                b = x
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            if moves:
-                if u < x:
-                    a = u
-                else:
-                    b = u
+            if u < x:
+                a = u
+            else:
+                b = u
             if fu >= fw or w == x:
                 v, fv, w, fw = w, fw, u, fu
             elif fu >= fv or v == x or v == w:

@@ -323,33 +323,13 @@ def test_capped_beta_primal_takes_the_zero_multiplier(probs, dens):
     assert beta_conjugate(phi, Q) == 0.2
 
 
-def test_breakpoint_minimum_matches_scalar_conjugates():
-    # one array pass of Psi per candidate set is the scalar conjugate at
-    # every (lam, atom), to the bit
-    rng = np.random.default_rng(61)
-    for i in range(60):
-        phi = KNOTTED_BATTERY[i % len(KNOTTED_BATTERY)]
-        if phi.at_zero == 1.0:
-            continue
-        n = int(rng.integers(2, 9))
-        probs = rng.dirichlet(np.ones(n))
-        dens = rng.uniform(0.0, 4.0, n)
-        if i % 3 == 0:
-            dens[rng.integers(0, n)] = 0.0
-        dens = dens / (probs @ dens)
-        slopes = duality._knot_slopes(phi)
-        s_end = max(slopes)
-        capped = phi.upper < INF
-        edge = INF if capped else s_end / float(dens.max())
-        cands = {s / w for s in slopes for w in dens.tolist() if w > 0.0 and s / w <= edge}
-        if 0.0 < edge < INF:
-            cands.add(edge)
-        want = phi.upper
-        for lam in cands:
-            y = lam * dens if capped else np.minimum(lam * dens, s_end)
-            psi = np.array([conjugate(phi, v) for v in y.tolist()])
-            want = min(want, (1.0 + float(probs @ psi)) / lam)
-        assert duality._breakpoint_dual_min(phi, dens, probs) == want
+def test_beta_routes_agree_past_a_restart_row_at_upper():
+    # Phi jumps at upper = 2 to a restart value no point of [0, 2] takes;
+    # X = (1.5, 0) has E[Phi(X)] = 1 and E_Q[X] = 1.2, so beta = 1 / 1.2
+    phi = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0), (2.0, 1.0)], upper=2.0)
+    Q = MeasureChange(FiniteProbabilitySpace((0.5, 0.5)), (1.6, 0.4))
+    assert beta_primal(phi, Q) == pytest.approx(1.0 / 1.2, rel=1e-14)
+    assert beta_conjugate(phi, Q) == pytest.approx(1.0 / 1.2, rel=1e-14)
 
 
 def test_alpha_penalty_work_does_not_depend_on_rounding_in_the_densities(monkeypatch):

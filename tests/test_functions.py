@@ -414,6 +414,30 @@ def test_convex_pwl_conjugate_matches_the_grid():
     assert conjugate(phi, 3.5) == INF
 
 
+def test_capped_pwl_conjugate_skips_the_restart_row_at_upper():
+    # the jump at upper = 2 restarts Phi at 1 only past the domain: Phi(2)
+    # is 3, so the sup of 1.5 x - Phi(x) over [0, 2] is 0.5, at x = 1
+    phi = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0), (2.0, 1.0)], upper=2.0)
+    assert phi.convex_flag is True and phi(2.0) == 3.0
+    assert conjugate(phi, 1.5) == 0.5
+    assert conjugate(phi, 4.0) == 5.0  # at upper: 4 * 2 - 3
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        Power(1.0),
+        PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)]),
+        PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)], upper=5.0),
+    ],
+    ids=lambda phi: phi.spec_string(),
+)
+def test_knotted_conjugate_at_zero_is_positive_zero(phi):
+    # a tie goes to the earliest point, so the knot (0, 0) gives +0.0
+    # where -Phi(0) alone would give -0.0
+    assert math.copysign(1.0, conjugate(phi, 0.0)) == 1.0
+
+
 def _conjugate_numeric(phi, y, x_cap=1e6):
     # 257 log-spaced points on (0, x_cap], 0 and the knots, then a golden
     # polish in log x around the best; +inf when the objective at x_cap
