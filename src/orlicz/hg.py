@@ -56,7 +56,7 @@ import numpy as np
 
 from .base import INF, NEG_INF, OrliczError
 from .functions import GeometricMean, OrliczFunction
-from .premium import _ensure_admissible, _expectile_signed, orlicz_premium
+from .premium import _ensure_admissible, _lp_quantile_exact, orlicz_premium
 from .prob import RandomVariable, rv
 from .search import golden_min
 
@@ -151,7 +151,7 @@ def _linear_tail(
     if knots and phi(1.0) == 1.0:
         s_up, s_down = phi.derivative(np.array([1.0, math.nextafter(1.0, 0.0)])).tolist()
         if math.isfinite(s_up):  # else a jump at 1, or upper == 1
-            e = _expectile_signed(X.values, X.space.probs, s_up / (s_up + s_down))
+            e = _lp_quantile_exact(X.values, X.space.probs, s_up / (s_up + s_down), 1)
             d_up = min([x for x in knots if x > 1.0] + [phi.upper]) - 1.0
             d_down = 1.0 - max([x for x in knots if x < 1.0] + [0.0])
             return e - max((hi - e) / d_up, (e - lo) / d_down), e

@@ -8,10 +8,12 @@ solver, in one table (_SOLVERS) of private solvers that exploit its
 structure: closed forms for the norms and quantiles, and one solver
 (_two_branch) for the loss 1 + a(x-1)_+^p - b(x-1)_-^q shared by the
 expectile, lp and lpq.  b = 0 gives the essential supremum.  p = q gives
-the L^p-quantile at level a/(a+b): an exact segment solve for p in
-{1, 2}, a bisection of its root equation for other p.  Only lpq with
-p != q bisects its scaled inequality.  The generic and dedicated routes
-agree to solver tolerance and cross-check each other in the tests.
+the L^p-quantile at level a/(a+b): for p in {1, 2} one exact walk over
+the atoms (_lp_quantile_exact, which first scales atoms of 2**510 or
+more down by a power of two), for other p a bisection of its root
+equation.  Only lpq with p != q bisects its scaled inequality.  The
+generic and dedicated routes agree to solver tolerance and cross-check
+each other in the tests.
 
 cash_additivity_probe measures how the premium answers cash shifts and
 compares the result with the family's claim, phi.cash_behavior.
@@ -52,11 +54,10 @@ from .prob import (
 from .search import bisect_root_decreasing, bisect_smallest_feasible
 
 LOWER_FLOOR = 1e-300
-# From this many outcomes the quantile route reads prob.sorted_law's arrays;
-# below it the tuple law costs less.  Measured per call on a 2-core Xeon VM:
-# 4-7 us against 13-18 us at n = 2-8, about even at n = 24, 18-22 us
-# against 20-44 us at n = 32-63.
-QUANTILE_ARRAY_MIN = 32
+# Atoms below 2**WALK_EXP in magnitude keep every square, h term and
+# discriminant of the exact L^p-quantile walk below 2**1023
+WALK_EXP = 510
+WALK_TOP = 2.0 ** WALK_EXP
 CASH_TOL = 1e-8  # |delta| below this reads as cash-additive
 
 
@@ -251,56 +252,80 @@ def _running(first: float, terms: np.ndarray, op: np.ufunc) -> np.ndarray:
     return op.accumulate(np.concatenate(([first], terms)))[1:]
 
 
-def _expectile_signed(values: Sequence[float], probs: Sequence[float], alpha: float) -> float:
-    """Exact expectile of a finite (possibly signed) distribution.
+def _lp_quantile_exact(
+    values: Sequence[float], probs: Sequence[float], alpha: float, p: float
+) -> float:
+    """Exact L^p-quantile at level alpha, p in {1, 2}, of a finite (possibly signed) law.
 
-    Solves alpha*E[(X-k)_+] = (1-alpha)*E[(k-X)_+]; the left side minus
-    the right is piecewise linear and strictly decreasing in k, so the
-    root is located segment by segment and solved in closed form.
+    h(k) = alpha*E[(X-k)_+^p] - (1-alpha)*E[(k-X)_+^p] is strictly
+    decreasing, of degree p in k between atoms.  The walk keeps the sums
+    of p_i*v_i^m, m <= p, above (a) and below (b) each atom, and solves
+    the first segment whose end has h <= 0.  When an atom reaches
+    2**WALK_EXP in magnitude, all are first scaled down by a power of two,
+    exactly for every atom of magnitude 2**-508 or more.
     """
     vs, ps = _aggregate(values, probs)
     if len(vs) == 1:
         return float(vs[0])
-    if len(values) >= VECTOR_MIN:
-        return _expectile_sweep(vs, ps, alpha)
-    above_m = math.fsum(p * v for p, v in zip(ps, vs))
-    above_p = 1.0
-    below_m = 0.0
-    below_p = 0.0
-    for j in range(len(vs) - 1):
-        below_m += ps[j] * vs[j]
-        below_p += ps[j]
-        above_m -= ps[j] * vs[j]
-        above_p -= ps[j]
-        nxt = vs[j + 1]
-        h_next = alpha * (above_m - nxt * above_p) - (1.0 - alpha) * (nxt * below_p - below_m)
-        if h_next <= 0.0:
-            k = (alpha * above_m + (1.0 - alpha) * below_m) / (
-                alpha * above_p + (1.0 - alpha) * below_p
-            )
-            return min(max(k, vs[j]), nxt)
-    return vs[-1]
-
-
-def _expectile_sweep(vs: np.ndarray, ps: np.ndarray, alpha: float) -> float:
-    """The loop of _expectile_signed on arrays: its running sums at every j at once."""
-    pv = ps * vs
-    head, ph = pv[:-1], ps[:-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        above_m = _running(math.fsum(pv.tolist()), head, np.subtract)
-        above_p = _running(1.0, ph, np.subtract)
-        below_m = _running(0.0, head, np.add)
-        below_p = _running(0.0, ph, np.add)
+    top, shift = max(-vs[0], vs[-1]), 0
+    if top >= WALK_TOP:
+        shift = math.frexp(top)[1] - WALK_EXP
+        scale = 2.0 ** -shift
+        vs = vs * scale if isinstance(vs, np.ndarray) else [v * scale for v in vs]
+    beta = 1.0 - alpha
+    if len(values) >= VECTOR_MIN:  # the loop's running sums, all at once
+        w, wv = ps[:-1], ps * vs
+        a0, b0 = _running(1.0, w, np.subtract), _running(0.0, w, np.add)
+        a1 = _running(math.fsum(wv.tolist()), wv[:-1], np.subtract)
+        b1 = _running(0.0, wv[:-1], np.add)
         nxt = vs[1:]
-        h_next = alpha * (above_m - nxt * above_p) - (1.0 - alpha) * (nxt * below_p - below_m)
-    hits = np.flatnonzero(h_next <= 0.0)
-    if hits.size == 0:
-        return float(vs[-1])
-    j = int(hits[0])
-    k = (alpha * float(above_m[j]) + (1.0 - alpha) * float(below_m[j])) / (
-        alpha * float(above_p[j]) + (1.0 - alpha) * float(below_p[j])
-    )
-    return min(max(k, float(vs[j])), float(nxt[j]))
+        if p == 1:
+            h = alpha * (a1 - nxt * a0) - beta * (nxt * b0 - b1)
+        else:
+            # Python's float power, as in the loop: pow(v, 2) and v * v
+            # differ in the last bit for some v
+            w2 = w * np.array([v ** 2 for v in vs[:-1].tolist()])
+            a2 = _running(math.fsum((wv * vs).tolist()), w2, np.subtract)
+            b2 = _running(0.0, w2, np.add)
+            h = alpha * (a2 - 2.0 * nxt * a1 + nxt * nxt * a0) - beta * (
+                nxt * nxt * b0 - 2.0 * nxt * b1 + b2
+            )
+        hits = np.flatnonzero(h <= 0.0)
+        if hits.size == 0:
+            return math.ldexp(float(vs[-1]), shift)
+        j = int(hits[0])
+        a0, a1, b0, b1 = (float(s[j]) for s in (a0, a1, b0, b1))
+        if p == 2:
+            a2, b2 = float(a2[j]), float(b2[j])
+    else:
+        a0, a1 = 1.0, math.fsum(w * v for w, v in zip(ps, vs))
+        a2 = math.fsum(w * v * v for w, v in zip(ps, vs)) if p == 2 else 0.0
+        b0 = b1 = b2 = 0.0
+        for j in range(len(vs) - 1):
+            w, wv, nxt = ps[j], ps[j] * vs[j], vs[j + 1]
+            b0 += w
+            b1 += wv
+            a0 -= w
+            a1 -= wv
+            if p == 1:
+                h = alpha * (a1 - nxt * a0) - beta * (nxt * b0 - b1)
+            else:
+                w2 = w * vs[j] ** 2
+                b2 += w2
+                a2 -= w2
+                h = alpha * (a2 - 2.0 * nxt * a1 + nxt * nxt * a0) - beta * (
+                    nxt * nxt * b0 - 2.0 * nxt * b1 + b2
+                )
+            if h <= 0.0:
+                break
+        else:
+            return math.ldexp(vs[-1], shift)
+    if p == 1:
+        c2, c1, c0 = 0.0, -alpha * a0 - beta * b0, alpha * a1 + beta * b1
+    else:
+        c2, c1 = alpha * a0 - beta * b0, -2.0 * alpha * a1 + 2.0 * beta * b1
+        c0 = alpha * a2 - beta * b2
+    return math.ldexp(_quadratic_root_in(c2, c1, c0, vs[j], vs[j + 1]), shift)
 
 
 def _two_branch(
@@ -323,10 +348,8 @@ def _two_branch(
     if p == q:
         alpha = a / (a + b)
         values, weights = _columns(X)
-        if p == 1.0:
-            return _expectile_signed(values, weights, alpha), None, 0
-        if p == 2.0:
-            return _lp2_exact(values, weights, alpha), None, 0
+        if p in (1.0, 2.0):
+            return _lp_quantile_exact(values, weights, alpha, p), None, 0
         vs, ps = _aggregate(values, weights)
         if len(vs) == 1:
             return float(vs[0]), None, 0
@@ -355,81 +378,10 @@ def _two_branch(
     return value, (blo, bhi), iters
 
 
-def _lp2_exact(values: Sequence[float], probs: Sequence[float], alpha: float) -> float:
-    vs, ps = _aggregate(values, probs)
-    if len(vs) == 1:
-        return float(vs[0])
-    if len(values) >= VECTOR_MIN:
-        value = _lp2_sweep(vs, ps, alpha)
-        if value is not None:
-            return value
-        vs, ps = vs.tolist(), ps.tolist()
-    a1 = math.fsum(p * v for p, v in zip(ps, vs))
-    a2 = math.fsum(p * v * v for p, v in zip(ps, vs))
-    ap = 1.0
-    b1 = b2 = bp = 0.0
-    beta = 1.0 - alpha
-    for j in range(len(vs) - 1):
-        b1 += ps[j] * vs[j]
-        b2 += ps[j] * vs[j] ** 2
-        bp += ps[j]
-        a1 -= ps[j] * vs[j]
-        a2 -= ps[j] * vs[j] ** 2
-        ap -= ps[j]
-        nxt = vs[j + 1]
-        h_next = alpha * (a2 - 2.0 * nxt * a1 + nxt * nxt * ap) - beta * (
-            nxt * nxt * bp - 2.0 * nxt * b1 + b2
-        )
-        if h_next <= 0.0:
-            c2 = alpha * ap - beta * bp
-            c1 = -2.0 * alpha * a1 + 2.0 * beta * b1
-            c0 = alpha * a2 - beta * b2
-            return _quadratic_root_in(c2, c1, c0, vs[j], nxt)
-    return vs[-1]
-
-
-def _lp2_sweep(vs: np.ndarray, ps: np.ndarray, alpha: float) -> Optional[float]:
-    """The loop of _lp2_exact on arrays; None when a square overflows.
-
-    The squares come from Python's float power, as in the loop: pow(v, 2)
-    and v * v differ in the last bit for some v.  Python's power raises
-    OverflowError where numpy would give inf, and the loop raises it only
-    if its walk reaches that atom, so an overflow hands back to the loop.
-    """
-    try:
-        sq = np.array([v ** 2 for v in vs[:-1].tolist()])
-    except OverflowError:
-        return None
-    beta = 1.0 - alpha
-    pv, p2 = ps * vs, ps[:-1] * sq
-    head, ph = pv[:-1], ps[:-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        a1 = _running(math.fsum(pv.tolist()), head, np.subtract)
-        a2 = _running(math.fsum((pv * vs).tolist()), p2, np.subtract)
-        ap = _running(1.0, ph, np.subtract)
-        b1 = _running(0.0, head, np.add)
-        b2 = _running(0.0, p2, np.add)
-        bp = _running(0.0, ph, np.add)
-        nxt = vs[1:]
-        h_next = alpha * (a2 - 2.0 * nxt * a1 + nxt * nxt * ap) - beta * (
-            nxt * nxt * bp - 2.0 * nxt * b1 + b2
-        )
-    hits = np.flatnonzero(h_next <= 0.0)
-    if hits.size == 0:
-        return float(vs[-1])
-    j = int(hits[0])
-    a1j, a2j, apj, b1j, b2j, bpj = (float(x[j]) for x in (a1, a2, ap, b1, b2, bp))
-    c2 = alpha * apj - beta * bpj
-    c1 = -2.0 * alpha * a1j + 2.0 * beta * b1j
-    c0 = alpha * a2j - beta * b2j
-    return _quadratic_root_in(c2, c1, c0, float(vs[j]), float(nxt[j]))
-
-
 def _quadratic_root_in(c2: float, c1: float, c0: float, lo: float, hi: float) -> float:
-    span = max(abs(lo), abs(hi), 1.0)
     if abs(c2) < 1e-14:
-        k = -c0 / c1
-        return min(max(k, lo), hi)
+        return min(max(-c0 / c1, lo), hi)
+    span = max(abs(lo), abs(hi), 1.0)
     disc = c1 * c1 - 4.0 * c2 * c0
     disc = max(disc, 0.0)
     sq = math.sqrt(disc)
@@ -448,12 +400,12 @@ def _quadratic_root_in(c2: float, c1: float, c0: float, lo: float, hi: float) ->
 def _left_quantile(X: RandomVariable, alpha: float) -> float:
     """prob.quantile of X's law, to the bit.
 
-    From QUANTILE_ARRAY_MIN outcomes on it reads the arrays of
+    From VECTOR_MIN outcomes on it reads the arrays of
     prob.sorted_law, which merges ties as the law does, instead of
     building a DiscreteDistribution that would turn them into tuples and
     back.
     """
-    if X.space.n < QUANTILE_ARRAY_MIN:
+    if X.space.n < VECTOR_MIN:
         return quantile(distribution_of(X), alpha)
     vs, ps = sorted_law(X.values_array(), X.space.probs_array())
     return float(vs[quantile_index(ps, alpha)])
@@ -470,7 +422,7 @@ def _geometric_expectile(X: RandomVariable, a: float, b: float) -> float:
     # library's in the last bit (1,937 of 1e6 lognormal(0, 1.5) draws with
     # numpy 2.4.6 on an AVX-512 x86-64 CPU), which would change the premium
     logs = list(map(math.log, X.values))
-    return math.exp(_expectile_signed(logs, _columns(X)[1], a / (a + b)))
+    return math.exp(_lp_quantile_exact(logs, _columns(X)[1], a / (a + b), 1))
 
 
 # family -> (route name, solver(phi, X, values, probs, tol) -> (premium,

@@ -25,7 +25,7 @@ from orlicz import (
     rv,
 )
 from orlicz.hg import COARSE_POINTS
-from orlicz.premium import _expectile_signed
+from orlicz.premium import _lp_quantile_exact
 
 # families whose premium is cash-additive, so rho(X) = H(X) = g(min X)
 CASH_ADDITIVE = (
@@ -101,7 +101,7 @@ def test_convex_pwl_far_tail_is_its_expectile():
 
 
 def _expectile(X, tau):
-    return _expectile_signed(X.values, X.space.probs, tau)
+    return _lp_quantile_exact(X.values, X.space.probs, tau, 1)
 
 
 # convex pwl, continuous at 1: knots on both sides, close to 1, at 0, and a

@@ -147,3 +147,7 @@ def test_ladder_helpers_stay_deleted():
     assert not hasattr(hg, "_refine_min")
     # a one-line wrapper over phi.validation
     assert not hasattr(functions, "validate") and "validate" not in orlicz.__all__
+    # the two walks of the exact L^p-quantile that _lp_quantile_exact
+    # replaced, and the quantile route's own size cutoff, now VECTOR_MIN
+    walks = {"_expectile_signed", "_expectile_sweep", "_lp2_exact", "_lp2_sweep"}
+    assert not (walks | {"QUANTILE_ARRAY_MIN"}) & set(vars(premium))

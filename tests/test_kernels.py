@@ -53,7 +53,7 @@ def test_closed_forms_bit_equal(monkeypatch, n):
         for alpha in (0.05, 0.3, 0.5, 0.8, 0.97):
             got = both_paths(
                 monkeypatch,
-                lambda: premium._expectile_signed(*premium._columns(rv(values, probs)), alpha),
+                lambda: premium._lp_quantile_exact(*premium._columns(rv(values, probs)), alpha, 1),
             )
             assert got[0] == got[1], (n, alpha)
             for p in (1.0, 2.0, 1.5):
@@ -92,6 +92,11 @@ def test_lp2_overflowing_square_beyond_the_root(monkeypatch):
     got = both_paths(monkeypatch, lambda: two_branch(LpQuantile(0.5, 2.0), rv(values, probs)))
     assert got[0] == got[1]
     assert 1.0 <= got[0] <= 2.0
+    # here the root lies past 1.5e154, so the walk squares it
+    probs = [0.05 / 100] * 100 + [0.05 / 2] * 2 + [0.45, 0.45]
+    got = both_paths(monkeypatch, lambda: two_branch(LpQuantile(0.99, 2.0), rv(values, probs)))
+    assert got[0] == got[1]
+    assert 1.5e154 <= got[0] <= 1.6e154
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -99,7 +104,7 @@ def test_signed_expectile_bit_equal(monkeypatch, n):
     rng = np.random.default_rng(100 + n)
     values, probs = tied_sample(rng, n, signed=True)
     for alpha in (0.1, 0.5, 0.9):
-        got = both_paths(monkeypatch, lambda: premium._expectile_signed(values, probs, alpha))
+        got = both_paths(monkeypatch, lambda: premium._lp_quantile_exact(values, probs, alpha, 1))
         assert got[0] == got[1]
 
 

@@ -189,7 +189,7 @@ def test_quantile_premium_homogeneous_at_small_and_large_scale():
 
 
 def _weighted_draws():
-    # lognormal draws on both sides of QUANTILE_ARRAY_MIN, and rounded
+    # lognormal draws on both sides of VECTOR_MIN, and rounded
     # uniform ones with ties, each with normalized uniform(0.5, 1.5) weights
     rng = np.random.default_rng(5)
     samples = [rng.lognormal(0.0, 1.5, n) for n in (1, 2, 5, 8, 63, 500)]
@@ -200,7 +200,7 @@ def _weighted_draws():
 
 
 def test_quantile_route_reads_the_law_to_the_bit():
-    # from QUANTILE_ARRAY_MIN outcomes on the route skips the
+    # from VECTOR_MIN outcomes on the route skips the
     # DiscreteDistribution; sizes on both sides of it, with and without
     # ties.  _finish may still nudge the premium by ulps, so compare before it
     for X in _weighted_draws():
@@ -336,6 +336,33 @@ def test_positive_homogeneity_holds_to_tol_at_every_scale(phi, route, scale):
     base = orlicz_premium(phi, rv(values.tolist()), tol=tol, route=route).value
     got = orlicz_premium(phi, rv((scale * values).tolist()), tol=tol, route=route).value
     assert got == pytest.approx(scale * base, rel=2.0 * tol, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "phi", [Expectile(0.8), LpQuantile(0.5, 2.0), LpQuantile(0.7, 2.0)], ids=lambda f: f.spec_string()
+)
+def test_exact_lp_quantile_is_homogeneous_to_the_bit_past_squares_that_overflow(phi):
+    # at 2**600 the squares of the atoms would overflow; the walk first
+    # scales every atom down by a power of two, which changes no bit
+    values, probs = [1.0, 3.0, 4.0, 7.0], [0.1, 0.4, 0.3, 0.2]
+    base = orlicz_premium(phi, rv(values, probs))
+    big = orlicz_premium(phi, rv([2.0**600 * v for v in values], probs))
+    assert big.value == 2.0**600 * base.value
+    assert big.g_at_value == base.g_at_value
+
+
+def test_lp2_premium_past_squares_that_overflow():
+    # 2e154 ** 2 overflows: the unscaled walk read h as nan and returned max X
+    tol = 1e-10
+    res = orlicz_premium(LpQuantile(0.5, 2.0), rv((1.0, 2e154)), tol=tol)
+    assert res.value == pytest.approx(1e154, rel=tol)
+    assert res.g_at_value <= 1.0
+    # (2 - k)^2 + (3 - k)^2 = k^2 on [0, 2] in units of 1e154; the midpoint of two atoms
+    for values, want in (((1.0, 2e154, 3e154), (5.0 - 12.0**0.5) * 1e154),
+                         ((2.0**600, 2.0**601), 1.5 * 2.0**600)):
+        res = orlicz_premium(LpQuantile(0.5, 2.0), rv(values), tol=tol)
+        assert res.value == pytest.approx(want, rel=tol)
+        assert res.g_at_value <= 1.0
 
 
 def test_degenerate_zero_mass_with_unbounded_below_phi():
