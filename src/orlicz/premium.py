@@ -8,10 +8,10 @@ solver, in one table (_SOLVERS) of private solvers that exploit its
 structure: closed forms for the norms and quantiles, and one solver
 (_two_branch) for the loss 1 + a(x-1)_+^p - b(x-1)_-^q shared by the
 expectile, lp and lpq.  b = 0 gives the essential supremum.  p = q gives
-the L^p-quantile at level a/(a+b): for p in {1, 2} one exact walk over
-the atoms (_lp_quantile_exact, which first scales atoms of 2**510 or
-more down by a power of two), for other p a bisection of its root
-equation.  Only lpq with p != q bisects its scaled inequality.  The
+the L^p-quantile at level a/(a+b), for p in {1, 2} by one exact walk
+over the atoms (_lp_quantile_exact, which scales them by a power of two
+near either end of the float range).  Every other two-branch premium is
+one bisection of its inequality in X/k, which no scale overflows.  The
 generic and dedicated routes agree to solver tolerance and cross-check
 each other in the tests.
 
@@ -55,9 +55,10 @@ from .search import bisect_root_decreasing, bisect_smallest_feasible
 
 LOWER_FLOOR = 1e-300
 # Atoms below 2**WALK_EXP in magnitude keep every square, h term and
-# discriminant of the exact L^p-quantile walk below 2**1023
+# discriminant of the exact L^p-quantile walk below 2**1023, and a largest
+# atom of at least 2**-WALK_EXP keeps the squares from underflowing
 WALK_EXP = 510
-WALK_TOP = 2.0 ** WALK_EXP
+WALK_TOP, WALK_BOTTOM = 2.0 ** WALK_EXP, 2.0 ** -WALK_EXP
 CASH_TOL = 1e-8  # |delta| below this reads as cash-additive
 
 
@@ -78,12 +79,11 @@ class PremiumResult:
 
     bracket is (lo, hi) with lo <= value <= hi, and iterations counts
     the bisection steps that narrowed it.  A closed form reports
-    (value, value) and 0.  The generic route and lpq with p != q bisect
-    the moment condition: E[Phi(X/lo)] > 1 and value = hi.  The
-    L^p-quantile with p not in {1, 2} bisects its root equation and
-    returns the bracket's midpoint.  route is "generic", or for a
-    dedicated solver "bisect:<family>" when it bisected and
-    "closed_form:<family>" when it did not.  g_at_value is
+    (value, value) and 0.  The generic route and the bisected two-branch
+    premiums (lp and lpq, unless b = 0 or p = q in {1, 2}) bisect the
+    moment condition: E[Phi(X/lo)] > 1 and value = hi.  route is
+    "generic", or for a dedicated solver "bisect:<family>" when it
+    bisected and "closed_form:<family>" when it did not.  g_at_value is
     E[Phi(X/value)] (None for the definitional zero-premium cases where
     it is vacuous).  nudges counts the moments a dedicated route's ulp
     gallop and bisection took after the first one at its value (see
@@ -260,18 +260,17 @@ def _lp_quantile_exact(
     h(k) = alpha*E[(X-k)_+^p] - (1-alpha)*E[(k-X)_+^p] is strictly
     decreasing, of degree p in k between atoms.  The walk keeps the sums
     of p_i*v_i^m, m <= p, above (a) and below (b) each atom, and solves
-    the first segment whose end has h <= 0.  When an atom reaches
-    2**WALK_EXP in magnitude, all are first scaled down by a power of two,
-    exactly for every atom of magnitude 2**-508 or more.
+    the first segment whose end has h <= 0.  Atoms with max |v| outside
+    [2**-WALK_EXP, 2**WALK_EXP) are first scaled by a power of two into
+    [2**509, 2**510), the root back (a scale down rounds atoms below 2**-508).
     """
     vs, ps = _aggregate(values, probs)
     if len(vs) == 1:
         return float(vs[0])
     top, shift = max(-vs[0], vs[-1]), 0
-    if top >= WALK_TOP:
+    if not WALK_BOTTOM <= top < WALK_TOP:
         shift = math.frexp(top)[1] - WALK_EXP
-        scale = 2.0 ** -shift
-        vs = vs * scale if isinstance(vs, np.ndarray) else [v * scale for v in vs]
+        vs = np.ldexp(vs, -shift) if isinstance(vs, np.ndarray) else [math.ldexp(v, -shift) for v in vs]
     beta = 1.0 - alpha
     if len(values) >= VECTOR_MIN:  # the loop's running sums, all at once
         w, wv = ps[:-1], ps * vs
@@ -333,49 +332,40 @@ def _two_branch(
 ) -> tuple[float, Optional[tuple[float, float]], int]:
     """Premium for Phi(x) = 1 + a(x-1)_+^p - b(x-1)_-^q (expectile, lp, lpq).
 
-    b = 0 leaves only the gain branch: the premium is max X.  For p = q,
-    a*E[((X-k)_+/k)^p] <= b*E[((k-X)_+/k)^p] times k^p is the L^p-quantile
-    at level alpha = a/(a+b): the root of the strictly decreasing
-    alpha*E[(X-k)_+^p] - (1-alpha)*E[(k-X)_+^p], solved per segment for
-    p in {1, 2} and bisected for other p.  p != q bisects the scaled
-    difference, strictly decreasing in k with its zero on (0, max X].
-    Returns (value, bracket, bisection steps); an exact branch has no
-    bracket and 0 steps.
+    b = 0 leaves only the gain branch: the premium is max X, as for a
+    one-valued X.  For p = q, a*E[((X-k)_+/k)^p] <= b*E[((k-X)_+/k)^p] is
+    the L^p-quantile at level alpha = a/(a+b), solved per segment for p in
+    {1, 2}.  Other cases bisect the difference, which is strictly
+    decreasing in k with its zero on (0, max X] and reads X only through
+    X/k, to the bracket's top; weights (alpha, 1 - alpha) for p = q make
+    lp(alpha, p) and lpq(a, b, p, p) one arithmetic.  Returns (value,
+    bracket, steps); an exact branch has no bracket and 0 steps.
     """
     a, b, p, q = phi.a, phi.b, phi.p, phi.q
     if b == 0.0:
         return float(vals.max()), None, 0
     if p == q:
         alpha = a / (a + b)
-        values, weights = _columns(X)
         if p in (1.0, 2.0):
+            values, weights = _columns(X)
             return _lp_quantile_exact(values, weights, alpha, p), None, 0
-        vs, ps = _aggregate(values, weights)
-        if len(vs) == 1:
-            return float(vs[0]), None, 0
-        pa, va = np.asarray(ps), np.asarray(vs)
-
-        def h(k: float) -> float:
-            gains = np.maximum(va - k, 0.0) ** p
-            losses = np.maximum(k - va, 0.0) ** p
-            return alpha * float(pa @ gains) - (1.0 - alpha) * float(pa @ losses)
-
-        value, blo, bhi, iters = bisect_root_decreasing(h, float(vs[0]), float(vs[-1]), rel_tol=1e-14)
-        return value, (blo, bhi), iters
+        a, b = alpha, 1.0 - alpha
+    ess = float(vals.max())
+    if float(vals.min()) == ess:  # E[Phi(X/k)] <= 1 iff k >= X
+        return ess, None, 0
 
     def hhat(k: float) -> float:
         gains = (np.maximum(vals - k, 0.0) / k) ** p
         losses = (np.maximum(k - vals, 0.0) / k) ** q
         return a * float(probs @ gains) - b * float(probs @ losses)
 
-    ess = float(vals.max())
     lo = ess * 1e-3
-    while hhat(lo) <= 0.0 and lo > LOWER_FLOOR:
+    while (h_lo := hhat(lo)) <= 0.0 and lo > LOWER_FLOOR:
         lo *= 1e-2
-    if hhat(lo) <= 0.0:
+    if h_lo <= 0.0:
         return lo, (0.0, lo), 0
-    value, blo, bhi, iters = bisect_smallest_feasible(hhat, lo, ess, 0.0, rel_tol=min(tol, 1e-12))
-    return value, (blo, bhi), iters
+    _, blo, bhi, iters = bisect_root_decreasing(hhat, lo, ess, rel_tol=min(tol, 1e-12))
+    return bhi, (blo, bhi), iters
 
 
 def _quadratic_root_in(c2: float, c1: float, c0: float, lo: float, hi: float) -> float:

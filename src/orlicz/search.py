@@ -175,11 +175,14 @@ def bisect_root_decreasing(
     hi: float,
     rel_tol: float = 1e-14,
 ) -> tuple[float, float, float, int]:
-    """Root of a continuous nonincreasing h with h(lo) >= 0 >= h(hi), to
-    a bracket narrower than rel_tol * max(|lo|, |hi|).
+    """Root of a nonincreasing h with h(lo) > 0 >= h(hi), to a bracket
+    narrower than rel_tol * max(|lo|, |hi|), relative at every scale.
 
     Returns (root, bracket_lo, bracket_hi, iterations), the root being
-    the midpoint of the final bracket.
+    the midpoint of the final bracket, and h(bracket_lo) > 0 >=
+    h(bracket_hi).  On an h that never returns nan the steps are those of
+    bisect_smallest_feasible(h, lo, hi, 0.0, rel_tol), whose value is
+    bracket_hi.
     """
     it = 0
     while it < BISECT_ITERS:

@@ -1,6 +1,7 @@
 """Premium solver: closed forms vs generic bisection vs independent oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,10 +145,18 @@ def test_lpq_with_equal_exponents_is_the_lp_quantile(p):
         values, probs = _random_instance(rng, n_max=9)
         a, b = (float(w) for w in rng.uniform(0.1, 4.0, 2))
         X = rv(values, probs)
-        got = orlicz_premium(LpqQuantile(a, b, p, p), X)
-        want = orlicz_premium(LpQuantile(a / (a + b), p), X).value
-        assert got.value == pytest.approx(want, rel=1e-12), (a, b, values, probs)
-        # p = 1.5 bisects its root equation; p in {1, 2} solves per segment
+        lpq, lp = LpqQuantile(a, b, p, p), LpQuantile(a / (a + b), p)
+        # both solvers weigh by (a/(a+b), 1 - a/(a+b)) and run one arithmetic
+        solved = [premium._two_branch(phi, X, X.values_array(), X.space.probs_array(), 1e-10)[0]
+                  for phi in (lpq, lp)]
+        assert solved[0] == solved[1], (a, b, values, probs)
+        # _finish reads each family's own Phi, whose rounding near g = 1 may
+        # nudge one value up by ulps and not the other
+        got, want = orlicz_premium(lpq, X), orlicz_premium(lp, X)
+        assert got.value == pytest.approx(want.value, rel=1e-12), (a, b, values, probs)
+        if got.nudges == want.nudges == 0:
+            assert got.value == want.value, (a, b, values, probs)
+        # p = 1.5 bisects the scaled inequality; p in {1, 2} solves per segment
         assert got.route == ("bisect:" if p == 1.5 else "closed_form:") + "lpq_quantile"
 
 
@@ -341,14 +350,16 @@ def test_positive_homogeneity_holds_to_tol_at_every_scale(phi, route, scale):
 @pytest.mark.parametrize(
     "phi", [Expectile(0.8), LpQuantile(0.5, 2.0), LpQuantile(0.7, 2.0)], ids=lambda f: f.spec_string()
 )
-def test_exact_lp_quantile_is_homogeneous_to_the_bit_past_squares_that_overflow(phi):
-    # at 2**600 the squares of the atoms would overflow; the walk first
-    # scales every atom down by a power of two, which changes no bit
+@pytest.mark.parametrize("shift", [600, -600])
+def test_exact_lp_quantile_is_homogeneous_to_the_bit_past_squares_that_overflow(phi, shift):
+    # at 2**600 the squares of the atoms would overflow, at 2**-600 they
+    # would underflow; the walk first scales every atom by a power of two,
+    # which changes no bit
     values, probs = [1.0, 3.0, 4.0, 7.0], [0.1, 0.4, 0.3, 0.2]
     base = orlicz_premium(phi, rv(values, probs))
-    big = orlicz_premium(phi, rv([2.0**600 * v for v in values], probs))
-    assert big.value == 2.0**600 * base.value
-    assert big.g_at_value == base.g_at_value
+    scaled = orlicz_premium(phi, rv([math.ldexp(v, shift) for v in values], probs))
+    assert scaled.value == math.ldexp(base.value, shift)
+    assert scaled.g_at_value == base.g_at_value
 
 
 def test_lp2_premium_past_squares_that_overflow():
@@ -357,12 +368,62 @@ def test_lp2_premium_past_squares_that_overflow():
     res = orlicz_premium(LpQuantile(0.5, 2.0), rv((1.0, 2e154)), tol=tol)
     assert res.value == pytest.approx(1e154, rel=tol)
     assert res.g_at_value <= 1.0
-    # (2 - k)^2 + (3 - k)^2 = k^2 on [0, 2] in units of 1e154; the midpoint of two atoms
+    # (2 - k)^2 + (3 - k)^2 = k^2 on [0, 2] in units of 1e154; the midpoint
+    # of two atoms, whose squares at 1e-200 underflow unless scaled up
     for values, want in (((1.0, 2e154, 3e154), (5.0 - 12.0**0.5) * 1e154),
-                         ((2.0**600, 2.0**601), 1.5 * 2.0**600)):
+                         ((2.0**600, 2.0**601), 1.5 * 2.0**600),
+                         ((1e-200, 2e-200), 1.5e-200)):
         res = orlicz_premium(LpQuantile(0.5, 2.0), rv(values), tol=tol)
         assert res.value == pytest.approx(want, rel=tol)
         assert res.g_at_value <= 1.0
+        assert res.nudges == 0
+
+
+BISECTED_TWO_BRANCH = [
+    LpQuantile(0.5, 1.5),
+    LpQuantile(0.5, 3.0),
+    LpqQuantile(1.5, 0.5, 2.0, 1.0),
+    LpqQuantile(1.0, 1.0, 1.0, 2.0),
+]
+
+
+@pytest.mark.parametrize("phi", BISECTED_TWO_BRANCH, ids=lambda f: f.spec_string())
+def test_bisected_two_branch_premium_is_homogeneous_to_the_bit_at_every_scale(phi):
+    # the bisection reads X only through X/k, so scaling X by a power of two
+    # scales every midpoint and leaves every ratio, hence every bit, alone
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        values, probs = _random_instance(rng, n_max=9)
+        base = orlicz_premium(phi, rv(values, probs))
+        assert base.route.startswith("bisect:")
+        for shift in (600, -600):
+            scaled = orlicz_premium(phi, rv([math.ldexp(v, shift) for v in values], probs))
+            assert scaled.value == math.ldexp(base.value, shift), (shift, values, probs)
+
+
+# reference roots: the midpoint of two equal atoms at level 1/2, and for the
+# three-atom law a 60-digit decimal bisection of the root equation
+@pytest.mark.parametrize(
+    "phi, values, want",
+    [
+        (LpQuantile(0.5, 3.0), (1.0, 2e154, 3e154), 1.5087799017242918e154),
+        (LpQuantile(0.5, 1.5), (1.0, 2e154, 3e154), 1.5753283808818356e154),
+        (LpQuantile(0.5, 3.0), (2.0**600, 2.0**601), 1.5 * 2.0**600),
+        (LpQuantile(0.5, 1.5), (2.0**600, 2.0**601), 1.5 * 2.0**600),
+        (LpQuantile(0.5, 3.0), (1e-200, 3e-200), 2e-200),
+        (LpQuantile(0.5, 1.5), (1e-200, 3e-200), 2e-200),
+    ],
+)
+def test_bisected_lp_quantile_needs_no_nudge_at_either_end_of_the_float_range(phi, values, want):
+    # (X - k)^3 at 1e154 would overflow; the scaled inequality reads X only
+    # through X/k, stays finite, and leaves _finish nothing to mend
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = orlicz_premium(phi, rv(values))
+    assert res.nudges == 0
+    assert res.iterations <= 50
+    assert res.g_at_value <= 1.0
+    assert res.value == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_degenerate_zero_mass_with_unbounded_below_phi():

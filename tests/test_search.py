@@ -1,9 +1,10 @@
-"""The shared 1-D search: Brent's method behind golden_max and golden_min.
+"""The shared 1-D searches: Brent's method and monotone bisection.
 
-The contract is the one golden section had: both ends are evaluated and
-the result is the best point evaluated, never an extrapolation.  Brent's
-parabolic steps and the flat stop only change how few evaluations it
-takes to get there.
+golden_max and golden_min keep the contract golden section had: both
+ends are evaluated and the result is the best point evaluated, never an
+extrapolation.  Brent's parabolic steps and the flat stop only change
+how few evaluations it takes to get there.  bisect_root_decreasing keeps
+h(lo) > 0 >= h(hi) down to a relative width at every scale.
 """
 
 import math
@@ -11,7 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from orlicz.search import golden_max, golden_min
+from orlicz.search import (
+    bisect_root_decreasing,
+    bisect_smallest_feasible,
+    golden_max,
+    golden_min,
+)
 
 
 def counted(f):
@@ -110,3 +116,46 @@ def test_flat_and_infinite_objectives_raise_no_warning():
     capped, _ = counted(lambda x: np.float64(-np.inf) if x > 0.6 else np.float64(x - x * x))
     x, v = golden_max(capped, 0.0, 1.0, tol=1e-10)
     assert abs(x - 0.5) <= 1e-7 and v == 0.25
+
+
+# decreasing h with a root at r, each read only through k / r as a premium's
+# scaled inequality is, so none overflows or underflows at any scale
+DECREASING = {
+    "line": lambda r: (lambda k: 1.0 - k / r),
+    "cube": lambda r: (lambda k: (r / k) ** 3 - 1.0),
+    "flat": lambda r: (lambda k: max(1.0 - k / r, 0.0) - max(k / r - 1.5, 0.0)),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+@pytest.mark.parametrize("rel_tol", [1e-10, 1e-12, 1e-14])
+@pytest.mark.parametrize("name", sorted(DECREASING))
+def test_root_bisection_keeps_its_bracket_to_a_relative_width_at_every_scale(name, rel_tol, scale):
+    r = 0.7310585786300049 * scale
+    h, seen = counted(DECREASING[name](r))
+    lo, hi = r * 1e-3, r * 7.0
+    root, blo, bhi, iters = bisect_root_decreasing(h, lo, hi, rel_tol=rel_tol)
+    assert lo <= blo < bhi <= hi
+    assert h(blo) > 0.0 >= h(bhi)
+    assert bhi - blo <= rel_tol * max(abs(blo), abs(bhi))
+    assert root == 0.5 * (blo + bhi)
+    assert iters == len(seen) - 2 <= 60
+    if name != "flat":  # flat is 0 on [r, 1.5 r]: its bracket may close anywhere there
+        assert abs(bhi - r) <= rel_tol * r
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300])
+def test_root_bisection_iterates_as_the_smallest_feasible_search_on_nan_free_h(scale):
+    # the two differ only in the point they return and in how they read a
+    # nan; on any other h both send h <= 0 to the top of the bracket
+    rng = np.random.default_rng(7)
+    for name in sorted(DECREASING):
+        for r in rng.uniform(0.01, 5.0, 30) * scale:
+            lo, hi = r * float(rng.uniform(1e-3, 0.9)), r * float(rng.uniform(1.1, 9.0))
+            rel_tol = float(rng.choice([1e-10, 1e-12, 1e-14]))
+            f, seen_f = counted(DECREASING[name](r))
+            g, seen_g = counted(DECREASING[name](r))
+            _, blo, bhi, iters = bisect_root_decreasing(f, lo, hi, rel_tol=rel_tol)
+            value, glo, ghi, giters = bisect_smallest_feasible(g, lo, hi, 0.0, rel_tol=rel_tol)
+            assert seen_f == seen_g
+            assert (bhi, blo, bhi, iters) == (value, glo, ghi, giters)

@@ -19,20 +19,29 @@ def test_tracer_finds_every_patch_point(monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     import spans
 
-    originals = (duality.golden_min, duality.conjugate, premium.bisect_smallest_feasible)
+    def patch_points():
+        return (
+            duality.golden_min,
+            duality.conjugate,
+            premium.bisect_smallest_feasible,
+            premium.bisect_root_decreasing,
+        )
+
+    originals = patch_points()
     hg_names = ("golden_min", "orlicz_premium", "rv", "hg_risk_measure")
     hg_originals = {name: getattr(hg, name) for name in hg_names}
     tracer = spans.Tracer()
     try:
         tracer.install()
-        assert duality.golden_min.__wrapped__ is originals[0]
+        for wrapped, orig in zip(patch_points(), originals):
+            assert wrapped.__wrapped__ is orig, orig.__name__
         for cls in functions.BUILTIN_FAMILIES:
             assert hasattr(cls.__dict__["eval_array"], "__wrapped__"), cls.__name__
         for name, orig in hg_originals.items():
             assert getattr(hg, name).__wrapped__ is orig, name
     finally:
         tracer.uninstall()
-    assert (duality.golden_min, duality.conjugate, premium.bisect_smallest_feasible) == originals
+    assert patch_points() == originals
     assert {name: getattr(hg, name) for name in hg_names} == hg_originals
 
 
