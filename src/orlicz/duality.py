@@ -13,18 +13,33 @@ both over probability measures Q << P.  The penalties take values in
 independent computation routes that cross-check each other: a separable
 Lagrangian over the primal constraint set {E[Phi(X)] <= 1}, and an
 exact minimization built on the closed-form convex conjugate.  alpha
-runs the Lagrangian in log coordinates.  Each Lagrangian sums its terms
-in a canonical atom order, so its value, and the work of the searches
-that stop on it, does not depend on how Q lists its atoms.  For a
-piecewise-linear Phi, beta's Lagrangian is exact at the knots of Phi and
-at its own kinks, and needs no search.  Otherwise its inner problems and
-the multiplier polish run Brent's method (search.golden_max), which
-stops once the value is flat to rounding; a multiplier seed is solved
-only while its grid floor, a lower bound on the dual read off the inner
-problems' grids for every seed in one array pass, leaves it a chance to
-win, and the seeds skipped never change a result.  Phi == 1 on all of
-[0, 1] gives both penalties exactly 1 without a search.  A
-relative-entropy bridge converts beta values into alpha values.
+runs the Lagrangian in log coordinates.  Both Lagrangians are
+
+    D(lam) = lam + sum_i p_i sup_z (w_i z - lam F(z)),  w = dQ/dP,
+
+with z = x and F = Phi for beta, z = log x and F = Phi(e^z) for alpha,
+summed in a canonical atom order, so that neither a value nor the work
+of the searches that stop on it depends on how Q lists its atoms.
+Phi == 1 on all of [0, 1] gives both penalties exactly 1 without a
+search.  Otherwise the family's stated facts pick the route:
+
+- knots (a piecewise-linear Phi: pwl, Power(1), the two-branch losses
+  with p = 1): beta's inner sups sit at the knots and D's minimum at its
+  own kinks, so beta needs no search.
+- first_order_point (Power; for alpha also the two-branch losses with
+  p = q = 1): each inner sup sits at X* with Phi'(X*) = w / lam
+  (X* Phi'(X*) = w / lam for alpha), D'(lam) = 1 - E_P[Phi(X*)], and
+  one bisection for that root in lam gives the penalty
+  (_first_order_dual_min).
+- neither (gm, gexpectile and pwl for alpha; a user family): the
+  seeded search.  Each inner problem runs grid plus Brent's method
+  (search.golden_max), which stops once the value is flat to rounding;
+  a multiplier seed is solved only while its grid floor, a lower bound
+  on the dual read off the inner problems' grids for every seed in one
+  array pass, leaves it a chance to win, and a lam polish follows the
+  best seed.  The seeds skipped never change a result.
+
+A relative-entropy bridge converts beta values into alpha values.
 
 Everything here is a certificate engine.  A certificate is built at the
 first-order measure Q*, read off Phi'(X/k) at the premium k, which
@@ -55,7 +70,7 @@ from .base import (
 )
 from .functions import OrliczFunction, conjugate
 from .prob import MeasureChange, RandomVariable
-from .search import golden_max, golden_min
+from .search import bisect_root_decreasing, golden_max, golden_min
 
 X_CAP = 1e6  # right end of beta_primal's x grid when upper = inf
 YCAP = 60.0  # log-coordinate box for the geometric Lagrangian
@@ -203,6 +218,60 @@ def _grid_floors(
     return total
 
 
+def _first_order_dual_min(
+    phi: OrliczFunction, probs: np.ndarray, dens: np.ndarray, geometric: bool
+) -> Optional[float]:
+    """min over lam > 0 of D(lam) = lam + sum_i p_i sup_z (w_i z - lam F(z)),
+    from the maximizers phi.first_order_point states; None when no root is
+    bracketed or D is not finite at either end.
+
+    z = x and F = Phi for beta, z = log x and F = Phi(e^z) for alpha.  At
+    lam each inner sup sits at X*_i = first_order_point(w_i / lam), so D is
+    convex with D'(lam) = -h(lam), h = E_P[Phi(X*)] - 1 nonincreasing.  A
+    power-of-two bracket of h's root is bisected to rounding
+    (bisect_root_decreasing), and D is evaluated at both evaluated ends,
+    summed in the order given (_canonical_atoms), the smaller returned.
+    Any lam bounds the primal supremum from above, so rounding in the root
+    never lets the penalty overstate.  An atom with w_i = 0 has X*_i = 0
+    and adds exactly -lam Phi(0): its w_i z term is 0, never 0 * log 0.
+    So does an atom whose X*_i underflows to 0, which overstates its inner
+    sup by less than w_i |log X*_i|, itself below the float range.  An X*
+    past the float range (+inf) makes h +inf and D +inf there.
+    """
+    point = phi.first_order_point
+
+    def x_star(lam: float) -> np.ndarray:
+        return point(dens / lam, geometric)
+
+    def h(lam: float) -> float:
+        return float(probs @ phi.eval_array(x_star(lam))) - 1.0
+
+    def dual(lam: float) -> float:
+        x = x_star(lam)
+        if not np.isfinite(x).all():
+            return INF
+        z = np.log(x, out=np.zeros_like(x), where=x > 0.0) if geometric else x
+        total = lam
+        for p_i, t in zip(probs.tolist(), (dens * z - lam * phi.eval_array(x)).tolist()):
+            total += p_i * t
+        return total if -INF < total < INF else INF
+
+    # step k from 0 toward the root until h(2^k) changes sign
+    k, v = 0, h(1.0)
+    above = v > 0.0
+    while v == v and (v > 0.0) == above:
+        k += 1 if above else -1
+        if not -1074 <= k <= 1023:
+            return None
+        v = h(math.ldexp(1.0, k))
+    if v != v:
+        return None
+    lo, hi = (k - 1, k) if above else (k, k + 1)
+    _, lo, hi, _ = bisect_root_decreasing(h, math.ldexp(1.0, lo), math.ldexp(1.0, hi), rel_tol=0.0)
+    best = min(dual(lo), dual(hi))
+    return best if best < INF else None
+
+
 # ---------------------------------------------------------------------------
 # beta: conjugate route
 # ---------------------------------------------------------------------------
@@ -223,7 +292,14 @@ def beta_conjugate(phi: OrliczFunction, Q: MeasureChange) -> float:
     probs = Q.space.probs_array()
     r = phi.holder_exponent
     if r is not None:
-        return min(1.0, 1.0 / float((probs @ dens**r) ** (1.0 / r)))
+        # once the largest density's r-th power passes e^709 the sum can
+        # overflow (r large, p near 1), so scale by that density first
+        top = max(Q.density)
+        if r * math.log(top) < 709.0:
+            norm = float((probs @ dens**r) ** (1.0 / r))
+        else:
+            norm = top * float((probs @ (dens / top) ** r) ** (1.0 / r))
+        return min(1.0, 1.0 / norm)
     if phi.at_zero == 1.0:
         return 1.0
     return min(1.0, 1.0 / _breakpoint_dual_min(phi, dens, probs))
@@ -277,9 +353,14 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     D(lam) = lam + sum_i p_i * sup_x (phi_i x - lam Phi(x)), convex in
     lam, summed in the canonical atom order (_canonical_atoms).
     min_lam D(lam) >= the primal supremum, so 1/D never overstates beta
-    beyond fp noise.  Unbounded rays are detected from the slope of Phi
-    toward min(X_CAP, upper), for the largest density first.  With a
-    finite upper, D(0) = upper * E_P[dQ/dP] is the lam -> 0 end.
+    beyond fp noise.  With a finite upper, D(0) = upper * E_P[dQ/dP] is
+    the lam -> 0 end.  The routes read Phi and Phi' only, never the
+    conjugate or the Hölder exponent, so each stays a cross-check of
+    beta_conjugate.
+
+    Phi == 1 on all of [0, 1] (and > 1 beyond it) makes
+    {E[Phi(X)] <= 1} = {X <= 1 a.s.}, so sup E_Q[X] = 1 and beta is
+    exactly 1, the infimum the Lagrangian only approaches.
 
     For a piecewise-linear Phi (_knot_slopes non-empty) each inner sup
     sits at 0, at a knot below a finite upper or at upper itself
@@ -288,21 +369,45 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     the slopes s of Phi: its minimum over those kinks (and lam = 0) is
     the answer, with no search at all.
 
-    Any other Phi solves each inner problem, concave in x (Phi convex),
-    by grid plus Brent's search on [0, min(X_CAP, upper)].  Each inner
+    A family that states phi.first_order_point (Power with p > 1 among
+    the built-ins) takes the inner maximizer X* = least x with
+    Phi'_+(x) >= w / lam, and the minimum of D is the root of
+    E_P[Phi(X*)] = 1, found by one bisection (_first_order_dual_min).
+
+    Any other Phi (no built-in) runs the seeded search: each inner
+    problem, concave in x, by grid plus Brent's search on
+    [0, min(X_CAP, upper)].  Unbounded rays are detected from the slope
+    of Phi toward that cap, for the largest density first.  Each inner
     value is at least its grid maximum, so the grid gives every seed a
     floor under D (_grid_floors), +inf where the ray test rejects the
     seed; a seed whose floor is above the best value found, or whose
     floor is +inf, is never solved, and a lam polish follows the best
-    seed (_seeded_min).  Phi == 1 on all of [0, 1] (and > 1 beyond it)
-    makes {E[Phi(X)] <= 1} = {X <= 1 a.s.}, so sup E_Q[X] = 1 and beta
-    is exactly 1, the infimum the Lagrangian only approaches.
+    seed (_seeded_min).
     """
     _require_convex(phi)
     if phi.at_zero == 1.0:
         return 1.0
     probs, dens = _canonical_atoms(Q)
+    slopes = _knot_slopes(phi)
+    dmin = None
+    if not slopes and phi.first_order_point is not None:
+        dmin = _first_order_dual_min(phi, probs, dens, geometric=False)
+    if dmin is None:
+        dmin = _searched_beta_dual_min(phi, probs, dens, slopes)
+    if phi.upper < INF:
+        dmin = min(dmin, phi.upper * float(probs @ dens))
+    if dmin == INF:
+        return 0.0  # infinitely penalized: constraint never binds the objective
+    if not (dmin > 0.0):
+        return 1.0
+    return min(1.0, 1.0 / dmin)
 
+
+def _searched_beta_dual_min(
+    phi: OrliczFunction, probs: np.ndarray, dens: np.ndarray, slopes: set[float]
+) -> float:
+    """beta_primal's min of D over lam > 0 at its knot kinks (slopes
+    non-empty), or by the seeded search with grid-and-Brent inner solves."""
     top = min(X_CAP, phi.upper)
     v_top = phi(top)
     v_half = phi(top * 0.5)
@@ -316,7 +421,6 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     def ray(lam):
         return dmax - lam * slope_inf > 1e-12 * max(1.0, dmax)
 
-    slopes = _knot_slopes(phi)
     if slopes:
         # the floors on the exact inner values are D itself at every kink
         xs_arr, phi_grid = np.array(phi._sup_points).T
@@ -367,13 +471,7 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
         if has_ray:
             floors[ray(np.asarray(lam_list))] = INF
         dmin = _seeded_min(dual, lam_list, 1e-11, floors=floors)
-    if phi.upper < INF:
-        dmin = min(dmin, phi.upper * float(probs @ dens))
-    if dmin == INF:
-        return 0.0  # infinitely penalized: constraint never binds the objective
-    if not (dmin > 0.0):
-        return 1.0
-    return min(1.0, 1.0 / dmin)
+    return dmin
 
 
 # ---------------------------------------------------------------------------
@@ -385,23 +483,44 @@ def alpha_penalty(phi: OrliczFunction, Q: MeasureChange) -> float:
     """alpha(Q) = exp(-sup{E_Q[Y] : E[Phi(e^Y)] <= 1}), 0 when the sup is inf.
 
     GA-convexity makes y -> Phi(e^y) convex, so the same separable
-    Lagrangian applies in log coordinates on the box [-YCAP, YCAP],
-    summed in the canonical atom order (_canonical_atoms), with each
-    inner problem solved by grid plus Brent's search.  That holds for a
-    piecewise-linear Phi too: Phi(e^y) is not piecewise linear in y, so
-    its knots do not end the search as they do in beta_primal.  Positive
-    growth at either box edge certifies an unbounded feasible ray (the
-    objective is concave), which sends the penalty to exactly 0.
-    Phi == 1 on all of [0, 1] forces Y <= 0, so the sup is 0 and alpha
-    exactly 1, the infimum the Lagrangian only approaches as lam -> inf.
-    As in beta_primal, a seed is solved only while its grid floor can
-    still win; the floor is +inf where the edge-growth test fires.
+    Lagrangian as in beta_primal applies in log coordinates, summed in
+    the canonical atom order (_canonical_atoms).  Phi == 1 on all of
+    [0, 1] forces Y <= 0, so the sup is 0 and alpha exactly 1, the
+    infimum the Lagrangian only approaches as lam -> inf.
+
+    A family that states phi.first_order_point (Power, and the
+    two-branch losses with p = q = 1: expectile, lp:alpha,1 and
+    lpq:a,b,1,1) takes the inner maximizer X* = least x with
+    x Phi'_+(x) >= w / lam, and the minimum of D is the root of
+    E_P[Phi(X*)] = 1, found by one bisection (_first_order_dual_min).
+    For Power(p) that gives exp(-KL(Q|P) / p).
+
+    Any other Phi (gm, gexpectile, pwl) runs the seeded search on the
+    box [-YCAP, YCAP], each inner problem by grid plus Brent's search.
+    That holds for a piecewise-linear Phi too: Phi(e^y) is not piecewise
+    linear in y, so its knots do not end the search as they do in
+    beta_primal.  Positive growth at either box edge certifies an
+    unbounded feasible ray (the objective is concave), which sends the
+    penalty to exactly 0.  As in beta_primal, a seed is solved only
+    while its grid floor can still win; the floor is +inf where the
+    edge-growth test fires.
     """
     _require_ga_convex(phi)
     if phi.at_zero == 1.0:
         return 1.0
     probs, dens = _canonical_atoms(Q)
+    dmin = None
+    if phi.first_order_point is not None:
+        dmin = _first_order_dual_min(phi, probs, dens, geometric=True)
+    if dmin is None:
+        dmin = _searched_alpha_dual_min(phi, probs, dens)
+    if dmin == INF:
+        return 0.0
+    return min(1.0, math.exp(-dmin))
 
+
+def _searched_alpha_dual_min(phi: OrliczFunction, probs: np.ndarray, dens: np.ndarray) -> float:
+    """alpha_penalty's seeded search with grid-and-Brent inner solves."""
     ys = np.linspace(-YCAP, YCAP, 97)
     with np.errstate(over="ignore"):
         phi_e = phi.eval_array(np.exp(ys))
@@ -433,10 +552,7 @@ def alpha_penalty(phi: OrliczFunction, Q: MeasureChange) -> float:
     cands |= {float(l) for l in np.geomspace(1e-4, 1e4, 25)}
     lam_list = sorted(cands)
     floors = _grid_floors(lam_list, ys, phi_e, probs, dens, edge_growth=True)
-    dmin = _seeded_min(_lagrangian(inner, probs, dens), lam_list, 1e-11, floors=floors)
-    if dmin == INF:
-        return 0.0
-    return min(1.0, math.exp(-dmin))
+    return _seeded_min(_lagrangian(inner, probs, dens), lam_list, 1e-11, floors=floors)
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,11 @@ class OrliczFunction(ABC):
     holder_exponent: ClassVar[Optional[float]] = None
     # xs -> the right derivative Phi'_+ at each entry (+inf at an upward jump)
     derivative: ClassVar[Optional[Callable[[np.ndarray], np.ndarray]]] = None
+    # (s, geometric) -> at each entry of s >= 0 the least x >= 0 with
+    # Phi'_+(x) >= s, or with x * Phi'_+(x) >= s when geometric; +inf where
+    # no x reaches s, and 0 where s = 0.  For convex (GA-convex) Phi it is
+    # the maximizer of w*x - lam*Phi(x) (of w*log x - lam*Phi(x)) at s = w/lam
+    first_order_point: ClassVar[Optional[Callable[[np.ndarray, bool], np.ndarray]]] = None
     # y -> Psi(y) = sup_x (x*y - Phi(x)) for y >= 0; holds where convex_flag
     # is True, which conjugate() checks before it calls this
     conjugate: ClassVar[Optional[Callable[[float], float]]] = None
@@ -229,6 +234,19 @@ class Power(OrliczFunction):
         with np.errstate(divide="ignore"):
             return self.p * np.asarray(xs, dtype=float) ** (self.p - 1.0)
 
+    def first_order_point(self, s: np.ndarray, geometric: bool) -> np.ndarray:
+        # x Phi'(x) = p x^p rises from 0 for every p, and so does
+        # Phi'(x) = p x^(p-1) for p > 1; Phi' == 1 for p = 1, and for p < 1
+        # it falls from Phi'_+(0) = +inf
+        s = np.asarray(s, dtype=float)
+        p = self.p
+        if geometric or p > 1.0:
+            with np.errstate(over="ignore"):
+                return (s / p) ** (1.0 / (p if geometric else p - 1.0))
+        if p == 1.0:
+            return np.where(s <= 1.0, 0.0, INF)
+        return np.zeros_like(s)
+
     def conjugate(self, y: float) -> float:
         if self.p == 1.0:
             return _knot_conjugate(self, 1.0, y)
@@ -356,6 +374,22 @@ class _TwoBranch(OrliczFunction):
                 up = up * np.maximum(x - 1.0, 0.0) ** (self.p - 1.0)
                 down = down * np.maximum(1.0 - x, 0.0) ** (self.q - 1.0)
         return np.where(x >= 1.0, up, down)
+
+    @property
+    def first_order_point(self) -> Optional[Callable[[np.ndarray, bool], np.ndarray]]:
+        # stated for two linear branches, the convex members among them
+        return self._linear_first_order_point if self.p == self.q == 1.0 else None
+
+    def _linear_first_order_point(self, s: np.ndarray, geometric: bool) -> np.ndarray:
+        # Phi'_+ is b on [0, 1) and a from 1 on, so x Phi'_+(x) is b x below
+        # 1 and a x from 1 on: s below b is reached on the lower branch, s
+        # in the band from b to a at 1, and s above both on the upper branch
+        s = np.asarray(s, dtype=float)
+        a, b = self.a, self.b
+        if not geometric:
+            return np.where(s <= b, 0.0, np.where(s <= a, 1.0, INF))
+        upper = np.maximum(s / a, 1.0)
+        return np.where(s < b, s / b, upper) if b > 0.0 else np.where(s == 0.0, 0.0, upper)
 
     def conjugate(self, y: float) -> float:
         # convex means p = 1 (knotted), or b = 0 and p > 1: then the sup sits

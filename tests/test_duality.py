@@ -1,7 +1,9 @@
 """Dual engine: penalties, certificates, entropy bridge, HG restriction."""
 
+import dataclasses
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -47,6 +49,13 @@ CONVEX_BATTERY = [
     LpqQuantile(1.5, 0.5, 1.0, 1.0),
     LpqQuantile(2.0, 0.0, 2.0, 1.0),
 ]
+
+
+def _searched(phi):
+    """phi in a test-side subclass that states no first_order_point, so the
+    penalties run the seeded grid-and-Brent Lagrangian search on it."""
+    cls = type(f"Searched{type(phi).__name__}", (type(phi),), {"first_order_point": None})
+    return cls(*(getattr(phi, f.name) for f in dataclasses.fields(phi)))
 
 
 def _random_measure(rng, space):
@@ -182,7 +191,12 @@ def test_kinked_beta_primal_polishes_next_to_its_best_seed(monkeypatch, phi):
 
 @pytest.mark.parametrize(
     "phi",
-    [Expectile(0.8), Power(2.0), PiecewiseLinear([(0.5, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)])],
+    [
+        Expectile(0.8),
+        Power(2.0),
+        PiecewiseLinear([(0.5, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)]),
+        pytest.param(_searched(Power(2.0)), id="searched-power:2.0"),
+    ],
     ids=lambda phi: phi.spec_string(),
 )
 def test_beta_primal_work_does_not_depend_on_atom_order(monkeypatch, phi):
@@ -232,6 +246,17 @@ FLOOR_BATTERY = CONVEX_BATTERY + [
 ]
 
 
+SEARCHED_FLOOR_ROWS = [
+    (beta_primal, _searched(Power(1.5))),
+    (beta_primal, _searched(Power(2.0))),
+    (beta_primal, _searched(Power(3.0))),
+    (alpha_penalty, _searched(Power(0.5))),
+    (alpha_penalty, _searched(Power(2.0))),
+    (alpha_penalty, _searched(Expectile(0.8))),
+    (alpha_penalty, _searched(LpqQuantile(1.5, 0.5, 1.0, 1.0))),
+]
+
+
 def test_penalty_floors_change_no_value(monkeypatch):
     # the grid floors only skip seeds that cannot win: every penalty is the
     # float that solving every seed gives
@@ -249,6 +274,17 @@ def test_penalty_floors_change_no_value(monkeypatch):
         # a family with both flags alternates between the two penalties
         arith = phi.convex_flag and not (phi.ga_convex_flag and cycle % 2)
         cases.append((beta_primal if arith else alpha_penalty, phi, Q))
+    # the first-order route solves no seed for Power and the p = q = 1
+    # two-branch losses, so their searched twins keep the floors exercised
+    for penalty, phi in SEARCHED_FLOOR_ROWS:
+        for _ in range(10):
+            n = int(rng.integers(2, 9))
+            probs = rng.dirichlet(np.ones(n))
+            dens = rng.uniform(0.0, 4.0, n)
+            if len(cases) % 3 == 0:
+                dens[rng.integers(0, n)] = 0.0
+            Q = MeasureChange(FiniteProbabilitySpace(tuple(probs)), tuple(dens / (probs @ dens)))
+            cases.append((penalty, phi, Q))
     with_floors = [penalty(phi, Q) for penalty, phi, Q in cases]
     _solve_every_seed(monkeypatch)
     for (penalty, phi, Q), got in zip(cases, with_floors):
@@ -256,6 +292,15 @@ def test_penalty_floors_change_no_value(monkeypatch):
 
 
 def test_beta_primal_floors_skip_a_third_of_the_inner_solves(monkeypatch):
+    _assert_floors_skip_a_third(monkeypatch, Power(2.0))
+
+
+def test_searched_beta_primal_floors_skip_a_third_of_the_inner_solves(monkeypatch):
+    # Power(2) takes the first-order route and solves no seed (0 <= 0 above)
+    _assert_floors_skip_a_third(monkeypatch, _searched(Power(2.0)))
+
+
+def _assert_floors_skip_a_third(monkeypatch, phi):
     solves = 0
     inner_max = duality.golden_max
 
@@ -271,7 +316,7 @@ def test_beta_primal_floors_skip_a_third_of_the_inner_solves(monkeypatch):
         if every_seed:
             _solve_every_seed(monkeypatch)
         solves = 0
-        values.append(beta_primal(Power(2.0), Q))
+        values.append(beta_primal(phi, Q))
         counts.append(solves)
     assert values[0] == values[1]
     assert counts[0] <= counts[1] * 2 / 3, counts
@@ -290,13 +335,23 @@ def _count_inner_searches(monkeypatch):
 
 
 def test_beta_primal_power_work_is_bounded(monkeypatch):
+    # the first-order route solves no inner problem at all
+    assert _beta_primal_power_work(monkeypatch, Power(2.0)) == 0
+
+
+def test_searched_beta_primal_power_work_is_bounded(monkeypatch):
+    _beta_primal_power_work(monkeypatch, _searched(Power(2.0)))
+
+
+def _beta_primal_power_work(monkeypatch, phi):
     # golden section to 1e-11 made 236 inner solves here, 232 of them in the
     # lambda polish; Brent's search stops once the Lagrangian is flat
     calls = _count_inner_searches(monkeypatch)
     Q = MeasureChange(FiniteProbabilitySpace((0.3, 0.3, 0.2, 0.2)), (0.5, 0.6, 0.8, 2.55))
-    beta = beta_primal(Power(2.0), Q)
+    beta = beta_primal(phi, Q)
     assert len(calls) <= 80
     assert beta == pytest.approx(beta_conjugate(Power(2.0), Q), rel=1e-15)
+    return len(calls)
 
 
 @pytest.mark.parametrize("phi", KNOTTED_BATTERY, ids=lambda phi: phi.spec_string())
@@ -425,7 +480,7 @@ def test_penalty_values_are_pinned_to_the_bit():
     assert float(beta_primal(pwl, Q)) == 0.8
     assert float(beta_conjugate(pwl, Q)) == 0.8
     assert alpha_penalty(GeometricMean(), Q) == 0.0
-    assert alpha_penalty(Power(0.5), Q) == 0.5654092421545873
+    assert alpha_penalty(Power(0.5), Q) == 0.5654092421545872
     assert alpha_penalty(Expectile(0.8), Q) == 0.9665463995862633
     # Power(1) takes the knot routes: knots (0, 0) and (1, 1), slope 1
     assert beta_conjugate(Power(1.0), Q) == 0.4
@@ -433,6 +488,207 @@ def test_penalty_values_are_pinned_to_the_bit():
     below, above = math.nextafter(1.0, 0.0), math.nextafter(1.0, 2.0)
     for y, want in [(0.0, 0.0), (0.5, 0.0), (below, 0.0), (1.0, 0.0), (above, INF), (1.5, INF)]:
         assert conjugate(Power(1.0), y) == want, y
+
+
+def _oracle_measures(seed, count=300):
+    # n = 2-8, one density set to 0 in every third Q
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 9))
+        probs = rng.dirichlet(np.ones(n))
+        dens = rng.uniform(0.0, 4.0, n)
+        if i % 3 == 0:
+            dens[rng.integers(0, n)] = 0.0
+        yield MeasureChange(FiniteProbabilitySpace(tuple(probs)), tuple(dens / (probs @ dens)))
+
+
+def _power_closed_form(penalty, p, Q):
+    """1 / ||w||_{p/(p-1)} for beta, exp(-KL(Q|P) / p) for alpha; w = dQ/dP."""
+    probs, w = Q.space.probs_array(), np.asarray(Q.density)
+    if penalty is beta_primal:
+        r, top = p / (p - 1.0), float(w.max())
+        return 1.0 / (top * float(probs @ (w / top) ** r) ** (1.0 / r))
+    kl = math.fsum(float(pi * wi) * math.log(wi) for pi, wi in zip(probs, w) if wi > 0.0)
+    return math.exp(-kl / p)
+
+
+FIRST_ORDER_ORACLE = [
+    (beta_primal, Power(1.5)),
+    (beta_primal, Power(2.0)),
+    (beta_primal, Power(3.0)),
+    (alpha_penalty, Power(0.5)),
+    (alpha_penalty, Power(1.0)),
+    (alpha_penalty, Power(2.0)),
+    (alpha_penalty, Power(3.0)),
+    (alpha_penalty, Expectile(0.6)),
+    (alpha_penalty, Expectile(0.8)),
+    (alpha_penalty, LpqQuantile(1.5, 0.5, 1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "penalty,phi",
+    FIRST_ORDER_ORACLE,
+    ids=[f"{pen.__name__}-{phi.spec_string()}" for pen, phi in FIRST_ORDER_ORACLE],
+)
+def test_first_order_penalty_meets_the_searched_route_and_the_closed_form(penalty, phi):
+    # the one multiplier root against the grid-and-Brent Lagrangian it
+    # replaces, and against 1 / ||w||_{p'} or exp(-KL(Q|P) / p) for Power
+    searched = _searched(phi)
+    below = phi(math.exp(-duality.YCAP)) - phi.at_zero
+    for Q in _oracle_measures(67):
+        got, ref = penalty(phi, Q), penalty(searched, Q)
+        assert 0.0 < got <= 1.0, (Q.density, got)
+        # the searched alpha solves y >= -YCAP, so a zero-density atom costs it
+        # lam * Phi(e^-YCAP) where the exact inner sup is lam * Phi(0): alpha
+        # rises by lam* p_i (Phi(e^-YCAP) - Phi(0)), 1.9e-13 p_i for Power(0.5)
+        # (lam* = 1/p <= 2) and below 1e-25 for every other row
+        box = 2.0 * below * math.fsum(
+            p for p, w in zip(Q.space.probs, Q.density) if w == 0.0
+        )
+        assert abs(got - ref) <= (4e-15 + box) * ref, (Q.density, got, ref)
+        if type(phi) is Power:
+            want = _power_closed_form(penalty, phi.p, Q)
+            assert abs(got - want) <= 4e-15 * want, (Q.density, got, want)
+
+
+def test_first_order_beta_reads_neither_conjugate_nor_hoelder_exponent():
+    # beta_primal's root reads Phi and Phi' only, so it stays a cross-check
+    # of beta_conjugate's closed form 1 / ||w||_{p'}
+    class NoDual(Power):
+        holder_exponent = None
+        conjugate = None
+
+    for Q in _oracle_measures(79, count=10):
+        assert beta_primal(NoDual(2.5), Q) == beta_primal(Power(2.5), Q)
+
+
+def _extreme_measures():
+    rng = np.random.default_rng(71)
+    yield MeasureChange(FiniteProbabilitySpace((0.3, 0.7)), (0.0, 1.0 / 0.7))
+    # a density near 1 / min p_i, and one at it with every other density 0
+    yield MeasureChange(FiniteProbabilitySpace((1e-6, 1.0 - 1e-6)), (999999.0, 1e-6 / (1.0 - 1e-6)))
+    yield MeasureChange(FiniteProbabilitySpace((0.001, 0.499, 0.5)), (1000.0, 0.0, 0.0))
+    for _ in range(3):
+        yield next(_oracle_measures(int(rng.integers(1 << 30)), count=1))
+
+
+@pytest.mark.parametrize("p", [1.0 + 1e-6, 50.0])
+def test_first_order_penalties_at_extreme_exponents(p):
+    # (s/p)^(1/(p-1)) overflows for Power(1 + 1e-6) at lam far from the
+    # root: h reads +inf there and D is never taken at such a lam
+    phi = Power(p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for Q in _extreme_measures():
+            for penalty in (beta_primal, alpha_penalty):
+                got, want = penalty(phi, Q), _power_closed_form(penalty, p, Q)
+                assert abs(got - want) <= 4e-15 * want, (penalty.__name__, Q.density, got, want)
+            # the Hölder closed form scales the densities when ||w||_r overflows
+            beta = beta_conjugate(phi, Q)
+            assert beta == pytest.approx(_power_closed_form(beta_primal, p, Q), rel=4e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [0.5, 0.1])
+def test_alpha_where_a_maximizer_underflows(p):
+    # X* = (w / (lam p))^(1/p) is 0 in floats for w = 1e-200: the atom then
+    # costs -lam Phi(0), off by w |log X*| < 1e-196, where log 0 would make
+    # D -inf (the searched route's y >= -YCAP box was 9e-14 off for p = 0.5)
+    Q = MeasureChange(FiniteProbabilitySpace((0.5, 0.5)), (1e-200, 2.0 - 1e-200))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = alpha_penalty(Power(p), Q)
+    assert got == pytest.approx(_power_closed_form(alpha_penalty, p, Q), rel=4e-15, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "phi", [Expectile(0.8), Expectile(0.6), LpqQuantile(1.5, 0.5, 1.0, 1.0)], ids=repr
+)
+def test_zero_density_atoms_cost_phi_at_zero(phi):
+    # Q charges one atom of P: each uncharged atom takes Y = -inf and costs
+    # p_i Phi(0), so sup E_Q[Y] = log x with p_n Phi(x) = 1 - (1 - p_n) Phi(0),
+    # x = 1 + (that level / p_n - 1) / a on the upper branch
+    for probs in ((0.3, 0.7), (0.2, 0.5, 0.3), (0.01, 0.01, 0.98)):
+        dens = (0.0,) * (len(probs) - 1) + (1.0 / probs[-1],)
+        Q = MeasureChange(FiniteProbabilitySpace(probs), dens)
+        level = (1.0 - (1.0 - probs[-1]) * phi.at_zero) / probs[-1]
+        want = 1.0 / (1.0 + (level - 1.0) / phi.a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert alpha_penalty(phi, Q) == pytest.approx(want, rel=4e-15, abs=0.0)
+
+
+def test_first_order_penalty_is_the_dual_at_an_evaluated_multiplier():
+    # each returned penalty is 1/D or exp(-D) at a lam whose maximizers were
+    # computed, so it bounds the primal by construction
+    seen = []
+
+    class Recording(Power):
+        def first_order_point(self, s, geometric):
+            seen.append(np.array(s))
+            return Power.first_order_point(self, s, geometric)
+
+    for penalty, geometric in ((beta_primal, False), (alpha_penalty, True)):
+        for Q in _oracle_measures(73, count=20):
+            phi = Recording(2.0)
+            seen.clear()
+            got = penalty(phi, Q)
+            probs, dens = duality._canonical_atoms(Q)
+            j = int(np.argmax(dens))
+            duals = []
+            for s in seen:
+                lam = float(dens[j] / s[j])
+                x = Power.first_order_point(phi, dens / lam, geometric)
+                z = np.log(x, out=np.zeros_like(x), where=x > 0.0) if geometric else x
+                duals.append(lam + math.fsum(probs * (dens * z - lam * x**2.0)))
+            d = min(duals)
+            want = 1.0 / d if penalty is beta_primal else math.exp(-d)
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0), Q.density
+            assert len(seen) <= 64
+
+
+FIRST_ORDER_ROWS = [
+    (beta_primal, Power(2.0)),
+    (alpha_penalty, Power(2.0)),
+    (alpha_penalty, Expectile(0.8)),
+]
+
+
+@pytest.mark.parametrize(
+    "penalty,phi",
+    FIRST_ORDER_ROWS,
+    ids=[f"{pen.__name__}-{phi.spec_string()}" for pen, phi in FIRST_ORDER_ROWS],
+)
+def test_first_order_work_does_not_depend_on_atom_order(monkeypatch, penalty, phi):
+    # the root is bisected on sums in the canonical atom order: the same
+    # multipliers, the same float, and no inner search in any order
+    inner = _count_inner_searches(monkeypatch)
+    points = []
+
+    class Counting(type(phi)):
+        @property
+        def first_order_point(self):
+            point = super().first_order_point
+
+            def counted(s, geometric):
+                points.append(1)
+                return point(s, geometric)
+
+            return counted
+
+    counting = Counting(*(getattr(phi, f.name) for f in dataclasses.fields(phi)))
+    probs, dens = (0.3, 0.3, 0.2, 0.2), (0.5, 0.6, 0.8, 2.55)
+    counts, values = [], []
+    for order in ((0, 1, 2, 3), (3, 2, 1, 0), (2, 0, 3, 1)):
+        Q = MeasureChange(
+            FiniteProbabilitySpace(tuple(probs[i] for i in order)), tuple(dens[i] for i in order)
+        )
+        points.clear()
+        values.append(penalty(counting, Q))
+        counts.append(len(points))
+    assert inner == []
+    assert len(set(values)) == 1 and values[0] == penalty(phi, Q)
+    assert len(set(counts)) == 1 and counts[0] <= 64, counts
 
 
 def test_relative_entropy_hand_value():

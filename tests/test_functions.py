@@ -621,3 +621,58 @@ def test_derivative_takes_the_right_slope_at_kinks_and_knots(phi, x, want):
 def test_derivative_is_no_claim_on_the_base_class():
     assert OrliczFunction.derivative is None
     assert Power(2.0).derivative(np.array([[1.0, 2.0]])).shape == (1, 2)
+
+
+# --- first-order point ------------------------------------------------------
+
+FIRST_ORDER_FAMILIES = [
+    Power(0.5),
+    Power(1.0),
+    Power(1.5),
+    Power(3.0),
+    Power(50.0),
+    Expectile(0.3),
+    Expectile(0.8),
+    LpQuantile(0.7, 1.0),
+    LpqQuantile(1.5, 0.5, 1.0, 1.0),
+    LpqQuantile(1.0, 0.0, 1.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("geometric", [False, True], ids=["arith", "geom"])
+@pytest.mark.parametrize("phi", FIRST_ORDER_FAMILIES, ids=lambda f: f.spec_string())
+def test_first_order_point_is_the_least_x_that_reaches_s(phi, geometric):
+    # Phi'_+(x) (x Phi'_+(x) when geometric) reaches s at the point and
+    # nowhere below it, and reaches no s where the point is +inf
+    def reach(x):
+        d = phi.derivative(x)
+        return x * d if geometric else d
+
+    kinks = [getattr(phi, name, 1.0) for name in ("a", "b", "p")]
+    s = np.concatenate([[0.0], kinks, np.random.default_rng(89).uniform(0.0, 4.0, 200)])
+    x = phi.first_order_point(s.reshape(2, -1), geometric).ravel()
+    assert x.shape == s.shape
+    assert (x[s == 0.0] == 0.0).all()
+    hit = (s > 0.0) & (x < INF)
+    assert (reach(x[hit]) >= s[hit] * (1.0 - 1e-12)).all()
+    inside = hit & (x > 0.0)
+    assert (reach(x[inside] * (1.0 - 1e-9)) < s[inside]).all()
+    assert (reach(np.full((x == INF).sum(), 1e300)) < s[x == INF]).all()
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        GeometricMean(),
+        QuantileStep(0.3),
+        LpQuantile(0.7, 2.0),
+        LpqQuantile(1.0, 1.0, 2.0, 1.0),
+        LpqQuantile(2.0, 0.0, 2.0, 1.0),
+        GeometricExpectile(2.0, 1.0),
+        CONVEX_PWL,
+    ],
+    ids=lambda f: f.spec_string(),
+)
+def test_first_order_point_is_no_claim_without_a_closed_form(phi):
+    assert OrliczFunction.first_order_point is None
+    assert phi.first_order_point is None

@@ -76,14 +76,18 @@ def test_a_quadratic_takes_at_most_30_evaluations(top):
 
 W, LAM = 1.3, 0.7
 LAGRANGIANS = [
-    # w y - lam Phi(e^y) for Phi(x) = x^p, alpha_penalty's inner problem;
-    # its maximizer is y* = log(w / (lam p)) / p
+    # w y - lam Phi(e^y) for Phi(x) = x^p: the inner problem of the seeded
+    # alpha Lagrangian, which runs for families that state no
+    # first_order_point (Power states one); its maximizer is
+    # y* = log(w / (lam p)) / p
     *[
         (f"alpha-p{p}", lambda t, p=p: W * t - LAM * math.exp(p * t), math.log(W / (LAM * p)) / p)
         for p in (0.5, 1.5, 2.0, 3.0)
     ],
-    # w x - lam x^p in t = log x, beta_primal's inner problem; its
-    # maximizer is log x* = log(w / (lam p)) / (p - 1)
+    # w x - lam x^p in t = log x: the inner problem of the seeded beta
+    # Lagrangian, which runs for families that state neither knots nor
+    # first_order_point (no built-in); its maximizer is
+    # log x* = log(w / (lam p)) / (p - 1)
     *[
         (
             f"beta-p{p}",
