@@ -29,7 +29,8 @@ search.  Otherwise the family's stated facts pick the route:
 - first_order_point (Power; for alpha also the two-branch losses with
   p = q = 1): each inner sup sits at X* with Phi'(X*) = w / lam
   (X* Phi'(X*) = w / lam for alpha), D'(lam) = 1 - E_P[Phi(X*)], and
-  one bisection for that root in lam gives the penalty
+  the root of E_P[Phi(X*)] = 1, closed to adjacent floats by a
+  safeguarded secant in log coordinates, gives the penalty
   (_first_order_dual_min).
 - neither (gm, gexpectile and pwl for alpha; a user family): the
   seeded search.  Each inner problem runs grid plus Brent's method
@@ -39,7 +40,11 @@ search.  Otherwise the family's stated facts pick the route:
   array pass, leaves it a chance to win, and a lam polish follows the
   best seed.  The seeds skipped never change a result.
 
-A relative-entropy bridge converts beta values into alpha values.
+A relative-entropy bridge bounds alpha by beta: alpha(R) >=
+beta(Q) exp(-H(R|Q)) for every Q.  Where alpha takes the multiplier root,
+the maximizers at that root give the one Q* at which the bound is an
+equality (alpha_bridge_report); elsewhere the sup runs over a simplex
+grid.
 
 Everything here is a certificate engine.  A certificate is built at the
 first-order measure Q*, read off Phi'(X/k) at the premium k, which
@@ -70,7 +75,7 @@ from .base import (
 )
 from .functions import OrliczFunction, conjugate
 from .prob import MeasureChange, RandomVariable
-from .search import bisect_root_decreasing, golden_max, golden_min
+from .search import golden_max, golden_min
 
 X_CAP = 1e6  # right end of beta_primal's x grid when upper = inf
 YCAP = 60.0  # log-coordinate box for the geometric Lagrangian
@@ -220,31 +225,32 @@ def _grid_floors(
 
 def _first_order_dual_min(
     phi: OrliczFunction, probs: np.ndarray, dens: np.ndarray, geometric: bool
-) -> Optional[float]:
-    """min over lam > 0 of D(lam) = lam + sum_i p_i sup_z (w_i z - lam F(z)),
-    from the maximizers phi.first_order_point states; None when no root is
-    bracketed or D is not finite at either end.
+) -> Optional[tuple[float, float]]:
+    """(min, argmin) over lam > 0 of D(lam) = lam + sum_i p_i sup_z (w_i z -
+    lam F(z)), from the maximizers phi.first_order_point states; None when
+    no root is bracketed or D is not finite at either end.
 
     z = x and F = Phi for beta, z = log x and F = Phi(e^z) for alpha.  At
     lam each inner sup sits at X*_i = first_order_point(w_i / lam), so D is
-    convex with D'(lam) = -h(lam), h = E_P[Phi(X*)] - 1 nonincreasing.  A
-    power-of-two bracket of h's root is bisected to rounding
-    (bisect_root_decreasing), and D is evaluated at both evaluated ends,
-    summed in the order given (_canonical_atoms), the smaller returned.
-    Any lam bounds the primal supremum from above, so rounding in the root
-    never lets the penalty overstate.  An atom with w_i = 0 has X*_i = 0
-    and adds exactly -lam Phi(0): its w_i z term is 0, never 0 * log 0.
-    So does an atom whose X*_i underflows to 0, which overstates its inner
-    sup by less than w_i |log X*_i|, itself below the float range.  An X*
-    past the float range (+inf) makes h +inf and D +inf there.
+    convex with D'(lam) = 1 - m(lam), the moment m = E_P[Phi(X*)]
+    nonincreasing.  A power-of-two bracket of m = 1 is closed to adjacent
+    floats (_multiplier_root), and D is evaluated at both ends, summed in
+    the order given (_canonical_atoms); the smaller value is returned with
+    its multiplier.  Any lam bounds the primal supremum from above, so
+    rounding in the root never lets the penalty overstate.  An atom with
+    w_i = 0 has X*_i = 0 and adds exactly -lam Phi(0): its w_i z term is 0,
+    never 0 * log 0.  So does an atom whose X*_i underflows to 0, which
+    overstates its inner sup by less than w_i |log X*_i|, itself below the
+    float range.  An X* past the float range (+inf) makes m +inf and D +inf
+    there.
     """
     point = phi.first_order_point
 
     def x_star(lam: float) -> np.ndarray:
         return point(dens / lam, geometric)
 
-    def h(lam: float) -> float:
-        return float(probs @ phi.eval_array(x_star(lam))) - 1.0
+    def moment(lam: float) -> float:
+        return float(probs @ phi.eval_array(x_star(lam)))
 
     def dual(lam: float) -> float:
         x = x_star(lam)
@@ -256,20 +262,94 @@ def _first_order_dual_min(
             total += p_i * t
         return total if -INF < total < INF else INF
 
-    # step k from 0 toward the root until h(2^k) changes sign
-    k, v = 0, h(1.0)
-    above = v > 0.0
-    while v == v and (v > 0.0) == above:
+    # step k from 0 toward the root until m(2^k) - 1 changes sign
+    k, m = 0, moment(1.0)
+    above = m > 1.0
+    prev = m
+    while m == m and (m > 1.0) == above:
         k += 1 if above else -1
         if not -1074 <= k <= 1023:
             return None
-        v = h(math.ldexp(1.0, k))
-    if v != v:
+        prev, m = m, moment(math.ldexp(1.0, k))
+    if m != m:
         return None
-    lo, hi = (k - 1, k) if above else (k, k + 1)
-    _, lo, hi, _ = bisect_root_decreasing(h, math.ldexp(1.0, lo), math.ldexp(1.0, hi), rel_tol=0.0)
-    best = min(dual(lo), dual(hi))
-    return best if best < INF else None
+    lo, hi, m_lo, m_hi = (k - 1, k, prev, m) if above else (k, k + 1, m, prev)
+    lo, hi = _multiplier_root(moment, math.ldexp(1.0, lo), math.ldexp(1.0, hi), m_lo, m_hi)
+    d_lo, d_hi = dual(lo), dual(hi)
+    best, lam = (d_hi, hi) if d_hi < d_lo else (d_lo, lo)
+    return (best, lam) if best < INF else None
+
+
+# the secant aims between 1 and the next float up, so that a moment that
+# rounds to exactly 1 still reads as lying on its side of the root
+SECANT_AIM = 2.0**-53
+# evaluations the secant may spend beyond plain bisection
+SECANT_SLACK = 3
+
+
+def _multiplier_root(
+    moment: Callable[[float], float], lo: float, hi: float, m_lo: float, m_hi: float
+) -> tuple[float, float]:
+    """Adjacent floats lo < hi with moment(lo) > 1 >= moment(hi), for a
+    nonincreasing moment, from the binade [lo, hi] = [2^(k-1), 2^k] and
+    m_lo = moment(lo) > 1 >= m_hi = moment(hi).
+
+    Each step is a secant in (log lam, log moment), through the last two
+    evaluated points, or through the bracket ends when their values agree.
+    For Power the moment is a power of lam, so one step lands on the root
+    and the next crosses it.  Two safeguards bound the work:
+    - a step lands at least 2^(j-1) floats inside the end that the last
+      j steps all moved, so steps stuck on one side of the root reach the
+      other in a few;
+    - a step lands within SECANT_SLACK halvings of the bisection schedule
+      (after step j the bracket is at most 2^(SECANT_SLACK - j) times its
+      first width), so the root never costs more than SECANT_SLACK
+      evaluations beyond bisection, 52 of them in a binade.
+    A moment that is not finite and positive gives the secant nothing to
+    read, and the step is the midpoint.
+    """
+
+    def log_of(m: float) -> float:
+        return math.log(m) if 0.0 < m < INF else math.nan
+
+    y_lo, y_hi = log_of(m_lo), log_of(m_hi)
+    x0, y0, x1, y1 = lo, y_lo, hi, y_hi  # the last two evaluated points
+    spacing = math.ulp(lo)  # of the floats in [lo, hi]
+    first = hi - lo
+    j = 0  # steps taken
+    side = run = 0  # the end the last step moved (+1 lo, -1 hi) and its streak
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi
+        j += 1
+        # the widest bracket this step may leave; the first SECANT_SLACK are free
+        budget = math.ldexp(first, min(SECANT_SLACK - j, 0))
+        x = mid
+        a, ya, b, yb = (x0, y0, x1, y1) if y0 != y1 else (lo, y_lo, hi, y_hi)
+        if math.isfinite(ya) and math.isfinite(yb) and ya != yb:
+            # the bracket spans a factor of 2 at most, so the clip keeps exp
+            # finite and changes only steps that the clamps below take back
+            t = (yb - SECANT_AIM) * math.log(b / a) / (yb - ya)
+            x = b * math.exp(-min(max(t, -1.0), 1.0))
+            step = math.ldexp(spacing, min(run, 52))  # 2^52 spacings span the binade
+            if side > 0:
+                x = max(x, lo + step)
+            elif side < 0:
+                x = min(x, hi - step)
+            # floats in one binade: both bounds are exact where they bind
+            x = max(x, hi - budget, math.nextafter(lo, hi))
+            x = min(x, lo + budget, math.nextafter(hi, lo))
+        m = moment(x)
+        y = log_of(m)
+        s = 1 if m > 1.0 else -1
+        if s > 0:
+            lo, y_lo = x, y
+        else:
+            hi, y_hi = x, y
+        run = run + 1 if s == side else 0
+        side = s
+        x0, y0, x1, y1 = x1, y1, x, y
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +452,8 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     A family that states phi.first_order_point (Power with p > 1 among
     the built-ins) takes the inner maximizer X* = least x with
     Phi'_+(x) >= w / lam, and the minimum of D is the root of
-    E_P[Phi(X*)] = 1, found by one bisection (_first_order_dual_min).
+    E_P[Phi(X*)] = 1, found by a safeguarded secant
+    (_first_order_dual_min).
 
     Any other Phi (no built-in) runs the seeded search: each inner
     problem, concave in x, by grid plus Brent's search on
@@ -389,11 +470,10 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
         return 1.0
     probs, dens = _canonical_atoms(Q)
     slopes = _knot_slopes(phi)
-    dmin = None
+    root = None
     if not slopes and phi.first_order_point is not None:
-        dmin = _first_order_dual_min(phi, probs, dens, geometric=False)
-    if dmin is None:
-        dmin = _searched_beta_dual_min(phi, probs, dens, slopes)
+        root = _first_order_dual_min(phi, probs, dens, geometric=False)
+    dmin = root[0] if root is not None else _searched_beta_dual_min(phi, probs, dens, slopes)
     if phi.upper < INF:
         dmin = min(dmin, phi.upper * float(probs @ dens))
     if dmin == INF:
@@ -492,7 +572,8 @@ def alpha_penalty(phi: OrliczFunction, Q: MeasureChange) -> float:
     two-branch losses with p = q = 1: expectile, lp:alpha,1 and
     lpq:a,b,1,1) takes the inner maximizer X* = least x with
     x Phi'_+(x) >= w / lam, and the minimum of D is the root of
-    E_P[Phi(X*)] = 1, found by one bisection (_first_order_dual_min).
+    E_P[Phi(X*)] = 1, found by a safeguarded secant
+    (_first_order_dual_min).
     For Power(p) that gives exp(-KL(Q|P) / p).
 
     Any other Phi (gm, gexpectile, pwl) runs the seeded search on the
@@ -509,11 +590,10 @@ def alpha_penalty(phi: OrliczFunction, Q: MeasureChange) -> float:
     if phi.at_zero == 1.0:
         return 1.0
     probs, dens = _canonical_atoms(Q)
-    dmin = None
+    root = None
     if phi.first_order_point is not None:
-        dmin = _first_order_dual_min(phi, probs, dens, geometric=True)
-    if dmin is None:
-        dmin = _searched_alpha_dual_min(phi, probs, dens)
+        root = _first_order_dual_min(phi, probs, dens, geometric=True)
+    dmin = root[0] if root is not None else _searched_alpha_dual_min(phi, probs, dens)
     if dmin == INF:
         return 0.0
     return min(1.0, math.exp(-dmin))
@@ -772,11 +852,14 @@ def beta_on_grid(
 
 @dataclass(frozen=True)
 class AlphaBridgeReport:
-    """Grid-based alpha versus the direct computation, with the gap budget.
+    """The bridge lower bound on alpha(R) against alpha(R) itself.
 
-    bridge_value is a sup over finitely many Q, so it can undershoot the
-    direct value by at most the grid resolution; reported_gap is the
-    budget 5 * grid_step that the acceptance checks use.
+    bridge_value is beta(Q) exp(-H(R|Q)) at the maximizer Q* read off
+    alpha's multiplier root (route "first_order"), where the bound holds
+    with equality, or the sup of that bound over the simplex grid (route
+    "grid"), which can undershoot by the grid resolution.  reported_gap
+    is the budget 5 * grid_step that the acceptance checks use, on either
+    route.
     """
 
     bridge_value: float
@@ -784,14 +867,42 @@ class AlphaBridgeReport:
     reported_gap: float
     grid_step: float
     within_gap: bool
+    route: str
 
 
 def alpha_bridge_report(
     phi: OrliczFunction, R: MeasureChange, grid_step: float = 0.01
 ) -> AlphaBridgeReport:
-    grid = beta_on_grid(phi, R.space, grid_step)
-    bridge = alpha_from_beta(grid, R)
-    direct = alpha_penalty(phi, R)
+    """alpha(R) against its bridge lower bound sup_Q beta(Q) exp(-H(R|Q)).
+
+    Every Q gives alpha(R) >= beta(Q) exp(-H(R|Q)).  Where alpha_penalty
+    takes the multiplier root (_first_order_dual_min; phi states
+    first_order_point), the sup is attained at the one measure
+    dQ*/dP = g / c, g = r / (lam* X*), c = E_P[g], r = dR/dP, with X* the
+    maximizers at alpha's root lam* (g = 0 where r = 0), and the bound
+    holds with equality:
+    - X*_i maximizes r_i log x - lam* Phi(x), so g_i is a subgradient of
+      Phi at X*_i, and E_P[Phi(X*)] = 1 at the root;
+    - so Phi(X) >= Phi(X*) + g (X - X*) puts X* at the maximum of
+      E_Q*[X] over {E_P[Phi(X)] <= 1}, and beta(Q*) = 1 / E_Q*[X*] = lam* c;
+    - H(R|Q*) = E_R[log(r c / g)] = log(lam* c) + E_R[log X*];
+    - so beta(Q*) exp(-H(R|Q*)) = exp(-E_R[log X*]) = exp(-D(lam*)) = alpha(R).
+    The report then reads bridge_value = beta_conjugate(Q*) exp(-H(R|Q*))
+    and direct_value = exp(-D) at the same root, route "first_order";
+    rounding can move Q* off the exact maximizer, but any Q keeps
+    bridge_value a lower bound.  Any other phi, or a maximizer that
+    underflows to 0 on an atom R charges, takes the sup over the simplex
+    grid of step grid_step (plus Q = P), route "grid".
+    """
+    _require_convex(phi)
+    _require_ga_convex(phi)
+    star = _bridge_maximizer(phi, R)
+    if star is None:
+        bridge = alpha_from_beta(beta_on_grid(phi, R.space, grid_step), R)
+        direct, route = alpha_penalty(phi, R), "grid"
+    else:
+        Q, direct = star
+        bridge, route = alpha_from_beta([(Q, beta_conjugate(phi, Q))], R), "first_order"
     gap = 5.0 * grid_step
     return AlphaBridgeReport(
         bridge_value=bridge,
@@ -799,7 +910,31 @@ def alpha_bridge_report(
         reported_gap=gap,
         grid_step=grid_step,
         within_gap=abs(direct - bridge) <= gap,
+        route=route,
     )
+
+
+def _bridge_maximizer(
+    phi: OrliczFunction, R: MeasureChange
+) -> Optional[tuple[MeasureChange, float]]:
+    """(Q*, alpha(R)) from alpha's multiplier root (alpha_bridge_report), or
+    None where alpha_penalty takes no root or a maximizer on an atom R
+    charges underflows to 0."""
+    if phi.first_order_point is None or phi.at_zero == 1.0:
+        return None
+    probs, dens = _canonical_atoms(R)
+    root = _first_order_dual_min(phi, probs, dens, geometric=True)
+    if root is None:
+        return None
+    d, lam = root
+    r = np.asarray(R.density, dtype=float)
+    x = phi.first_order_point(r / lam, True)
+    charged = r > 0.0
+    if not (x[charged] > 0.0).all():
+        return None
+    g = np.divide(r, x, out=np.zeros_like(r), where=charged)
+    c = float(R.space.probs_array() @ g)
+    return MeasureChange(R.space, tuple((g / c).tolist())), min(1.0, math.exp(-d))
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_pwl_spec_from_file(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "premium", "--phi", f"pwl:{pwl}", "--data", data)
     assert rc == 0
     env = json.loads(out)
-    assert env["result"]["value"] == pytest.approx(2.0, rel=1e-9)
+    assert env["result"]["value"] == pytest.approx(2.0, rel=1e-9, abs=0.0)
     assert cli.parse_phi_spec(f"pwl:{pwl}")(0.25) == 0.25  # the 0,0 row is a knot
 
 
@@ -176,7 +176,7 @@ def test_dual_verify_on_a_capped_convex_pwl(capsys, tmp_path):
     env = json.loads(out)
     res = env["result"]
     assert env["diagnostics"]["route"] == "first_order"
-    assert res["primal"] == pytest.approx(2.4, rel=1e-9)  # Phi(1/2.4) = 0.5, Phi(3/2.4) = 1.5
+    assert res["primal"] == pytest.approx(2.4, rel=1e-9, abs=0.0)  # Phi(1/2.4) = 0.5, Phi(3/2.4) = 1.5
     assert abs(res["gap"]) <= 1e-9 * max(1.0, res["primal"])
 
 

@@ -72,8 +72,8 @@ def _random_measure(rng, space):
 def test_beta_power_closed_form():
     Q = MeasureChange(UNIFORM2, (0.6, 1.4))
     want = 1.0 / math.sqrt(0.5 * 0.36 + 0.5 * 1.96)
-    assert beta_conjugate(Power(2.0), Q) == pytest.approx(want, rel=1e-12)
-    assert beta_conjugate(Power(1.0), Q) == pytest.approx(1.0 / 1.4, rel=1e-12)
+    assert beta_conjugate(Power(2.0), Q) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert beta_conjugate(Power(1.0), Q) == pytest.approx(1.0 / 1.4, rel=1e-12, abs=0.0)
 
 
 def test_beta_at_reference_measure_is_one():
@@ -221,7 +221,7 @@ def test_beta_primal_work_does_not_depend_on_atom_order(monkeypatch, phi):
         values.append(beta_primal(phi, Q))
         counts.append(solves)
     assert counts[0] == counts[1]
-    assert values[0] == pytest.approx(values[1], rel=1e-12)
+    assert values[0] == pytest.approx(values[1], rel=1e-12, abs=0.0)
 
 
 def _solve_every_seed(monkeypatch):
@@ -350,7 +350,7 @@ def _beta_primal_power_work(monkeypatch, phi):
     Q = MeasureChange(FiniteProbabilitySpace((0.3, 0.3, 0.2, 0.2)), (0.5, 0.6, 0.8, 2.55))
     beta = beta_primal(phi, Q)
     assert len(calls) <= 80
-    assert beta == pytest.approx(beta_conjugate(Power(2.0), Q), rel=1e-15)
+    assert beta == pytest.approx(beta_conjugate(Power(2.0), Q), rel=1e-15, abs=0.0)
     return len(calls)
 
 
@@ -383,8 +383,8 @@ def test_beta_routes_agree_past_a_restart_row_at_upper():
     # X = (1.5, 0) has E[Phi(X)] = 1 and E_Q[X] = 1.2, so beta = 1 / 1.2
     phi = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0), (2.0, 1.0)], upper=2.0)
     Q = MeasureChange(FiniteProbabilitySpace((0.5, 0.5)), (1.6, 0.4))
-    assert beta_primal(phi, Q) == pytest.approx(1.0 / 1.2, rel=1e-14)
-    assert beta_conjugate(phi, Q) == pytest.approx(1.0 / 1.2, rel=1e-14)
+    assert beta_primal(phi, Q) == pytest.approx(1.0 / 1.2, rel=1e-14, abs=0.0)
+    assert beta_conjugate(phi, Q) == pytest.approx(1.0 / 1.2, rel=1e-14, abs=0.0)
 
 
 def test_alpha_penalty_work_does_not_depend_on_rounding_in_the_densities(monkeypatch):
@@ -647,20 +647,28 @@ def test_first_order_penalty_is_the_dual_at_an_evaluated_multiplier():
             assert len(seen) <= 64
 
 
+# (penalty, phi, most first_order_point calls, bracket and D included):
+# Power's moment is a power of lam, so the secant lands on its root at
+# once; the expectile's is not, and it may take no more calls than the
+# bisection before the secant took (57)
 FIRST_ORDER_ROWS = [
-    (beta_primal, Power(2.0)),
-    (alpha_penalty, Power(2.0)),
-    (alpha_penalty, Expectile(0.8)),
+    (beta_primal, Power(2.0), 8),
+    (alpha_penalty, Power(2.0), 8),
+    (alpha_penalty, Expectile(0.8), 57),
+    (beta_primal, Power(1.5), 8),
+    (beta_primal, Power(3.0), 8),
+    (alpha_penalty, Power(1.0), 8),
+    (alpha_penalty, Power(3.0), 8),
 ]
 
 
 @pytest.mark.parametrize(
-    "penalty,phi",
+    "penalty,phi,calls",
     FIRST_ORDER_ROWS,
-    ids=[f"{pen.__name__}-{phi.spec_string()}" for pen, phi in FIRST_ORDER_ROWS],
+    ids=[f"{pen.__name__}-{phi.spec_string()}" for pen, phi, _ in FIRST_ORDER_ROWS],
 )
-def test_first_order_work_does_not_depend_on_atom_order(monkeypatch, penalty, phi):
-    # the root is bisected on sums in the canonical atom order: the same
+def test_first_order_work_does_not_depend_on_atom_order(monkeypatch, penalty, phi, calls):
+    # the root is found on sums in the canonical atom order: the same
     # multipliers, the same float, and no inner search in any order
     inner = _count_inner_searches(monkeypatch)
     points = []
@@ -688,13 +696,46 @@ def test_first_order_work_does_not_depend_on_atom_order(monkeypatch, penalty, ph
         counts.append(len(points))
     assert inner == []
     assert len(set(values)) == 1 and values[0] == penalty(phi, Q)
-    assert len(set(counts)) == 1 and counts[0] <= 64, counts
+    assert len(set(counts)) == 1 and counts[0] <= calls, counts
+
+
+@pytest.mark.parametrize("k", [1023, 600, 1, -1021, -1060])
+def test_multiplier_root_closes_any_binade(k):
+    # a moment that is a power of lam takes the secant a few steps; one with
+    # a kink at the root and flat to rounding beyond it gets nothing from
+    # the secant, and takes at most SECANT_SLACK steps more than plain
+    # bisection (52 in a normal binade, 13 in the subnormal one here).  In
+    # the top binade 8 times the width is past the float range
+    lo, hi = math.ldexp(1.0, k - 1), math.ldexp(1.0, k)
+    spacing = math.ulp(lo)
+    steps = round((hi - lo) / spacing).bit_length() - 1
+    for frac in (0.3, 0.7, 1e-9, 1.0 - 1e-12):
+        root = lo + math.floor(frac * (hi - lo) / spacing) * spacing
+        if not lo < root:
+            continue
+        moments = [lambda lam, q=q: (root / lam) ** q for q in (1.0, 2.0, 50.0)]
+        moments.append(lambda lam: 1.0 + (root - lam) / root if lam < root else 1.0 - 2.0**-53)
+        for moment in moments:
+            calls = []
+
+            def counted(lam):
+                calls.append(lam)
+                return moment(lam)
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                a, b = duality._multiplier_root(counted, lo, hi, moment(lo), moment(hi))
+            assert lo <= a and math.nextafter(a, hi) == b <= hi, (frac, a, b)
+            assert moment(a) > 1.0 >= moment(b)
+            assert len(calls) <= steps + duality.SECANT_SLACK, (frac, len(calls))
+            if moment is not moments[-1]:
+                assert len(calls) <= 4, (frac, len(calls))
 
 
 def test_relative_entropy_hand_value():
     R = MeasureChange(UNIFORM2, (1.5, 0.5))
     want = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)
-    assert relative_entropy(R, P2) == pytest.approx(want, rel=1e-14)
+    assert relative_entropy(R, P2) == pytest.approx(want, rel=1e-14, abs=0.0)
     assert relative_entropy(P2, R) > 0.0
     # off-support target blows up
     degenerate = MeasureChange(UNIFORM2, (2.0, 0.0))
@@ -721,6 +762,53 @@ def test_alpha_bridge_report_within_gap():
     report = alpha_bridge_report(Power(2.0), P2, grid_step=0.01)
     assert report.reported_gap == pytest.approx(0.05)
     assert report.within_gap, report
+
+
+BRIDGE_FAMILIES = [
+    Power(1.0),
+    Power(1.5),
+    Power(2.0),
+    Power(3.0),
+    Expectile(0.6),
+    Expectile(0.8),
+    LpQuantile(0.7, 1.0),
+    LpqQuantile(1.5, 0.5, 1.0, 1.0),
+]
+
+
+@pytest.mark.parametrize("phi", BRIDGE_FAMILIES, ids=lambda phi: phi.spec_string())
+def test_bridge_is_tight_at_the_maximizer_of_alpha(phi):
+    # Q* read off alpha's own root attains alpha(R) >= beta(Q) exp(-H(R|Q))
+    # with equality; rounding may move it either way, by a few ulps
+    for R in _oracle_measures(83):
+        report = alpha_bridge_report(phi, R)
+        assert report.route == "first_order"
+        assert report.direct_value == alpha_penalty(phi, R)
+        bridge, direct = report.bridge_value, report.direct_value
+        assert abs(bridge - direct) <= 4e-15 * direct, (R.density, bridge, direct)
+        Q, _ = duality._bridge_maximizer(phi, R)
+        r = np.asarray(R.density)
+        assert ((np.asarray(Q.density) > 0.0) == (r > 0.0)).all(), (R.density, Q.density)
+        if type(phi) is Power:
+            # Q* has density proportional to (dR/dP)^((p-1)/p)
+            w = np.where(r > 0.0, r ** ((phi.p - 1.0) / phi.p), 0.0)
+            want = w / float(R.space.probs_array() @ w)
+            assert np.asarray(Q.density) == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_bridge_without_a_multiplier_root_keeps_the_grid():
+    # no first_order_point (the searched Power), or a loss that states none
+    # (p != q): the sup over the simplex grid, with the values it gave
+    # before the maximizer route existed
+    R = MeasureChange(FiniteProbabilitySpace((0.2, 0.3, 0.5)), (2.5, 0.25, 0.85))
+    for phi, want in (
+        (_searched(Power(2.0)), 0.8665755213414315),
+        (LpqQuantile(2.0, 0.0, 2.0, 1.0), 0.9958194540750487),
+    ):
+        report = alpha_bridge_report(phi, R, grid_step=0.05)
+        assert report.route == "grid"
+        assert report.bridge_value == want
+        assert report.direct_value == alpha_penalty(phi, R)
 
 
 def test_simplex_grid_counts():
@@ -870,7 +958,7 @@ def test_first_order_when_the_derivative_vanishes_everywhere():
     cert = dual_search(LpqQuantile(2.0, 0.0, 2.0, 1.0), X)
     _assert_tight(cert)
     assert cert.primal == 2.0
-    assert cert.measure.density == pytest.approx((0.0, 1.0 / 0.6, 0.0, 1.0 / 0.6), rel=1e-15)
+    assert cert.measure.density == pytest.approx((0.0, 1.0 / 0.6, 0.0, 1.0 / 0.6), rel=1e-15, abs=0.0)
     # all-zero X: premium 0, and any measure is tight
     _assert_tight(dual_search(Power(2.0), rv((0.0, 0.0))))
 
@@ -897,7 +985,7 @@ def test_capped_convex_pwl_gets_a_tight_certificate():
     assert phi.convex_flag is True
     cert = dual_search(phi, rv((1.0, 3.0)))
     _assert_tight(cert)
-    assert cert.primal == pytest.approx(7.0 / 3.0, rel=1e-9)
+    assert cert.primal == pytest.approx(7.0 / 3.0, rel=1e-9, abs=0.0)
 
 
 def test_no_derivative_falls_back_to_the_grid():

@@ -41,7 +41,7 @@ ALL_FAMILIES = [
 def test_geometric_mean_values():
     phi = GeometricMean()
     assert phi(1.0) == 1.0
-    assert phi(math.e) == pytest.approx(2.0, rel=1e-15)
+    assert phi(math.e) == pytest.approx(2.0, rel=1e-15, abs=0.0)
     assert phi(0.0) == NEG_INF
     assert phi.at_zero == NEG_INF
 
@@ -368,9 +368,9 @@ def _conjugate_oracle(phi, y, hi=1e4):
 def test_power_conjugate_closed_form():
     phi = Power(2.0)
     assert conjugate(phi, 0.0) == 0.0
-    assert conjugate(phi, 2.0) == pytest.approx(1.0, rel=1e-12)
+    assert conjugate(phi, 2.0) == pytest.approx(1.0, rel=1e-12, abs=0.0)
     for y in (0.5, 1.0, 3.0):
-        assert conjugate(phi, y) == pytest.approx((y / 2.0) ** 2, rel=1e-12)
+        assert conjugate(phi, y) == pytest.approx((y / 2.0) ** 2, rel=1e-12, abs=0.0)
 
 
 def test_power_one_conjugate_is_indicator():

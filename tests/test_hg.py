@@ -94,7 +94,7 @@ def test_convex_pwl_far_tail_is_its_expectile():
     assert res.route == "tail"
     assert res.value == 2.0
     assert res.attained
-    assert res.minimizer_x == pytest.approx(-998.0, rel=1e-12)
+    assert res.minimizer_x == pytest.approx(-998.0, rel=1e-12, abs=0.0)
     assert (res.evaluations, res.profile, res.extensions, res.floor_active) == (0, (), 0, False)
     assert _g(phi, X, res.minimizer_x) == pytest.approx(2.0, abs=1e-6)  # premium tol at k ~ 1000
     assert _g(phi, X, -1200.0) == pytest.approx(2.0, abs=1e-6)
@@ -132,7 +132,7 @@ def test_tail_route_has_a_two_sided_certificate(phi, n):
     Q = MeasureChange(X.space, tuple(s / mean for s in slopes))
     assert beta_conjugate(phi, Q) == pytest.approx(1.0, abs=1e-12)
     q_mean = math.fsum(p * d * v for p, d, v in zip(X.space.probs, Q.density, X.values))
-    assert q_mean == pytest.approx(rho, rel=1e-12)
+    assert q_mean == pytest.approx(rho, rel=1e-12, abs=0.0)
     k = rho - res.minimizer_x
     assert _g(phi, X, res.minimizer_x) == pytest.approx(rho, abs=1e-10 * k)
     assert _g(phi, X, res.minimizer_x - 50.0) == pytest.approx(rho, abs=1e-10 * (k + 50.0))
@@ -145,7 +145,7 @@ def test_nonconvex_pwl_sweeps_right_of_its_tail():
     res = hg_risk_measure(NONCONVEX_PWL, X)
     assert res.route == "window"
     x_left = res.profile[0][0]
-    assert x_left == pytest.approx(e - max((4.15 - e) / 1.0, (e - 0.4) / 0.5), rel=1e-12)
+    assert x_left == pytest.approx(e - max((4.15 - e) / 1.0, (e - 0.4) / 0.5), rel=1e-12, abs=0.0)
     assert res.value <= e
     for x in (x_left, x_left - 1.0, x_left - 50.0):
         assert _g(NONCONVEX_PWL, X, x) == pytest.approx(e, abs=1e-10 * (e - x))  # premium tol
@@ -179,7 +179,7 @@ def test_tail_with_a_flat_piece_below_one_is_the_maximum():
     res = hg_risk_measure(phi, X)
     assert (res.route, res.value, res.evaluations) == ("tail", 4.15, 0)
     assert res.minimizer_x == pytest.approx(0.4, abs=1e-12)  # d- = 1: x_L = max X - spread
-    assert _g(phi, X, res.minimizer_x) == pytest.approx(4.15, rel=1e-10)
+    assert _g(phi, X, res.minimizer_x) == pytest.approx(4.15, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("m", [0.25, 1.0])

@@ -1,12 +1,15 @@
 """Static hygiene of the package source: no dead imports, no unread
-parameters, no isinstance tests against a family class.
+parameters, no isinstance tests against a family class; and of the
+tests: no pytest.approx that states rel without abs.
 
 The checks walk the stdlib ast of every module under src/orlicz.  A
 parameter that no body reads is a knob that changes no result, and an
 import that nothing uses is dead code.  A fact about a loss family lives
 on the family, as an attribute or method; an isinstance test against a
 family class, in any module, is a second copy of such a fact.  Any of
-these fails the suite.
+these fails the suite.  pytest.approx keeps its default abs=1e-12 when
+only rel is given, so such a check near 1 pins nothing finer than 1e-12
+whatever rel says.
 """
 
 import ast
@@ -17,6 +20,7 @@ from orlicz.functions import BUILTIN_FAMILIES
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "orlicz"
 MODULES = sorted(SRC.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 FAMILY_NAMES = {cls.__name__ for cls in BUILTIN_FAMILIES}
 
 
@@ -151,3 +155,25 @@ def test_ladder_helpers_stay_deleted():
     # replaced, and the quantile route's own size cutoff, now VECTOR_MIN
     walks = {"_expectile_signed", "_expectile_sweep", "_lp2_exact", "_lp2_sweep"}
     assert not (walks | {"QUANTILE_ARRAY_MIN"}) & set(vars(premium))
+
+
+def _approx_rel_without_abs(tree: ast.Module) -> list[str]:
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        keywords = {k.arg for k in node.keywords}
+        # approx(expected, rel, abs, ...) also takes rel and abs by position
+        rel = "rel" in keywords or len(node.args) >= 2
+        has_abs = "abs" in keywords or len(node.args) >= 3
+        if name == "approx" and rel and not has_abs:
+            out.append(f"line {node.lineno}")
+    return out
+
+
+def test_approx_with_rel_states_abs():
+    assert "test_duality.py" in {p.name for p in TESTS}
+    found = {path.name: bad for path in TESTS if (bad := _approx_rel_without_abs(_tree(path)))}
+    assert not found, f"pytest.approx with rel but no abs (abs=1e-12 is then implied): {found}"

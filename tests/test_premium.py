@@ -83,7 +83,7 @@ def test_generic_route_matches_gm_oracle():
         X = rv(values, probs)
         got = orlicz_premium(GeometricMean(), X, route="generic").value
         want = oracle_gm(values, probs)
-        assert got == pytest.approx(want, rel=1e-9)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
@@ -93,7 +93,7 @@ def test_generic_route_matches_power_oracle(p):
         values, probs = _random_instance(rng)
         X = rv(values, probs)
         got = orlicz_premium(Power(p), X, route="generic").value
-        assert got == pytest.approx(oracle_power(values, probs, p), rel=1e-9)
+        assert got == pytest.approx(oracle_power(values, probs, p), rel=1e-9, abs=0.0)
 
 
 def test_fast_paths_match_generic():
@@ -114,7 +114,7 @@ def test_fast_paths_match_generic():
         phi = families[i % len(families)]
         fast = orlicz_premium(phi, X).value
         slow = orlicz_premium(phi, X, route="generic").value
-        assert fast == pytest.approx(slow, rel=1e-8), phi.spec_string()
+        assert fast == pytest.approx(slow, rel=1e-8, abs=0.0), phi.spec_string()
 
 
 def test_expectile_fast_path_matches_bisection_oracle():
@@ -124,7 +124,7 @@ def test_expectile_fast_path_matches_bisection_oracle():
         alpha = float(rng.uniform(0.05, 0.95))
         got = orlicz_premium(Expectile(alpha), rv(values, probs)).value
         want = oracle_asymmetric_root(values, probs, alpha, 1.0)
-        assert got == pytest.approx(want, rel=1e-10)
+        assert got == pytest.approx(want, rel=1e-10, abs=0.0)
 
 
 def test_lp_quantile_p2_matches_bisection_oracle():
@@ -134,7 +134,7 @@ def test_lp_quantile_p2_matches_bisection_oracle():
         alpha = float(rng.uniform(0.1, 0.9))
         got = orlicz_premium(LpQuantile(alpha, 2.0), rv(values, probs)).value
         want = oracle_asymmetric_root(values, probs, alpha, 2.0)
-        assert got == pytest.approx(want, rel=1e-9)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -153,7 +153,7 @@ def test_lpq_with_equal_exponents_is_the_lp_quantile(p):
         # _finish reads each family's own Phi, whose rounding near g = 1 may
         # nudge one value up by ulps and not the other
         got, want = orlicz_premium(lpq, X), orlicz_premium(lp, X)
-        assert got.value == pytest.approx(want.value, rel=1e-12), (a, b, values, probs)
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0.0), (a, b, values, probs)
         if got.nudges == want.nudges == 0:
             assert got.value == want.value, (a, b, values, probs)
         # p = 1.5 bisects the scaled inequality; p in {1, 2} solves per segment
@@ -194,7 +194,7 @@ def test_quantile_premium_homogeneous_at_small_and_large_scale():
         for alpha in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
             want = scale * orlicz_premium(QuantileStep(alpha), rv(values)).value
             got = orlicz_premium(QuantileStep(alpha), X).value
-            assert got == pytest.approx(want, rel=1e-12), (scale, alpha)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (scale, alpha)
 
 
 def _weighted_draws():
@@ -248,7 +248,7 @@ def test_dedicated_routes_return_feasible_values_at_size(phi):
         res = orlicz_premium(phi, X)
         assert res.g_at_value <= 1.0
         assert res.g_at_value == phi_moment(phi, X.values_array(), X.space.probs_array(), res.value)
-        assert res.value == pytest.approx(orlicz_premium(phi, X, route="generic").value, rel=1e-9)
+        assert res.value == pytest.approx(orlicz_premium(phi, X, route="generic").value, rel=1e-9, abs=0.0)
 
 
 def test_nudged_value_is_the_least_feasible_float():
@@ -366,7 +366,7 @@ def test_lp2_premium_past_squares_that_overflow():
     # 2e154 ** 2 overflows: the unscaled walk read h as nan and returned max X
     tol = 1e-10
     res = orlicz_premium(LpQuantile(0.5, 2.0), rv((1.0, 2e154)), tol=tol)
-    assert res.value == pytest.approx(1e154, rel=tol)
+    assert res.value == pytest.approx(1e154, rel=tol, abs=0.0)
     assert res.g_at_value <= 1.0
     # (2 - k)^2 + (3 - k)^2 = k^2 on [0, 2] in units of 1e154; the midpoint
     # of two atoms, whose squares at 1e-200 underflow unless scaled up
@@ -374,7 +374,7 @@ def test_lp2_premium_past_squares_that_overflow():
                          ((2.0**600, 2.0**601), 1.5 * 2.0**600),
                          ((1e-200, 2e-200), 1.5e-200)):
         res = orlicz_premium(LpQuantile(0.5, 2.0), rv(values), tol=tol)
-        assert res.value == pytest.approx(want, rel=tol)
+        assert res.value == pytest.approx(want, rel=tol, abs=0.0)
         assert res.g_at_value <= 1.0
         assert res.nudges == 0
 
@@ -486,7 +486,7 @@ def test_phi_moment_extended_real_rule():
 def test_pwl_premium_reduces_to_mean_for_identity_knots():
     phi = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (4.0, 4.0)])
     X = rv((1.0, 3.0), (0.5, 0.5))
-    assert orlicz_premium(phi, X).value == pytest.approx(2.0, rel=1e-10)
+    assert orlicz_premium(phi, X).value == pytest.approx(2.0, rel=1e-10, abs=0.0)
 
 
 def test_invalid_pwl_rejected_by_solver():
@@ -513,7 +513,7 @@ def test_geometric_expectile_bisects_log_expectile():
     want = math.exp(
         oracle_asymmetric_root([math.log(1.0), math.log(4.0)], [0.5, 0.5], 2.0 / 3.0, 1.0)
     )
-    assert got == pytest.approx(want, rel=1e-9)
+    assert got == pytest.approx(want, rel=1e-9, abs=0.0)
     # b = 0 collapses to the essential sup, zero atoms included
     assert orlicz_premium(GeometricExpectile(2.0, 0.0), rv((1.0, 4.0))).value == 4.0
     assert orlicz_premium(GeometricExpectile(2.0, 0.0), rv((0.0, 4.0))).value == 4.0
@@ -522,7 +522,7 @@ def test_geometric_expectile_bisects_log_expectile():
 def test_premium_of_distribution_matches_rv_route():
     d = DiscreteDistribution((0.5, 2.0), (0.25, 0.75))
     ours = premium_of_distribution(Power(2.0), d).value
-    assert ours == pytest.approx(1.75, rel=1e-12)
+    assert ours == pytest.approx(1.75, rel=1e-12, abs=0.0)
 
 
 @given(
@@ -536,7 +536,7 @@ def test_positive_homogeneity_property(values, lam):
     for phi in (GeometricMean(), Power(2.0), Expectile(0.7)):
         hx = orlicz_premium(phi, X).value
         hy = orlicz_premium(phi, Y).value
-        assert hy == pytest.approx(lam * hx, rel=1e-9)
+        assert hy == pytest.approx(lam * hx, rel=1e-9, abs=0.0)
 
 
 @given(st.lists(st.floats(min_value=0.05, max_value=8.0), min_size=2, max_size=5))
@@ -559,8 +559,8 @@ def test_gm_shift_witness():
     X = rv((0.5, 2.0))
     h0 = orlicz_premium(GeometricMean(), X).value
     h1 = orlicz_premium(GeometricMean(), rv((1.5, 3.0))).value
-    assert h0 == pytest.approx(1.0, rel=1e-12)
-    assert h1 == pytest.approx(math.sqrt(4.5), rel=1e-12)
+    assert h0 == pytest.approx(1.0, rel=1e-12, abs=0.0)
+    assert h1 == pytest.approx(math.sqrt(4.5), rel=1e-12, abs=0.0)
     assert h1 > h0 + 1.0 + 0.1  # strict superadditivity with a wide margin
 
 
