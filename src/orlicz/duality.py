@@ -25,7 +25,14 @@ search.  Otherwise the family's stated facts pick the route:
 
 - knots (a piecewise-linear Phi: pwl, Power(1), the two-branch losses
   with p = 1): beta's inner sups sit at the knots and D's minimum at its
-  own kinks, so beta needs no search.
+  own kinks, so beta needs no search.  beta_conjugate's minimum runs on
+  a block of measures (_beta_block): the breakpoints s / w_i of each
+  measure are built row by row, Psi at all of them comes from one array
+  call of conjugate, and np.vecdot sums each breakpoint's E[Psi] with the
+  dot product that probs @ psi takes on one measure, so every beta is
+  the per-measure float.  hg_dual_check, beta_on_grid and the grid of
+  dual_search take their betas in one block; beta_conjugate is a block
+  of one.
 - first_order_point (Power; for alpha also the two-branch losses with
   p = q = 1): each inner sup sits at X* with Phi'(X*) = w / lam
   (X* Phi'(X*) = w / lam for alpha), D'(lam) = 1 - E_P[Phi(X*)], and
@@ -365,59 +372,84 @@ def beta_conjugate(phi: OrliczFunction, Q: MeasureChange) -> float:
     makes the premium the essential sup and beta exactly 1, the infimum
     approached as lam -> 0.  Any other convex built-in is piecewise
     linear (PiecewiseLinear, Power(1), the two-branch losses with p = 1),
-    and the infimum sits on a breakpoint (_breakpoint_dual_min).
+    and the infimum sits on a breakpoint (_breakpoint_dual_min).  This is
+    _beta_block on one measure.
     """
+    return _beta_block(phi, Q.space.probs_array(), np.array([Q.density]))[0]
+
+
+# rows of densities per pass of _breakpoint_dual_min, which holds a few
+# arrays of (rows x slopes x n) x n floats: a cap on memory, not on speed
+BLOCK_ROWS = 2048
+
+
+def _beta_block(phi: OrliczFunction, probs: np.ndarray, dens: np.ndarray) -> list[float]:
+    """beta_conjugate at each row of dens (m x n), the densities of m
+    measures on the space with probabilities probs, each to the bit."""
     _require_convex(phi)
-    dens = np.asarray(Q.density, dtype=float)
-    probs = Q.space.probs_array()
     r = phi.holder_exponent
     if r is not None:
-        # once the largest density's r-th power passes e^709 the sum can
-        # overflow (r large, p near 1), so scale by that density first
-        top = max(Q.density)
-        if r * math.log(top) < 709.0:
-            norm = float((probs @ dens**r) ** (1.0 / r))
-        else:
-            norm = top * float((probs @ (dens / top) ** r) ** (1.0 / r))
-        return min(1.0, 1.0 / norm)
+        return [_hoelder_beta(r, probs, w) for w in dens.tolist()]
     if phi.at_zero == 1.0:
-        return 1.0
-    return min(1.0, 1.0 / _breakpoint_dual_min(phi, dens, probs))
+        return [1.0] * len(dens)
+    mins: list[float] = []
+    for i in range(0, len(dens), BLOCK_ROWS):
+        mins += _breakpoint_dual_min(phi, dens[i : i + BLOCK_ROWS], probs)
+    return [min(1.0, 1.0 / v) for v in mins]
 
 
-def _knot_slopes(phi: OrliczFunction) -> set[float]:
-    """The finite positive slopes of a piecewise-linear Phi, read off
-    phi.derivative at 0 and at its knots; empty when Phi states no knots."""
-    if phi.derivative is None or not phi.points:
-        return set()
-    knots = np.array([0.0] + [x for x, _ in phi.points])
-    return {float(s) for s in phi.derivative(knots) if 0.0 < s < INF}
+def _hoelder_beta(r: float, probs: np.ndarray, density: list[float]) -> float:
+    """1 / ||w||_r capped at 1, for the density w of one measure."""
+    dens = np.asarray(density, dtype=float)
+    # once the largest density's r-th power passes e^709 the sum can
+    # overflow (r large, p near 1), so scale by that density first
+    top = max(density)
+    if r * math.log(top) < 709.0:
+        norm = float((probs @ dens**r) ** (1.0 / r))
+    else:
+        norm = top * float((probs @ (dens / top) ** r) ** (1.0 / r))
+    return min(1.0, 1.0 / norm)
 
 
-def _breakpoint_dual_min(phi: OrliczFunction, dens: np.ndarray, probs: np.ndarray) -> float:
-    """inf over lam > 0 of f(lam) = (1 + E[Psi(lam w)]) / lam for piecewise-linear Phi.
+def _breakpoint_dual_min(phi: OrliczFunction, dens: np.ndarray, probs: np.ndarray) -> list[float]:
+    """inf over lam > 0 of f(lam) = (1 + E[Psi(lam w)]) / lam for piecewise-linear
+    Phi, at each row w of dens (m x n): m minima.
 
     Psi is piecewise linear with its breaks at the slopes s of Phi
-    (_knot_slopes).  Between the breakpoints s / w_i, f is c0 / lam + c1
-    and so monotone: its infimum sits on a breakpoint, on the edge
-    s_end / max w beyond which Psi is +inf (upper = inf; y is clipped to
-    s_end there against rounding), or at the limit upper that f reaches
-    as lam -> inf (upper < inf).
+    (phi._knot_slopes).  Between the breakpoints s / w_i, f is c0 / lam + c1
+    and so monotone: its infimum sits on a breakpoint, at the limit upper
+    that f reaches as lam -> inf (upper < inf), or, for upper = inf, on
+    the edge s_end / max w beyond which Psi is +inf.  The edge is itself
+    the breakpoint of the largest slope s_end at the largest w, and y is
+    clipped to s_end against rounding.
+
+    The breakpoints are built row by row.  Psi at every (breakpoint, atom)
+    of the block comes from one conjugate call, and np.vecdot sums each
+    breakpoint's E[Psi] with BLAS's dot product, the kernel of probs @ psi
+    on one vector (psi @ probs would take the matrix-vector product, which
+    rounds otherwise).  So each minimum is the float a loop over one
+    measure's breakpoints gives.
     """
-    slopes = _knot_slopes(phi)
+    slopes = phi._knot_slopes
     if not slopes:
         raise NotImplementedError(f"no exact beta for {phi!r}: it has no knots")
     capped = phi.upper < INF
-    s_end = max(slopes, default=0.0)
-    edge = INF if capped else s_end / float(dens.max())
-    cands = {s / w for s in slopes for w in dens.tolist() if w > 0.0 and s / w <= edge}
-    if 0.0 < edge < INF:
-        cands.add(edge)
-    best = phi.upper
-    for lam in cands:
-        y = lam * dens if capped else np.minimum(lam * dens, s_end)
-        psi = np.array([conjugate(phi, v) for v in y.tolist()])
-        best = min(best, (1.0 + float(probs @ psi)) / lam)
+    s_end = slopes[-1]
+    rows: list[int] = []
+    lams: list[float] = []
+    for r, w in enumerate(dens.tolist()):
+        edge = INF if capped else s_end / max(w)
+        cands = {s / x for s in slopes for x in w if x > 0.0 and s / x <= edge}
+        rows += [r] * len(cands)
+        lams += cands
+    y = np.array(lams)[:, None] * dens.take(rows, axis=0)
+    if not capped:
+        np.minimum(y, s_end, out=y)
+    best = [phi.upper] * len(dens)
+    for r, lam, total in zip(rows, lams, np.vecdot(conjugate(phi, y), probs).tolist()):
+        v = (1.0 + total) / lam
+        if v < best[r]:
+            best[r] = v
     return best
 
 
@@ -442,7 +474,7 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     {E[Phi(X)] <= 1} = {X <= 1 a.s.}, so sup E_Q[X] = 1 and beta is
     exactly 1, the infimum the Lagrangian only approaches.
 
-    For a piecewise-linear Phi (_knot_slopes non-empty) each inner sup
+    For a piecewise-linear Phi (phi._knot_slopes non-empty) each inner sup
     sits at 0, at a knot below a finite upper or at upper itself
     (phi._sup_points, which the conjugate reads too), so D is evaluated
     there exactly, and D is piecewise linear with its kinks at w / s for
@@ -469,7 +501,7 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     if phi.at_zero == 1.0:
         return 1.0
     probs, dens = _canonical_atoms(Q)
-    slopes = _knot_slopes(phi)
+    slopes = phi._knot_slopes
     root = None
     if not slopes and phi.first_order_point is not None:
         root = _first_order_dual_min(phi, probs, dens, geometric=False)
@@ -484,7 +516,7 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
 
 
 def _searched_beta_dual_min(
-    phi: OrliczFunction, probs: np.ndarray, dens: np.ndarray, slopes: set[float]
+    phi: OrliczFunction, probs: np.ndarray, dens: np.ndarray, slopes: tuple[float, ...]
 ) -> float:
     """beta_primal's min of D over lam > 0 at its knot kinks (slopes
     non-empty), or by the seeded search with grid-and-Brent inner solves."""
@@ -503,7 +535,7 @@ def _searched_beta_dual_min(
 
     if slopes:
         # the floors on the exact inner values are D itself at every kink
-        xs_arr, phi_grid = np.array(phi._sup_points).T
+        xs_arr, phi_grid = phi._sup_points[..., 0]
         lam_list = sorted({float(w) / s for s in slopes for w in dens if w > 0.0})
         d_seeds = _grid_floors(lam_list, xs_arr, phi_grid, probs, dens)
         if has_ray:
@@ -728,19 +760,21 @@ def dual_search(
     primal = orlicz_premium(phi, X, tol=1e-10).value
     slack = 1e-9 * max(1.0, primal)
 
-    def evaluate(q: Sequence[float]) -> tuple[float, float, MeasureChange]:
+    def bound(q: Sequence[float], pen: float) -> float:
         # a Q-mean lies between the least and greatest value Q charges;
         # clamping keeps the rounding of the dot product inside that range
-        Q = _as_measure(X.space, q, probs)
         charged = vals[np.asarray(q) > 0.0]
         lo, hi = float(charged.min()), float(charged.max())
         if kind == "arithmetic":
-            pen = beta_conjugate(phi, Q)
             val = min(max(float(np.dot(q, vals)), lo), hi)
         else:
-            pen = alpha_penalty(phi, Q)
             val = min(max(math.exp(np.dot(q, logs)), lo), hi) if pen > 0.0 else 0.0
-        return pen * val, pen, Q
+        return pen * val
+
+    def evaluate(q: Sequence[float]) -> tuple[float, float, MeasureChange]:
+        Q = _as_measure(X.space, q, probs)
+        pen = beta_conjugate(phi, Q) if kind == "arithmetic" else alpha_penalty(phi, Q)
+        return bound(q, pen), pen, Q
 
     def certificate(bound: float, pen: float, Q: MeasureChange, route: str) -> DualCertificate:
         if bound > primal + slack:
@@ -770,10 +804,17 @@ def dual_search(
         rng = np.random.default_rng(20210607)
         candidates = [tuple(rng.dirichlet(np.ones(n))) for _ in range(32)]
 
-    for q in candidates:
-        b, pen, Q = evaluate(q)
-        if better(b, Q):
-            best_bound, best_pen, best_Q = b, pen, Q
+    # every candidate's beta in one block; a measure is built only to be kept
+    dens = np.asarray(candidates, dtype=float) / probs
+    rows = [tuple(d) for d in dens.tolist()]
+    if kind == "arithmetic":
+        pens = _beta_block(phi, probs, dens)
+    else:
+        pens = [alpha_penalty(phi, MeasureChange(X.space, d)) for d in rows]
+    for q, d, pen in zip(candidates, rows, pens):
+        b = bound(q, pen)
+        if b > best_bound or (b == best_bound and d < best_Q.density):
+            best_bound, best_pen, best_Q = b, pen, MeasureChange(X.space, d)
             best_q = np.asarray(q, dtype=float)
 
     # pairwise-transfer polish with halving step
@@ -837,17 +878,25 @@ def alpha_from_beta(
 def beta_on_grid(
     phi: OrliczFunction, space, grid_step: float = 0.01
 ) -> list[tuple[MeasureChange, float]]:
-    """beta on the simplex grid (plus Q = P), for the entropy bridge."""
+    """beta on the simplex grid (plus Q = P), for the entropy bridge.
+
+    Every distinct measure, in grid order, with its beta from one
+    _beta_block call.
+    """
     probs = space.probs_array()
-    out = []
-    seen = set()
-    for q in [tuple(float(p) for p in probs)] + simplex_grid(space.n, grid_step):
-        Q = _as_measure(space, q, probs)
-        if Q.density in seen:
-            continue
-        seen.add(Q.density)
-        out.append((Q, beta_conjugate(phi, Q)))
-    return out
+    _, dens = _grid_measures(probs, grid_step)
+    distinct = list(dict.fromkeys(map(tuple, dens.tolist())))
+    betas = _beta_block(phi, probs, np.array(distinct))
+    return [(MeasureChange(space, d), b) for d, b in zip(distinct, betas)]
+
+
+def _grid_measures(
+    probs: np.ndarray, grid_step: float
+) -> tuple[list[tuple[float, ...]], np.ndarray]:
+    """The weights of Q = P and of each measure of the simplex grid, and
+    their densities dQ/dP, one row each, the floats of _as_measure."""
+    qs = [tuple(probs.tolist())] + simplex_grid(len(probs), grid_step)
+    return qs, np.asarray(qs) / probs
 
 
 @dataclass(frozen=True)
@@ -944,7 +993,16 @@ def _bridge_maximizer(
 
 @dataclass(frozen=True)
 class HGDualReport:
-    """Plain-expectation dual of the HG measure over nearly-unit-beta Q."""
+    """The plain-expectation dual of the HG measure, read off a simplex grid.
+
+    dual_bound is the largest E_Q[X] over the grid measures with
+    |beta(Q) - 1| <= band (admissible_count of them, out of total_count),
+    best_density the density of the measure that attains it.  The band
+    admits Q with beta(Q) < 1, whose E_Q[X] the exact dual over
+    {beta(Q) = 1} never reaches, so dual_bound is a grid estimate of the
+    dual value and can exceed primal: it is not a lower bound.  gap is
+    primal - dual_bound, and agrees says |gap| <= 2 * band * max(1, |primal|).
+    """
 
     primal: float
     dual_bound: float
@@ -963,7 +1021,11 @@ def hg_dual_check(
 
     The exact dual of the HG measure ranges over {beta(Q) = 1}; on a
     grid that set is thickened to a band of width grid_step, and the
-    result is compared to the primal within 2 * grid_step.
+    result is compared to the primal within 2 * grid_step.  The band
+    holds measures with beta(Q) < 1 too, so the maximum can lie above the
+    primal (HGDualReport): it estimates the dual value, it does not bound
+    it.  Q = P comes first, then the grid; every beta comes from one
+    _beta_block call, and ties in E_Q[X] go to the smallest density.
     """
     _require_convex(phi)
     n = X.space.n
@@ -975,21 +1037,16 @@ def hg_dual_check(
     probs = X.space.probs_array()
     vals = X.values_array()
     band = grid_step
+    qs, dens = _grid_measures(probs, grid_step)
+    betas = _beta_block(phi, probs, dens)
+    rows = dens.tolist()
     best_val = NEG_INF
-    best_dens: Optional[tuple[float, ...]] = None
-    admissible = 0
-    total = 0
-    for q in [tuple(float(p) for p in probs)] + simplex_grid(n, grid_step):
-        total += 1
-        Q = _as_measure(X.space, q, probs)
-        b = beta_conjugate(phi, Q)
-        if abs(b - 1.0) > band:
-            continue
-        admissible += 1
-        val = float(np.dot(q, vals))
-        if val > best_val or (val == best_val and (best_dens is None or Q.density < best_dens)):
-            best_val = val
-            best_dens = Q.density
+    best: Optional[int] = None
+    admissible = [i for i, b in enumerate(betas) if abs(b - 1.0) <= band]
+    for i in admissible:
+        val = float(np.dot(qs[i], vals))
+        if val > best_val or (val == best_val and (best is None or rows[i] < rows[best])):
+            best_val, best = val, i
     gap = primal - best_val
     agrees = abs(gap) <= 2.0 * grid_step * max(1.0, abs(primal))
     return HGDualReport(
@@ -997,8 +1054,8 @@ def hg_dual_check(
         dual_bound=best_val,
         gap=gap,
         band=band,
-        admissible_count=admissible,
-        total_count=total,
-        best_density=best_dens,
+        admissible_count=len(admissible),
+        total_count=len(rows),
+        best_density=None if best is None else tuple(rows[best]),
         agrees=agrees,
     )

@@ -83,9 +83,10 @@ class OrliczFunction(ABC):
     # no x reaches s, and 0 where s = 0.  For convex (GA-convex) Phi it is
     # the maximizer of w*x - lam*Phi(x) (of w*log x - lam*Phi(x)) at s = w/lam
     first_order_point: ClassVar[Optional[Callable[[np.ndarray, bool], np.ndarray]]] = None
-    # y -> Psi(y) = sup_x (x*y - Phi(x)) for y >= 0; holds where convex_flag
-    # is True, which conjugate() checks before it calls this
-    conjugate: ClassVar[Optional[Callable[[float], float]]] = None
+    # y -> Psi(y) = sup_x (x*y - Phi(x)) for y >= 0, a scalar or at every
+    # entry of an array; holds where convex_flag is True, which conjugate()
+    # checks before it calls this
+    conjugate: ClassVar[Optional[Callable]] = None
     # (values, probs) -> lim of x + H((X - x)_+) as x -> -inf when that limit
     # is the HG infimum, else None
     hg_limit: ClassVar[Optional[Callable[[Sequence[float], Sequence[float]], Optional[float]]]] = None
@@ -124,9 +125,9 @@ class OrliczFunction(ABC):
         return ()
 
     @cached_property
-    def _sup_points(self) -> tuple[tuple[float, float], ...]:
-        """(x, Phi(x)) for a piecewise-linear Phi at its knots below a
-        finite upper, at upper itself, then at 0.
+    def _sup_points(self) -> np.ndarray:
+        """(xs, Phi(xs)) as two columns, for a piecewise-linear Phi at its
+        knots below a finite upper, at upper itself, then at 0.
 
         Phi is linear between the knots, so a sup over x of w*x - lam*Phi(x)
         sits at one of these points or runs away past the last knot: the
@@ -139,7 +140,24 @@ class OrliczFunction(ABC):
         if upper < INF:
             rows.append((upper, self(upper)))
         rows.append((0.0, self.at_zero))
-        return tuple(rows)
+        pts = np.array(rows).T[..., None]
+        pts.flags.writeable = False
+        return pts
+
+    @cached_property
+    def _knot_slopes(self) -> tuple[float, ...]:
+        """The distinct finite positive slopes of a piecewise-linear Phi,
+        ascending, read off derivative at 0 and at the knots; empty when Phi
+        states no knots or no derivative.
+
+        They are derivative's own floats: a slope from knot differences can
+        round otherwise (1 - (1 - 0.2) is not 0.2).  beta's breakpoints and
+        beta_primal's kinks sit at w / s for these s.
+        """
+        if self.derivative is None or not self.points:
+            return ()
+        knots = np.array([0.0] + [x for x, _ in self.points])
+        return tuple(sorted({s for s in self.derivative(knots).tolist() if 0.0 < s < INF}))
 
     @property
     @abstractmethod
@@ -247,10 +265,11 @@ class Power(OrliczFunction):
             return np.where(s <= 1.0, 0.0, INF)
         return np.zeros_like(s)
 
-    def conjugate(self, y: float) -> float:
+    def conjugate(self, y):
         if self.p == 1.0:
             return _knot_conjugate(self, 1.0, y)
-        return (self.p - 1.0) * (y / self.p) ** self.holder_exponent
+        p, r = self.p, self.holder_exponent
+        return _entrywise(lambda v: (p - 1.0) * (v / p) ** r, y)
 
     def hg_limit(self, values: Sequence[float], probs: Sequence[float]) -> Optional[float]:
         # p > 1: ||X + c||_p - c falls to E[X] as c grows, and Jensen gives
@@ -391,13 +410,13 @@ class _TwoBranch(OrliczFunction):
         upper = np.maximum(s / a, 1.0)
         return np.where(s < b, s / b, upper) if b > 0.0 else np.where(s == 0.0, 0.0, upper)
 
-    def conjugate(self, y: float) -> float:
+    def conjugate(self, y):
         # convex means p = 1 (knotted), or b = 0 and p > 1: then the sup sits
         # at x = 1 + (y / (a p))^(1 / (p - 1))
         a, p = self.a, self.p
         if p == 1.0:
             return _knot_conjugate(self, a, y)
-        return y - 1.0 + (p - 1.0) * a * (y / (a * p)) ** (p / (p - 1.0))
+        return _entrywise(lambda v: v - 1.0 + (p - 1.0) * a * (v / (a * p)) ** (p / (p - 1.0)), y)
 
     def hg_limit(self, values: Sequence[float], probs: Sequence[float]) -> Optional[float]:
         # b > 0, p > q: at shift c the gain term shrinks like c^(q-p) against
@@ -707,7 +726,7 @@ class PiecewiseLinear(OrliczFunction):
     def ga_convex_flag(self) -> Optional[bool]:
         return self._ga_convex
 
-    def conjugate(self, y: float) -> float:
+    def conjugate(self, y):
         return _knot_conjugate(self, self._end_slope, y)
 
     @cached_property
@@ -789,15 +808,21 @@ def midpoint_gaps(
 # ---------------------------------------------------------------------------
 
 
-def conjugate(phi: OrliczFunction, y: float) -> float:
+def conjugate(phi: OrliczFunction, y):
     """Psi(y) = sup_{x >= 0} (x*y - Phi(x)) for convex phi and y >= 0.
 
     Checks y and the convexity flag, then calls the family's closed form
     phi.conjugate, which every convex built-in states (for PiecewiseLinear,
     the maximum over 0, the knots and a finite upper).  +inf means the
-    supremum runs away.
+    supremum runs away.  y may be an array: Psi comes back at every entry,
+    as the floats a scalar call on that entry returns, and one negative
+    entry raises DomainError.
     """
-    if y < 0:
+    if isinstance(y, np.ndarray) or np.ndim(y):
+        y = np.asarray(y, dtype=float)
+        if np.fmin.reduce(y, axis=None, initial=INF) < 0:  # the least entry but nan
+            raise DomainError(f"conjugate argument must be nonnegative, got {float(y[y < 0][0])!r}")
+    elif y < 0:
         raise DomainError(f"conjugate argument must be nonnegative, got {y!r}")
     if phi.convex_flag is not True:
         raise NotConvexError(
@@ -808,17 +833,43 @@ def conjugate(phi: OrliczFunction, y: float) -> float:
     return phi.conjugate(y)
 
 
-def _knot_conjugate(phi: OrliczFunction, end_slope: float, y: float) -> float:
-    """Psi(y) for a piecewise-linear Phi whose last piece has slope end_slope.
+def _entrywise(f: Callable[[float], float], y):
+    """f(y) for a scalar y; for an array, f on each entry as a Python float.
+
+    A closed form with a power keeps its scalar floats on arrays this way:
+    numpy's vectorized power differs from Python's in the last bit on
+    about one input in twenty.
+    """
+    if not np.ndim(y):
+        return f(y)
+    ys = np.asarray(y, dtype=float)
+    return np.fromiter(map(f, ys.ravel().tolist()), dtype=float, count=ys.size).reshape(ys.shape)
+
+
+def _knot_conjugate(phi: OrliczFunction, end_slope: float, y):
+    """Psi(y) for a piecewise-linear Phi whose last piece has slope end_slope,
+    at a scalar y or at every entry of an array y.
 
     x*y - Phi(x) is linear between the knots and beyond the last one, so
-    its sup is the maximum over phi._sup_points, or runs away.  A tie
-    goes to the earliest point: a knot (0, 0) gives +0.0 where -Phi(0)
-    would give -0.0.
+    its sup is the maximum over phi._sup_points, or runs away.  Each entry
+    is one exact product and difference per point and a maximum, as a
+    scalar call computes it.
     """
-    if phi.upper == INF and y > end_slope:
-        return INF
-    return max([x * y - v for x, v in phi._sup_points])
+    ys = np.asarray(y, dtype=float)
+    flat = ys.reshape(-1)
+    xs, vs = phi._sup_points
+    top = float(np.fmax.reduce(flat, initial=NEG_INF))
+    if top * float(xs[-2, 0]) < INF:  # xs[-2] is the largest x, the row before 0
+        t = xs * flat
+    else:  # x * y overflows to inf, as it does in Python floats, and 0 * inf
+        # is nan, which fmax skips
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = xs * flat
+    t -= vs
+    best = np.fmax.reduce(t, axis=0)
+    if phi.upper == INF and top > end_slope:
+        best = np.where(flat > end_slope, INF, best)
+    return best.reshape(ys.shape) if ys.ndim else float(best[0])
 
 
 def piecewise_linear_from_text(text: str) -> PiecewiseLinear:

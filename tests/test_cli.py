@@ -123,6 +123,16 @@ def test_conjugate_table(capsys):
     assert env["diagnostics"]["convex_flag"] is True
 
 
+def test_conjugate_table_of_a_knotted_family(capsys):
+    # expectile:0.8 is 1 - 0.2 (1 - x) below 1 and 1 + 0.8 (x - 1) above:
+    # Psi(y) = -Phi(0) = -0.8 up to the slope 0.2, y - 1 up to the slope 0.8,
+    # +inf beyond; the floats are those the scalar knot maximum printed
+    rc, out, _ = run_cli(capsys, "conjugate", "--phi", "expectile:0.8", "--at", "0,0.2,0.5,0.8,0.81")
+    assert rc == 0
+    pairs = json.loads(out)["result"]["pairs"]
+    assert pairs == [[0.0, -0.8], [0.2, -0.8], [0.5, -0.5], [0.8, -0.19999999999999996], [0.81, "inf"]]
+
+
 def test_conjugate_rejects_negative_argument(capsys):
     rc, _, err = run_cli(capsys, "conjugate", "--phi", "power:2", "--at", "-1")
     assert rc == 2

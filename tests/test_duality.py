@@ -1046,3 +1046,180 @@ def test_bound_at_max_x_leaves_no_negative_gap(phi, kind):
     assert cert.primal == 3.0
     assert cert.lower_bound <= cert.primal
     assert cert.gap >= 0.0
+
+
+def test_hg_dual_bound_can_exceed_the_primal():
+    # the band |beta - 1| <= step admits Q with beta < 1: here the best
+    # E_Q[X] sits on such a Q and lies above the HG measure, yet agrees holds
+    phi = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)])
+    X = rv((0.706, 3.22, 4.65))
+    report = hg_dual_check(phi, X, grid_step=0.05)
+    assert report.primal == pytest.approx(3.3065, rel=1e-12, abs=0.0)
+    assert report.dual_bound == 3.4322
+    assert report.best_density == (0.6000000000000001, 0.9, 1.5)
+    assert (report.admissible_count, report.total_count) == (37, 232)
+    assert report.agrees and report.gap < -0.12
+    assert beta_conjugate(phi, MeasureChange(X.space, report.best_density)) < 1.0
+
+
+# --- the block beta against the per-measure loop it replaced ------------------
+
+BLOCK_FAMILIES = [
+    Expectile(0.6),
+    Expectile(0.8),
+    LpQuantile(0.7, 1.0),
+    LpqQuantile(1.5, 0.5, 1.0, 1.0),
+    Power(1.0),
+    PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)]),
+    CONVEX_PWL,
+    PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)], upper=5.0),
+]
+
+
+def _loop_breakpoint_min(phi, dens, probs):
+    """inf over lam of (1 + E[Psi(lam w)]) / lam, one measure at a time: the
+    loop the block replaced, Psi one y at a time and each sum probs @ psi."""
+    knots = np.array([0.0] + [x for x, _ in phi.points])
+    slopes = {float(s) for s in phi.derivative(knots) if 0.0 < s < INF}
+    capped = phi.upper < INF
+    s_end = max(slopes)
+    edge = INF if capped else s_end / float(dens.max())
+    cands = {s / w for s in slopes for w in dens.tolist() if w > 0.0 and s / w <= edge}
+    if 0.0 < edge < INF:
+        cands.add(edge)
+    best = phi.upper
+    for lam in cands:
+        y = lam * dens if capped else np.minimum(lam * dens, s_end)
+        psi = np.array([conjugate(phi, v) for v in y.tolist()])
+        best = min(best, (1.0 + float(probs @ psi)) / lam)
+    return best
+
+
+def _loop_beta(phi, Q):
+    """beta_conjugate as the per-measure loop computed it."""
+    dens = np.asarray(Q.density, dtype=float)
+    probs = Q.space.probs_array()
+    r = phi.holder_exponent
+    if r is not None:
+        top = max(Q.density)
+        if r * math.log(top) < 709.0:
+            norm = float((probs @ dens**r) ** (1.0 / r))
+        else:
+            norm = top * float((probs @ (dens / top) ** r) ** (1.0 / r))
+        return min(1.0, 1.0 / norm)
+    if phi.at_zero == 1.0:
+        return 1.0
+    return min(1.0, 1.0 / _loop_breakpoint_min(phi, dens, probs))
+
+
+def _random_blocks(seed, spaces=100, rows=3):
+    # n = 2-8; one density set to 0 in every third measure
+    rng = np.random.default_rng(seed)
+    for _ in range(spaces):
+        n = int(rng.integers(2, 9))
+        space = FiniteProbabilitySpace(tuple(rng.dirichlet(np.ones(n))))
+        probs = space.probs_array()
+        block = []
+        for i in range(rows):
+            dens = rng.uniform(0.0, 4.0, n)
+            if i % 3 == 0:
+                dens[rng.integers(0, n)] = 0.0
+            block.append(tuple((dens / (probs @ dens)).tolist()))
+        yield space, block
+
+
+def _assert_block_meets_the_loop(phi, space, block):
+    probs = space.probs_array()
+    got = duality._beta_block(phi, probs, np.array(block))
+    want = [_loop_beta(phi, MeasureChange(space, d)) for d in block]
+    assert got == want, (space.probs, block)
+
+
+@pytest.mark.parametrize("phi", BLOCK_FAMILIES, ids=lambda f: f.spec_string())
+def test_block_beta_is_the_per_measure_loop_to_the_bit(phi):
+    for space, block in _random_blocks(97):
+        _assert_block_meets_the_loop(phi, space, block)
+        for d in block:
+            Q = MeasureChange(space, d)
+            assert beta_conjugate(phi, Q) == _loop_beta(phi, Q)
+    rng = np.random.default_rng(98)
+    for n in (2, 3, 4):
+        space = FiniteProbabilitySpace(tuple(rng.dirichlet(np.ones(n))))
+        probs = space.probs_array()
+        grid = np.asarray(simplex_grid(n, 0.05)) / probs
+        _assert_block_meets_the_loop(phi, space, [tuple(d) for d in grid.tolist()])
+
+
+def test_block_beta_runs_in_bounded_passes(monkeypatch):
+    # a block longer than BLOCK_ROWS is solved a pass at a time, to the same floats
+    phi = Expectile(0.8)
+    space, block = next(_random_blocks(99, spaces=1, rows=7))
+    whole = duality._beta_block(phi, space.probs_array(), np.array(block))
+    monkeypatch.setattr(duality, "BLOCK_ROWS", 2)
+    assert duality._beta_block(phi, space.probs_array(), np.array(block)) == whole
+
+
+def _loop_hg_dual_check(phi, X, grid_step):
+    """hg_dual_check as the per-measure loop computed it."""
+    from orlicz.hg import hg_risk_measure
+
+    primal = hg_risk_measure(phi, X, tol=1e-10).value
+    probs, vals = X.space.probs_array(), X.values_array()
+    best_val, best_dens, admissible, total = -INF, None, 0, 0
+    for q in [tuple(float(p) for p in probs)] + simplex_grid(X.space.n, grid_step):
+        total += 1
+        Q = MeasureChange(X.space, tuple(float(qi) / float(pi) for qi, pi in zip(q, probs)))
+        if abs(_loop_beta(phi, Q) - 1.0) > grid_step:
+            continue
+        admissible += 1
+        val = float(np.dot(q, vals))
+        if val > best_val or (val == best_val and (best_dens is None or Q.density < best_dens)):
+            best_val, best_dens = val, Q.density
+    gap = primal - best_val
+    return duality.HGDualReport(
+        primal=primal,
+        dual_bound=best_val,
+        gap=gap,
+        band=grid_step,
+        admissible_count=admissible,
+        total_count=total,
+        best_density=best_dens,
+        agrees=abs(gap) <= 2.0 * grid_step * max(1.0, abs(primal)),
+    )
+
+
+def _loop_beta_on_grid(phi, space, grid_step):
+    probs, out, seen = space.probs_array(), [], set()
+    for q in [tuple(float(p) for p in probs)] + simplex_grid(space.n, grid_step):
+        Q = MeasureChange(space, tuple(float(qi) / float(pi) for qi, pi in zip(q, probs)))
+        if Q.density not in seen:
+            seen.add(Q.density)
+            out.append((Q, _loop_beta(phi, Q)))
+    return out
+
+
+@pytest.mark.parametrize("phi", BLOCK_FAMILIES + [Power(2.0)], ids=lambda f: f.spec_string())
+def test_grid_reports_are_the_per_measure_loop_to_the_bit(phi):
+    rng = np.random.default_rng(101)
+    for n, step in ((2, 0.01), (3, 0.05), (4, 0.1)):
+        for _ in range(2):
+            probs = rng.dirichlet(np.full(n, 3.0))
+            X = rv(tuple(rng.uniform(0.1, 5.0, n).tolist()), tuple(probs.tolist()))
+            assert hg_dual_check(phi, X, grid_step=step) == _loop_hg_dual_check(phi, X, step)
+            assert beta_on_grid(phi, X.space, grid_step=step) == _loop_beta_on_grid(
+                phi, X.space, step
+            )
+    # a uniform space repeats densities: each distinct one is listed once
+    grid = beta_on_grid(phi, UNIFORM2, grid_step=0.5)
+    assert [Q.density for Q, _ in grid] == [(1.0, 1.0), (0.0, 2.0), (2.0, 0.0)]
+
+
+def test_vecdot_sums_each_row_as_the_dot_product_does():
+    # the block's exactness rests on np.vecdot taking BLAS's dot product per
+    # row, as probs @ psi does on one vector; psi @ probs rounds otherwise
+    rng = np.random.default_rng(102)
+    for n in (2, 3, 5, 8, 17, 40):
+        probs = rng.dirichlet(np.ones(n))
+        psi = rng.normal(size=(50, 3, n))
+        rows = np.vecdot(psi, probs)
+        assert [[float(probs @ np.array(v)) for v in r] for r in psi.tolist()] == rows.tolist()

@@ -533,6 +533,88 @@ def test_conjugate_needs_a_stated_closed_form():
         conjugate(NoConjugate(2.0), 1.0)
 
 
+CONVEX_CONJUGATES = [
+    Power(1.0),
+    Power(2.0),
+    Power(3.5),
+    Expectile(0.6),
+    Expectile(0.8),
+    LpQuantile(0.7, 1.0),
+    LpqQuantile(1.5, 0.5, 1.0, 1.0),
+    LpqQuantile(2.0, 0.0, 2.0, 1.0),
+    LpqQuantile(2.0, 0.0, 1.0, 3.0),
+    PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)]),
+    PiecewiseLinear([(0.5, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)]),
+    PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)], upper=5.0),
+    PiecewiseLinear([(0.5, 0.2), (1.0, 1.0), (2.0, 3.0), (2.0, 5.0)], upper=2.0),
+]
+
+
+@pytest.mark.parametrize("phi", CONVEX_CONJUGATES, ids=lambda f: f.spec_string())
+def test_array_conjugate_is_the_scalar_calls_entry_by_entry(phi):
+    # random y, the knot slopes and their neighbours, 0 and y past any end slope
+    rng = np.random.default_rng(17)
+    slopes = phi.derivative(np.array([0.0] + [x for x, _ in phi.points] + [1.0]))
+    marks = [s for s in slopes.tolist() if s < INF]
+    ys = np.concatenate(
+        [
+            rng.uniform(0.0, 5.0, 60),
+            marks,
+            [math.nextafter(s, INF) for s in marks],
+            [math.nextafter(s, 0.0) for s in marks if s > 0.0],
+            [0.0, 1e3, 1e300],
+        ]
+    )
+    ys = ys[: 6 * (len(ys) // 6)].reshape(2, 3, -1)  # any shape, kept
+    got = conjugate(phi, ys)
+    assert isinstance(got, np.ndarray) and got.shape == ys.shape
+    want = [conjugate(phi, y) for y in ys.ravel().tolist()]
+    assert got.ravel().tolist() == want
+    assert all(type(v) is float for v in want)
+    assert conjugate(phi, ys.tolist()).tolist() == got.tolist()  # a nested list is an array too
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [phi for phi in CONVEX_CONJUGATES if phi.points and phi.upper == INF],
+    ids=lambda f: f.spec_string(),
+)
+def test_array_conjugate_is_infinite_past_the_end_slope(phi):
+    # with upper = inf the sup runs away past the largest slope
+    end = float(np.max(phi.derivative(np.array([x for x, _ in phi.points]))))
+    got = conjugate(phi, np.array([0.0, end, math.nextafter(end, INF), 2.0 * end + 1.0, INF]))
+    assert got[:2].max() < INF
+    assert got[2:].tolist() == [INF, INF, INF]
+
+
+def test_array_conjugate_rejects_a_single_negative_entry():
+    ys = np.full((3, 4), 0.5)
+    ys[2, 1] = -1e-300
+    for phi in (Expectile(0.8), Power(2.0), PiecewiseLinear([(0.0, 0.0), (1.0, 1.0)], upper=3.0)):
+        with pytest.raises(DomainError, match="-1e-300"):
+            conjugate(phi, ys)
+    # nan is no negative entry: it stays nan, as a scalar call gives
+    assert math.isnan(conjugate(Expectile(0.8), np.array([np.nan, 0.5]))[0])
+    assert math.isnan(conjugate(Expectile(0.8), math.nan))
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [Power(1.0), Expectile(0.8), PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)], upper=5.0)],
+    ids=lambda f: f.spec_string(),
+)
+def test_knotted_conjugate_is_the_maximum_over_its_sup_points(phi):
+    # the knotted closed form against Python's max over (x, Phi(x)) at the
+    # knots below upper, at a finite upper and at 0, one y at a time
+    rows = [(x, v) for x, v in phi.points if x < phi.upper]
+    if phi.upper < INF:
+        rows.append((phi.upper, phi(phi.upper)))
+    rows.append((0.0, phi.at_zero))
+    end = float(np.max(phi.derivative(np.array([x for x, _ in phi.points]))))
+    for y in np.random.default_rng(18).uniform(0.0, end, 200).tolist() + [0.0, end]:
+        assert conjugate(phi, y) == max([x * y - v for x, v in rows])
+
+
 # --- right derivative -------------------------------------------------------
 
 CONVEX_PWL = PiecewiseLinear([(0.5, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)])
