@@ -33,19 +33,22 @@ search.  Otherwise the family's stated facts pick the route:
   the per-measure float.  hg_dual_check, beta_on_grid and the grid of
   dual_search take their betas in one block; beta_conjugate is a block
   of one.
+- log_slopes (gm, gexpectile; alpha only): Phi(e^y) = 1 + a y_+ - b y_-
+  makes the constraint a cone, and alpha the indicator of
+  b max(dQ/dP) <= a min(dQ/dP), compared exactly in rationals.
 - first_order_point (Power; for alpha also the two-branch losses with
-  p = q = 1): each inner sup sits at X* with Phi'(X*) = w / lam
+  p = q = 1 and pwl): each inner sup sits at X* with Phi'(X*) = w / lam
   (X* Phi'(X*) = w / lam for alpha), D'(lam) = 1 - E_P[Phi(X*)], and
   the root of E_P[Phi(X*)] = 1, closed to adjacent floats by a
   safeguarded secant in log coordinates, gives the penalty
   (_first_order_dual_min).
-- neither (gm, gexpectile and pwl for alpha; a user family): the
-  seeded search.  Each inner problem runs grid plus Brent's method
-  (search.golden_max), which stops once the value is flat to rounding;
-  a multiplier seed is solved only while its grid floor, a lower bound
-  on the dual read off the inner problems' grids for every seed in one
-  array pass, leaves it a chance to win, and a lam polish follows the
-  best seed.  The seeds skipped never change a result.
+- neither (a user family): the seeded search.  Each inner problem runs
+  grid plus Brent's method (search.golden_max), which stops once the
+  value is flat to rounding; a multiplier seed is solved only while its
+  grid floor, a lower bound on the dual read off the inner problems'
+  grids for every seed in one array pass, leaves it a chance to win, and
+  a lam polish follows the best seed.  The seeds skipped never change a
+  result.  No built-in family reaches it.
 
 A relative-entropy bridge bounds alpha by beta: alpha(R) >=
 beta(Q) exp(-H(R|Q)) for every Q.  Where alpha takes the multiplier root,
@@ -67,6 +70,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -250,11 +254,16 @@ def _first_order_dual_min(
     overstates its inner sup by less than w_i |log X*_i|, itself below the
     float range.  An X* past the float range (+inf) makes m +inf and D +inf
     there.
+
+    A finite upper stops every X* at upper as lam -> 0 (lam = 0 below
+    stands for that limit: s = +inf wherever w_i > 0).  When the moment
+    there is still at most 1 it never crosses 1, D is nondecreasing, and
+    its infimum is the limit D(0+), returned with lam = 0.
     """
     point = phi.first_order_point
 
     def x_star(lam: float) -> np.ndarray:
-        return point(dens / lam, geometric)
+        return point(dens / lam if lam > 0.0 else np.where(dens > 0.0, INF, 0.0), geometric)
 
     def moment(lam: float) -> float:
         return float(probs @ phi.eval_array(x_star(lam)))
@@ -272,6 +281,9 @@ def _first_order_dual_min(
     # step k from 0 toward the root until m(2^k) - 1 changes sign
     k, m = 0, moment(1.0)
     above = m > 1.0
+    if not above and phi.upper < INF and moment(0.0) <= 1.0:
+        d = dual(0.0)
+        return (d, 0.0) if d < INF else None
     prev = m
     while m == m and (m > 1.0) == above:
         k += 1 if above else -1
@@ -600,27 +612,36 @@ def alpha_penalty(phi: OrliczFunction, Q: MeasureChange) -> float:
     [0, 1] forces Y <= 0, so the sup is 0 and alpha exactly 1, the
     infimum the Lagrangian only approaches as lam -> inf.
 
-    A family that states phi.first_order_point (Power, and the
-    two-branch losses with p = q = 1: expectile, lp:alpha,1 and
-    lpq:a,b,1,1) takes the inner maximizer X* = least x with
+    A family that states phi.log_slopes = (b, a) (gm, gexpectile) has
+    Phi(e^y) = 1 + a y_+ - b y_-, and alpha is exactly 1 or 0
+    (_indicator_alpha).
+
+    Phi(0) = -inf and an atom with w_i = 0 give alpha = 0: Y = -inf there
+    pays for any E_Q[Y], and D is +inf at every lam.
+
+    A family that states phi.first_order_point (Power, the two-branch
+    losses with p = q = 1: expectile, lp:alpha,1 and lpq:a,b,1,1, and
+    pwl) takes the inner maximizer X* = least x with
     x Phi'_+(x) >= w / lam, and the minimum of D is the root of
-    E_P[Phi(X*)] = 1, found by a safeguarded secant
-    (_first_order_dual_min).
+    E_P[Phi(X*)] = 1, found by a safeguarded secant, or for a finite upper
+    the limit lam -> 0 where no root exists (_first_order_dual_min).
     For Power(p) that gives exp(-KL(Q|P) / p).
 
-    Any other Phi (gm, gexpectile, pwl) runs the seeded search on the
-    box [-YCAP, YCAP], each inner problem by grid plus Brent's search.
-    That holds for a piecewise-linear Phi too: Phi(e^y) is not piecewise
-    linear in y, so its knots do not end the search as they do in
-    beta_primal.  Positive growth at either box edge certifies an
-    unbounded feasible ray (the objective is concave), which sends the
-    penalty to exactly 0.  As in beta_primal, a seed is solved only
-    while its grid floor can still win; the floor is +inf where the
-    edge-growth test fires.
+    Any other Phi (a user family; no built-in) runs the seeded search on
+    the box [-YCAP, YCAP], each inner problem by grid plus Brent's search.
+    Positive growth at either box edge certifies an unbounded feasible ray
+    (the objective is concave), which sends the penalty to exactly 0.  As
+    in beta_primal, a seed is solved only while its grid floor can still
+    win; the floor is +inf where the edge-growth test fires.
     """
     _require_ga_convex(phi)
     if phi.at_zero == 1.0:
         return 1.0
+    slopes = phi.log_slopes
+    if slopes is not None:
+        return _indicator_alpha(slopes, Q.density)
+    if phi.at_zero == NEG_INF and min(Q.density) == 0.0:
+        return 0.0
     probs, dens = _canonical_atoms(Q)
     root = None
     if phi.first_order_point is not None:
@@ -629,6 +650,24 @@ def alpha_penalty(phi: OrliczFunction, Q: MeasureChange) -> float:
     if dmin == INF:
         return 0.0
     return min(1.0, math.exp(-dmin))
+
+
+def _indicator_alpha(log_slopes: tuple[float, float], density: Sequence[float]) -> float:
+    """alpha(Q) for Phi(e^y) = 1 + a y_+ - b y_-, (b, a) = log_slopes: 1
+    where b max w <= a min w over the atoms (w = dQ/dP), else 0.
+
+    E_Q[Y] <= max w E_P[Y_+] - min w E_P[Y_-], and the constraint
+    E_P[a Y_+ - b Y_-] <= 0 caps E_P[Y_+] at (b / a) E_P[Y_-], so
+    b max w <= a min w gives E_Q[Y] <= 0, attained at Y = 0 (alpha 1).
+    Otherwise b > 0, and Y = t on an atom i of max w and -t p_i a / (p_j b)
+    on an atom j of min w meets the constraint with
+    E_Q[Y] = t p_i (w_i - w_j a / b) > 0 for every t (alpha 0; a zero
+    density is such a j).  The test is a jump, so it is decided in exact
+    rationals, not in rounded products.
+    """
+    b, a = log_slopes
+    lo, hi = Fraction(min(density)), Fraction(max(density))
+    return 1.0 if Fraction(b) * hi <= Fraction(a) * lo else 0.0
 
 
 def _searched_alpha_dual_min(phi: OrliczFunction, probs: np.ndarray, dens: np.ndarray) -> float:
@@ -718,6 +757,28 @@ def _first_order_weights(
     return w / w.sum()
 
 
+def _log_slope_density(
+    log_slopes: tuple[float, float], vals: np.ndarray, probs: np.ndarray, k: float
+) -> tuple[float, ...]:
+    """dQ*/dP of the geometric Q* for Phi(e^y) = 1 + a y_+ - b y_-, with
+    (b, a) = log_slopes and k > 0 the premium.
+
+    xi = (X/k) Phi'_+(X/k) is b below k and a from k on, taken from the
+    fact itself: through derivative, x * (1 / x) can land an ulp off 1.
+    dQ*/dP is b / c and a / c, c = E_P[xi], and the larger value is
+    rounded down until the exact test of _indicator_alpha passes, so that
+    alpha(Q*) = 1 (for gm both values are one float).  The integral of the
+    density stays within the ulps that MeasureChange allows.
+    """
+    b, a = log_slopes
+    up = vals >= k
+    c = float(probs @ np.where(up, a, b))
+    lo, hi = b / c, a / c
+    while _indicator_alpha(log_slopes, (lo, hi)) == 0.0:
+        hi = math.nextafter(hi, 0.0)
+    return tuple(np.where(up, hi, lo).tolist())
+
+
 def dual_search(
     phi: OrliczFunction,
     X: RandomVariable,
@@ -771,8 +832,10 @@ def dual_search(
             val = min(max(math.exp(np.dot(q, logs)), lo), hi) if pen > 0.0 else 0.0
         return pen * val
 
-    def evaluate(q: Sequence[float]) -> tuple[float, float, MeasureChange]:
-        Q = _as_measure(X.space, q, probs)
+    def evaluate(
+        q: Sequence[float], density: Optional[tuple[float, ...]] = None
+    ) -> tuple[float, float, MeasureChange]:
+        Q = _as_measure(X.space, q, probs) if density is None else MeasureChange(X.space, density)
         pen = beta_conjugate(phi, Q) if kind == "arithmetic" else alpha_penalty(phi, Q)
         return bound(q, pen), pen, Q
 
@@ -783,9 +846,15 @@ def dual_search(
             measure=Q, penalty=pen, lower_bound=bound, kind=kind, primal=primal, route=route
         )
 
-    q_star = _first_order_weights(phi, vals, probs, primal, kind)
+    slopes = phi.log_slopes if kind == "geometric" else None
+    d_star = None
+    if slopes is not None:
+        d_star = _log_slope_density(slopes, vals, probs, primal)
+        q_star = probs * np.asarray(d_star)
+    else:
+        q_star = _first_order_weights(phi, vals, probs, primal, kind)
     if q_star is not None:
-        star = evaluate(q_star)
+        star = evaluate(q_star, d_star)
         if primal - star[0] <= slack:
             return certificate(*star, "first_order")
 
@@ -936,6 +1005,9 @@ def alpha_bridge_report(
       E_Q*[X] over {E_P[Phi(X)] <= 1}, and beta(Q*) = 1 / E_Q*[X*] = lam* c;
     - H(R|Q*) = E_R[log(r c / g)] = log(lam* c) + E_R[log X*];
     - so beta(Q*) exp(-H(R|Q*)) = exp(-E_R[log X*]) = exp(-D(lam*)) = alpha(R).
+    Where a finite upper leaves no root and D takes its infimum as
+    lam -> 0, X* = upper wherever r > 0, so Q* = R, and
+    beta(R) = 1 / upper = exp(-D(0+)) = alpha(R).
     The report then reads bridge_value = beta_conjugate(Q*) exp(-H(R|Q*))
     and direct_value = exp(-D) at the same root, route "first_order";
     rounding can move Q* off the exact maximizer, but any Q keeps
@@ -966,9 +1038,9 @@ def alpha_bridge_report(
 def _bridge_maximizer(
     phi: OrliczFunction, R: MeasureChange
 ) -> Optional[tuple[MeasureChange, float]]:
-    """(Q*, alpha(R)) from alpha's multiplier root (alpha_bridge_report), or
-    None where alpha_penalty takes no root or a maximizer on an atom R
-    charges underflows to 0."""
+    """(Q*, alpha(R)) from alpha's multiplier root, or its limit lam = 0
+    (alpha_bridge_report), or None where alpha_penalty takes neither or a
+    maximizer on an atom R charges underflows to 0."""
     if phi.first_order_point is None or phi.at_zero == 1.0:
         return None
     probs, dens = _canonical_atoms(R)
@@ -977,8 +1049,10 @@ def _bridge_maximizer(
         return None
     d, lam = root
     r = np.asarray(R.density, dtype=float)
-    x = phi.first_order_point(r / lam, True)
     charged = r > 0.0
+    with np.errstate(divide="ignore"):  # lam = 0: the limit, s = +inf where r > 0
+        s = np.divide(r, lam, out=np.zeros_like(r), where=charged)
+    x = phi.first_order_point(s, True)
     if not (x[charged] > 0.0).all():
         return None
     g = np.divide(r, x, out=np.zeros_like(r), where=charged)

@@ -81,8 +81,12 @@ class OrliczFunction(ABC):
     # (s, geometric) -> at each entry of s >= 0 the least x >= 0 with
     # Phi'_+(x) >= s, or with x * Phi'_+(x) >= s when geometric; +inf where
     # no x reaches s, and 0 where s = 0.  For convex (GA-convex) Phi it is
-    # the maximizer of w*x - lam*Phi(x) (of w*log x - lam*Phi(x)) at s = w/lam
+    # the maximizer of w*x - lam*Phi(x) (of w*log x - lam*Phi(x)) at s = w/lam.
+    # Power, the two-branch losses with p = q = 1 and PiecewiseLinear state it
     first_order_point: ClassVar[Optional[Callable[[np.ndarray, bool], np.ndarray]]] = None
+    # (b, a) when Phi(e^y) = 1 + a*y_+ - b*y_- in y (gm: a = b = 1); alpha(Q)
+    # is then 1 where b * max dQ/dP <= a * min dQ/dP, and 0 elsewhere
+    log_slopes: ClassVar[Optional[tuple[float, float]]] = None
     # y -> Psi(y) = sup_x (x*y - Phi(x)) for y >= 0, a scalar or at every
     # entry of an array; holds where convex_flag is True, which conjugate()
     # checks before it calls this
@@ -196,6 +200,7 @@ class GeometricMean(OrliczFunction):
 
     name: ClassVar[str] = "gm"
     cash_behavior: ClassVar[Optional[str]] = "superadditive"
+    log_slopes: ClassVar[Optional[tuple[float, float]]] = (1.0, 1.0)  # Phi(e^y) = 1 + y
 
     def __call__(self, x: float) -> float:
         if x < 0:
@@ -571,6 +576,10 @@ class GeometricExpectile(OrliczFunction):
         return self.a >= self.b
 
     @property
+    def log_slopes(self) -> Optional[tuple[float, float]]:
+        return (self.b, self.a)  # Phi(e^y) = 1 + a y_+ - b y_-
+
+    @property
     def cash_behavior(self) -> Optional[str]:
         return "additive" if self.b == 0.0 else None  # b = 0: the essential sup
 
@@ -710,6 +719,45 @@ class PiecewiseLinear(OrliczFunction):
         jump = on_knot & (ky[lo] > self.eval_array(x))
         return np.where(jump | (x >= self._upper), INF, slope)
 
+    @cached_property
+    def _pieces(self) -> np.ndarray:
+        """Rows (left, right, Phi'_+(left), slope inside, left * Phi'_+(left))
+        of the pieces [left, right) that start at 0, at each knot below upper
+        and at a finite upper, as column vectors; 0 * Phi'_+(0) reads 0.
+
+        Phi'_+ is the constant slope inside each piece and differs from it
+        only at an upward jump at the left end (+inf), or from upper on.
+        The slopes are derivative's own floats, as _knot_slopes are.
+        """
+        left = sorted({0.0, *(x for x in self._kx if x < self._upper)})
+        if self._upper < INF:
+            left.append(self._upper)
+        lo = np.array(left)
+        hi = np.append(lo[1:], INF)
+        d0 = self.derivative(lo)
+        inside = self.derivative(np.where(hi < INF, lo + 0.5 * (hi - lo), lo + 1.0))
+        with np.errstate(invalid="ignore"):
+            reach = np.where(lo > 0.0, lo * d0, 0.0)
+        rows = np.array([lo, hi, d0, inside, reach])[..., None]
+        rows.flags.writeable = False
+        return rows
+
+    def first_order_point(self, s: np.ndarray, geometric: bool) -> np.ndarray:
+        # the least x over the pieces: a left end where Phi'_+ (x Phi'_+)
+        # reaches s already, or, when geometric, the point s / m inside a piece
+        # of slope m, where x Phi'_+(x) = m x meets s; a finite upper reaches
+        # every s, and with upper = inf an s past every slope is +inf
+        s = np.asarray(s, dtype=float)
+        lo, hi, d0, inside, reach = self._pieces
+        t = s.reshape(1, -1)
+        if geometric:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = t / inside
+            x = np.where(reach >= t, lo, np.where(q < hi, np.maximum(q, lo), INF))
+        else:
+            x = np.where(d0 >= t, lo, INF)
+        return x.min(axis=0).reshape(s.shape)
+
     @property
     def at_zero(self) -> float:
         return self._at_zero
@@ -838,12 +886,21 @@ def _entrywise(f: Callable[[float], float], y):
 
     A closed form with a power keeps its scalar floats on arrays this way:
     numpy's vectorized power differs from Python's in the last bit on
-    about one input in twenty.
+    about one input in twenty.  Python's float power raises OverflowError
+    past the float range; the closed forms here grow without bound in y,
+    so such an entry is +inf.
     """
+
+    def g(v: float) -> float:
+        try:
+            return f(v)
+        except OverflowError:
+            return INF
+
     if not np.ndim(y):
-        return f(y)
+        return g(y)
     ys = np.asarray(y, dtype=float)
-    return np.fromiter(map(f, ys.ravel().tolist()), dtype=float, count=ys.size).reshape(ys.shape)
+    return np.fromiter(map(g, ys.ravel().tolist()), dtype=float, count=ys.size).reshape(ys.shape)
 
 
 def _knot_conjugate(phi: OrliczFunction, end_slope: float, y):

@@ -133,6 +133,16 @@ def test_conjugate_table_of_a_knotted_family(capsys):
     assert pairs == [[0.0, -0.8], [0.2, -0.8], [0.5, -0.5], [0.8, -0.19999999999999996], [0.81, "inf"]]
 
 
+@pytest.mark.parametrize("spec", ["power:2", "power:3.5", "lpq:2,0,2,1"])
+def test_conjugate_past_the_float_range_prints_inf(capsys, spec):
+    # the closed form's power once raised an uncaught OverflowError here
+    rc, out, _ = run_cli(capsys, "conjugate", "--phi", spec, "--at", "1e300,2")
+    assert rc == 0
+    pairs = json.loads(out)["result"]["pairs"]
+    assert pairs[0] == [1e300, "inf"]
+    assert pairs[1][1] < 2.0
+
+
 def test_conjugate_rejects_negative_argument(capsys):
     rc, _, err = run_cli(capsys, "conjugate", "--phi", "power:2", "--at", "-1")
     assert rc == 2

@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,9 +53,16 @@ CONVEX_BATTERY = [
 
 
 def _searched(phi):
-    """phi in a test-side subclass that states no first_order_point, so the
-    penalties run the seeded grid-and-Brent Lagrangian search on it."""
-    cls = type(f"Searched{type(phi).__name__}", (type(phi),), {"first_order_point": None})
+    """phi in a test-side subclass that states neither first_order_point nor
+    log_slopes, so the penalties run the seeded grid-and-Brent Lagrangian
+    search on it."""
+    cls = type(
+        f"Searched{type(phi).__name__}",
+        (type(phi),),
+        {"first_order_point": None, "log_slopes": None},
+    )
+    if isinstance(phi, PiecewiseLinear):
+        return cls(phi.points, value_at_zero=phi.at_zero, upper=phi.upper)
     return cls(*(getattr(phi, f.name) for f in dataclasses.fields(phi)))
 
 
@@ -254,7 +262,10 @@ SEARCHED_FLOOR_ROWS = [
     (alpha_penalty, _searched(Power(2.0))),
     (alpha_penalty, _searched(Expectile(0.8))),
     (alpha_penalty, _searched(LpqQuantile(1.5, 0.5, 1.0, 1.0))),
-]
+    # gm and gexpectile take the indicator, pwl the multiplier root
+    (alpha_penalty, _searched(GeometricMean())),
+    (alpha_penalty, _searched(GeometricExpectile(2.0, 1.0))),
+] + [(alpha_penalty, _searched(phi)) for phi in FLOOR_BATTERY if type(phi) is PiecewiseLinear]
 
 
 def test_penalty_floors_change_no_value(monkeypatch):
@@ -274,8 +285,9 @@ def test_penalty_floors_change_no_value(monkeypatch):
         # a family with both flags alternates between the two penalties
         arith = phi.convex_flag and not (phi.ga_convex_flag and cycle % 2)
         cases.append((beta_primal if arith else alpha_penalty, phi, Q))
-    # the first-order route solves no seed for Power and the p = q = 1
-    # two-branch losses, so their searched twins keep the floors exercised
+    # the first-order route solves no seed for Power, the p = q = 1
+    # two-branch losses and pwl, nor the indicator for gm and gexpectile, so
+    # their searched twins keep the floors exercised
     for penalty, phi in SEARCHED_FLOOR_ROWS:
         for _ in range(10):
             n = int(rng.integers(2, 9))
@@ -388,10 +400,11 @@ def test_beta_routes_agree_past_a_restart_row_at_upper():
 
 
 def test_alpha_penalty_work_does_not_depend_on_rounding_in_the_densities(monkeypatch):
-    # a first-order gm certificate has Q* = P only up to an ulp in each
+    # a first-order gm certificate had Q* = P only up to an ulp in each
     # density; seeds that close to lam = 1 once narrowed the lambda polish
     # to one side of it, and the polish then walked into the finite sliver
-    # around lam = 1: 45 inner solves against 3 for exact densities
+    # around lam = 1: 45 inner solves against 3 for exact densities.  gm
+    # itself now takes the indicator, so its searched twin keeps the check
     solves = 0
     inner_max = duality.golden_max
 
@@ -404,12 +417,16 @@ def test_alpha_penalty_work_does_not_depend_on_rounding_in_the_densities(monkeyp
     space = FiniteProbabilitySpace((0.2, 0.3, 0.5))
     up, down = math.nextafter(1.0, 2.0), math.nextafter(1.0, 0.0)
     counts = []
+    exact = []
     for dens in ((1.0, 1.0, 1.0), (up, up, up), (up, 1.0, up), (1.0, down, 1.0), (down, up, 1.0)):
         solves = 0
-        alpha = alpha_penalty(GeometricMean(), MeasureChange(space, dens))
+        alpha = alpha_penalty(_searched(GeometricMean()), MeasureChange(space, dens))
         counts.append(solves)
         assert 1.0 - 1e-13 <= alpha <= 1.0
+        exact.append(alpha_penalty(GeometricMean(), MeasureChange(space, dens)))
     assert counts == [3] * len(counts)
+    # the indicator: densities an ulp apart are a measure Q != P, alpha 0
+    assert exact == [1.0, 1.0, 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -1223,3 +1240,159 @@ def test_vecdot_sums_each_row_as_the_dot_product_does():
         psi = rng.normal(size=(50, 3, n))
         rows = np.vecdot(psi, probs)
         assert [[float(probs @ np.array(v)) for v in r] for r in psi.tolist()] == rows.tolist()
+
+
+# --- exact alpha: the indicator of gm and gexpectile, the root of pwl ---------
+
+INDICATOR_FAMILIES = [GeometricMean(), GeometricExpectile(2.0, 1.0), GeometricExpectile(3.0, 0.5)]
+CAPPED_PWL = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)], upper=5.0)
+
+
+def _indicator_measures(seed, count=300):
+    # n = 2-8; the densities spread by a factor of 1 (Q = P), 1.5, 2.5 or 5
+    # in turn, so that both values of the indicator occur; one density set
+    # to 0 in every third Q
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        n = int(rng.integers(2, 9))
+        probs = rng.dirichlet(np.ones(n))
+        dens = rng.uniform(1.0, 1.0 + (0.0, 0.5, 1.5, 4.0)[i % 4], n)
+        if i % 3 == 0:
+            dens[rng.integers(0, n)] = 0.0
+        yield MeasureChange(FiniteProbabilitySpace(tuple(probs)), tuple((dens / (probs @ dens)).tolist()))
+
+
+@pytest.mark.parametrize("phi", INDICATOR_FAMILIES, ids=lambda f: f.spec_string())
+def test_alpha_of_a_log_slope_family_is_the_indicator(phi):
+    # alpha(Q) = 1 where b max w <= a min w, else 0 (a zero density gives
+    # 0); no random ratio here sits within 1e-9 of a / b unless the
+    # densities are all one float, so the float closed form decides it
+    b, a = phi.log_slopes
+    seen = set()
+    for Q in _indicator_measures(103):
+        lo, hi = min(Q.density), max(Q.density)
+        assert lo == hi or abs(b * hi - a * lo) > 1e-9 * a * lo, Q.density
+        want = 1.0 if b * hi <= a * lo else 0.0
+        assert alpha_penalty(phi, Q) == want, Q.density
+        seen.add(want)
+    assert seen == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("phi", INDICATOR_FAMILIES, ids=lambda f: f.spec_string())
+def test_alpha_indicator_is_exact_at_its_boundary(phi):
+    # densities whose ratio is exactly a / b give 1, and one float further 0
+    b, a = phi.log_slopes
+    lo = math.floor(512.0 / (1.0 + a / b)) / 256.0
+    hi = lo * a / b  # few bits: exact
+    assert Fraction(b) * Fraction(hi) == Fraction(a) * Fraction(lo)
+    p = 0.5 if hi == lo else (hi - 1.0) / (hi - lo)
+    space = FiniteProbabilitySpace((p, 1.0 - p))
+    assert alpha_penalty(phi, MeasureChange(space, (lo, hi))) == 1.0
+    assert alpha_penalty(phi, MeasureChange(space, (lo, math.nextafter(hi, INF)))) == 0.0
+    assert alpha_penalty(phi, MeasureChange(space, (math.nextafter(lo, 0.0), hi))) == 0.0
+
+
+@pytest.mark.parametrize(
+    "phi", [GeometricMean(), GeometricExpectile(2.0, 1.0)], ids=lambda f: f.spec_string()
+)
+def test_log_slope_certificates_have_penalty_one(phi):
+    # Q* is built from the slopes themselves, inside the indicator
+    for n in range(2, 9):
+        for salt in range(4):
+            cert = dual_search(phi, _draw(n, 200 + salt), kind="geometric")
+            _assert_tight(cert)
+            assert cert.penalty == 1.0
+            if type(phi) is GeometricMean:
+                assert len(set(cert.measure.density)) == 1
+
+
+def test_gm_certificate_at_large_n_has_penalty_one():
+    X = rv(tuple(np.random.default_rng(3000).lognormal(0.0, 1.0, 3000).tolist()))
+    cert = dual_search(GeometricMean(), X, kind="geometric")
+    _assert_tight(cert)
+    assert cert.penalty == 1.0
+    assert len(set(cert.measure.density)) == 1
+
+
+def test_pwl_alpha_meets_the_searched_route():
+    # the multiplier root against the grid-and-Brent Lagrangian it replaces
+    searched = _searched(CONVEX_PWL)
+    for Q in _oracle_measures(107):
+        got, ref = alpha_penalty(CONVEX_PWL, Q), alpha_penalty(searched, Q)
+        assert abs(got - ref) <= 1e-9 * ref, (Q.density, got, ref)
+
+
+def _stays_below_one_at_upper(phi, Q):
+    """E_P[Phi(X*)] at the limit lam -> 0, X* = upper wherever w > 0, is <= 1."""
+    w = np.asarray(Q.density)
+    return float(Q.space.probs_array() @ np.where(w > 0.0, phi(phi.upper), phi.at_zero)) <= 1.0
+
+
+def test_capped_pwl_alpha_meets_the_searched_route_or_the_limit():
+    # where the moment stays <= 1 as lam -> 0, D is nondecreasing and alpha
+    # is exp(-E_Q[log upper]) = 1 / upper; the searched route misses that
+    # limit by up to 6e-5, so it is the oracle only elsewhere
+    searched = _searched(CAPPED_PWL)
+    limits = [
+        MeasureChange(FiniteProbabilitySpace((0.04, 0.96)), (25.0, 0.0)),
+        MeasureChange(FiniteProbabilitySpace((0.1, 0.9)), (10.0, 0.0)),
+    ]
+    for Q in limits + list(_oracle_measures(109, count=100)):
+        got = alpha_penalty(CAPPED_PWL, Q)
+        if _stays_below_one_at_upper(CAPPED_PWL, Q):
+            assert got == pytest.approx(0.2, rel=1e-15, abs=0.0), Q.density
+        else:
+            ref = alpha_penalty(searched, Q)
+            assert abs(got - ref) <= 1e-9 * ref, (Q.density, got, ref)
+
+
+@pytest.mark.parametrize("phi", [CONVEX_PWL, CAPPED_PWL], ids=lambda f: f.spec_string())
+def test_pwl_bridge_is_tight_at_the_maximizer_of_alpha(phi):
+    # the bridge takes alpha's root, or its limit lam = 0 with Q* = R
+    R = MeasureChange(FiniteProbabilitySpace((0.04, 0.96)), (25.0, 0.0))
+    for R in [R] + list(_oracle_measures(113, count=600)):
+        report = alpha_bridge_report(phi, R)
+        assert report.route == "first_order"
+        assert report.direct_value == alpha_penalty(phi, R)
+        bridge, direct = report.bridge_value, report.direct_value
+        assert abs(bridge - direct) <= 1e-14 * direct, (R.density, bridge, direct)
+        if phi.upper < INF and _stays_below_one_at_upper(phi, R):
+            Q, _ = duality._bridge_maximizer(phi, R)
+            assert Q.density == pytest.approx(R.density, rel=1e-15, abs=0.0)
+
+
+def test_alpha_is_zero_where_phi_of_zero_is_minus_infinity_and_a_density_is_zero():
+    # Y = -inf on an atom Q does not charge pays for any E_Q[Y]; the
+    # multiplier root would find no sign change of a moment that is -inf
+    phi = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)], value_at_zero=-INF)
+    Q = MeasureChange(FiniteProbabilitySpace((0.3, 0.7)), (0.0, 1.0 / 0.7))
+    assert alpha_penalty(phi, Q) == 0.0
+
+
+GA_CONVEX_BUILTINS = [
+    GeometricMean(),
+    Power(0.5),
+    Power(1.0),
+    Power(2.0),
+    Expectile(0.8),
+    LpQuantile(0.7, 1.0),
+    LpqQuantile(1.5, 0.5, 1.0, 1.0),
+    GeometricExpectile(2.0, 1.0),
+    GeometricExpectile(2.0, 0.0),
+    CONVEX_PWL,
+    CAPPED_PWL,
+    PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)], value_at_zero=-INF),
+]
+
+
+@pytest.mark.parametrize("phi", GA_CONVEX_BUILTINS, ids=lambda f: f.spec_string())
+def test_no_built_in_alpha_reaches_the_seeded_search(monkeypatch, phi):
+    def refuse(*args):
+        raise AssertionError(f"the seeded search ran for {phi!r}")
+
+    monkeypatch.setattr(duality, "_searched_alpha_dual_min", refuse)
+    limit = MeasureChange(FiniteProbabilitySpace((0.04, 0.96)), (25.0, 0.0))
+    for Q in [limit] + list(_oracle_measures(127, count=100)):
+        assert 0.0 <= alpha_penalty(phi, Q) <= 1.0
+    for n in (2, 3, 5):
+        _assert_tight(dual_search(phi, _draw(n, 13), kind="geometric"))

@@ -587,6 +587,21 @@ def test_array_conjugate_is_infinite_past_the_end_slope(phi):
     assert got[2:].tolist() == [INF, INF, INF]
 
 
+@pytest.mark.parametrize(
+    "phi", [Power(2.0), Power(3.5), LpqQuantile(2.0, 0.0, 2.0, 1.0)], ids=lambda f: f.spec_string()
+)
+def test_conjugate_past_the_float_range_is_infinite(phi):
+    # Python's float power raises OverflowError where the closed form passes
+    # the float range; Psi grows without bound there, so it reads +inf
+    big = [1e300, 1e308, 1.7976931348623157e308]
+    for y in big:
+        assert conjugate(phi, y) == INF
+    ys = np.array([0.0, 1.5, 1e3] + big + [INF])
+    got = conjugate(phi, ys)
+    assert got.tolist() == [conjugate(phi, y) for y in ys.tolist()]
+    assert got[3:].tolist() == [INF] * 4 and (got[:3] < INF).all()
+
+
 def test_array_conjugate_rejects_a_single_negative_entry():
     ys = np.full((3, 4), 0.5)
     ys[2, 1] = -1e-300
@@ -707,6 +722,7 @@ def test_derivative_is_no_claim_on_the_base_class():
 
 # --- first-order point ------------------------------------------------------
 
+CAPPED_PWL = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)], upper=5.0)
 FIRST_ORDER_FAMILIES = [
     Power(0.5),
     Power(1.0),
@@ -718,6 +734,9 @@ FIRST_ORDER_FAMILIES = [
     LpQuantile(0.7, 1.0),
     LpqQuantile(1.5, 0.5, 1.0, 1.0),
     LpqQuantile(1.0, 0.0, 1.0, 1.0),
+    PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)]),
+    CONVEX_PWL,  # flat up to its first knot at 0.5
+    CAPPED_PWL,
 ]
 
 
@@ -731,6 +750,10 @@ def test_first_order_point_is_the_least_x_that_reaches_s(phi, geometric):
         return x * d if geometric else d
 
     kinks = [getattr(phi, name, 1.0) for name in ("a", "b", "p")]
+    # a pwl's slopes, and each knot times the slope on its right, are its kinks
+    knots = np.array([x for x, _ in phi.points])
+    slopes = phi.derivative(knots)
+    kinks += [v for v in np.concatenate([slopes, knots * slopes]).tolist() if v < INF]
     s = np.concatenate([[0.0], kinks, np.random.default_rng(89).uniform(0.0, 4.0, 200)])
     x = phi.first_order_point(s.reshape(2, -1), geometric).ravel()
     assert x.shape == s.shape
@@ -751,10 +774,53 @@ def test_first_order_point_is_the_least_x_that_reaches_s(phi, geometric):
         LpqQuantile(1.0, 1.0, 2.0, 1.0),
         LpqQuantile(2.0, 0.0, 2.0, 1.0),
         GeometricExpectile(2.0, 1.0),
-        CONVEX_PWL,
     ],
     ids=lambda f: f.spec_string(),
 )
 def test_first_order_point_is_no_claim_without_a_closed_form(phi):
     assert OrliczFunction.first_order_point is None
     assert phi.first_order_point is None
+
+
+@pytest.mark.parametrize(
+    "phi,s,arith,geom",
+    [
+        # slopes 0 below 0.5, then 1.5, 2, 3: x Phi'_+(x) jumps at each knot
+        (CONVEX_PWL, 0.1, 0.5, 0.5),  # 0.5 * 1.5 >= 0.1 at the first knot
+        (CONVEX_PWL, 1.5, 0.5, 1.0),  # 1.5 x < 1.5 below 1
+        (CONVEX_PWL, 2.5, 2.0, 1.25),  # 2 x = 2.5 inside [1, 2)
+        (CONVEX_PWL, 3.5, INF, 1.75),  # past the end slope; 2 x = 3.5 inside [1, 2)
+        (CONVEX_PWL, 30.0, INF, 10.0),  # 3 x = 30 beyond the last knot
+        # capped at 5: Phi'_+ is +inf from upper on, so upper reaches every s
+        (CAPPED_PWL, 1.5, 1.0, 1.0),
+        (CAPPED_PWL, 2.5, 5.0, 1.25),
+        (CAPPED_PWL, 9.0, 5.0, 4.5),
+        (CAPPED_PWL, 11.0, 5.0, 5.0),
+    ],
+    ids=lambda v: v.spec_string() if hasattr(v, "spec_string") else repr(v),
+)
+def test_pwl_first_order_point_in_closed_form(phi, s, arith, geom):
+    assert phi.first_order_point(np.array([s]), False)[0] == arith
+    assert phi.first_order_point(np.array([s]), True)[0] == geom
+
+
+@pytest.mark.parametrize(
+    "phi,want",
+    [(GeometricMean(), (1.0, 1.0)), (GeometricExpectile(2.0, 1.0), (1.0, 2.0)),
+     (GeometricExpectile(3.0, 0.5), (0.5, 3.0))],
+    ids=lambda v: v.spec_string() if hasattr(v, "spec_string") else repr(v),
+)
+def test_log_slopes_state_phi_of_e_to_the_y(phi, want):
+    # (b, a) with Phi(e^y) = 1 + a y_+ - b y_-
+    assert phi.log_slopes == want
+    b, a = want
+    for y in (-3.0, -0.5, 0.0, 0.25, 2.0):
+        assert phi(math.exp(y)) == pytest.approx(1.0 + a * max(y, 0.0) - b * max(-y, 0.0), abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "phi", [Power(2.0), Expectile(0.8), CONVEX_PWL, QuantileStep(0.3)], ids=lambda f: f.spec_string()
+)
+def test_log_slopes_is_no_claim_elsewhere(phi):
+    assert OrliczFunction.log_slopes is None
+    assert phi.log_slopes is None
