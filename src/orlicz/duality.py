@@ -23,9 +23,10 @@ of the searches that stop on it depends on how Q lists its atoms.
 Phi == 1 on all of [0, 1] gives both penalties exactly 1 without a
 search.  Otherwise the family's stated facts pick the route:
 
-- knots (a piecewise-linear Phi: pwl, Power(1), the two-branch losses
-  with p = 1): beta's inner sups sit at the knots and D's minimum at its
-  own kinks, so beta needs no search.  beta_conjugate's minimum runs on
+- knots (pwl, Power(1), the two-branch losses with p = 1 and q = 1 or
+  b = 0; any Phi with points and a derivative): beta's inner sups sit at
+  the left ends of its pieces (phi._pieces) and D's minimum at its own
+  kinks, so beta needs no search.  beta_conjugate's minimum runs on
   a block of measures (_beta_block): the breakpoints s / w_i of each
   measure are built row by row, Psi at all of them comes from one array
   call of conjugate, and np.vecdot sums each breakpoint's E[Psi] with the
@@ -36,8 +37,8 @@ search.  Otherwise the family's stated facts pick the route:
 - log_slopes (gm, gexpectile; alpha only): Phi(e^y) = 1 + a y_+ - b y_-
   makes the constraint a cone, and alpha the indicator of
   b max(dQ/dP) <= a min(dQ/dP), compared exactly in rationals.
-- first_order_point (Power; for alpha also the two-branch losses with
-  p = q = 1 and pwl): each inner sup sits at X* with Phi'(X*) = w / lam
+- first_order_point (Power; for alpha also every knotted Phi, whose
+  table states it): each inner sup sits at X* with Phi'(X*) = w / lam
   (X* Phi'(X*) = w / lam for alpha), D'(lam) = 1 - E_P[Phi(X*)], and
   the root of E_P[Phi(X*)] = 1, closed to adjacent floats by a
   safeguarded secant in log coordinates, gives the penalty
@@ -53,8 +54,8 @@ search.  Otherwise the family's stated facts pick the route:
 A relative-entropy bridge bounds alpha by beta: alpha(R) >=
 beta(Q) exp(-H(R|Q)) for every Q.  Where alpha takes the multiplier root,
 the maximizers at that root give the one Q* at which the bound is an
-equality (alpha_bridge_report); elsewhere the sup runs over a simplex
-grid.
+equality (alpha_bridge_report), and Phi == 1 on [0, 1] gives Q* = R;
+elsewhere the sup runs over a simplex grid.
 
 Everything here is a certificate engine.  A certificate is built at the
 first-order measure Q*, read off Phi'(X/k) at the premium k, which
@@ -382,9 +383,9 @@ def beta_conjugate(phi: OrliczFunction, Q: MeasureChange) -> float:
     Three exact cases.  A norm premium (phi.holder_exponent = r) has the
     dual-norm closed form 1 / ||dQ/dP||_r.  Phi == 1 on all of [0, 1]
     makes the premium the essential sup and beta exactly 1, the infimum
-    approached as lam -> 0.  Any other convex built-in is piecewise
-    linear (PiecewiseLinear, Power(1), the two-branch losses with p = 1),
-    and the infimum sits on a breakpoint (_breakpoint_dual_min).  This is
+    approached as lam -> 0.  Any other convex built-in is knotted
+    (PiecewiseLinear, Power(1), the two-branch losses with p = 1), and the
+    infimum sits on a breakpoint (_breakpoint_dual_min).  This is
     _beta_block on one measure.
     """
     return _beta_block(phi, Q.space.probs_array(), np.array([Q.density]))[0]
@@ -486,15 +487,15 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     {E[Phi(X)] <= 1} = {X <= 1 a.s.}, so sup E_Q[X] = 1 and beta is
     exactly 1, the infimum the Lagrangian only approaches.
 
-    For a piecewise-linear Phi (phi._knot_slopes non-empty) each inner sup
-    sits at 0, at a knot below a finite upper or at upper itself
+    For a knotted Phi (phi._pieces) each inner sup sits at 0, at a knot
+    below a finite upper or at upper itself
     (phi._sup_points, which the conjugate reads too), so D is evaluated
     there exactly, and D is piecewise linear with its kinks at w / s for
     the slopes s of Phi: its minimum over those kinks (and lam = 0) is
-    the answer, with no search at all.
+    the answer, with no search at all (_kink_dual_min).
 
-    A family that states phi.first_order_point (Power with p > 1 among
-    the built-ins) takes the inner maximizer X* = least x with
+    Any other family that states phi.first_order_point (Power with p > 1
+    among the built-ins) takes the inner maximizer X* = least x with
     Phi'_+(x) >= w / lam, and the minimum of D is the root of
     E_P[Phi(X*)] = 1, found by a safeguarded secant
     (_first_order_dual_min).
@@ -513,11 +514,13 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     if phi.at_zero == 1.0:
         return 1.0
     probs, dens = _canonical_atoms(Q)
-    slopes = phi._knot_slopes
-    root = None
-    if not slopes and phi.first_order_point is not None:
-        root = _first_order_dual_min(phi, probs, dens, geometric=False)
-    dmin = root[0] if root is not None else _searched_beta_dual_min(phi, probs, dens, slopes)
+    if phi._pieces is not None:
+        dmin = _kink_dual_min(phi, probs, dens)
+    else:
+        root = None
+        if phi.first_order_point is not None:
+            root = _first_order_dual_min(phi, probs, dens, geometric=False)
+        dmin = root[0] if root is not None else _searched_beta_dual_min(phi, probs, dens)
     if phi.upper < INF:
         dmin = min(dmin, phi.upper * float(probs @ dens))
     if dmin == INF:
@@ -527,11 +530,23 @@ def beta_primal(phi: OrliczFunction, Q: MeasureChange) -> float:
     return min(1.0, 1.0 / dmin)
 
 
-def _searched_beta_dual_min(
-    phi: OrliczFunction, probs: np.ndarray, dens: np.ndarray, slopes: tuple[float, ...]
-) -> float:
-    """beta_primal's min of D over lam > 0 at its knot kinks (slopes
-    non-empty), or by the seeded search with grid-and-Brent inner solves."""
+def _kink_dual_min(phi: OrliczFunction, probs: np.ndarray, dens: np.ndarray) -> float:
+    """beta_primal's min of D over its kinks w / s, D exact at each from
+    phi._sup_points (_grid_floors); +inf with no kink.  With upper = inf,
+    D is +inf below max w / s_end (w x - lam Phi(x) runs away along the
+    last piece), the edge beta_conjugate stops at too."""
+    slopes = phi._knot_slopes
+    if not slopes:
+        return INF
+    w = [float(x) for x in dens if x > 0.0]
+    edge = max(w) / slopes[-1] if phi.upper == INF else 0.0
+    lams = sorted({x / s for s in slopes for x in w if x / s >= edge})
+    xs, vs = phi._sup_points[..., 0]
+    return float(_grid_floors(lams, xs, vs, probs, dens).min(initial=INF))
+
+
+def _searched_beta_dual_min(phi: OrliczFunction, probs: np.ndarray, dens: np.ndarray) -> float:
+    """beta_primal's seeded search with grid-and-Brent inner solves."""
     top = min(X_CAP, phi.upper)
     v_top = phi(top)
     v_half = phi(top * 0.5)
@@ -545,57 +560,47 @@ def _searched_beta_dual_min(
     def ray(lam):
         return dmax - lam * slope_inf > 1e-12 * max(1.0, dmax)
 
-    if slopes:
-        # the floors on the exact inner values are D itself at every kink
-        xs_arr, phi_grid = phi._sup_points[..., 0]
-        lam_list = sorted({float(w) / s for s in slopes for w in dens if w > 0.0})
-        d_seeds = _grid_floors(lam_list, xs_arr, phi_grid, probs, dens)
-        if has_ray:
-            d_seeds[ray(np.asarray(lam_list))] = INF
-        dmin = float(d_seeds.min(initial=INF))
-    else:
-        xs = [0.0] + [float(x) for x in np.geomspace(1e-9, top, 41)]
-        xs.extend(x for x, _ in phi.points if 0.0 < x < top)
-        xs = sorted(set(xs))
-        xs_arr = np.asarray(xs)
-        phi_grid = phi.eval_array(xs_arr)
+    xs = [0.0] + [float(x) for x in np.geomspace(1e-9, top, 41)]
+    xs.extend(x for x, _ in phi.points if 0.0 < x < top)
+    xs = sorted(set(xs))
+    xs_arr = np.asarray(xs)
+    phi_grid = phi.eval_array(xs_arr)
 
-        def inner(lam: float, w: float) -> float:
-            obj = w * xs_arr - lam * phi_grid
-            obj = np.where(np.isnan(obj), NEG_INF, obj)
-            i = int(np.argmax(obj))
-            lo = xs[max(i - 1, 0)]
-            hi = xs[min(i + 1, len(xs) - 1)]
+    def inner(lam: float, w: float) -> float:
+        obj = w * xs_arr - lam * phi_grid
+        obj = np.where(np.isnan(obj), NEG_INF, obj)
+        i = int(np.argmax(obj))
+        lo = xs[max(i - 1, 0)]
+        hi = xs[min(i + 1, len(xs) - 1)]
 
-            def scalar(x: float) -> float:
-                v = phi(x)
-                return NEG_INF if v == INF else w * x - lam * v
+        def scalar(x: float) -> float:
+            v = phi(x)
+            return NEG_INF if v == INF else w * x - lam * v
 
-            if lo > 0.0:
-                _, v2 = golden_max(
-                    lambda t: scalar(math.exp(t)), math.log(lo), math.log(hi), tol=1e-11
-                )
-            else:
-                _, v2 = golden_max(scalar, lo, hi, tol=1e-13)
-            return max(float(obj[i]), v2)
+        if lo > 0.0:
+            _, v2 = golden_max(
+                lambda t: scalar(math.exp(t)), math.log(lo), math.log(hi), tol=1e-11
+            )
+        else:
+            _, v2 = golden_max(scalar, lo, hi, tol=1e-13)
+        return max(float(obj[i]), v2)
 
-        # the upper reach matters when the dual objective decreases toward a
-        # lam -> inf limit, as it does for functions flat at level 1 on [0, 1]
-        cands = {1.0} | {float(l) for l in np.geomspace(1e-4, 1e6, 33)}
-        if 0.0 < slope_inf < INF:
-            lam_min = dmax / slope_inf
-            cands |= {lam_min, lam_min * (1.0 + 1e-9), lam_min * 1.25, lam_min * 2.0, lam_min * 8.0}
-        lam_list = sorted(c for c in cands if c > 0.0)
-        lagrangian = _lagrangian(inner, probs, dens)
+    # the upper reach matters when the dual objective decreases toward a
+    # lam -> inf limit, as it does for functions flat at level 1 on [0, 1]
+    cands = {1.0} | {float(l) for l in np.geomspace(1e-4, 1e6, 33)}
+    if 0.0 < slope_inf < INF:
+        lam_min = dmax / slope_inf
+        cands |= {lam_min, lam_min * (1.0 + 1e-9), lam_min * 1.25, lam_min * 2.0, lam_min * 8.0}
+    lam_list = sorted(c for c in cands if c > 0.0)
+    lagrangian = _lagrangian(inner, probs, dens)
 
-        def dual(lam: float) -> float:
-            return INF if has_ray and ray(lam) else lagrangian(lam)
+    def dual(lam: float) -> float:
+        return INF if has_ray and ray(lam) else lagrangian(lam)
 
-        floors = _grid_floors(lam_list, xs_arr, phi_grid, probs, dens)
-        if has_ray:
-            floors[ray(np.asarray(lam_list))] = INF
-        dmin = _seeded_min(dual, lam_list, 1e-11, floors=floors)
-    return dmin
+    floors = _grid_floors(lam_list, xs_arr, phi_grid, probs, dens)
+    if has_ray:
+        floors[ray(np.asarray(lam_list))] = INF
+    return _seeded_min(dual, lam_list, 1e-11, floors=floors)
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +624,9 @@ def alpha_penalty(phi: OrliczFunction, Q: MeasureChange) -> float:
     Phi(0) = -inf and an atom with w_i = 0 give alpha = 0: Y = -inf there
     pays for any E_Q[Y], and D is +inf at every lam.
 
-    A family that states phi.first_order_point (Power, the two-branch
-    losses with p = q = 1: expectile, lp:alpha,1 and lpq:a,b,1,1, and
-    pwl) takes the inner maximizer X* = least x with
+    A family that states phi.first_order_point (Power, and every knotted
+    Phi: pwl, the expectile, lp:alpha,1, lpq:a,b,1,1 and lpq:a,0,1,q, whose
+    piece table states it) takes the inner maximizer X* = least x with
     x Phi'_+(x) >= w / lam, and the minimum of D is the root of
     E_P[Phi(X*)] = 1, found by a safeguarded secant, or for a finite upper
     the limit lam -> 0 where no root exists (_first_order_dual_min).
@@ -1007,7 +1012,8 @@ def alpha_bridge_report(
     - so beta(Q*) exp(-H(R|Q*)) = exp(-E_R[log X*]) = exp(-D(lam*)) = alpha(R).
     Where a finite upper leaves no root and D takes its infimum as
     lam -> 0, X* = upper wherever r > 0, so Q* = R, and
-    beta(R) = 1 / upper = exp(-D(0+)) = alpha(R).
+    beta(R) = 1 / upper = exp(-D(0+)) = alpha(R).  Phi == 1 on [0, 1]
+    makes alpha and beta exactly 1, and Q* = R too.
     The report then reads bridge_value = beta_conjugate(Q*) exp(-H(R|Q*))
     and direct_value = exp(-D) at the same root, route "first_order";
     rounding can move Q* off the exact maximizer, but any Q keeps
@@ -1040,8 +1046,11 @@ def _bridge_maximizer(
 ) -> Optional[tuple[MeasureChange, float]]:
     """(Q*, alpha(R)) from alpha's multiplier root, or its limit lam = 0
     (alpha_bridge_report), or None where alpha_penalty takes neither or a
-    maximizer on an atom R charges underflows to 0."""
-    if phi.first_order_point is None or phi.at_zero == 1.0:
+    maximizer on an atom R charges underflows to 0.  Phi == 1 on [0, 1]
+    gives (R, 1.0): alpha = beta = 1 everywhere, and H(R|R) = 0."""
+    if phi.at_zero == 1.0:
+        return R, 1.0
+    if phi.first_order_point is None:
         return None
     probs, dens = _canonical_atoms(R)
     root = _first_order_dual_min(phi, probs, dens, geometric=True)

@@ -31,7 +31,8 @@ premium convex.  GA-convexity (convexity of x -> Phi(exp(x))) makes the
 premium geometrically convex (multiplicatively, between scaled copies).
 Both flags are tri-state: True / False / None for "not determined"; the
 built-in families, PiecewiseLinear included, state them exactly.  Each
-convex built-in states its convex conjugate in closed form.
+convex built-in has its convex conjugate in closed form; a knotted one
+reads it off its piece table (OrliczFunction._pieces).
 """
 
 from __future__ import annotations
@@ -76,20 +77,15 @@ class OrliczFunction(ABC):
     cash_behavior: ClassVar[Optional[str]] = None
     # r when the premium is an L^p norm, so that beta(Q) = 1 / ||dQ/dP||_r
     holder_exponent: ClassVar[Optional[float]] = None
-    # xs -> the right derivative Phi'_+ at each entry (+inf at an upward jump)
+    # xs -> the right derivative Phi'_+ at each entry (+inf at an upward jump
+    # and from a finite upper on); with points, it makes Phi knotted (_pieces)
     derivative: ClassVar[Optional[Callable[[np.ndarray], np.ndarray]]] = None
-    # (s, geometric) -> at each entry of s >= 0 the least x >= 0 with
-    # Phi'_+(x) >= s, or with x * Phi'_+(x) >= s when geometric; +inf where
-    # no x reaches s, and 0 where s = 0.  For convex (GA-convex) Phi it is
-    # the maximizer of w*x - lam*Phi(x) (of w*log x - lam*Phi(x)) at s = w/lam.
-    # Power, the two-branch losses with p = q = 1 and PiecewiseLinear state it
-    first_order_point: ClassVar[Optional[Callable[[np.ndarray, bool], np.ndarray]]] = None
     # (b, a) when Phi(e^y) = 1 + a*y_+ - b*y_- in y (gm: a = b = 1); alpha(Q)
     # is then 1 where b * max dQ/dP <= a * min dQ/dP, and 0 elsewhere
     log_slopes: ClassVar[Optional[tuple[float, float]]] = None
     # y -> Psi(y) = sup_x (x*y - Phi(x)) for y >= 0, a scalar or at every
     # entry of an array; holds where convex_flag is True, which conjugate()
-    # checks before it calls this
+    # checks before it calls this; a knotted Phi's comes from its table
     conjugate: ClassVar[Optional[Callable]] = None
     # (values, probs) -> lim of x + H((X - x)_+) as x -> -inf when that limit
     # is the HG infimum, else None
@@ -123,45 +119,88 @@ class OrliczFunction(ABC):
 
         A repeated x is a jump (PiecewiseLinear).  Power(1) and the
         two-branch losses with p = 1 and q = 1 or b = 0 are piecewise
-        linear too and state (0, Phi(0)) and (1, 1).  The slopes are read
-        off derivative at 0 and at the knots.
+        linear too and state (0, Phi(0)) and (1, 1).
         """
         return ()
 
     @cached_property
-    def _sup_points(self) -> np.ndarray:
-        """(xs, Phi(xs)) as two columns, for a piecewise-linear Phi at its
-        knots below a finite upper, at upper itself, then at 0.
+    def _pieces(self) -> Optional[np.ndarray]:
+        """The one description of a knotted Phi (one that states points and
+        a derivative), None for any other: rows (left, right, Phi'_+(left),
+        slope inside, left * Phi'_+(left), Phi(left+)) of the pieces
+        [left, right) that start at 0, at each knot below upper and at a
+        finite upper (where the last column is Phi(upper)), as column vectors.
 
-        Phi is linear between the knots, so a sup over x of w*x - lam*Phi(x)
-        sits at one of these points or runs away past the last knot: the
-        conjugate and beta_primal's inner problems read it here.  The knots
-        at upper give way to upper's own row: a jump there restarts Phi at
-        a value no point of the domain takes.
+        Phi is linear inside each piece; Phi'_+ differs from the slope
+        inside only at an upward jump at the left end, or from upper on
+        (+inf).  The last piece's slope inside is the end slope.  The slopes
+        are derivative's own floats: from knot differences they can round
+        otherwise (1 - (1 - 0.2) is not 0.2).
         """
+        points = self.points
+        if self.derivative is None or not points:
+            return None
         upper = self.upper
-        rows = [(x, v) for x, v in self.points if x < upper]
+        level = {x: v for x, v in points if x < upper}  # the later of two at x
+        left = sorted({0.0, *level})
+        levels = [level.get(x, points[0][1]) for x in left]
         if upper < INF:
-            rows.append((upper, self(upper)))
-        rows.append((0.0, self.at_zero))
-        pts = np.array(rows).T[..., None]
+            left.append(upper)
+            levels.append(self(upper))
+        right = left[1:] + [INF]
+        mid = [lo + 0.5 * (hi - lo) if hi < INF else lo + 1.0 for lo, hi in zip(left, right)]
+        slopes = self.derivative(np.array(left + mid)).tolist()
+        d0, inside = slopes[: len(left)], slopes[len(left) :]
+        reach = [lo * d if lo > 0.0 else 0.0 for lo, d in zip(left, d0)]  # floats: inf on overflow
+        rows = np.array([left, right, d0, inside, reach, levels])[..., None]
+        rows.flags.writeable = False
+        return rows
+
+    @cached_property
+    def _sup_points(self) -> np.ndarray:
+        """(xs, Phi(xs)) as two columns: each piece's left end at Phi(left+),
+        then (0, Phi(0)) last, an order that decides signed-zero ties.  For
+        convex Phi the sup over x of w*x - lam*Phi(x) sits at one of them
+        or runs away along the last piece (the conjugate, beta_primal)."""
+        table = self._pieces
+        xs = table[0, :, 0].tolist() + [0.0]
+        pts = np.array([xs, table[5, :, 0].tolist() + [self.at_zero]])[..., None]
         pts.flags.writeable = False
         return pts
 
     @cached_property
     def _knot_slopes(self) -> tuple[float, ...]:
-        """The distinct finite positive slopes of a piecewise-linear Phi,
-        ascending, read off derivative at 0 and at the knots; empty when Phi
-        states no knots or no derivative.
-
-        They are derivative's own floats: a slope from knot differences can
-        round otherwise (1 - (1 - 0.2) is not 0.2).  beta's breakpoints and
-        beta_primal's kinks sit at w / s for these s.
-        """
-        if self.derivative is None or not self.points:
+        """The distinct finite positive Phi'_+ at the pieces' left ends,
+        ascending: beta's breakpoints and beta_primal's kinks are w / s."""
+        if self._pieces is None:
             return ()
-        knots = np.array([0.0] + [x for x, _ in self.points])
-        return tuple(sorted({s for s in self.derivative(knots).tolist() if 0.0 < s < INF}))
+        return tuple(sorted({s for s in self._pieces[2, :, 0].tolist() if 0.0 < s < INF}))
+
+    @property
+    def first_order_point(self) -> Optional[Callable[[np.ndarray, bool], np.ndarray]]:
+        """(s, geometric) -> at each entry of s >= 0 the least x >= 0 with
+        Phi'_+(x) >= s, or with x * Phi'_+(x) >= s when geometric; +inf
+        where no x reaches s, and 0 where s = 0.  None: no claim.  For
+        convex (GA-convex) Phi it maximizes w*x - lam*Phi(x) (w*log x -
+        lam*Phi(x)) at s = w/lam.  The piece table states it (_knot_point)."""
+        return None if self._pieces is None else self._knot_point
+
+    def _knot_point(self, s: np.ndarray, geometric: bool) -> np.ndarray:
+        # the least x over the pieces: a left end where Phi'_+ (x Phi'_+)
+        # reaches s already, or, when geometric, the point s / m inside a piece
+        # of slope m, where x Phi'_+(x) = m x meets s (s / m may overflow where
+        # np.where drops it); a finite upper reaches every s, and with
+        # upper = inf an s past every slope is +inf
+        s = np.asarray(s, dtype=float)
+        lo, hi, d0, inside, reach, _ = self._pieces
+        t = s.reshape(1, -1)
+        if geometric:
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                q = t / inside
+            x = np.where(reach >= t, lo, np.where(q < hi, np.maximum(q, lo), INF))
+        else:
+            x = np.where(d0 >= t, lo, INF)
+        return x.min(axis=0).reshape(s.shape)
 
     @property
     @abstractmethod
@@ -257,22 +296,23 @@ class Power(OrliczFunction):
         with np.errstate(divide="ignore"):
             return self.p * np.asarray(xs, dtype=float) ** (self.p - 1.0)
 
-    def first_order_point(self, s: np.ndarray, geometric: bool) -> np.ndarray:
+    @property
+    def first_order_point(self) -> Optional[Callable[[np.ndarray, bool], np.ndarray]]:
+        # p = 1 is knotted, and the piece table states its point
+        return super().first_order_point or self._power_point
+
+    def _power_point(self, s: np.ndarray, geometric: bool) -> np.ndarray:
         # x Phi'(x) = p x^p rises from 0 for every p, and so does
-        # Phi'(x) = p x^(p-1) for p > 1; Phi' == 1 for p = 1, and for p < 1
-        # it falls from Phi'_+(0) = +inf
+        # Phi'(x) = p x^(p-1) for p > 1; for p < 1 it falls from Phi'_+(0) = +inf
         s = np.asarray(s, dtype=float)
         p = self.p
         if geometric or p > 1.0:
             with np.errstate(over="ignore"):
                 return (s / p) ** (1.0 / (p if geometric else p - 1.0))
-        if p == 1.0:
-            return np.where(s <= 1.0, 0.0, INF)
         return np.zeros_like(s)
 
     def conjugate(self, y):
-        if self.p == 1.0:
-            return _knot_conjugate(self, 1.0, y)
+        # convex and unknotted means p > 1
         p, r = self.p, self.holder_exponent
         return _entrywise(lambda v: (p - 1.0) * (v / p) ** r, y)
 
@@ -361,7 +401,10 @@ class _TwoBranch(OrliczFunction):
     LpQuantile and LpqQuantile.
 
     Each subclass maps its fields to (a, b, p, q) in __post_init__; every
-    other fact follows from the four numbers.  Each also binds eval_array
+    other fact follows from the four numbers.  With p = 1 and q = 1 or
+    b = 0, Phi is linear on each side of 1: it states the knots 0 and 1,
+    and the piece table (_pieces) gives its conjugate and first-order
+    point; the other members state neither.  Each also binds eval_array
     in its own class body, where a tracer that wraps it per family (the
     benchmark's bench/spans.py) looks for it.
     """
@@ -399,28 +442,10 @@ class _TwoBranch(OrliczFunction):
                 down = down * np.maximum(1.0 - x, 0.0) ** (self.q - 1.0)
         return np.where(x >= 1.0, up, down)
 
-    @property
-    def first_order_point(self) -> Optional[Callable[[np.ndarray, bool], np.ndarray]]:
-        # stated for two linear branches, the convex members among them
-        return self._linear_first_order_point if self.p == self.q == 1.0 else None
-
-    def _linear_first_order_point(self, s: np.ndarray, geometric: bool) -> np.ndarray:
-        # Phi'_+ is b on [0, 1) and a from 1 on, so x Phi'_+(x) is b x below
-        # 1 and a x from 1 on: s below b is reached on the lower branch, s
-        # in the band from b to a at 1, and s above both on the upper branch
-        s = np.asarray(s, dtype=float)
-        a, b = self.a, self.b
-        if not geometric:
-            return np.where(s <= b, 0.0, np.where(s <= a, 1.0, INF))
-        upper = np.maximum(s / a, 1.0)
-        return np.where(s < b, s / b, upper) if b > 0.0 else np.where(s == 0.0, 0.0, upper)
-
     def conjugate(self, y):
-        # convex means p = 1 (knotted), or b = 0 and p > 1: then the sup sits
-        # at x = 1 + (y / (a p))^(1 / (p - 1))
+        # convex and unknotted means b = 0 and p > 1: the sup sits at
+        # x = 1 + (y / (a p))^(1 / (p - 1))
         a, p = self.a, self.p
-        if p == 1.0:
-            return _knot_conjugate(self, a, y)
         return _entrywise(lambda v: v - 1.0 + (p - 1.0) * a * (v / (a * p)) ** (p / (p - 1.0)), y)
 
     def hg_limit(self, values: Sequence[float], probs: Sequence[float]) -> Optional[float]:
@@ -719,45 +744,6 @@ class PiecewiseLinear(OrliczFunction):
         jump = on_knot & (ky[lo] > self.eval_array(x))
         return np.where(jump | (x >= self._upper), INF, slope)
 
-    @cached_property
-    def _pieces(self) -> np.ndarray:
-        """Rows (left, right, Phi'_+(left), slope inside, left * Phi'_+(left))
-        of the pieces [left, right) that start at 0, at each knot below upper
-        and at a finite upper, as column vectors; 0 * Phi'_+(0) reads 0.
-
-        Phi'_+ is the constant slope inside each piece and differs from it
-        only at an upward jump at the left end (+inf), or from upper on.
-        The slopes are derivative's own floats, as _knot_slopes are.
-        """
-        left = sorted({0.0, *(x for x in self._kx if x < self._upper)})
-        if self._upper < INF:
-            left.append(self._upper)
-        lo = np.array(left)
-        hi = np.append(lo[1:], INF)
-        d0 = self.derivative(lo)
-        inside = self.derivative(np.where(hi < INF, lo + 0.5 * (hi - lo), lo + 1.0))
-        with np.errstate(invalid="ignore"):
-            reach = np.where(lo > 0.0, lo * d0, 0.0)
-        rows = np.array([lo, hi, d0, inside, reach])[..., None]
-        rows.flags.writeable = False
-        return rows
-
-    def first_order_point(self, s: np.ndarray, geometric: bool) -> np.ndarray:
-        # the least x over the pieces: a left end where Phi'_+ (x Phi'_+)
-        # reaches s already, or, when geometric, the point s / m inside a piece
-        # of slope m, where x Phi'_+(x) = m x meets s; a finite upper reaches
-        # every s, and with upper = inf an s past every slope is +inf
-        s = np.asarray(s, dtype=float)
-        lo, hi, d0, inside, reach = self._pieces
-        t = s.reshape(1, -1)
-        if geometric:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = t / inside
-            x = np.where(reach >= t, lo, np.where(q < hi, np.maximum(q, lo), INF))
-        else:
-            x = np.where(d0 >= t, lo, INF)
-        return x.min(axis=0).reshape(s.shape)
-
     @property
     def at_zero(self) -> float:
         return self._at_zero
@@ -773,9 +759,6 @@ class PiecewiseLinear(OrliczFunction):
     @property
     def ga_convex_flag(self) -> Optional[bool]:
         return self._ga_convex
-
-    def conjugate(self, y):
-        return _knot_conjugate(self, self._end_slope, y)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -859,10 +842,11 @@ def midpoint_gaps(
 def conjugate(phi: OrliczFunction, y):
     """Psi(y) = sup_{x >= 0} (x*y - Phi(x)) for convex phi and y >= 0.
 
-    Checks y and the convexity flag, then calls the family's closed form
-    phi.conjugate, which every convex built-in states (for PiecewiseLinear,
-    the maximum over 0, the knots and a finite upper).  +inf means the
-    supremum runs away.  y may be an array: Psi comes back at every entry,
+    Checks y and the convexity flag.  A knotted Phi (one with a piece
+    table: pwl, Power(1), the two-branch losses with p = 1) takes
+    _knot_conjugate; any other calls the family's closed form
+    phi.conjugate, which every other convex built-in states.  +inf means
+    the supremum runs away.  y may be an array: Psi comes back at every entry,
     as the floats a scalar call on that entry returns, and one negative
     entry raises DomainError.
     """
@@ -876,6 +860,8 @@ def conjugate(phi: OrliczFunction, y):
         raise NotConvexError(
             f"conjugate needs certified convexity; flag is {phi.convex_flag!r} for {phi!r}"
         )
+    if phi._pieces is not None:
+        return _knot_conjugate(phi, y)
     if phi.conjugate is None:
         raise NotImplementedError(f"{phi!r} states no closed-form conjugate")
     return phi.conjugate(y)
@@ -903,14 +889,14 @@ def _entrywise(f: Callable[[float], float], y):
     return np.fromiter(map(g, ys.ravel().tolist()), dtype=float, count=ys.size).reshape(ys.shape)
 
 
-def _knot_conjugate(phi: OrliczFunction, end_slope: float, y):
-    """Psi(y) for a piecewise-linear Phi whose last piece has slope end_slope,
-    at a scalar y or at every entry of an array y.
+def _knot_conjugate(phi: OrliczFunction, y):
+    """Psi(y) for a convex knotted Phi, at a scalar y or at every entry of
+    an array y.
 
-    x*y - Phi(x) is linear between the knots and beyond the last one, so
-    its sup is the maximum over phi._sup_points, or runs away.  Each entry
-    is one exact product and difference per point and a maximum, as a
-    scalar call computes it.
+    x*y - Phi(x) is linear on each piece, so its sup is the maximum over
+    phi._sup_points, or runs away along the last piece where y passes its
+    slope (+inf past a finite upper).  Each entry is one exact product and
+    difference per point and a maximum, as a scalar call computes it.
     """
     ys = np.asarray(y, dtype=float)
     flat = ys.reshape(-1)
@@ -924,8 +910,9 @@ def _knot_conjugate(phi: OrliczFunction, end_slope: float, y):
             t = xs * flat
     t -= vs
     best = np.fmax.reduce(t, axis=0)
-    if phi.upper == INF and top > end_slope:
-        best = np.where(flat > end_slope, INF, best)
+    end = float(phi._pieces[3, -1, 0])
+    if top > end:
+        best = np.where(flat > end, INF, best)
     return best.reshape(ys.shape) if ys.ndim else float(best[0])
 
 

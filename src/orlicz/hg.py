@@ -49,6 +49,7 @@ no facts) raises OrliczError.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -141,20 +142,19 @@ def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) 
 def _linear_tail(
     phi: OrliczFunction, X: RandomVariable, lo: float, hi: float
 ) -> tuple[float, float]:
-    """(x_L, e) with g(x) = e for every x <= x_L (see the module docstring).
-
-    Raises OrliczError unless Phi has knots, Phi(1) = 1 and a finite
-    slope right of 1.
+    """(x_L, e) with g(x) = e for every x <= x_L (see the module docstring),
+    s+, s-, d+ and d- read off the pieces of phi._pieces that hold 1 and
+    the floats just below it.  Raises OrliczError unless Phi has a piece
+    table, Phi(1) = 1 and a finite slope right of 1.
     """
     _ensure_admissible(phi)  # the tail route computes no premium that would check
-    knots = [x for x, _ in phi.points]
-    if knots and phi(1.0) == 1.0:
-        s_up, s_down = phi.derivative(np.array([1.0, math.nextafter(1.0, 0.0)])).tolist()
+    if phi._pieces is not None and phi(1.0) == 1.0:
+        left, right, d0, inside = phi._pieces[:4, :, 0].tolist()
+        i, j = bisect_right(left, 1.0) - 1, bisect_left(left, 1.0) - 1
+        s_up, s_down = d0[i] if left[i] == 1.0 else inside[i], inside[j]
         if math.isfinite(s_up):  # else a jump at 1, or upper == 1
             e = _lp_quantile_exact(X.values, X.space.probs, s_up / (s_up + s_down), 1)
-            d_up = min([x for x in knots if x > 1.0] + [phi.upper]) - 1.0
-            d_down = 1.0 - max([x for x in knots if x < 1.0] + [0.0])
-            return e - max((hi - e) / d_up, (e - lo) / d_down), e
+            return e - max((hi - e) / (right[i] - 1.0), (e - lo) / (1.0 - left[j])), e
     raise OrliczError(
         f"no HG route for {phi!r}: it needs knots, Phi(1) = 1 and a finite slope right of 1"
     )

@@ -643,7 +643,7 @@ def test_first_order_penalty_is_the_dual_at_an_evaluated_multiplier():
     class Recording(Power):
         def first_order_point(self, s, geometric):
             seen.append(np.array(s))
-            return Power.first_order_point(self, s, geometric)
+            return super().first_order_point(s, geometric)
 
     for penalty, geometric in ((beta_primal, False), (alpha_penalty, True)):
         for Q in _oracle_measures(73, count=20):
@@ -655,7 +655,7 @@ def test_first_order_penalty_is_the_dual_at_an_evaluated_multiplier():
             duals = []
             for s in seen:
                 lam = float(dens[j] / s[j])
-                x = Power.first_order_point(phi, dens / lam, geometric)
+                x = Power(2.0).first_order_point(dens / lam, geometric)
                 z = np.log(x, out=np.zeros_like(x), where=x > 0.0) if geometric else x
                 duals.append(lam + math.fsum(probs * (dens * z - lam * x**2.0)))
             d = min(duals)
@@ -813,19 +813,62 @@ def test_bridge_is_tight_at_the_maximizer_of_alpha(phi):
             assert np.asarray(Q.density) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
+FLAT_ON_UNIT = [
+    LpqQuantile(2.0, 0.0, 2.0, 1.0),
+    LpqQuantile(1.0, 0.0, 1.0, 3.0),
+    LpqQuantile(2.0, 0.0, 1.0, 2.0),
+    PiecewiseLinear([(0.0, 1.0), (1.0, 1.0), (2.0, 3.0)]),
+]
+
+
+@pytest.mark.parametrize("phi", FLAT_ON_UNIT, ids=lambda phi: phi.spec_string())
+def test_bridge_of_a_phi_flat_on_the_unit_interval_is_one_off_the_grid(phi):
+    # Phi == 1 on [0, 1]: alpha = beta = 1 everywhere, and Q* = R makes the
+    # bound exact; the grid read 0.9999438854304501 at this R
+    R = MeasureChange(FiniteProbabilitySpace((0.3, 0.7)), (0.123456789 / 0.3, 0.876543211 / 0.7))
+    report = alpha_bridge_report(phi, R)
+    assert report.route == "first_order"
+    assert report.bridge_value == report.direct_value == alpha_penalty(phi, R) == 1.0
+    Q, alpha = duality._bridge_maximizer(phi, R)
+    assert Q is R and alpha == 1.0
+
+
+@pytest.mark.parametrize(
+    "vals,probs,density",
+    [
+        ((0.5, 1.7), (0.4, 0.6), (0.0, 1.6666666666666667)),
+        ((0.3, 1.1, 2.9), (0.2, 0.5, 0.3), (0.0, 0.0, 3.3333333333333335)),
+        ((0.8, 1.2, 1.9, 3.3), (0.1, 0.2, 0.3, 0.4), (0.0, 0.0, 0.0, 2.5)),
+    ],
+)
+def test_knotted_lpq_without_loss_weight_keeps_its_penalties_and_certificates(vals, probs, density):
+    # lpq:2,0,1,2 is knotted (b = 0, p = 1) and its piece table states a
+    # first-order point; Phi == 1 on [0, 1] still decides alpha, and the
+    # certificates are the ones it had before it stated the point
+    phi = LpqQuantile(2.0, 0.0, 1.0, 2.0)
+    assert phi.first_order_point is not None
+    X = rv(vals, probs)
+    for kind in ("arithmetic", "geometric"):
+        cert = dual_search(phi, X, kind)
+        assert (cert.penalty, cert.lower_bound, cert.primal) == (1.0, vals[-1], vals[-1])
+        assert (cert.route, cert.measure.density) == ("first_order", density)
+    rng = np.random.default_rng(len(vals))
+    for _ in range(20):
+        Q = _random_measure(rng, X.space)
+        assert alpha_penalty(phi, Q) == beta_primal(phi, Q) == beta_conjugate(phi, Q) == 1.0
+    on_grid = MeasureChange(FiniteProbabilitySpace((0.3, 0.7)), (0.5 / 0.3, 0.5 / 0.7))
+    assert alpha_bridge_report(phi, on_grid, grid_step=0.05).bridge_value == 1.0
+
+
 def test_bridge_without_a_multiplier_root_keeps_the_grid():
-    # no first_order_point (the searched Power), or a loss that states none
-    # (p != q): the sup over the simplex grid, with the values it gave
-    # before the maximizer route existed
+    # no first_order_point (the searched Power): the sup over the simplex
+    # grid, with the value it gave before the maximizer route existed
     R = MeasureChange(FiniteProbabilitySpace((0.2, 0.3, 0.5)), (2.5, 0.25, 0.85))
-    for phi, want in (
-        (_searched(Power(2.0)), 0.8665755213414315),
-        (LpqQuantile(2.0, 0.0, 2.0, 1.0), 0.9958194540750487),
-    ):
-        report = alpha_bridge_report(phi, R, grid_step=0.05)
-        assert report.route == "grid"
-        assert report.bridge_value == want
-        assert report.direct_value == alpha_penalty(phi, R)
+    phi = _searched(Power(2.0))
+    report = alpha_bridge_report(phi, R, grid_step=0.05)
+    assert report.route == "grid"
+    assert report.bridge_value == 0.8665755213414315
+    assert report.direct_value == alpha_penalty(phi, R)
 
 
 def test_simplex_grid_counts():
