@@ -14,7 +14,7 @@ the generalized family.
 
 Built-in families
 -----------------
-GeometricMean          1 + log(x); premium is exp(E[log X]).
+GeometricMean          1 + log(x), GeometricExpectile(1, 1); premium exp(E[log X]).
 Power(p)               x**p; premium is the p-norm, p > 0.
 QuantileStep(alpha)    alpha on [0,1], 1+alpha above; premium is the left
                        alpha-quantile (alpha = 1 gives the essential sup).
@@ -23,7 +23,7 @@ LpQuantile(alpha, p)   1 + alpha(x-1)_+**p - (1-alpha)(x-1)_-**p.
 LpqQuantile(a,b,p,q)   1 + a(x-1)_+**p - b(x-1)_-**q; for p = q the premium
                        is the L^p-quantile at level a/(a+b), for b = 0 the
                        essential supremum.
-GeometricExpectile(a,b) 1 + a(log x)_+ - b(log x)_-.
+GeometricExpectile(a,b) 1 + a(log x)_+ - b(log x)_-; a = b gives gm's premium.
 PiecewiseLinear        user-supplied knots, left-continuous at jumps.
 
 Two convexity notions matter here.  Plain convexity of Phi makes the
@@ -229,47 +229,6 @@ class OrliczFunction(ABC):
 
 
 @dataclass(frozen=True, repr=False)
-class GeometricMean(OrliczFunction):
-    """Phi(x) = 1 + log(x), with Phi(0) = -inf.
-
-    The premium it induces is the geometric mean exp(E[log X]); any mass
-    at zero collapses the premium to 0.  Concave, but GA-convex (its
-    log-reparametrization is affine).
-    """
-
-    name: ClassVar[str] = "gm"
-    cash_behavior: ClassVar[Optional[str]] = "superadditive"
-    log_slopes: ClassVar[Optional[tuple[float, float]]] = (1.0, 1.0)  # Phi(e^y) = 1 + y
-
-    def __call__(self, x: float) -> float:
-        if x < 0:
-            raise DomainError(f"negative input {x!r}")
-        if x == 0.0:
-            return NEG_INF
-        return 1.0 + math.log(x)
-
-    def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return 1.0 + np.log(xs)
-
-    def derivative(self, xs: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return 1.0 / np.asarray(xs, dtype=float)
-
-    @property
-    def at_zero(self) -> float:
-        return NEG_INF
-
-    @property
-    def convex_flag(self) -> Optional[bool]:
-        return False
-
-    @property
-    def ga_convex_flag(self) -> Optional[bool]:
-        return True
-
-
-@dataclass(frozen=True, repr=False)
 class Power(OrliczFunction):
     """Phi(x) = x**p for p > 0; the premium is the p-norm.
 
@@ -289,11 +248,14 @@ class Power(OrliczFunction):
         return x ** self.p
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
-        return xs ** self.p
+        if self.p <= 1.0:  # x ** p <= max(x, 1): no overflow, and no errstate to pay for
+            return xs ** self.p
+        with np.errstate(over="ignore"):  # past the float range: +inf
+            return xs ** self.p
 
     def derivative(self, xs: np.ndarray) -> np.ndarray:
         # at 0: +inf for p < 1, 1 for p = 1, 0 for p > 1
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             return self.p * np.asarray(xs, dtype=float) ** (self.p - 1.0)
 
     @property
@@ -430,14 +392,15 @@ class _TwoBranch(OrliczFunction):
 
     def eval_array(self, xs: np.ndarray) -> np.ndarray:
         d = xs - 1.0
-        return 1.0 + self.a * np.maximum(d, 0.0) ** self.p - self.b * np.maximum(-d, 0.0) ** self.q
+        with np.errstate(over="ignore"):  # past the float range: +inf
+            return 1.0 + self.a * np.maximum(d, 0.0) ** self.p - self.b * np.maximum(-d, 0.0) ** self.q
 
     def derivative(self, xs: np.ndarray) -> np.ndarray:
         # at x = 1: a for p = 1, 0 for p > 1, +inf for p < 1
         x = np.asarray(xs, dtype=float)
         up, down = self.a * self.p, self.b * self.q
         if self.p != 1.0 or self.q != 1.0:  # two linear branches need no powers
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 up = up * np.maximum(x - 1.0, 0.0) ** (self.p - 1.0)
                 down = down * np.maximum(1.0 - x, 0.0) ** (self.q - 1.0)
         return np.where(x >= 1.0, up, down)
@@ -546,24 +509,16 @@ class LpqQuantile(_TwoBranch):
     eval_array = _TwoBranch.eval_array
 
 
-@dataclass(frozen=True, repr=False)
-class GeometricExpectile(OrliczFunction):
-    """Phi(x) = 1 + a(log x)_+ - b(log x)_- with a > 0, b >= 0.
+class _LogBranch(OrliczFunction):
+    """Phi(x) = 1 + a(log x)_+ - b(log x)_-, the log-coordinate twin of
+    _TwoBranch: the loss of GeometricMean (a = b = 1) and GeometricExpectile.
 
-    The premium is exp of the a/(a+b)-expectile of log X (essential sup
-    when b = 0).  GA-convex iff a >= b; never convex in the plain sense
-    since the upper branch grows logarithmically.
+    Every fact follows from (a, b): GA-convex iff a >= b, never convex.
+    Each subclass binds eval_array in its own class body, as _TwoBranch's do.
     """
 
     a: float
     b: float
-    name: ClassVar[str] = "gexpectile"
-
-    def __post_init__(self) -> None:
-        if not (self.a > 0):
-            raise ValueError(f"gain weight a must be positive, got {self.a!r}")
-        if not (self.b >= 0):
-            raise ValueError(f"loss weight b must be nonnegative, got {self.b!r}")
 
     def __call__(self, x: float) -> float:
         if x < 0:
@@ -585,7 +540,7 @@ class GeometricExpectile(OrliczFunction):
     def derivative(self, xs: np.ndarray) -> np.ndarray:
         x = np.asarray(xs, dtype=float)
         w = np.where(x >= 1.0, self.a, self.b)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             return np.where(w > 0.0, w / x, 0.0)
 
     @property
@@ -602,11 +557,55 @@ class GeometricExpectile(OrliczFunction):
 
     @property
     def log_slopes(self) -> Optional[tuple[float, float]]:
-        return (self.b, self.a)  # Phi(e^y) = 1 + a y_+ - b y_-
+        return (self.b, self.a)
 
     @property
     def cash_behavior(self) -> Optional[str]:
-        return "additive" if self.b == 0.0 else None  # b = 0: the essential sup
+        # b = 0: the essential sup; a = b: the geometric mean, concave and homogeneous
+        if self.b == 0.0:
+            return "additive"
+        return "superadditive" if self.a == self.b else None
+
+
+@dataclass(frozen=True, repr=False)
+class GeometricMean(_LogBranch):
+    """Phi(x) = 1 + log(x), with Phi(0) = -inf: GeometricExpectile(1, 1).
+
+    The premium it induces is the geometric mean exp(E[log X]); any mass
+    at zero collapses the premium to 0.  Concave, but GA-convex (its
+    log-reparametrization is affine).
+    """
+
+    name: ClassVar[str] = "gm"
+    a = b = 1.0
+
+    def eval_array(self, xs: np.ndarray) -> np.ndarray:
+        # one branch: the same floats as _LogBranch.eval_array, in half the time
+        with np.errstate(divide="ignore"):
+            return 1.0 + np.log(xs)
+
+
+@dataclass(frozen=True, repr=False)
+class GeometricExpectile(_LogBranch):
+    """Phi(x) = 1 + a(log x)_+ - b(log x)_- with a > 0, b >= 0.
+
+    The premium is exp of the a/(a+b)-expectile of log X (essential sup
+    when b = 0, the geometric mean when a = b).  GA-convex iff a >= b;
+    never convex in the plain sense since the upper branch grows
+    logarithmically.
+    """
+
+    a: float
+    b: float
+    name: ClassVar[str] = "gexpectile"
+
+    def __post_init__(self) -> None:
+        if not (self.a > 0):
+            raise ValueError(f"gain weight a must be positive, got {self.a!r}")
+        if not (self.b >= 0):
+            raise ValueError(f"loss weight b must be nonnegative, got {self.b!r}")
+
+    eval_array = _LogBranch.eval_array
 
 
 class PiecewiseLinear(OrliczFunction):
@@ -669,12 +668,19 @@ class PiecewiseLinear(OrliczFunction):
         else:
             self._end_slope = 0.0
         slopes = [0.0] if xs[0] > 0.0 else []
+        # derivative's table, by the count j of knots at or left of x: the
+        # slope right of x, and knot j - 1 where Phi jumps up there (else nan)
+        after, up_at = [0.0], [math.nan, math.nan]
         jump = False
         for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
             if x1 > x0:
                 slopes.append((y1 - y0) / (x1 - x0))
             elif y1 != y0 and 0.0 < x0 < upper:
                 jump = True
+            after.append(slopes[-1] if x1 > x0 else 0.0)  # 0.0: no x has that count
+            up_at.append(x1 if x1 == x0 and y1 > y0 else math.nan)
+        self._slope_after = np.array(after + [self._end_slope])
+        self._up_at = np.array(up_at)
         rising = not jump and all(s0 <= s1 for s0, s1 in zip(slopes, slopes[1:]))
         # Phi(0+): the last knot at 0, else the first
         self._zero_plus = ys[max(xs.count(0.0), 1) - 1]
@@ -709,10 +715,10 @@ class PiecewiseLinear(OrliczFunction):
         flat = np.asarray(xs, dtype=float)
         x = flat.ravel()
         if x.size < VECTOR_MIN:
-            return np.fromiter(map(self, x), dtype=float, count=x.size).reshape(flat.shape)
+            return np.fromiter(map(self, x.tolist()), dtype=float, count=x.size).reshape(flat.shape)
         neg = np.flatnonzero(x < 0)
         if neg.size:
-            raise DomainError(f"negative input {x[neg[0]]!r}")
+            raise DomainError(f"negative input {float(x[neg[0]])!r}")
         kx, ky = self._kx_arr, self._ky_arr
         i = np.searchsorted(kx, x, side="left")
         i[np.isnan(x)] = 0  # bisect_left places nan before every knot
@@ -733,16 +739,9 @@ class PiecewiseLinear(OrliczFunction):
         """Slope of the segment right of each x, 0 below the first knot;
         +inf at an upward jump (Phi(x+) > Phi(x)) and from a finite upper on."""
         x = np.asarray(xs, dtype=float)
-        kx, ky = self._kx_arr, self._ky_arr
-        j = np.searchsorted(kx, x, side="right")  # kx[:j] are the knots at or left of x
-        lo, hi = np.maximum(j - 1, 0), np.minimum(j, len(kx) - 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inner = (ky[hi] - ky[lo]) / (kx[hi] - kx[lo])
-        slope = np.select([j == 0, j == len(kx)], [0.0, self._end_slope], inner)
-        # on a knot or at 0, Phi(x+) is exactly ky[lo], so a jump shows as inequality
-        on_knot = (x == 0.0) | ((j > 0) & (kx[lo] == x))
-        jump = on_knot & (ky[lo] > self.eval_array(x))
-        return np.where(jump | (x >= self._upper), INF, slope)
+        j = np.searchsorted(self._kx_arr, x, side="right")  # kx[:j] are the knots at or left of x
+        jump = np.where(x == 0.0, self._zero_plus > self._at_zero, self._up_at[j] == x)
+        return np.where(jump | (x >= self._upper), INF, self._slope_after[j])
 
     @property
     def at_zero(self) -> float:

@@ -5,15 +5,16 @@ premium is found by monotone bracketing plus bisection (the generic
 route).  orlicz_premium is the one entry point.  Its auto route looks
 up each built-in family except PiecewiseLinear, which has no dedicated
 solver, in one table (_SOLVERS) of private solvers that exploit its
-structure: closed forms for the norms and quantiles, and one solver
-(_two_branch) for the loss 1 + a(x-1)_+^p - b(x-1)_-^q shared by the
-expectile, lp and lpq.  b = 0 gives the essential supremum.  p = q gives
-the L^p-quantile at level a/(a+b), for p in {1, 2} by one exact walk
-over the atoms (_lp_quantile_exact, which scales them by a power of two
-near either end of the float range).  Every other two-branch premium is
-one bisection of its inequality in X/k, which no scale overflows.  The
-generic and dedicated routes agree to solver tolerance and cross-check
-each other in the tests.
+structure: closed forms for the norms and quantiles, one solver
+(_log_branch) for the loss 1 + a(log x)_+ - b(log x)_- shared by gm and
+gexpectile, and one (_two_branch) for the loss 1 + a(x-1)_+^p -
+b(x-1)_-^q shared by the expectile, lp and lpq.  b = 0 gives the
+essential supremum.  p = q gives the L^p-quantile at level a/(a+b), for
+p in {1, 2} by one exact walk over the atoms (_lp_quantile_exact, which
+scales them by a power of two near either end of the float range).
+Every other two-branch premium is one bisection of its inequality in
+X/k, which no scale overflows.  The generic and dedicated routes agree
+to solver tolerance and cross-check each other in the tests.
 
 cash_additivity_probe measures how the premium answers cash shifts and
 compares the result with the family's claim, phi.cash_behavior.
@@ -47,6 +48,7 @@ from .prob import (
     RandomVariable,
     as_random_variable,
     distribution_of,
+    merged_law,
     quantile,
     quantile_index,
     sorted_law,
@@ -226,23 +228,6 @@ def _columns(X: RandomVariable) -> tuple[Sequence[float], Sequence[float]]:
     return X.values, X.space.probs
 
 
-def _aggregate(
-    values: Sequence[float], probs: Sequence[float]
-) -> tuple[Sequence[float], Sequence[float]]:
-    """Distinct values ascending with their summed probabilities.
-
-    Arrays from VECTOR_MIN entries on (prob.sorted_law), lists below; the
-    sums are the same to the bit.
-    """
-    if len(values) >= VECTOR_MIN:
-        return sorted_law(np.asarray(values, dtype=float), np.asarray(probs, dtype=float))
-    acc: dict[float, float] = {}
-    for v, p in zip(values, probs):
-        acc[v] = acc.get(v, 0.0) + p
-    vs = sorted(acc)
-    return vs, [acc[v] for v in vs]
-
-
 def _running(first: float, terms: np.ndarray, op: np.ufunc) -> np.ndarray:
     """[first op t0, (first op t0) op t1, ...]: a loop's running value after each term.
 
@@ -264,7 +249,7 @@ def _lp_quantile_exact(
     [2**-WALK_EXP, 2**WALK_EXP) are first scaled by a power of two into
     [2**509, 2**510), the root back (a scale down rounds atoms below 2**-508).
     """
-    vs, ps = _aggregate(values, probs)
+    vs, ps = merged_law(values, probs)
     if len(vs) == 1:
         return float(vs[0])
     top, shift = max(-vs[0], vs[-1]), 0
@@ -401,13 +386,22 @@ def _left_quantile(X: RandomVariable, alpha: float) -> float:
     return float(vs[quantile_index(ps, alpha)])
 
 
-def _geometric_expectile(X: RandomVariable, a: float, b: float) -> float:
-    """exp of the a/(a+b)-expectile of log X; X > 0 everywhere when b > 0.
+def _log_branch(
+    phi: OrliczFunction, X: RandomVariable, vals: np.ndarray, probs: np.ndarray
+) -> float:
+    """Premium for Phi(x) = 1 + a(log x)_+ - b(log x)_- (gm, gexpectile):
+    exp of the a/(a+b)-expectile of log X, a closed form.
 
-    b = 0 sends the level to 1 and the value to the essential supremum.
+    b = 0 sends the level to 1 and the value to max X (zero atoms are
+    harmless there: Phi(0) = 1).  a = b is level 1/2, where the expectile
+    is the mean: exp(E[log X]).  Any other level is one exact walk over
+    log X.  X > 0 everywhere when b > 0.
     """
+    a, b = phi.a, phi.b
     if b == 0.0:
-        return float(X.values_array().max())  # zero atoms are harmless here: Phi(0) = 1
+        return float(vals.max())
+    if a == b:
+        return float(np.exp(probs @ np.log(vals)))
     # math.log, not np.log: numpy's vectorized log can differ from the C
     # library's in the last bit (1,937 of 1e6 lognormal(0, 1.5) draws with
     # numpy 2.4.6 on an AVX-512 x86-64 CPU), which would change the premium
@@ -422,8 +416,7 @@ def _geometric_expectile(X: RandomVariable, a: float, b: float) -> float:
 # as PiecewiseLinear does.  orlicz_premium has already returned for max X = 0
 # and for mass at zero under Phi(0) = -inf, so no solver sees either case.
 _SOLVERS: dict[type, tuple[str, Callable[..., tuple]]] = {
-    GeometricMean: ("gm",
-                    lambda phi, X, xs, ps, tol: (float(np.exp(ps @ np.log(xs))), None, 0)),
+    GeometricMean: ("gm", lambda phi, X, xs, ps, tol: (_log_branch(phi, X, xs, ps), None, 0)),
     Power: ("power",
             lambda phi, X, xs, ps, tol: (float((ps @ xs ** phi.p) ** (1.0 / phi.p)), None, 0)),
     QuantileStep: ("quantile",
@@ -432,8 +425,7 @@ _SOLVERS: dict[type, tuple[str, Callable[..., tuple]]] = {
     LpQuantile: ("lp_quantile", _two_branch),
     LpqQuantile: ("lpq_quantile", _two_branch),
     GeometricExpectile: ("geometric_expectile",
-                         lambda phi, X, xs, ps, tol: (
-                             _geometric_expectile(X, phi.a, phi.b), None, 0)),
+                         lambda phi, X, xs, ps, tol: (_log_branch(phi, X, xs, ps), None, 0)),
 }
 
 

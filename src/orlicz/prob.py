@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -160,6 +161,27 @@ def sorted_law(vals: np.ndarray, probs: np.ndarray) -> tuple[np.ndarray, np.ndar
     return v[starts], np.bincount(np.cumsum(starts) - 1, weights=probs[order])
 
 
+def merged_law(
+    values: Sequence[float], probs: Sequence[float]
+) -> tuple[Sequence[float], Sequence[float]]:
+    """Distinct values ascending with their summed probabilities.
+
+    sorted_law's arrays for an array or VECTOR_MIN or more values; below,
+    lists from a stable sort and a running sum per value, the same floats
+    to the bit.
+    """
+    if isinstance(values, np.ndarray) or len(values) >= VECTOR_MIN:
+        return sorted_law(np.asarray(values, dtype=float), np.asarray(probs, dtype=float))
+    atoms, merged = [], []
+    for v, p in sorted(zip(values, probs), key=itemgetter(0)):
+        if atoms and v == atoms[-1]:
+            merged[-1] += p
+        else:
+            atoms.append(v)
+            merged.append(p)
+    return atoms, merged
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
     """Sorted atoms with strictly positive probabilities summing to one."""
@@ -205,26 +227,19 @@ class DiscreteDistribution:
             kept = arr[arr[:, 1] != 0.0]
             if (kept[:, 1] < 0).any():
                 raise ValueError("probabilities must be nonnegative")
-            atoms, merged = sorted_law(kept[:, 0], kept[:, 1])
+            atoms, merged = merged_law(kept[:, 0], kept[:, 1])
             return _with_arrays(
                 cls,
                 {"_atoms_array": _frozen(atoms), "_probs_array": _frozen(merged)},
                 tuple(atoms.tolist()),
                 tuple(merged.tolist()),
             )
-        kept = [(float(v), float(p)) for v, p in pairs if p != 0.0]
-        if any(p < 0 for _, p in kept):
+        values = [float(v) for v, p in pairs if p != 0.0]
+        probs = [float(p) for _, p in pairs if p != 0.0]
+        if any(p < 0 for p in probs):
             raise ValueError("probabilities must be nonnegative")
-        kept.sort(key=lambda vp: vp[0])
-        atoms: list[float] = []
-        probs: list[float] = []
-        for v, p in kept:
-            if atoms and v == atoms[-1]:
-                probs[-1] = probs[-1] + p
-            else:
-                atoms.append(v)
-                probs.append(p)
-        return cls(tuple(atoms), tuple(probs))
+        atoms, merged = merged_law(values, probs)
+        return cls(tuple(atoms), tuple(merged))
 
 
 @dataclass(frozen=True)

@@ -253,24 +253,20 @@ def find_convexity_witness(
     return None
 
 
-CONVEX_FAMILIES: tuple[OrliczFunction, ...] = (
+CONVEXITY_BATTERY: tuple[OrliczFunction, ...] = (
     Power(1.0),
     Power(2.0),
     Power(3.0),
     Expectile(0.8),
     LpQuantile(0.7, 1.0),
     LpqQuantile(1.5, 1.0, 1.0, 1.0),
-)
-
-NONCONVEX_FAMILIES: tuple[OrliczFunction, ...] = (
     QuantileStep(0.3),
     GeometricMean(),
     Expectile(0.3),
     Power(0.5),
 )
 
-
-GA_CONVEX_FAMILIES: tuple[OrliczFunction, ...] = (
+GA_CONVEXITY_BATTERY: tuple[OrliczFunction, ...] = (
     GeometricMean(),
     Power(0.5),
     Power(1.0),
@@ -278,9 +274,6 @@ GA_CONVEX_FAMILIES: tuple[OrliczFunction, ...] = (
     Expectile(0.8),
     LpQuantile(0.7, 1.0),
     GeometricExpectile(2.0, 1.0),
-)
-
-GA_NONCONVEX_FAMILIES: tuple[OrliczFunction, ...] = (
     LpqQuantile(1.0, 1.0, 2.0, 2.0),
     Expectile(0.3),
     QuantileStep(0.3),
@@ -289,16 +282,20 @@ GA_NONCONVEX_FAMILIES: tuple[OrliczFunction, ...] = (
 
 def _midpoint_suite(
     name: str,
-    convex: tuple[OrliczFunction, ...],
-    nonconvex: tuple[OrliczFunction, ...],
+    battery: tuple[OrliczFunction, ...],
     geometric: bool,
     trials: int,
     seed: int,
 ) -> SuiteReport:
-    """Random midpoint trials per convex family, witness search per non-convex one.
+    """Random midpoint trials per family whose flag (ga_convex_flag when
+    geometric, else convex_flag) is True, witness search per family whose
+    flag is False, each in battery order.
 
     The midpoint of a and b is sqrt(a b) when geometric, else (a + b) / 2.
     """
+    flags = [phi.ga_convex_flag if geometric else phi.convex_flag for phi in battery]
+    convex = [phi for phi, flag in zip(battery, flags) if flag is True]
+    nonconvex = [phi for phi, flag in zip(battery, flags) if flag is False]
 
     def mid(a: float, b: float) -> float:
         return math.sqrt(a * b) if geometric else 0.5 * (a + b)
@@ -352,14 +349,14 @@ def _midpoint_suite(
 def run_convexity_suite(trials: int, seed: int) -> SuiteReport:
     """Midpoint convexity per family: random trials when convex_flag is
     True (trials per family), witness construction when it is False."""
-    return _midpoint_suite("convexity", CONVEX_FAMILIES, NONCONVEX_FAMILIES, False, trials, seed)
+    return _midpoint_suite("convexity", CONVEXITY_BATTERY, False, trials, seed)
 
 
 def run_gg_convexity_suite(trials: int, seed: int) -> SuiteReport:
-    """Geometric midpoint law H(sqrt(X Y)) <= sqrt(H(X) H(Y)) per family."""
-    return _midpoint_suite(
-        "gg-convexity", GA_CONVEX_FAMILIES, GA_NONCONVEX_FAMILIES, True, trials, seed
-    )
+    """Geometric midpoint law H(sqrt(X Y)) <= sqrt(H(X) H(Y)) per family:
+    random trials when ga_convex_flag is True, witness construction when
+    it is False."""
+    return _midpoint_suite("gg-convexity", GA_CONVEXITY_BATTERY, True, trials, seed)
 
 
 # ---------------------------------------------------------------------------

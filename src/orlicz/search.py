@@ -176,25 +176,12 @@ def bisect_root_decreasing(
     rel_tol: float = 1e-14,
 ) -> tuple[float, float, float, int]:
     """Root of a nonincreasing h with h(lo) > 0 >= h(hi), to a bracket
-    narrower than rel_tol * max(|lo|, |hi|), relative at every scale.
+    narrower than rel_tol * |hi|, relative at every scale.
 
-    Returns (root, bracket_lo, bracket_hi, iterations), the root being
-    the midpoint of the final bracket, and h(bracket_lo) > 0 >=
-    h(bracket_hi).  On an h that never returns nan the steps are those of
-    bisect_smallest_feasible(h, lo, hi, 0.0, rel_tol), whose value is
-    bracket_hi.
+    bisect_smallest_feasible at threshold 0, with a nan of h read as <= 0,
+    and read at its midpoint: returns (root, bracket_lo, bracket_hi,
+    iterations), the root being the midpoint of the final bracket, and
+    h(bracket_lo) > 0 >= h(bracket_hi).
     """
-    it = 0
-    while it < BISECT_ITERS:
-        if (hi - lo) <= rel_tol * max(abs(hi), abs(lo)):
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if h(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        it += 1
+    _, lo, hi, it = bisect_smallest_feasible(lambda t: float(h(t) > 0.0), lo, hi, 0.0, rel_tol)
     return 0.5 * (lo + hi), lo, hi, it
-

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import time
 import warnings
 from fractions import Fraction
 
@@ -871,6 +872,24 @@ def test_bridge_without_a_multiplier_root_keeps_the_grid():
     assert report.direct_value == alpha_penalty(phi, R)
 
 
+def test_bridge_grid_route_refuses_more_than_four_outcomes():
+    # the whole simplex grid at n = 5 and step 0.01 holds 4,598,126 measures
+    space = FiniteProbabilitySpace((0.1, 0.15, 0.2, 0.25, 0.3))
+    R = MeasureChange(space, (2.0, 2.0, 1.0, 0.6, 0.5))
+    for call in (
+        lambda: alpha_bridge_report(_searched(Power(2.0)), R),
+        lambda: beta_on_grid(Power(2.0), space),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(DimensionError):
+            call()
+        assert time.perf_counter() - start <= 0.1
+    # the first-order route builds no grid
+    report = alpha_bridge_report(Power(2.0), R)
+    assert report.route == "first_order"
+    assert report.bridge_value == pytest.approx(report.direct_value, rel=1e-12, abs=0.0)
+
+
 def test_simplex_grid_counts():
     assert len(simplex_grid(2, 0.5)) == 3
     assert len(simplex_grid(3, 0.25)) == 15  # C(6, 2)
@@ -1048,14 +1067,43 @@ def test_capped_convex_pwl_gets_a_tight_certificate():
     assert cert.primal == pytest.approx(7.0 / 3.0, rel=1e-9, abs=0.0)
 
 
-def test_no_derivative_falls_back_to_the_grid():
-    class NoSlope(Power):
-        derivative = None
+class _NoSlope(Power):
+    derivative = None  # no first-order measure: every certificate takes the grid route
 
+
+def test_no_derivative_falls_back_to_the_grid():
     X = rv((1.0, 3.0))
-    cert = dual_search(NoSlope(2.0), X, grid_step=0.05)
+    cert = dual_search(_NoSlope(2.0), X, grid_step=0.05)
     assert cert.route == "grid"
     assert abs(cert.gap) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "X", [rv((1.0, 2.0), (0.3, 0.7)), rv((1.0, 2.0, 4.0), (0.2, 0.3, 0.5))], ids=["n2", "n3"]
+)
+def test_grid_polish_improves_on_the_best_grid_measure(X):
+    phi = _NoSlope(2.0)
+    cert = dual_search(phi, X, grid_step=0.05)
+    assert cert.route == "grid" and abs(cert.gap) <= 1e-9
+    probs, vals = X.space.probs_array(), X.values_array()
+    grid = [X.space.probs] + simplex_grid(X.space.n, 0.05)
+    dens = [tuple((np.asarray(q) / probs).tolist()) for q in grid]
+    best = max(
+        beta_conjugate(phi, MeasureChange(X.space, d)) * float(np.dot(q, vals))
+        for q, d in zip(grid, dens)
+    )
+    assert cert.lower_bound > best + 1e-3
+
+
+def test_grid_fallback_beyond_four_outcomes_and_in_geometric_form():
+    # n = 6 takes the 32 seeded multistarts instead of the simplex grid
+    rng = np.random.default_rng(0)
+    X = rv(np.round(rng.uniform(0.5, 4.0, 6), 3).tolist(), rng.dirichlet(np.ones(6)).tolist())
+    cert = dual_search(_NoSlope(2.0), X)
+    assert cert.route == "grid" and abs(cert.gap) <= 1e-9
+    # the geometric grid: alpha at every grid measure
+    cert = dual_search(_NoSlope(2.0), rv((1.0, 3.0)), "geometric", grid_step=0.05)
+    assert (cert.route, cert.kind) == ("grid", "geometric") and abs(cert.gap) <= 1e-9
 
 
 def test_loose_first_order_measure_seeds_the_grid():

@@ -1,6 +1,7 @@
 """Function-family behaviour: values, flags, validation, conjugates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from orlicz.functions import (
     conjugate,
     piecewise_linear_from_text,
 )
+from orlicz import premium
 from orlicz.premium import orlicz_premium
 from orlicz.prob import rv
 
@@ -125,6 +127,8 @@ def _unit_kink(b):
         (LpqQuantile(2.0, 0.0, 1.0, 1.0), "additive", _unit_kink(0.0), None),
         (GeometricExpectile(2.0, 1.0), None, (), None),
         (GeometricExpectile(2.0, 0.0), "additive", (), None),
+        (GeometricExpectile(1.0, 1.0), "superadditive", (), None),  # gm
+        (GeometricExpectile(3.0, 3.0), "superadditive", (), None),  # gm's premium too
         (
             PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (4.0, 4.0)]),
             None,
@@ -824,3 +828,56 @@ def test_log_slopes_state_phi_of_e_to_the_y(phi, want):
 def test_log_slopes_is_no_claim_elsewhere(phi):
     assert OrliczFunction.log_slopes is None
     assert phi.log_slopes is None
+
+
+def test_geometric_mean_is_the_geometric_expectile_at_a_equal_b_one():
+    gm, ge = GeometricMean(), GeometricExpectile(1.0, 1.0)
+    rng = np.random.default_rng(28)
+    xs = np.concatenate(
+        [[0.0, 5e-324, 1e-310, 1.0, math.nextafter(1.0, 2.0), 1e300, INF],
+         rng.uniform(0.0, 3.0, 10_000), 10.0 ** rng.uniform(-300.0, 300.0, 10_000)]
+    )
+    assert [gm(x) for x in xs.tolist()] == [ge(x) for x in xs.tolist()]
+    assert gm.eval_array(xs).tolist() == ge.eval_array(xs).tolist()
+    assert gm.derivative(xs).tolist() == ge.derivative(xs).tolist()
+    facts = ("at_zero", "convex_flag", "ga_convex_flag", "log_slopes", "cash_behavior")
+    assert [getattr(gm, f) for f in facts] == [getattr(ge, f) for f in facts]
+    # every a = b takes the geometric mean's closed form; past a = 1 the
+    # moment that checks it differs, and so can its ulp nudges
+    for _ in range(200):
+        n = int(rng.integers(2, 9))
+        X = rv(rng.lognormal(0.0, 1.0, n).tolist(), rng.dirichlet(np.ones(n)).tolist())
+        want = orlicz_premium(gm, X)
+        got = orlicz_premium(ge, X)
+        assert (got.value, got.route) == (want.value, "closed_form:geometric_expectile")
+        cols = (X.values_array(), X.space.probs_array())
+        closed = premium._log_branch(gm, X, *cols)
+        assert premium._log_branch(GeometricExpectile(3.0, 3.0), X, *cols) == closed
+
+
+EDGE_XS = np.array([0.0, 5e-324, 1e-310, 1.0, math.nextafter(1.0, 2.0), 1e300, 1.7e308, INF])
+
+
+@pytest.mark.parametrize(
+    "phi",
+    ALL_FAMILIES
+    + [
+        Power(0.01),
+        LpQuantile(0.7, 1.5),
+        LpqQuantile(1.5, 0.5, 2.0, 1.0),
+        LpqQuantile(1.5, 0.5, 1.0, 1.0),
+        GeometricExpectile(2.0, 0.0),
+        PiecewiseLinear([(0.0, 0.0), (0.5, 0.8), (1.0, 1.0), (2.0, 3.0)]),
+        CAPPED_PWL,
+    ],
+    ids=lambda f: f.spec_string(),
+)
+def test_facts_at_the_ends_of_the_float_range_warn_nothing(phi):
+    # +-inf past the float range is the right value, and no RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi.eval_array(EDGE_XS)
+        phi.derivative(EDGE_XS)
+        if phi.first_order_point is not None:
+            phi.first_order_point(EDGE_XS, False)
+            phi.first_order_point(EDGE_XS, True)

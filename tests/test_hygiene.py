@@ -155,6 +155,12 @@ def test_ladder_helpers_stay_deleted():
     # replaced, and the quantile route's own size cutoff, now VECTOR_MIN
     walks = {"_expectile_signed", "_expectile_sweep", "_lp2_exact", "_lp2_sweep"}
     assert not (walks | {"QUANTILE_ARRAY_MIN"}) & set(vars(premium))
+    # the second law loop, which prob.merged_law replaced, and gexpectile's
+    # own solver, which the one log-branch solver replaced
+    assert not {"_aggregate", "_geometric_expectile"} & set(vars(premium))
+    # gm is the a = b = 1 member of the log-branch loss: it states no Phi of its own
+    own = set(vars(functions.GeometricMean))
+    assert not {"__call__", "derivative", "at_zero", "convex_flag", "ga_convex_flag"} & own
 
 
 def _approx_rel_without_abs(tree: ast.Module) -> list[str]:

@@ -13,7 +13,7 @@ import pytest
 
 from orlicz import functions, premium, prob
 from orlicz.base import VECTOR_MIN, DomainError
-from orlicz.functions import LpQuantile, LpqQuantile, PiecewiseLinear
+from orlicz.functions import GeometricExpectile, LpQuantile, LpqQuantile, PiecewiseLinear
 from orlicz.prob import DiscreteDistribution, distribution_of, quantile, rv
 from orlicz.properties import _describe
 
@@ -34,6 +34,11 @@ def both_paths(monkeypatch, call):
 def two_branch(phi, X):
     """The expectile/lp/lpq solver's value itself, without _finish's ulp nudges."""
     return premium._two_branch(phi, X, X.values_array(), X.space.probs_array(), 1e-10)[0]
+
+
+def log_branch(phi, X):
+    """The gm/gexpectile solver's value itself, without _finish's ulp nudges."""
+    return premium._log_branch(phi, X, X.values_array(), X.space.probs_array())
 
 
 def tied_sample(rng, n, signed=False):
@@ -70,7 +75,7 @@ def test_closed_forms_bit_equal(monkeypatch, n):
         positive = [v + 0.01 for v in values]
         for a, b in ((1.0, 1.0), (2.0, 1.0), (1.0, 3.0)):
             got = both_paths(
-                monkeypatch, lambda: premium._geometric_expectile(rv(positive, probs), a, b)
+                monkeypatch, lambda: log_branch(GeometricExpectile(a, b), rv(positive, probs))
             )
             assert got[0] == got[1], (n, a, b)
 
@@ -145,7 +150,7 @@ def test_laws_bit_equal(monkeypatch, n):
     assert got[0] == got[1]
     got = both_paths(monkeypatch, lambda: law(distribution_of(rv(values, probs))))
     assert got[0] == got[1]
-    got = both_paths(monkeypatch, lambda: premium._aggregate(values, probs))
+    got = both_paths(monkeypatch, lambda: prob.merged_law(values, probs))
     assert [list(map(float, g)) for g in got[0]] == [list(map(float, g)) for g in got[1]]
 
 
@@ -189,7 +194,7 @@ def test_pwl_eval_array_rejects_negative_input_like_call(size):
     with pytest.raises(DomainError) as from_array:
         phi.eval_array(xs)
     with pytest.raises(DomainError) as from_call:
-        phi(xs[size // 2])
+        phi(float(xs[size // 2]))
     assert str(from_array.value) == str(from_call.value)
 
 

@@ -7,7 +7,9 @@ The functions below are the copies those readers used before, kept here
 as oracles: the two-branch and Power(1) first-order points, pwl's own
 table, the knot rows of the sup, the knot slopes read off derivative,
 the end slopes each family passed, and the HG tail's reads of points
-and derivative.  The table must give their floats, bit for bit.
+and derivative.  The table must give their floats, bit for bit.  pwl's
+derivative, which now reads slopes and jumps tabled in __init__, is
+checked the same way against its old per-call method.
 """
 
 import math
@@ -236,3 +238,48 @@ def test_betas_with_a_jump_at_zero_meet_the_brute_force_conjugate(phi):
         want = min(1.0, 1.0 / min(f + [phi.upper]))
         assert beta_conjugate(phi, Q) == pytest.approx(want, rel=1e-12, abs=0.0)
         assert beta_primal(phi, Q) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+# --- pwl's derivative ---------------------------------------------------------
+
+
+def _old_pwl_derivative(phi, xs):
+    # PiecewiseLinear.derivative before __init__ tabled its slopes and jumps:
+    # a knot division per call, and eval_array to find the upward jumps
+    x = np.asarray(xs, dtype=float)
+    kx, ky = phi._kx_arr, phi._ky_arr
+    j = np.searchsorted(kx, x, side="right")
+    lo, hi = np.maximum(j - 1, 0), np.minimum(j, len(kx) - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = (ky[hi] - ky[lo]) / (kx[hi] - kx[lo])
+    slope = np.select([j == 0, j == len(kx)], [0.0, phi._end_slope], inner)
+    on_knot = (x == 0.0) | ((j > 0) & (kx[lo] == x))
+    jump = on_knot & (ky[lo] > phi.eval_array(x))
+    return np.where(jump | (x >= phi.upper), INF, slope)
+
+
+DERIVATIVE_PWLS = PWLS + ZERO_JUMPS + [
+    PiecewiseLinear([(0.0, 0.0), (0.5, 0.8), (1.0, 1.0), (2.0, 3.0)]),
+    PiecewiseLinear(  # jumps up and down at positive knots, Phi(0) = -inf
+        [(0.5, 0.2), (1.0, 0.6), (1.0, 1.0), (2.0, 1.5), (2.0, 1.2), (3.0, 4.0)],
+        value_at_zero=-INF,
+    ),
+    PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (1.0, 2.0)]),  # flat after a terminal jump
+    PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (2.0, 3.0)], upper=2.0),  # jump at upper
+    PiecewiseLinear([(1.0, 1.0)]),
+]
+
+
+@pytest.mark.parametrize("phi", DERIVATIVE_PWLS, ids=_ids)
+def test_pwl_derivative_is_the_old_method_bit_for_bit(phi):
+    marks = [0.0, phi.upper] + [x for x, _ in phi.points]
+    near = [math.nextafter(m, d) for m in marks for d in (0.0, INF) if m < INF]
+    rng = np.random.default_rng(29)
+    top = 2.0 * marks[-1] + 1.0
+    rand = [rng.uniform(0.0, top, 10_000), 10.0 ** rng.uniform(-300.0, 300.0, 10_000)]
+    ends = [-0.0, 5e-324, 1e-300, 1e300, 1.7976931348623157e308, INF]
+    xs = np.concatenate([ends, marks, near] + rand)
+    assert xs.size >= 20_000
+    assert phi.derivative(xs).tolist() == _old_pwl_derivative(phi, xs).tolist()
+    square = xs[:60].reshape(3, 20)  # any shape, kept
+    assert phi.derivative(square).tolist() == phi.derivative(xs[:60]).reshape(3, 20).tolist()

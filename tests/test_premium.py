@@ -574,6 +574,8 @@ def test_cash_probe_classifications():
         (LpqQuantile(2.0, 0.0, 2.0, 1.0), "additive"),  # b = 0: the essential sup
         (LpqQuantile(2.0, 0.0, 1.0, 2.0), "additive"),
         (GeometricExpectile(2.0, 0.0), "additive"),  # b = 0: the essential sup
+        (GeometricExpectile(1.0, 1.0), "superadditive"),  # a = b: the geometric mean
+        (GeometricExpectile(3.0, 3.0), "superadditive"),
         (Power(2.0), "subadditive"),
         (Power(0.5), "superadditive"),
         (GeometricMean(), "superadditive"),

@@ -163,3 +163,15 @@ def test_root_bisection_iterates_as_the_smallest_feasible_search_on_nan_free_h(s
             value, glo, ghi, giters = bisect_smallest_feasible(g, lo, hi, 0.0, rel_tol=rel_tol)
             assert seen_f == seen_g
             assert (bhi, blo, bhi, iters) == (value, glo, ghi, giters)
+
+
+def test_root_bisection_reads_a_nan_as_at_most_zero():
+    # where h is nan (an overflowing moment, say) the root search moves its
+    # top down, as at h <= 0; the smallest feasible search moves its bottom up
+    r = 0.7310585786300049
+    h, seen = counted(lambda k: math.nan if k >= r else 1.0)
+    root, blo, bhi, iters = bisect_root_decreasing(h, 0.1, 2.0, rel_tol=1e-12)
+    assert blo < r <= bhi and bhi - blo <= 1e-12 * bhi
+    assert root == 0.5 * (blo + bhi) and iters == len(seen)
+    value, glo, ghi, _ = bisect_smallest_feasible(h, 0.1, 2.0, 0.0, rel_tol=1e-12)
+    assert value == ghi == 2.0 and glo > 2.0 * (1.0 - 1e-12)
