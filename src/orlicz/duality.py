@@ -87,7 +87,7 @@ from .base import (
 )
 from .functions import OrliczFunction, conjugate
 from .prob import MeasureChange, RandomVariable
-from .search import golden_max, golden_min
+from .search import golden_max, golden_min, secant_root
 
 X_CAP = 1e6  # right end of beta_primal's x grid when upper = inf
 YCAP = 60.0  # log-coordinate box for the geometric Lagrangian
@@ -247,7 +247,7 @@ def _first_order_dual_min(
     lam each inner sup sits at X*_i = first_order_point(w_i / lam), so D is
     convex with D'(lam) = 1 - m(lam), the moment m = E_P[Phi(X*)]
     nonincreasing.  A power-of-two bracket of m = 1 is closed to adjacent
-    floats (_multiplier_root), and D is evaluated at both ends, summed in
+    floats (search.secant_root), and D is evaluated at both ends, summed in
     the order given (_canonical_atoms); the smaller value is returned with
     its multiplier.  Any lam bounds the primal supremum from above, so
     rounding in the root never lets the penalty overstate.  An atom with
@@ -295,82 +295,11 @@ def _first_order_dual_min(
     if m != m:
         return None
     lo, hi, m_lo, m_hi = (k - 1, k, prev, m) if above else (k, k + 1, m, prev)
-    lo, hi = _multiplier_root(moment, math.ldexp(1.0, lo), math.ldexp(1.0, hi), m_lo, m_hi)
+    lo, hi = math.ldexp(1.0, lo), math.ldexp(1.0, hi)
+    lo, hi, _ = secant_root(lambda lam: (moment(lam), 1.0), lo, hi, (m_lo, 1.0), (m_hi, 1.0))
     d_lo, d_hi = dual(lo), dual(hi)
     best, lam = (d_hi, hi) if d_hi < d_lo else (d_lo, lo)
     return (best, lam) if best < INF else None
-
-
-# the secant aims between 1 and the next float up, so that a moment that
-# rounds to exactly 1 still reads as lying on its side of the root
-SECANT_AIM = 2.0**-53
-# evaluations the secant may spend beyond plain bisection
-SECANT_SLACK = 3
-
-
-def _multiplier_root(
-    moment: Callable[[float], float], lo: float, hi: float, m_lo: float, m_hi: float
-) -> tuple[float, float]:
-    """Adjacent floats lo < hi with moment(lo) > 1 >= moment(hi), for a
-    nonincreasing moment, from the binade [lo, hi] = [2^(k-1), 2^k] and
-    m_lo = moment(lo) > 1 >= m_hi = moment(hi).
-
-    Each step is a secant in (log lam, log moment), through the last two
-    evaluated points, or through the bracket ends when their values agree.
-    For Power the moment is a power of lam, so one step lands on the root
-    and the next crosses it.  Two safeguards bound the work:
-    - a step lands at least 2^(j-1) floats inside the end that the last
-      j steps all moved, so steps stuck on one side of the root reach the
-      other in a few;
-    - a step lands within SECANT_SLACK halvings of the bisection schedule
-      (after step j the bracket is at most 2^(SECANT_SLACK - j) times its
-      first width), so the root never costs more than SECANT_SLACK
-      evaluations beyond bisection, 52 of them in a binade.
-    A moment that is not finite and positive gives the secant nothing to
-    read, and the step is the midpoint.
-    """
-
-    def log_of(m: float) -> float:
-        return math.log(m) if 0.0 < m < INF else math.nan
-
-    y_lo, y_hi = log_of(m_lo), log_of(m_hi)
-    x0, y0, x1, y1 = lo, y_lo, hi, y_hi  # the last two evaluated points
-    spacing = math.ulp(lo)  # of the floats in [lo, hi]
-    first = hi - lo
-    j = 0  # steps taken
-    side = run = 0  # the end the last step moved (+1 lo, -1 hi) and its streak
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            return lo, hi
-        j += 1
-        # the widest bracket this step may leave; the first SECANT_SLACK are free
-        budget = math.ldexp(first, min(SECANT_SLACK - j, 0))
-        x = mid
-        a, ya, b, yb = (x0, y0, x1, y1) if y0 != y1 else (lo, y_lo, hi, y_hi)
-        if math.isfinite(ya) and math.isfinite(yb) and ya != yb:
-            # the bracket spans a factor of 2 at most, so the clip keeps exp
-            # finite and changes only steps that the clamps below take back
-            t = (yb - SECANT_AIM) * math.log(b / a) / (yb - ya)
-            x = b * math.exp(-min(max(t, -1.0), 1.0))
-            step = math.ldexp(spacing, min(run, 52))  # 2^52 spacings span the binade
-            if side > 0:
-                x = max(x, lo + step)
-            elif side < 0:
-                x = min(x, hi - step)
-            # floats in one binade: both bounds are exact where they bind
-            x = max(x, hi - budget, math.nextafter(lo, hi))
-            x = min(x, lo + budget, math.nextafter(hi, lo))
-        m = moment(x)
-        y = log_of(m)
-        s = 1 if m > 1.0 else -1
-        if s > 0:
-            lo, y_lo = x, y
-        else:
-            hi, y_hi = x, y
-        run = run + 1 if s == side else 0
-        side = s
-        x0, y0, x1, y1 = x1, y1, x, y
 
 
 # ---------------------------------------------------------------------------

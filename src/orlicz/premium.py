@@ -12,9 +12,9 @@ b(x-1)_-^q shared by the expectile, lp and lpq.  b = 0 gives the
 essential supremum.  p = q gives the L^p-quantile at level a/(a+b), for
 p in {1, 2} by one exact walk over the atoms (_lp_quantile_exact, which
 scales them by a power of two near either end of the float range).
-Every other two-branch premium is one bisection of its inequality in
-X/k, which no scale overflows.  The generic and dedicated routes agree
-to solver tolerance and cross-check each other in the tests.
+Every other two-branch premium closes its inequality in X/k, which no
+scale overflows, by the penalties' secant root.  The generic and
+dedicated routes agree to solver tolerance and cross-check in the tests.
 
 cash_additivity_probe measures how the premium answers cash shifts and
 compares the result with the family's claim, phi.cash_behavior.
@@ -79,17 +79,15 @@ def _ensure_admissible(phi: OrliczFunction) -> None:
 class PremiumResult:
     """Premium value with solver diagnostics.
 
-    bracket is (lo, hi) with lo <= value <= hi, and iterations counts
-    the bisection steps that narrowed it.  A closed form reports
-    (value, value) and 0.  The generic route and the bisected two-branch
-    premiums (lp and lpq, unless b = 0 or p = q in {1, 2}) bisect the
-    moment condition: E[Phi(X/lo)] > 1 and value = hi.  route is
-    "generic", or for a dedicated solver "bisect:<family>" when it
-    bisected and "closed_form:<family>" when it did not.  g_at_value is
-    E[Phi(X/value)] (None for the definitional zero-premium cases where
-    it is vacuous).  nudges counts the moments a dedicated route's ulp
-    gallop and bisection took after the first one at its value (see
-    _finish); they are not in iterations.
+    bracket is (lo, hi) with lo <= value <= hi, and iterations counts the
+    evaluations that narrowed it; a closed form reports (value, value) and
+    0.  Searches leave value = hi and E[Phi(X/lo)] > 1, lp and lpq without
+    an exact walk with lo, hi adjacent and >= for > (see _finish).  route
+    is "generic", "bisect:<family>" for a dedicated solver that searched,
+    else "closed_form:<family>".  g_at_value is E[Phi(X/value)] (None for
+    the definitional zero-premium cases).  nudges (not in iterations)
+    counts _finish's moments after the one at the value but the one that
+    ends a check below it.
     """
 
     value: float
@@ -142,9 +140,9 @@ def orlicz_premium(
     solver = _SOLVERS.get(type(phi)) if route == "auto" else None
     if solver is not None:
         name, solve = solver
-        value, bracket, iterations = solve(phi, X, vals, probs, tol)
+        value, bracket, iterations, *g = solve(phi, X, vals, probs)
         label = ("closed_form:" if bracket is None else "bisect:") + name
-        return _finish(phi, vals, probs, ess, value, label, bracket, iterations)
+        return _finish(phi, vals, probs, ess, value, label, bracket, iterations, *g)
     return _generic(phi, vals, probs, ess, tol)
 
 
@@ -172,47 +170,43 @@ def _generic(
 
 
 def _finish(
-    phi: OrliczFunction,
-    X_vals: np.ndarray,
-    probs: np.ndarray,
-    ess: float,
-    value: float,
-    route: str,
-    bracket: Optional[tuple[float, float]],
-    iterations: int,
+    phi: OrliczFunction, X_vals: np.ndarray, probs: np.ndarray, ess: float, value: float,
+    route: str, bracket: Optional[tuple[float, float]], iterations: int, g: Optional[float] = None,
 ) -> PremiumResult:
-    """Package a dedicated-route value, moving up by ulps if fp left g > 1.
+    """Package a dedicated-route value, moved by ulps to where fp reads the root.
 
-    bracket and iterations come from a route that bisected (None and 0
-    for a closed form, whose bracket is the value itself); a nudge past
-    the bracket's top raises the top to the value.  A gallop tries the
-    value plus 1, 2, 4, ... of its ulps up to the first with g <= 1, and
-    a bisection between that float and the last one tried with g > 1
-    then narrows to a float with g <= 1 whose next float down has g > 1,
-    so the value is feasible however far the closed form and the moment
-    disagree, and no further above the root than the rounding needs.  No nudge
-    passes ess, max X: from there on every Phi(X/k) is at most 1, and a
-    g above 1 is only the rounding of the sum of the probabilities.
+    bracket and iterations come from a route that searched (None and 0 for a
+    closed form), g = E[Phi(X/value)] from a solver that read it.  Where g > 1,
+    a gallop up by 1, 2, 4, ... ulps and a bisection back end at a float with
+    g <= 1 whose next float down has g > 1; where g < 1 at a search's bracket
+    bottom, the same steps down end at g < 1 with g >= 1 one float down (g can
+    round to 1 over floats the search resolves).  No nudge passes ess, max X,
+    where a g above 1 is only the rounding of the sum of the probabilities.
     """
-    g = phi_moment(phi, X_vals, probs, value) if value > 0 else None
-    nudges = 0
+    g = phi_moment(phi, X_vals, probs, value) if g is None and value > 0 else g
+    nudges, below, top = 0, value, math.nextafter(1.0, 2.0)  # feasible: g < top
     if value > 0 and g is not None:
-        start, step, below = value, math.ulp(value), value
+        start, step = value, math.ulp(value)
         while g > 1.0 and g != INF and value < ess:
             below, value = value, min(start + step, ess)
             step *= 2.0
             g = phi_moment(phi, X_vals, probs, value)
             nudges += 1
+        if bracket is not None and below == value:
+            below, top = bracket[0], 1.0
+            while below > 0.0 and (g_below := phi_moment(phi, X_vals, probs, below)) < top:
+                value, g, step, nudges = below, g_below, 2.0 * step, nudges + 1
+                below = max(start - step, 0.0)
         mid = below + (value - below) / 2
-        while g <= 1.0 and below < mid < value:
+        while g < top and below < mid < value:
             g_mid = phi_moment(phi, X_vals, probs, mid)
             nudges += 1
-            if g_mid <= 1.0:
+            if g_mid < top:
                 value, g = mid, g_mid
             else:
                 below = mid
             mid = below + (value - below) / 2
-    bracket = (value, value) if bracket is None else (bracket[0], max(bracket[1], value))
+    bracket = (value, value) if bracket is None else (below, value)
     return PremiumResult(value, bracket, iterations, route, g, nudges)
 
 
@@ -313,18 +307,16 @@ def _lp_quantile_exact(
 
 
 def _two_branch(
-    phi: OrliczFunction, X: RandomVariable, vals: np.ndarray, probs: np.ndarray, tol: float
+    phi: OrliczFunction, X: RandomVariable, vals: np.ndarray, probs: np.ndarray
 ) -> tuple[float, Optional[tuple[float, float]], int]:
     """Premium for Phi(x) = 1 + a(x-1)_+^p - b(x-1)_-^q (expectile, lp, lpq).
 
-    b = 0 leaves only the gain branch: the premium is max X, as for a
-    one-valued X.  For p = q, a*E[((X-k)_+/k)^p] <= b*E[((k-X)_+/k)^p] is
-    the L^p-quantile at level alpha = a/(a+b), solved per segment for p in
-    {1, 2}.  Other cases bisect the difference, which is strictly
-    decreasing in k with its zero on (0, max X] and reads X only through
-    X/k, to the bracket's top; weights (alpha, 1 - alpha) for p = q make
-    lp(alpha, p) and lpq(a, b, p, p) one arithmetic.  Returns (value,
-    bracket, steps); an exact branch has no bracket and 0 steps.
+    b = 0 leaves only the gain branch: max X, as for a one-valued X.  p = q
+    is the L^p-quantile at level alpha = a/(a+b), exact per segment for p
+    in {1, 2}; weights (alpha, 1 - alpha) make lp(alpha, p) and lpq(a, b,
+    p, p) one arithmetic.  Else bisect_root_decreasing closes a*G = b*L, G
+    and L the gains and losses means of X/k (no scale overflows), on (0,
+    max X] from E[X]; returns (its top, its bracket or None, evaluations).
     """
     a, b, p, q = phi.a, phi.b, phi.p, phi.q
     if b == 0.0:
@@ -339,18 +331,17 @@ def _two_branch(
     if float(vals.min()) == ess:  # E[Phi(X/k)] <= 1 iff k >= X
         return ess, None, 0
 
-    def hhat(k: float) -> float:
-        gains = (np.maximum(vals - k, 0.0) / k) ** p
-        losses = (np.maximum(k - vals, 0.0) / k) ** q
-        return a * float(probs @ gains) - b * float(probs @ losses)
+    def gains_losses(k: float) -> tuple[float, float]:
+        # numpy's power is ~3x slower on a zero: |X/k - 1| has none off atoms at k
+        above, ratio = vals > k, np.abs(vals - k) / k
+        gains = ratio ** p
+        losses = gains if q == p else ratio ** q
+        return (a * float(probs @ np.where(above, gains, 0.0)),
+                b * float(probs @ np.where(above, 0.0, losses)))
 
-    lo = ess * 1e-3
-    while (h_lo := hhat(lo)) <= 0.0 and lo > LOWER_FLOOR:
-        lo *= 1e-2
-    if h_lo <= 0.0:
-        return lo, (0.0, lo), 0
-    _, blo, bhi, iters = bisect_root_decreasing(hhat, lo, ess, rel_tol=min(tol, 1e-12))
-    return bhi, (blo, bhi), iters
+    with np.errstate(over="ignore"):  # X/k may overflow far below the root: a*G > b*L there
+        lo, hi, evaluations = bisect_root_decreasing(gains_losses, 0.0, ess, float(probs @ vals))
+    return hi, (lo, hi), evaluations
 
 
 def _quadratic_root_in(c2: float, c1: float, c0: float, lo: float, hi: float) -> float:
@@ -386,6 +377,17 @@ def _left_quantile(X: RandomVariable, alpha: float) -> float:
     return float(vs[quantile_index(ps, alpha)])
 
 
+def _quantile(phi: QuantileStep, X: RandomVariable, vals: np.ndarray, probs: np.ndarray) -> tuple:
+    """Left alpha-quantile k, or the next atom if g rounds above 1 at k (g is
+    constant between atoms: x / k > 1 iff x > k); and g there, for _finish."""
+    k = _left_quantile(X, phi.alpha)
+    g = phi_moment(phi, vals, probs, k) if k > 0.0 else None
+    if g is not None and g > 1.0 and k < float(vals.max()):
+        k = float(vals[vals > k].min())
+        g = phi_moment(phi, vals, probs, k)
+    return k, None, 0, g
+
+
 def _log_branch(
     phi: OrliczFunction, X: RandomVariable, vals: np.ndarray, probs: np.ndarray
 ) -> float:
@@ -409,23 +411,20 @@ def _log_branch(
     return math.exp(_lp_quantile_exact(logs, _columns(X)[1], a / (a + b), 1))
 
 
-# family -> (route name, solver(phi, X, values, probs, tol) -> (premium,
-# bisection bracket or None for a closed form, bisection steps)); the label
-# is "bisect:<name>" with a bracket, else "closed_form:<name>".  Keyed by
-# exact class: a subclass may redefine Phi, so it takes the generic route,
-# as PiecewiseLinear does.  orlicz_premium has already returned for max X = 0
-# and for mass at zero under Phi(0) = -inf, so no solver sees either case.
+# family -> (route name, solver(phi, X, values, probs) -> (premium, root
+# bracket or None for a closed form, evaluations[, its moment])), labelled
+# "bisect:" or "closed_form:" + name.  Keyed by exact class: a subclass
+# (PiecewiseLinear) goes generic.  No solver sees max X = 0 or mass at zero
+# under Phi(0) = -inf.
 _SOLVERS: dict[type, tuple[str, Callable[..., tuple]]] = {
-    GeometricMean: ("gm", lambda phi, X, xs, ps, tol: (_log_branch(phi, X, xs, ps), None, 0)),
+    GeometricMean: ("gm", lambda *args: (_log_branch(*args), None, 0)),
     Power: ("power",
-            lambda phi, X, xs, ps, tol: (float((ps @ xs ** phi.p) ** (1.0 / phi.p)), None, 0)),
-    QuantileStep: ("quantile",
-                   lambda phi, X, xs, ps, tol: (_left_quantile(X, phi.alpha), None, 0)),
+            lambda phi, X, xs, ps: (float((ps @ xs ** phi.p) ** (1.0 / phi.p)), None, 0)),
+    QuantileStep: ("quantile", _quantile),
     Expectile: ("expectile", _two_branch),
     LpQuantile: ("lp_quantile", _two_branch),
     LpqQuantile: ("lpq_quantile", _two_branch),
-    GeometricExpectile: ("geometric_expectile",
-                         lambda phi, X, xs, ps, tol: (_log_branch(phi, X, xs, ps), None, 0)),
+    GeometricExpectile: ("geometric_expectile", lambda *args: (_log_branch(*args), None, 0)),
 }
 
 

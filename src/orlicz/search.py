@@ -1,15 +1,14 @@
-"""One-dimensional search primitives: Brent's method and monotone bisection.
+"""One-dimensional search: Brent's method, bisection and a secant root.
 
 All solvers in this package reduce to searches over a single scalar (a
 premium level k, a Lagrange multiplier, a cash shift), so these helpers
 are deliberately small and allocation-free.  golden_max and golden_min
 run Brent's method (Brent 1973, *Algorithms for Minimization without
-Derivatives*, ch. 5): golden section with parabolic steps, on an
-objective unimodal on the bracket.  They stop at the caller's bracket
-width, or as soon as the objective is flat to rounding around its
-optimum, where no further step can change the value.  Bisection assumes
-monotonicity.  Both report the best point actually evaluated, never an
-extrapolation.
+Derivatives*, ch. 5) on a unimodal objective and report the best point
+evaluated, never an extrapolation.  Bisection assumes monotonicity.
+secant_root closes the root of a nonincreasing ratio in one binade to
+adjacent floats; the penalties' multiplier root and, after a power-of-two
+scan (bisect_root_decreasing), the two-branch premiums share it.
 """
 
 from __future__ import annotations
@@ -29,6 +28,9 @@ FLAT_ULPS = 4
 # a smooth f up to this many ulps of rounding in its values
 MODEL_WIDTH = 1e-3
 MODEL_ULPS = 64
+SECANT_AIM = 2.0**-53  # the secant aims above 1: a ratio of exactly 1 keeps its side
+# evaluations the secant may spend beyond plain bisection
+SECANT_SLACK = 3
 
 
 def golden_max(
@@ -169,19 +171,89 @@ def bisect_smallest_feasible(
     return hi, lo, hi, it
 
 
-def bisect_root_decreasing(
-    h: Callable[[float], float],
-    lo: float,
-    hi: float,
-    rel_tol: float = 1e-14,
-) -> tuple[float, float, float, int]:
-    """Root of a nonincreasing h with h(lo) > 0 >= h(hi), to a bracket
-    narrower than rel_tol * |hi|, relative at every scale.
-
-    bisect_smallest_feasible at threshold 0, with a nan of h read as <= 0,
-    and read at its midpoint: returns (root, bracket_lo, bracket_hi,
-    iterations), the root being the midpoint of the final bracket, and
-    h(bracket_lo) > 0 >= h(bracket_hi).
+def secant_root(
+    f: Callable[[float], tuple[float, float]], lo: float, hi: float,
+    f_lo: tuple[float, float], f_hi: tuple[float, float],
+) -> tuple[float, float, int]:
+    """(lo', hi', steps): adjacent floats with u > v at lo' and not at hi'
+    (nan reads as not) for f = (u, v), u / v nonincreasing, from [lo, hi]
+    in one binade and f at its ends (nan pairs where unread).  Each step is
+    a secant in (log x, log u - log v) through the last two points read, or
+    the bracket ends where they agree (for a power of x it lands on the
+    root), at least 2^(j-1) floats inside the end the last j steps moved
+    and at most SECANT_SLACK steps behind bisection's 52; the midpoint
+    where u or v is not finite and positive.
     """
-    _, lo, hi, it = bisect_smallest_feasible(lambda t: float(h(t) > 0.0), lo, hi, 0.0, rel_tol)
-    return 0.5 * (lo + hi), lo, hi, it
+
+    def log_of(uv: tuple[float, float]) -> float:
+        u, v = uv
+        return math.log(u) - math.log(v) if 0.0 < u < math.inf and 0.0 < v < math.inf else math.nan
+
+    y_lo, y_hi = log_of(f_lo), log_of(f_hi)
+    x0, y0, x1, y1 = lo, y_lo, hi, y_hi  # the last two evaluated points
+    spacing, first = math.ulp(lo), hi - lo  # of the floats in [lo, hi]; the width
+    j = side = run = 0  # steps; the end the last step moved (+1 lo, -1 hi), its streak
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi, j
+        j += 1
+        # the widest bracket this step may leave; the first SECANT_SLACK are free
+        budget = math.ldexp(first, min(SECANT_SLACK - j, 0))
+        x = mid
+        a, ya, b, yb = (x0, y0, x1, y1) if y0 != y1 else (lo, y_lo, hi, y_hi)
+        if math.isfinite(ya) and math.isfinite(yb) and ya != yb:
+            # the bracket spans a factor of 2 at most, so the clip keeps exp
+            # finite and changes only steps that the clamps below take back
+            t = (yb - SECANT_AIM) * math.log(b / a) / (yb - ya)
+            x = b * math.exp(-min(max(t, -1.0), 1.0))
+            step = math.ldexp(spacing, min(run, 52))  # 2^52 spacings span the binade
+            if side > 0:
+                x = max(x, lo + step)
+            elif side < 0:
+                x = min(x, hi - step)
+            # floats in one binade: both bounds are exact where they bind
+            x = max(x, hi - budget, math.nextafter(lo, hi))
+            x = min(x, lo + budget, math.nextafter(hi, lo))
+        fx = f(x)
+        y, s = log_of(fx), 1 if fx[0] > fx[1] else -1
+        if s > 0:
+            lo, y_lo = x, y
+        else:
+            hi, y_hi = x, y
+        run, side = run + 1 if s == side else 0, s
+        x0, y0, x1, y1 = x1, y1, x, y
+
+
+def bisect_root_decreasing(
+    h: Callable[[float], tuple[float, float]], lo: float, hi: float, start: float
+) -> tuple[float, float, int]:
+    """secant_root's pair in [lo, hi] and the evaluations of h, for 0 <= lo
+    < start < hi.  Powers of two 2^e in (lo, hi), whose ends count unread,
+    bracket the root first: e strides 1, 2, 4, ... from start's while the
+    side holds, then bisects.  bench/spans.py wraps the name (a bisection's).
+    """
+    h_lo = h_hi = (math.nan, math.nan)  # not evaluated
+    # the exponents inside (lo, hi); bottom - 1 and top + 1 stand for lo and hi
+    bottom = math.frexp(lo)[1] if lo > 0.0 else -1074
+    top = math.frexp(math.nextafter(hi, 0.0))[1] - 1
+    e_lo, e_hi = bottom - 1, top + 1
+    e = min(max(math.frexp(start)[1] - 1, bottom), top)
+    stride, last, evaluations = 1, None, 0  # the gallop's stride (0 once bisecting), side
+    while e_lo + 1 < e_hi:
+        hx = h(math.ldexp(1.0, e))
+        evaluations += 1
+        up = hx[0] > hx[1]
+        if up:
+            e_lo, h_lo = e, hx
+        else:
+            e_hi, h_hi = e, hx
+        if stride and last in (None, up):
+            e = min(max(e + (stride if up else -stride), e_lo + 1), e_hi - 1)
+            stride, last = 2 * stride, up
+        else:
+            stride, e = 0, (e_lo + e_hi) // 2
+    lo = math.ldexp(1.0, e_lo) if e_lo >= bottom else lo
+    hi = math.ldexp(1.0, e_hi) if e_hi <= top else hi
+    lo, hi, steps = secant_root(h, lo, hi, h_lo, h_hi)
+    return lo, hi, evaluations + steps

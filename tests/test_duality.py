@@ -717,39 +717,6 @@ def test_first_order_work_does_not_depend_on_atom_order(monkeypatch, penalty, ph
     assert len(set(counts)) == 1 and counts[0] <= calls, counts
 
 
-@pytest.mark.parametrize("k", [1023, 600, 1, -1021, -1060])
-def test_multiplier_root_closes_any_binade(k):
-    # a moment that is a power of lam takes the secant a few steps; one with
-    # a kink at the root and flat to rounding beyond it gets nothing from
-    # the secant, and takes at most SECANT_SLACK steps more than plain
-    # bisection (52 in a normal binade, 13 in the subnormal one here).  In
-    # the top binade 8 times the width is past the float range
-    lo, hi = math.ldexp(1.0, k - 1), math.ldexp(1.0, k)
-    spacing = math.ulp(lo)
-    steps = round((hi - lo) / spacing).bit_length() - 1
-    for frac in (0.3, 0.7, 1e-9, 1.0 - 1e-12):
-        root = lo + math.floor(frac * (hi - lo) / spacing) * spacing
-        if not lo < root:
-            continue
-        moments = [lambda lam, q=q: (root / lam) ** q for q in (1.0, 2.0, 50.0)]
-        moments.append(lambda lam: 1.0 + (root - lam) / root if lam < root else 1.0 - 2.0**-53)
-        for moment in moments:
-            calls = []
-
-            def counted(lam):
-                calls.append(lam)
-                return moment(lam)
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                a, b = duality._multiplier_root(counted, lo, hi, moment(lo), moment(hi))
-            assert lo <= a and math.nextafter(a, hi) == b <= hi, (frac, a, b)
-            assert moment(a) > 1.0 >= moment(b)
-            assert len(calls) <= steps + duality.SECANT_SLACK, (frac, len(calls))
-            if moment is not moments[-1]:
-                assert len(calls) <= 4, (frac, len(calls))
-
-
 def test_relative_entropy_hand_value():
     R = MeasureChange(UNIFORM2, (1.5, 0.5))
     want = 0.75 * math.log(1.5) + 0.25 * math.log(0.5)

@@ -33,7 +33,7 @@ def both_paths(monkeypatch, call):
 
 def two_branch(phi, X):
     """The expectile/lp/lpq solver's value itself, without _finish's ulp nudges."""
-    return premium._two_branch(phi, X, X.values_array(), X.space.probs_array(), 1e-10)[0]
+    return premium._two_branch(phi, X, X.values_array(), X.space.probs_array())[0]
 
 
 def log_branch(phi, X):

@@ -68,6 +68,21 @@ def oracle_asymmetric_root(values, probs, alpha, p):
     return 0.5 * (lo + hi)
 
 
+def scaled_inequality(phi, vals, probs):
+    """k -> (a*E[((X-k)_+/k)^p], b*E[((k-X)_+/k)^q]), weights (alpha, 1 - alpha)
+    for p = q: the two sides of the two-branch premium's inequality."""
+    a, b, p, q = phi.a, phi.b, phi.p, phi.q
+    if p == q:
+        a, b = a / (a + b), 1.0 - a / (a + b)
+
+    def gains_losses(k):
+        gains = (np.maximum(vals - k, 0.0) / k) ** p
+        losses = (np.maximum(k - vals, 0.0) / k) ** q
+        return a * float(probs @ gains), b * float(probs @ losses)
+
+    return gains_losses
+
+
 def _random_instance(rng, n_max=6):
     n = int(rng.integers(2, n_max + 1))
     values = tuple(float(v) for v in rng.uniform(0.05, 5.0, n))
@@ -147,7 +162,7 @@ def test_lpq_with_equal_exponents_is_the_lp_quantile(p):
         X = rv(values, probs)
         lpq, lp = LpqQuantile(a, b, p, p), LpQuantile(a / (a + b), p)
         # both solvers weigh by (a/(a+b), 1 - a/(a+b)) and run one arithmetic
-        solved = [premium._two_branch(phi, X, X.values_array(), X.space.probs_array(), 1e-10)[0]
+        solved = [premium._two_branch(phi, X, X.values_array(), X.space.probs_array())[0]
                   for phi in (lpq, lp)]
         assert solved[0] == solved[1], (a, b, values, probs)
         # _finish reads each family's own Phi, whose rounding near g = 1 may
@@ -283,14 +298,22 @@ def test_nudges_count_the_moments_after_the_first(monkeypatch):
     "phi", [LpQuantile(0.7, 1.5), LpqQuantile(1.5, 0.5, 2.0, 1.0)], ids=lambda f: f.spec_string()
 )
 def test_two_branch_bisections_report_their_steps_and_bracket(phi):
+    # the bracket is adjacent floats with E[Phi(X/lo)] > 1 >= E[Phi(X/hi)]
+    # unless the moment at lo rounds to exactly 1.0 (lp:0.7,1.5 on this
+    # draw); _finish moves the route's value down only where it reads
+    # below 1, and where it moved nothing, the scaled inequality's sides
+    # hold at both ends
     X = rv(np.random.default_rng(0).lognormal(0.0, 1.0, 50).tolist())
+    vals, ps = X.values_array(), X.space.probs_array()
     res = orlicz_premium(phi, X)
     lo, hi = res.bracket
     assert res.iterations > 0
-    assert lo < hi
-    assert lo <= res.value <= hi
-    assert hi - lo <= 1e-10 * hi
-    assert phi_moment(phi, X.values_array(), X.space.probs_array(), lo) > 1.0
+    assert math.nextafter(lo, hi) == hi == res.value
+    assert phi_moment(phi, vals, ps, lo) >= 1.0 >= res.g_at_value
+    if res.nudges == 0:
+        gains_losses = scaled_inequality(phi, vals, ps)
+        assert gains_losses(lo)[0] > gains_losses(lo)[1]
+        assert not gains_losses(hi)[0] > gains_losses(hi)[1]
 
 
 @pytest.mark.parametrize(
@@ -424,6 +447,166 @@ def test_bisected_lp_quantile_needs_no_nudge_at_either_end_of_the_float_range(ph
     assert res.iterations <= 50
     assert res.g_at_value <= 1.0
     assert res.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+SECANT_ROUTE = [
+    LpQuantile(0.7, 1.5),
+    LpQuantile(0.3, 3.0),
+    LpqQuantile(1.5, 0.5, 2.0, 1.0),
+    LpqQuantile(1.0, 1.0, 2.0, 1.0),
+    LpqQuantile(1.0, 1.0, 1.0, 2.0),
+    LpqQuantile(1.5, 0.5, 1.5, 1.5),
+]
+
+
+def exhausted_root(gains_losses, hi):
+    """Bisection of a*G > b*L over the floats of (0, hi] to adjacent ones: the top."""
+    lo = 0.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        u, v = gains_losses(mid)
+        lo, hi = (mid, hi) if u > v else (lo, mid)
+    return hi
+
+
+@pytest.mark.parametrize("phi", SECANT_ROUTE, ids=lambda f: f.spec_string())
+def test_secant_route_agrees_with_float_exhaustion_in_a_few_evaluations(phi):
+    # on random X of 2-8 atoms and of 1e4, some with mass at zero, at three
+    # scales: the value is bisection's to 1e-12 and feasible, iterations
+    # counts every evaluation, about ten of them where bisection took 41-46
+    rng = np.random.default_rng(2026)
+    counts = []
+    for n in [*rng.integers(2, 9, 40).tolist(), 10**4, 10**4]:
+        values = rng.lognormal(0.0, 1.5, n)
+        if rng.random() < 0.3:
+            values[: max(n // 3, 1)] = 0.0
+        probs = rng.dirichlet(np.ones(n))
+        for scale in (1e-6, 1.0, 1e6):
+            X = rv((scale * values).tolist(), (probs / math.fsum(probs)).tolist())
+            vals, ps = X.values_array(), X.space.probs_array()
+            res = orlicz_premium(phi, X)
+            assert res.route.startswith("bisect:")
+            want = exhausted_root(scaled_inequality(phi, vals, ps), float(vals.max()))
+            assert res.value == pytest.approx(want, rel=1e-12, abs=0.0), (n, scale)
+            assert res.g_at_value <= 1.0
+            counts.append(res.iterations)
+    assert np.median(counts) <= 14 and max(counts) <= 64, sorted(counts)
+
+
+def test_secant_route_counts_every_evaluation(monkeypatch):
+    # iterations is the number of times the route read a*G and b*L
+    X = rv(np.random.default_rng(3).lognormal(0.0, 1.5, 10**4).tolist())
+    calls = []
+    search = premium.bisect_root_decreasing
+
+    def counted(h, *args):
+        return search(lambda k: calls.append(k) or h(k), *args)
+
+    monkeypatch.setattr(premium, "bisect_root_decreasing", counted)
+    counts = []
+    for phi in SECANT_ROUTE:
+        calls.clear()
+        res = orlicz_premium(phi, X)
+        assert res.iterations == len(calls), phi.spec_string()
+        counts.append(len(calls))
+    # the scan over powers of two from E[X] takes 2 to 4 of them; bisection
+    # to a relative width of 1e-12 took 41 to 46
+    assert np.median(counts) <= 14 and max(counts) <= 20, counts
+
+
+# roots hundreds of binades below E[X] = 1/2, and one at max X where b*L
+# is 1e-300 of a*G and the secant gets nothing from the log ratio
+@pytest.mark.parametrize(
+    "phi, want, most",
+    [
+        (LpqQuantile(1e-300, 1.0, 1.5, 1.5), 1e-200, 30),
+        (LpqQuantile(1e-300, 1.0, 2.0, 1.0), 1e-150, 30),
+        (LpqQuantile(1e-300, 1.0, 1.0, 2.0), 1e-300, 30),
+        (LpqQuantile(1.0, 1e300, 1.5, 1.5), 1e-200, 30),
+        (LpqQuantile(1.0, 1e-300, 1.5, 1.5), 1.0, 64),
+    ],
+    ids=lambda v: v.spec_string() if hasattr(v, "spec_string") else None,
+)
+def test_extreme_weights_keep_the_root_search_short(phi, want, most):
+    # the power-of-two scan strides 1, 2, 4, ... binades while the side
+    # holds, so a root 660 binades down costs about 20 evaluations, not
+    # one per binade; X/k overflowing far below the root raises nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = orlicz_premium(phi, rv((0.0, 1.0)))
+    assert res.route == "bisect:lpq_quantile"
+    assert res.iterations <= most
+    assert res.value == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert res.g_at_value <= 1.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_two_branch_sides_are_the_plain_powers_to_the_bit(monkeypatch):
+    # both sides raise |X/k - 1| (once for p = q), so numpy's power never
+    # runs on the other side's zeros; with zeros, subnormals and entries
+    # near 1e300 among the atoms, and exponents 1 and 2 among p and q, both
+    # sums keep every bit of the powers of (X - k)_+ / k and (k - X)_+ / k
+    sides = []
+    monkeypatch.setattr(premium, "bisect_root_decreasing",
+                        lambda h, lo, hi, start: sides.append(h) or (lo, hi, 0))
+    phis = [LpQuantile(0.7, 1.5), LpQuantile(0.3, 3.0), LpqQuantile(1.5, 0.5, 1.5, 1.5),
+            LpqQuantile(1.5, 0.5, 2.0, 1.0), LpqQuantile(1.0, 1.0, 1.5, 3.0)]
+    rng = np.random.default_rng(1000)
+    arrays = 0
+    while arrays < 1000:
+        n = int(np.exp(rng.uniform(math.log(2.0), math.log(5000.0))))
+        x = rng.lognormal(0.0, 3.0, n)
+        kind = rng.random(n)
+        x[kind < 0.1] = rng.uniform(0.0, 1.0, int((kind < 0.1).sum())) * 2.0**-1022
+        x[(kind >= 0.1) & (kind < 0.2)] *= 1e300 / x.max()
+        x[kind > 1.0 - rng.uniform(0.0, 1.0)] = 0.0
+        if x.max() == x.min():
+            continue
+        arrays += 1
+        X = rv(x.tolist())
+        vals, ps = X.values_array(), X.space.probs_array()
+        ks = (float(rng.choice(vals[vals > 0.0])), float(ps @ vals),
+              float(rng.uniform(0.0, vals.max())))
+        for phi in phis:
+            sides.clear()
+            premium._two_branch(phi, X, vals, ps)
+            want = scaled_inequality(phi, vals, ps)
+            for k in ks:
+                got = sides[0](k)
+                assert np.array_equal(got, want(k), equal_nan=True), (n, phi.spec_string(), k)
+
+
+def test_quantile_moves_to_the_next_atom_in_one_moment(monkeypatch):
+    # at n = 1000 the moment at the left 0.9-quantile rounds above 1 for
+    # each of these draws, and the gallop took 84 to 96 nudges to the next
+    # atom; the least feasible k is that atom, and the solver hands its
+    # moment there to _finish, which reads none of its own
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return phi_moment(*args)
+
+    monkeypatch.setattr(premium, "phi_moment", counted)
+    phi = QuantileStep(0.9)
+    for seed in range(6):
+        X = rv(np.random.default_rng(seed).lognormal(0.0, 1.5, 1000).tolist())
+        vals, ps = X.values_array(), X.space.probs_array()
+        calls.clear()
+        res = orlicz_premium(phi, X)
+        assert len(calls) == 2 and res.nudges == 0
+        left = _left_quantile(X, 0.9)
+        assert res.value == float(vals[vals > left].min())
+        assert res.g_at_value <= 1.0 < phi_moment(phi, vals, ps, math.nextafter(res.value, 0.0))
+    assert orlicz_premium(phi, X).value == 6.737097621334868  # the gallop's value, seed 5
+
+
+def test_feasible_left_quantile_takes_one_moment(monkeypatch):
+    # g = 0.7 + P(X > 2.6) = 0.95 at the left quantile: the solver's one
+    # moment is all the premium reads
+    calls = []
+    monkeypatch.setattr(premium, "phi_moment", lambda *args: calls.append(args) or phi_moment(*args))
+    res = orlicz_premium(QuantileStep(0.7), rv((0.3, 1.2, 2.6, 4.0)))
+    assert (res.value, res.g_at_value, res.nudges, len(calls)) == (2.6, 0.95, 0, 1)
 
 
 def test_degenerate_zero_mass_with_unbounded_below_phi():
