@@ -250,10 +250,10 @@ def _emit(command: str, inputs: dict, result: dict, diagnostics: Optional[dict] 
 def _cmd_premium(args) -> int:
     phi = parse_phi_spec(args.phi)
     X = load_data(args.data, args.format)
-    res = orlicz_premium(phi, X, tol=args.tol)
+    res = orlicz_premium(phi, X)
     _emit(
         "premium",
-        {"phi": phi.spec_string(), "data": args.data, "tol": args.tol},
+        {"phi": phi.spec_string(), "data": args.data},
         {
             "value": res.value,
             "bracket": list(res.bracket),
@@ -382,7 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("premium", help="smallest scale k with E[Phi(X/k)] <= 1")
     add_common(p)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.set_defaults(func=_cmd_premium)
 
     p = sub.add_parser("hg", help="translated-premium risk measure inf_x x + H((X-x)+)")
@@ -391,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         type=float,
         default=1e-10,
-        help="relative accuracy of every premium, and the width of the window route's polish",
+        help="relative width of the window route's polish (Brent's method over x)",
     )
     p.add_argument("--profile", help="write the x,g points the route evaluated to this CSV")
     p.set_defaults(func=_cmd_hg)

@@ -101,7 +101,7 @@ class DualCertificate:
 
     lower_bound = penalty * E_Q[X] (arithmetic) or
     penalty * exp(E_Q[log X]) (geometric); weak duality keeps it at or
-    below primal, the premium computed at tol 1e-10.  route says how Q
+    below primal, the premium orlicz_premium returns.  route says how Q
     was found: "first_order" (the measure read off Phi'(X/k)) or "grid"
     (the simplex grid or multistart search with its polish).
     """
@@ -722,7 +722,7 @@ def dual_search(
 ) -> DualCertificate:
     """Dual certificate at the first-order measure Q*, with a grid fallback.
 
-    With k the premium at tol 1e-10, Q* has dQ*/dP proportional to
+    With k the premium orlicz_premium returns, Q* has dQ*/dP proportional to
     Phi'_+(X/k) (arithmetic) or (X/k) Phi'_+(X/k) (geometric) and attains
     beta(Q*) E_Q*[X] = k (alpha(Q*) exp(E_Q*[log X]) = k); the penalty
     comes from beta_conjugate / alpha_penalty as for any Q.  Q* is
@@ -753,7 +753,7 @@ def dual_search(
 
     from .premium import orlicz_premium
 
-    primal = orlicz_premium(phi, X, tol=1e-10).value
+    primal = orlicz_premium(phi, X).value
     slack = 1e-9 * max(1.0, primal)
 
     def bound(q: Sequence[float], pen: float) -> float:

@@ -1,7 +1,7 @@
 """Haezendonck-Goovaerts risk measures on finite distributions.
 
 rho(X) = inf over x of g(x), where g(x) = x + H((X - x)_+) and H is the
-premium for a fixed admissible Phi, computed at hg_risk_measure's tol.
+premium for a fixed admissible Phi.
 H is monotone, normalized and positively homogeneous, so g(x) >=
 max(x, min X) for every x: right of min X, H >= 0; left of it,
 (X - x)_+ >= min X - x pointwise.  At or above max X the positive part
@@ -40,7 +40,8 @@ match wins:
   with p < q, and the other knotted Phi continuous at 1): the arguments
   above confine the minimum to [min X, max X], or for a knotted Phi to
   [x_L, max X] with e the value left of it, which a coarse sweep plus a
-  polish by Brent's method (search.golden_min) searches.
+  polish by Brent's method (search.golden_min) to hg_risk_measure's
+  relative width tol searches.
 
 Any other Phi (a pwl that jumps at 1 or ends there, a family that states
 no facts) raises OrliczError.
@@ -55,7 +56,7 @@ from typing import Callable
 
 import numpy as np
 
-from .base import INF, NEG_INF, OrliczError
+from .base import INF, NEG_INF, OrliczError, check_tol
 from .functions import GeometricMean, OrliczFunction
 from .premium import _ensure_admissible, _lp_quantile_exact, orlicz_premium
 from .prob import RandomVariable, rv
@@ -95,6 +96,7 @@ class HGResult:
 
 
 def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) -> HGResult:
+    check_tol(tol)  # the width of the window route's polish
     vals = X.values_array()
     lo_val = float(vals.min())
     hi_val = float(vals.max())
@@ -105,7 +107,7 @@ def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) 
         count += 1
         shifted = np.maximum(vals - x, 0.0)
         excess = RandomVariable(X.space, tuple(shifted.tolist()))
-        return x + orlicz_premium(phi, excess, tol).value
+        return x + orlicz_premium(phi, excess).value
 
     def at_min(route: str) -> HGResult:
         value = g(lo_val)

@@ -1,27 +1,33 @@
 """Premium computation: smallest k > 0 with E[Phi(X/k)] <= 1.
 
-The map k -> E[Phi(X/k)] is nonincreasing and right-continuous, so the
-premium is found by monotone bracketing plus bisection (the generic
-route).  orlicz_premium is the one entry point.  Its auto route looks
-up each built-in family except PiecewiseLinear, which has no dedicated
-solver, in one table (_SOLVERS) of private solvers that exploit its
-structure: closed forms for the norms and quantiles, one solver
-(_log_branch) for the loss 1 + a(log x)_+ - b(log x)_- shared by gm and
-gexpectile, and one (_two_branch) for the loss 1 + a(x-1)_+^p -
-b(x-1)_-^q shared by the expectile, lp and lpq.  b = 0 gives the
-essential supremum.  p = q gives the L^p-quantile at level a/(a+b), for
-p in {1, 2} by one exact walk over the atoms (_lp_quantile_exact, which
-scales them by a power of two near either end of the float range).
-Every other two-branch premium closes its inequality in X/k, which no
-scale overflows, by the penalties' secant root.  The generic and
-dedicated routes agree to solver tolerance and cross-check in the tests.
+The map k -> E[Phi(X/k)] is nonincreasing and right-continuous.  The
+generic route returns the least float k in (max X / upper, max X] at
+which the float moment reads <= 1: search.bisect_smallest_feasible
+brackets it by powers of two from E[X] and closes the bracket to
+adjacent floats by the shared secant root.  orlicz_premium is the one
+entry point.  Phi(0) = 1 makes an admissible Phi equal to 1 on all of
+[0, 1], and the premium max X on every route.  Otherwise the auto route
+looks up each built-in family except PiecewiseLinear, which has no
+dedicated solver, in one table (_SOLVERS) of private solvers that
+exploit its structure: closed forms for the norms and quantiles, one
+solver (_log_branch) for the loss 1 + a(log x)_+ - b(log x)_- shared by
+gm and gexpectile, and one (_two_branch) for the loss 1 + a(x-1)_+^p -
+b(x-1)_-^q shared by the expectile, lp and lpq.  p = q gives the
+L^p-quantile at level a/(a+b), for p in {1, 2} by one exact walk over
+the atoms (_lp_quantile_exact, which scales them by a power of two near
+either end of the float range).  Every other two-branch premium closes
+its inequality in X/k, which no scale overflows, by the same secant
+root.  The generic and dedicated routes agree to a few ulps and
+cross-check in the tests.
 
 cash_additivity_probe measures how the premium answers cash shifts and
 compares the result with the family's claim, phi.cash_behavior.
 
 Degenerate rule: when Phi(0) = -inf and X carries mass at zero, the
 premium is 0 by definition (each division by smaller k only spreads the
--inf further, and the monotone-limit value is zero).
+-inf further, and the monotone-limit value is zero).  The generic route
+reports the same limit, 0, where the moment reads <= 1 down to the least
+positive float.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .base import VECTOR_MIN, DomainError, INF, InvalidPhiError, NEG_INF, check_tol
+from .base import VECTOR_MIN, DomainError, INF, InvalidPhiError, NEG_INF
 from .functions import (
     Expectile,
     GeometricExpectile,
@@ -55,7 +61,6 @@ from .prob import (
 )
 from .search import bisect_root_decreasing, bisect_smallest_feasible
 
-LOWER_FLOOR = 1e-300
 # Atoms below 2**WALK_EXP in magnitude keep every square, h term and
 # discriminant of the exact L^p-quantile walk below 2**1023, and a largest
 # atom of at least 2**-WALK_EXP keeps the squares from underflowing
@@ -81,13 +86,15 @@ class PremiumResult:
 
     bracket is (lo, hi) with lo <= value <= hi, and iterations counts the
     evaluations that narrowed it; a closed form reports (value, value) and
-    0.  Searches leave value = hi and E[Phi(X/lo)] > 1, lp and lpq without
-    an exact walk with lo, hi adjacent and >= for > (see _finish).  route
-    is "generic", "bisect:<family>" for a dedicated solver that searched,
-    else "closed_form:<family>".  g_at_value is E[Phi(X/value)] (None for
-    the definitional zero-premium cases).  nudges (not in iterations)
-    counts _finish's moments after the one at the value but the one that
-    ends a check below it.
+    0.  Searches leave value = hi, the float above lo, and E[Phi(X/lo)] >
+    1 (lp and lpq without an exact walk: >=, see _finish).  The generic
+    route counts every moment it read, and reports (lo, lo) where the cap
+    lo = max X / upper is feasible.  route is "generic", "bisect:<family>"
+    for a dedicated solver that searched, else "closed_form:<family>".
+    g_at_value is E[Phi(X/value)] (None for the zero premiums: the
+    definitional cases, and the generic route's unattained limit).  nudges
+    (not in iterations) counts _finish's moments after the one at the
+    value but the one that ends a check below it.
     """
 
     value: float
@@ -113,18 +120,12 @@ def phi_moment(phi: OrliczFunction, xs: np.ndarray, probs: np.ndarray, k: float)
     return total
 
 
-def orlicz_premium(
-    phi: OrliczFunction,
-    X: RandomVariable,
-    tol: float = 1e-10,
-    route: str = "auto",
-) -> PremiumResult:
-    """Compute the premium; route='auto' uses family shortcuts, 'generic' bisects.
+def orlicz_premium(phi: OrliczFunction, X: RandomVariable, route: str = "auto") -> PremiumResult:
+    """Compute the premium; route='auto' uses family shortcuts, 'generic' searches.
 
-    The generic route brackets [ess_sup/u, ess_sup] (with a geometric
-    downward expansion when u = inf) and bisects to relative width tol.
+    The generic route takes the least float k in (max X / upper, max X]
+    whose moment reads <= 1 (see the module docstring).
     """
-    check_tol(tol)
     if route not in ("auto", "generic"):
         raise ValueError(f"route must be 'auto' or 'generic', got {route!r}")
     _ensure_admissible(phi)
@@ -138,35 +139,36 @@ def orlicz_premium(
         return PremiumResult(0.0, (0.0, 0.0), 0, "closed_form:degenerate", None)
 
     solver = _SOLVERS.get(type(phi)) if route == "auto" else None
+    if phi.at_zero == 1.0:  # Phi == 1 on [0, 1] and > 1 past it: max X, exactly
+        label = "generic" if solver is None else "closed_form:" + solver[0]
+        return _finish(phi, vals, probs, ess, ess, label, None, 0)
     if solver is not None:
         name, solve = solver
         value, bracket, iterations, *g = solve(phi, X, vals, probs)
         label = ("closed_form:" if bracket is None else "bisect:") + name
         return _finish(phi, vals, probs, ess, value, label, bracket, iterations, *g)
-    return _generic(phi, vals, probs, ess, tol)
+    return _generic(phi, vals, probs, ess)
 
 
-def _generic(
-    phi: OrliczFunction, vals: np.ndarray, probs: np.ndarray, ess: float, tol: float
-) -> PremiumResult:
+def _generic(phi: OrliczFunction, vals: np.ndarray, probs: np.ndarray, ess: float) -> PremiumResult:
+    moments: dict[float, float] = {}  # every moment the route read, by k
+
     def g(k: float) -> float:
-        return phi_moment(phi, vals, probs, k)
+        moments[k] = phi_moment(phi, vals, probs, k)
+        return moments[k]
 
-    hi = ess  # Phi(x) <= 1 for x <= 1 makes ess_sup always feasible
-    if phi.upper < INF:
-        lo = ess / phi.upper
-        if g(lo) <= 1.0:
-            return PremiumResult(lo, (lo, lo), 0, "generic", g(lo))
-    else:
-        lo = tol * ess
-        expansions = 0
-        while g(lo) <= 1.0:
-            if lo <= LOWER_FLOOR:
-                return PremiumResult(lo, (0.0, lo), expansions, "generic", g(lo))
-            lo *= 1e-3
-            expansions += 1
-    value, blo, bhi, iters = bisect_smallest_feasible(g, lo, hi, 1.0, tol)
-    return PremiumResult(value, (blo, bhi), iters, "generic", g(value))
+    lo = ess / phi.upper  # below it max X / k passes upper, where Phi = +inf
+    if lo > 0.0 and g(lo) <= 1.0:
+        return PremiumResult(lo, (lo, lo), 1, "generic", moments[lo])
+    # X / k overflows to +inf near the least floats, where a Phi with a flat
+    # tail reads nan, as the search reads a feasible moment
+    with np.errstate(over="ignore"):
+        lo, hi, _ = bisect_smallest_feasible(g, lo, ess, float(probs @ vals))
+    iterations = len(moments)  # each k is read once
+    if lo == 0.0:  # the moment reads <= 1 down to the least float: the limit 0
+        return PremiumResult(0.0, (0.0, hi), iterations, "generic", None)
+    g_hi = moments[hi] if hi in moments else g(hi)  # max X counts as feasible unread
+    return PremiumResult(hi, (lo, hi), iterations, "generic", g_hi)
 
 
 def _finish(
@@ -311,16 +313,15 @@ def _two_branch(
 ) -> tuple[float, Optional[tuple[float, float]], int]:
     """Premium for Phi(x) = 1 + a(x-1)_+^p - b(x-1)_-^q (expectile, lp, lpq).
 
-    b = 0 leaves only the gain branch: max X, as for a one-valued X.  p = q
-    is the L^p-quantile at level alpha = a/(a+b), exact per segment for p
-    in {1, 2}; weights (alpha, 1 - alpha) make lp(alpha, p) and lpq(a, b,
-    p, p) one arithmetic.  Else bisect_root_decreasing closes a*G = b*L, G
-    and L the gains and losses means of X/k (no scale overflows), on (0,
-    max X] from E[X]; returns (its top, its bracket or None, evaluations).
+    Phi(0) = 1 - b is below 1 here (Phi == 1 on [0, 1] takes
+    orlicz_premium's max X).  p = q is the L^p-quantile at level alpha =
+    a/(a+b), exact per segment for p in {1, 2}; weights (alpha, 1 - alpha)
+    make lp(alpha, p) and lpq(a, b, p, p) one arithmetic.  Else
+    bisect_root_decreasing closes a*G = b*L, G and L the gains and losses
+    means of X/k (no scale overflows), on (0, max X] from E[X]; returns
+    (its top, its bracket or None, evaluations).
     """
     a, b, p, q = phi.a, phi.b, phi.p, phi.q
-    if b == 0.0:
-        return float(vals.max()), None, 0
     if p == q:
         alpha = a / (a + b)
         if p in (1.0, 2.0):
@@ -394,14 +395,12 @@ def _log_branch(
     """Premium for Phi(x) = 1 + a(log x)_+ - b(log x)_- (gm, gexpectile):
     exp of the a/(a+b)-expectile of log X, a closed form.
 
-    b = 0 sends the level to 1 and the value to max X (zero atoms are
-    harmless there: Phi(0) = 1).  a = b is level 1/2, where the expectile
-    is the mean: exp(E[log X]).  Any other level is one exact walk over
-    log X.  X > 0 everywhere when b > 0.
+    b > 0 here (b = 0 makes Phi == 1 on [0, 1]: orlicz_premium's max X),
+    so Phi(0) = -inf and X > 0 everywhere.  a = b is level 1/2, where the
+    expectile is the mean: exp(E[log X]).  Any other level is one exact
+    walk over log X.
     """
     a, b = phi.a, phi.b
-    if b == 0.0:
-        return float(vals.max())
     if a == b:
         return float(np.exp(probs @ np.log(vals)))
     # math.log, not np.log: numpy's vectorized log can differ from the C
@@ -414,8 +413,8 @@ def _log_branch(
 # family -> (route name, solver(phi, X, values, probs) -> (premium, root
 # bracket or None for a closed form, evaluations[, its moment])), labelled
 # "bisect:" or "closed_form:" + name.  Keyed by exact class: a subclass
-# (PiecewiseLinear) goes generic.  No solver sees max X = 0 or mass at zero
-# under Phi(0) = -inf.
+# (PiecewiseLinear) goes generic.  No solver sees max X = 0, mass at zero
+# under Phi(0) = -inf, or Phi(0) = 1.
 _SOLVERS: dict[type, tuple[str, Callable[..., tuple]]] = {
     GeometricMean: ("gm", lambda *args: (_log_branch(*args), None, 0)),
     Power: ("power",

@@ -5,10 +5,12 @@ premium level k, a Lagrange multiplier, a cash shift), so these helpers
 are deliberately small and allocation-free.  golden_max and golden_min
 run Brent's method (Brent 1973, *Algorithms for Minimization without
 Derivatives*, ch. 5) on a unimodal objective and report the best point
-evaluated, never an extrapolation.  Bisection assumes monotonicity.
-secant_root closes the root of a nonincreasing ratio in one binade to
-adjacent floats; the penalties' multiplier root and, after a power-of-two
-scan (bisect_root_decreasing), the two-branch premiums share it.
+evaluated, never an extrapolation.  secant_root closes the root of a
+nonincreasing ratio in one binade to adjacent floats.  The penalties'
+multiplier root shares it, and so does every searched premium after a
+power-of-two scan (bisect_root_decreasing): the two-branch premiums'
+scaled inequality, and the generic route's moment through
+bisect_smallest_feasible.
 """
 
 from __future__ import annotations
@@ -18,9 +20,8 @@ import sys
 from typing import Callable
 
 INV_PHI2 = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2, the golden-section step
-# iteration caps, a backstop for tolerances too fine for the fp grid
+# iteration cap, a backstop for tolerances too fine for the fp grid
 GOLDEN_ITERS = 200
-BISECT_ITERS = 400
 SQRT_EPS = math.sqrt(sys.float_info.epsilon)
 # close values this many ulps apart are flat: the search stops
 FLAT_ULPS = 4
@@ -144,31 +145,17 @@ def golden_min(
 
 
 def bisect_smallest_feasible(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    threshold: float = 1.0,
-    rel_tol: float = 1e-10,
-) -> tuple[float, float, float, int]:
-    """Smallest k with g(k) <= threshold for nonincreasing g.
+    g: Callable[[float], float], lo: float, hi: float, start: float, threshold: float = 1.0
+) -> tuple[float, float, int]:
+    """(lo', hi', evaluations): the least float hi' in (lo, hi] with g(hi')
+    <= threshold, for nonincreasing g, and the float below it.
 
-    Requires g(lo) > threshold >= g(hi) on entry.  Stops once the
-    bracket is narrower than rel_tol * |hi|, relative at every scale.
-    Returns (value, bracket_lo, bracket_hi, iterations) where value ==
-    bracket_hi, g(value) <= threshold is guaranteed, and g(bracket_lo) >
-    threshold.
+    bisect_root_decreasing on (g(k), threshold) from start: lo and hi count
+    as g > threshold and g <= threshold unread, and a nan reads as <=
+    threshold.  lo' is lo itself where no float read above threshold.
+    bench/spans.py wraps the name (a bisection's).
     """
-    it = 0
-    while (hi - lo) > rel_tol * abs(hi) and it < BISECT_ITERS:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # fp exhaustion
-            break
-        if g(mid) <= threshold:
-            hi = mid
-        else:
-            lo = mid
-        it += 1
-    return hi, lo, hi, it
+    return bisect_root_decreasing(lambda k: (g(k), threshold), lo, hi, start)
 
 
 def secant_root(

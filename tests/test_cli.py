@@ -250,6 +250,19 @@ def test_hg_pwl_that_jumps_at_one_exits_1(capsys, tmp_path):
     assert "computation error: no HG route" in err
 
 
+def test_premium_takes_no_tol_and_hg_rejects_a_zero_tol(capsys, dist_csv):
+    # every premium closes to adjacent floats, so premium has no --tol and
+    # no inputs.tol; hg's --tol sets the window polish and is still checked
+    rc, out, _ = run_cli(capsys, "premium", "--phi", "expectile:0.8", "--data", dist_csv)
+    assert rc == 0 and set(json.loads(out)["inputs"]) == {"phi", "data"}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["premium", "--phi", "expectile:0.8", "--data", dist_csv, "--tol", "1e-10"])
+    assert exc.value.code == 2
+    rc, out, err = run_cli(capsys, "hg", "--phi", "lpq:1.5,0.5,1,2", "--data", dist_csv, "--tol", "0")
+    assert (rc, out) == (1, "")
+    assert "computation error: tolerance must be positive" in err
+
+
 def test_properties_single_suite(capsys):
     rc, out, _ = run_cli(
         capsys, "properties", "--suite", "axioms", "--trials", "8", "--seed", "1"

@@ -18,6 +18,7 @@ from orlicz import (
     Power,
     QuantileStep,
     RandomVariable,
+    ToleranceError,
     beta_conjugate,
     gg_counterexample_check,
     hg_risk_measure,
@@ -259,18 +260,28 @@ def test_evaluations_count_premium_calls(monkeypatch, phi, route):
     ],
     ids=lambda v: v if isinstance(v, str) else v.spec_string(),
 )
-def test_tol_reaches_every_premium(monkeypatch, phi, route):
-    tols = []
-    premium = hg.orlicz_premium
+def test_tol_reaches_the_window_polish_alone(monkeypatch, phi, route):
+    # every premium closes to adjacent floats whatever tol is; tol sets the
+    # width of the window route's golden_min and nothing else
+    calls, widths = [], []
+    premium, polish = hg.orlicz_premium, hg.golden_min
 
-    def recording(phi, X, tol=1e-10, **kwargs):
-        tols.append(tol)
-        return premium(phi, X, tol, **kwargs)
+    def recording(*args, **kwargs):
+        calls.append(kwargs)
+        return premium(*args, **kwargs)
+
+    def polishing(f, lo, hi, tol):
+        widths.append(tol)
+        return polish(f, lo, hi, tol=tol)
 
     monkeypatch.setattr(hg, "orlicz_premium", recording)
+    monkeypatch.setattr(hg, "golden_min", polishing)
     res = hg_risk_measure(phi, rv((0.2, 1.4, 3.1)), tol=1e-7)
     assert res.route == route
-    assert tols and set(tols) == {1e-7}
+    assert calls and all(kwargs == {} for kwargs in calls)
+    assert widths == ([1e-7] if route == "window" else [])
+    with pytest.raises(ToleranceError):
+        hg_risk_measure(phi, rv((0.2, 1.4, 3.1)), tol=0.0)
 
 
 @pytest.mark.parametrize("phi", [LpqQuantile(1.5, 0.5, 1.0, 2.0), NONCONVEX_PWL], ids=lambda v: v.spec_string())
@@ -280,9 +291,9 @@ def test_window_computes_no_premium_twice(monkeypatch, phi):
     excesses = []
     premium = hg.orlicz_premium
 
-    def recording(phi, X, tol=1e-10, **kwargs):
+    def recording(phi, X, **kwargs):
         excesses.append(X.values)
-        return premium(phi, X, tol, **kwargs)
+        return premium(phi, X, **kwargs)
 
     monkeypatch.setattr(hg, "orlicz_premium", recording)
     res = hg_risk_measure(phi, rv((0.2, 1.4, 3.1)))

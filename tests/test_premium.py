@@ -129,7 +129,87 @@ def test_fast_paths_match_generic():
         phi = families[i % len(families)]
         fast = orlicz_premium(phi, X).value
         slow = orlicz_premium(phi, X, route="generic").value
-        assert fast == pytest.approx(slow, rel=1e-8, abs=0.0), phi.spec_string()
+        assert fast == pytest.approx(slow, rel=1e-12, abs=0.0), phi.spec_string()
+
+
+GENERIC_FAMILIES = [
+    GeometricMean(),
+    Power(2.0),
+    Expectile(0.8),
+    LpqQuantile(1.5, 0.5, 1.0, 2.0),
+    PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (2.0, 3.0)]),
+    PiecewiseLinear([(0.0, 0.0), (0.5, 0.8), (1.0, 1.0), (2.0, 3.0)]),
+    PiecewiseLinear([(0.0, 0.2), (0.5, 0.6), (1.0, 1.0), (1.5, 2.0)], upper=2.0),
+]
+
+
+@pytest.mark.parametrize("phi", GENERIC_FAMILIES, ids=lambda f: f.spec_string())
+def test_generic_route_is_the_least_float_whose_moment_reads_at_most_one(monkeypatch, phi):
+    # adjacent floats with g(lo) > 1 >= g(hi) = g_at_value, iterations the
+    # moments read; max X, feasible unread, costs one moment more.  A capped
+    # Phi whose cap lo = max X / upper is feasible returns (lo, lo) after
+    # reading g there alone
+    rng = np.random.default_rng(19)
+    moments = []
+    monkeypatch.setattr(premium, "phi_moment", lambda *args: moments.append(args[-1]) or phi_moment(*args))
+    for _ in range(40):
+        values, probs = _random_instance(rng, n_max=8)
+        X = rv(values, probs)
+        moments.clear()
+        res = orlicz_premium(phi, X, route="generic")
+        g = lambda k: phi_moment(phi, X.values_array(), X.space.probs_array(), k)  # noqa: E731
+        lo, hi = res.bracket
+        assert res.route == "generic" and res.value == hi and res.g_at_value == g(hi) <= 1.0
+        if lo == hi:
+            assert phi.upper < math.inf and hi == max(values) / phi.upper
+            assert res.iterations == len(moments) == 1
+            continue
+        assert math.nextafter(lo, hi) == hi and g(lo) > 1.0
+        assert res.iterations == len(moments) - (hi == max(values))
+
+
+def test_generic_route_reports_an_unattained_infimum_as_its_limit():
+    # Phi(0) = -10 under an atom at 0 keeps E[Phi(X/k)] <= 1 for every
+    # k > 0: the infimum 0 is not attained, and the route reports it with
+    # no moment, where the least positive float overflows X/k
+    phi = PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (1.0, 1.5)], value_at_zero=-10.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = orlicz_premium(phi, rv((0.0, 1.0)))
+    assert (res.value, res.bracket, res.g_at_value, res.route) == (0.0, (0.0, 5e-324), None, "generic")
+    assert res.iterations <= 13
+
+
+@pytest.mark.parametrize("route", ["auto", "generic"])
+def test_phi_equal_to_one_on_the_unit_interval_gives_max_x_exactly(route):
+    # Phi(0) = 1 makes an admissible Phi 1 on all of [0, 1] and > 1 past it,
+    # so the premium is max X; the float moment reads <= 1 one float below
+    # 2.6 here, where a search would stop
+    phi, X = PiecewiseLinear([(0.0, 1.0), (1.0, 1.0), (3.0, 5.0)]), rv((0.7, 1.9, 2.6))
+    below = math.nextafter(2.6, 0.0)
+    assert phi_moment(phi, X.values_array(), X.space.probs_array(), below) <= 1.0
+    res = orlicz_premium(phi, X, route=route)
+    assert (res.value, res.bracket, res.iterations, res.route) == (2.6, (2.6, 2.6), 0, "generic")
+    if route == "auto":  # the built-ins keep their closed-form labels
+        for spec, name in (
+            (LpqQuantile(2.0, 0.0, 2.0, 1.0), "lpq_quantile"),
+            (GeometricExpectile(2.0, 0.0), "geometric_expectile"),
+            (QuantileStep(1.0), "quantile"),
+        ):
+            res = orlicz_premium(spec, X)
+            assert (res.value, res.iterations, res.route) == (2.6, 0, "closed_form:" + name)
+
+
+def test_bench_pwl_premium_takes_at_most_16_moments(monkeypatch):
+    # the power-of-two bracket and the secant close in about 12 moments;
+    # bisection to a relative width of 1e-10 took 41
+    phi = PiecewiseLinear([(0.5, 0.25), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0)])
+    X = rv(np.random.default_rng(0).lognormal(0.0, 1.5, 10**4).tolist())
+    moments = []
+    monkeypatch.setattr(premium, "phi_moment", lambda *args: moments.append(args[-1]) or phi_moment(*args))
+    res = orlicz_premium(phi, X)
+    assert res.route == "generic" and res.g_at_value <= 1.0
+    assert len(moments) <= 16
 
 
 def test_expectile_fast_path_matches_bisection_oracle():
@@ -361,13 +441,13 @@ HOMOGENEITY_FAMILIES = [
 @pytest.mark.parametrize("route", ["auto", "generic"])
 @pytest.mark.parametrize("phi", HOMOGENEITY_FAMILIES, ids=lambda f: f.spec_string())
 def test_positive_homogeneity_holds_to_tol_at_every_scale(phi, route, scale):
-    # tol is relative: H(cX) and c H(X) both lie within tol of the truth;
-    # a stopping width absolute below 1 would leave errors up to 3.8e-5 at 1e-6
-    tol = 1e-10
+    # every route closes to a few ulps at every scale (5.8e-15 is the
+    # largest gap here); a stopping width absolute below 1 would leave
+    # errors up to 3.8e-5 at 1e-6
     values = np.random.default_rng(0).lognormal(0.0, 1.5, 50)
-    base = orlicz_premium(phi, rv(values.tolist()), tol=tol, route=route).value
-    got = orlicz_premium(phi, rv((scale * values).tolist()), tol=tol, route=route).value
-    assert got == pytest.approx(scale * base, rel=2.0 * tol, abs=0.0)
+    base = orlicz_premium(phi, rv(values.tolist()), route=route).value
+    got = orlicz_premium(phi, rv((scale * values).tolist()), route=route).value
+    assert got == pytest.approx(scale * base, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(
@@ -388,7 +468,7 @@ def test_exact_lp_quantile_is_homogeneous_to_the_bit_past_squares_that_overflow(
 def test_lp2_premium_past_squares_that_overflow():
     # 2e154 ** 2 overflows: the unscaled walk read h as nan and returned max X
     tol = 1e-10
-    res = orlicz_premium(LpQuantile(0.5, 2.0), rv((1.0, 2e154)), tol=tol)
+    res = orlicz_premium(LpQuantile(0.5, 2.0), rv((1.0, 2e154)))
     assert res.value == pytest.approx(1e154, rel=tol, abs=0.0)
     assert res.g_at_value <= 1.0
     # (2 - k)^2 + (3 - k)^2 = k^2 on [0, 2] in units of 1e154; the midpoint
@@ -396,7 +476,7 @@ def test_lp2_premium_past_squares_that_overflow():
     for values, want in (((1.0, 2e154, 3e154), (5.0 - 12.0**0.5) * 1e154),
                          ((2.0**600, 2.0**601), 1.5 * 2.0**600),
                          ((1e-200, 2e-200), 1.5e-200)):
-        res = orlicz_premium(LpQuantile(0.5, 2.0), rv(values), tol=tol)
+        res = orlicz_premium(LpQuantile(0.5, 2.0), rv(values))
         assert res.value == pytest.approx(want, rel=tol, abs=0.0)
         assert res.g_at_value <= 1.0
         assert res.nudges == 0
@@ -513,8 +593,7 @@ def test_secant_route_counts_every_evaluation(monkeypatch):
     assert np.median(counts) <= 14 and max(counts) <= 20, counts
 
 
-# roots hundreds of binades below E[X] = 1/2, and one at max X where b*L
-# is 1e-300 of a*G and the secant gets nothing from the log ratio
+# roots hundreds of binades below E[X] = 1/2
 @pytest.mark.parametrize(
     "phi, want, most",
     [
@@ -522,7 +601,6 @@ def test_secant_route_counts_every_evaluation(monkeypatch):
         (LpqQuantile(1e-300, 1.0, 2.0, 1.0), 1e-150, 30),
         (LpqQuantile(1e-300, 1.0, 1.0, 2.0), 1e-300, 30),
         (LpqQuantile(1.0, 1e300, 1.5, 1.5), 1e-200, 30),
-        (LpqQuantile(1.0, 1e-300, 1.5, 1.5), 1.0, 64),
     ],
     ids=lambda v: v.spec_string() if hasattr(v, "spec_string") else None,
 )
@@ -537,6 +615,20 @@ def test_extreme_weights_keep_the_root_search_short(phi, want, most):
     assert res.iterations <= most
     assert res.value == pytest.approx(want, rel=1e-12, abs=0.0)
     assert res.g_at_value <= 1.0
+
+
+def test_a_loss_weight_below_the_float_grid_is_the_essential_supremum():
+    # Phi(0) = 1 - 1e-300 rounds to 1, so the float Phi is 1 on [0, 1] and
+    # the premium is max X with no search.  The root search alone closes
+    # at max X too, where b*L is 1e-300 of a*G and the secant gets nothing
+    # from the log ratio
+    phi, X = LpqQuantile(1.0, 1e-300, 1.5, 1.5), rv((0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = orlicz_premium(phi, X)
+        hi, bracket, evaluations = premium._two_branch(phi, X, X.values_array(), X.space.probs_array())
+    assert (res.value, res.route, res.iterations, res.g_at_value) == (1.0, "closed_form:lpq_quantile", 0, 1.0)
+    assert hi == bracket[1] == 1.0 and evaluations <= 64
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

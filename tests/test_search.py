@@ -5,7 +5,8 @@ ends are evaluated and the result is the best point evaluated, never an
 extrapolation.  Brent's parabolic steps and the flat stop only change
 how few evaluations it takes to get there.  bisect_root_decreasing keeps
 u > v at the bottom of its bracket and u <= v at the top, closed to
-adjacent floats at every scale, and counts each evaluation; secant_root,
+adjacent floats at every scale, and counts each evaluation;
+bisect_smallest_feasible is that search on g <= threshold.  secant_root,
 which it and the penalties' multiplier root share, takes the steps of the
 loop that duality ran before it.
 """
@@ -202,10 +203,47 @@ def test_root_search_reads_a_nan_as_at_most_zero():
     blo, bhi, evaluations = bisect_root_decreasing(h, 0.1, 2.0, 1.0)
     assert blo < r <= bhi and math.nextafter(blo, 2.0) == bhi
     assert evaluations == len(seen)
-    # the smallest feasible search reads a nan as infeasible: it moves its bottom up
-    g = lambda k: math.nan if k >= r else 1.0  # noqa: E731
-    value, glo, ghi, _ = bisect_smallest_feasible(g, 0.1, 2.0, 0.0, rel_tol=1e-12)
-    assert value == ghi == 2.0 and glo > 2.0 * (1.0 - 1e-12)
+    # the smallest feasible search reads a nan as feasible, as g <= threshold
+    g, seen = counted(lambda k: math.nan if k >= r else 1.0)
+    blo, bhi, evaluations = bisect_smallest_feasible(g, 0.1, 2.0, 1.0, threshold=0.0)
+    assert blo < r <= bhi and math.nextafter(blo, 2.0) == bhi
+    assert evaluations == len(seen)
+
+
+# nonincreasing g with g <= 1 from about r on, each read only through k / r
+# as a premium's moment is; plateau reads exactly 1 over floats below r
+FEASIBLE = {
+    "square": lambda r: (lambda k: (r / k) ** 2),
+    "step": lambda r: (lambda k: 2.0 if k < r else 0.5),
+    "plateau": lambda r: (lambda k: max(2.0 - k / r, 1.0)),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+@pytest.mark.parametrize("start", [1.5e-3, 1.0, 5.0])
+@pytest.mark.parametrize("name", sorted(FEASIBLE))
+def test_smallest_feasible_is_the_least_float_at_every_scale(name, start, scale):
+    # adjacent floats, g > 1 at the bottom and g <= 1 at the top: the very
+    # pair that bisection over floats finds; the count is every evaluation
+    r = 0.7310585786300049 * scale
+    g, seen = counted(FEASIBLE[name](r))
+    lo, hi = r * 1e-3, r * 7.0
+    blo, bhi, evaluations = bisect_smallest_feasible(g, lo, hi, r * start)
+    assert evaluations == len(seen) <= 64
+    assert lo < blo < bhi <= hi and math.nextafter(blo, hi) == bhi
+    assert g(blo) > 1.0 >= g(bhi)
+    assert (blo, bhi) == exhausted(lambda k: (g(k), 1.0), lo, hi)
+    if name == "step":
+        assert bhi == r
+
+
+def test_smallest_feasible_ends_at_its_bottom_where_every_float_is_feasible():
+    # g <= 1 down to the least positive float: the bottom comes back unread,
+    # so a caller can report the infimum lo rather than a float above it
+    g, seen = counted(lambda k: 0.5)
+    blo, bhi, evaluations = bisect_smallest_feasible(g, 0.0, 1.0, 0.5)
+    assert (blo, bhi) == (0.0, 5e-324)
+    assert evaluations == len(seen) <= 13
 
 
 def test_root_search_evaluates_only_inside_its_ends():
