@@ -45,15 +45,3 @@ class DomainError(OrliczError):
 class DimensionError(OrliczError):
     """Mismatched or unsupported dimensions (space size, vector lengths)."""
 
-
-class ToleranceError(OrliczError):
-    """Tolerance is non-positive or below floating-point resolution."""
-
-
-def check_tol(tol: float) -> float:
-    """Reject tolerances that are non-positive or below fp resolution."""
-    if not (tol > 0.0):
-        raise ToleranceError(f"tolerance must be positive, got {tol!r}")
-    if tol < 1e-15:
-        raise ToleranceError(f"tolerance {tol!r} is below float64 resolution")
-    return tol

@@ -268,7 +268,7 @@ def _cmd_premium(args) -> int:
 def _cmd_hg(args) -> int:
     phi = parse_phi_spec(args.phi)
     X = load_data(args.data, args.format)
-    res = hg_risk_measure(phi, X, tol=args.tol)
+    res = hg_risk_measure(phi, X)
     if args.profile:
         with open(args.profile, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -277,13 +277,11 @@ def _cmd_hg(args) -> int:
                 w.writerow([repr(x), repr(g)])
     _emit(
         "hg",
-        {"phi": phi.spec_string(), "data": args.data, "tol": args.tol},
+        {"phi": phi.spec_string(), "data": args.data},
         {"value": res.value, "minimizer_x": res.minimizer_x},
         {
             "attained": res.attained,
             "evaluations": res.evaluations,
-            "extensions": res.extensions,
-            "floor_active": res.floor_active,
             "profile_written": args.profile or None,
             "route": res.route,
         },
@@ -386,12 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hg", help="translated-premium risk measure inf_x x + H((X-x)+)")
     add_common(p)
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=1e-10,
-        help="relative width of the window route's polish (Brent's method over x)",
-    )
     p.add_argument("--profile", help="write the x,g points the route evaluated to this CSV")
     p.set_defaults(func=_cmd_hg)
 

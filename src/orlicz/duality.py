@@ -674,12 +674,20 @@ def _first_order_weights(
     xi = Phi'_+(X/k) (arithmetic) or (X/k) Phi'_+(X/k) (geometric).
     Fenchel equality holds for every subgradient, so the right derivative
     serves at kinks and zero atoms too.  When xi == 0 (or k == 0), Q* is
-    P conditioned on {X = max X}.
+    P conditioned on {X = max X}.  So is it where the cap binds, k = max X
+    / upper: the bound X / k <= upper at the top atoms stops k there, not
+    the moment, so its multiplier charges those atoms alone, and that Q*
+    has penalty 1 / upper and attains k.  The case is read off k, not off
+    an infinite Phi'_+: max X / k can round to just below upper, where
+    Phi'_+ is finite.
     """
     deriv = phi.derivative
-    if deriv is None:
+    top = float(vals.max())
+    if k > 0.0 and k == top / phi.upper:
+        xi = np.zeros_like(vals)
+    elif deriv is None:
         return None
-    if k > 0.0:
+    elif k > 0.0:
         x = vals / k
         xi = deriv(x) if kind == "arithmetic" else x * deriv(x)
         if not (np.isfinite(xi).all() and (xi >= 0.0).all()):
@@ -688,7 +696,7 @@ def _first_order_weights(
         xi = np.zeros_like(vals)
     w = probs * xi
     if not float(w.sum()) > 0.0:
-        w = np.where(vals == vals.max(), probs, 0.0)
+        w = np.where(vals == top, probs, 0.0)
     return w / w.sum()
 
 
@@ -726,16 +734,19 @@ def dual_search(
     Phi'_+(X/k) (arithmetic) or (X/k) Phi'_+(X/k) (geometric) and attains
     beta(Q*) E_Q*[X] = k (alpha(Q*) exp(E_Q*[log X]) = k); the penalty
     comes from beta_conjugate / alpha_penalty as for any Q.  Q* is
-    returned with route "first_order" when its gap is within
-    1e-9 * max(1, primal), the slack weak duality is checked with.
+    returned with route "first_order" when its gap is within 1e-9 * primal,
+    the slack weak duality is checked with, relative at every scale.
+    Where the cap binds (k == max X / upper), Q* is P conditioned on
+    {X = max X} (_first_order_weights).
 
-    Otherwise (phi.derivative is None, Phi'_+ is infinite at an atom, or
-    the bound is loose) the search runs with route "grid": the better of
-    P and Q* is the incumbent, the candidates are the whole simplex grid
-    (step grid_step, default 0.01 for n <= 3 and 0.05 for n = 4) or 32
-    seeded multistarts for larger n, and a deterministic pairwise-transfer
-    polish with halving step refines the best point.  Ties prefer the
-    lexicographically smallest density, independent of evaluation order.
+    Otherwise (phi.derivative is None, Phi'_+ is infinite at an atom below
+    the cap, or the bound is loose) the search runs with route "grid": the
+    better of P and Q* is the incumbent, the candidates are the whole
+    simplex grid (step grid_step, default 0.01 for n <= 3 and 0.05 for
+    n = 4) or 32 seeded multistarts for larger n, and a deterministic
+    pairwise-transfer polish with halving step refines the best point.
+    Ties prefer the lexicographically smallest density, independent of
+    evaluation order.
     """
     if kind not in ("arithmetic", "geometric"):
         raise ValueError(f"kind must be 'arithmetic' or 'geometric', got {kind!r}")
@@ -754,7 +765,7 @@ def dual_search(
     from .premium import orlicz_premium
 
     primal = orlicz_premium(phi, X).value
-    slack = 1e-9 * max(1.0, primal)
+    slack = 1e-9 * primal
 
     def bound(q: Sequence[float], pen: float) -> float:
         # a Q-mean lies between the least and greatest value Q charges;
@@ -1052,7 +1063,7 @@ def hg_dual_check(
     _check_grid_size(X.space.n)
     from .hg import hg_risk_measure
 
-    primal = hg_risk_measure(phi, X, tol=1e-10).value
+    primal = hg_risk_measure(phi, X).value
     probs = X.space.probs_array()
     vals = X.values_array()
     band = grid_step

@@ -40,8 +40,10 @@ match wins:
   with p < q, and the other knotted Phi continuous at 1): the arguments
   above confine the minimum to [min X, max X], or for a knotted Phi to
   [x_L, max X] with e the value left of it, which a coarse sweep plus a
-  polish by Brent's method (search.golden_min) to hg_risk_measure's
-  relative width tol searches.
+  polish by Brent's method (search.golden_min) searches.  The polish runs
+  on t = x / s, s = 2^(E - 11) for max X in [2^(E-1), 2^E), and stops at
+  width WINDOW_TOL * max(1, |t|): a power of two keeps every point of
+  the sweep a point of the polish, and rho(2^j X) = 2^j rho(X) to the bit.
 
 Any other Phi (a pwl that jumps at 1 or ends there, a family that states
 no facts) raises OrliczError.
@@ -56,13 +58,14 @@ from typing import Callable
 
 import numpy as np
 
-from .base import INF, NEG_INF, OrliczError, check_tol
+from .base import INF, NEG_INF, OrliczError
 from .functions import GeometricMean, OrliczFunction
 from .premium import _ensure_admissible, _lp_quantile_exact, orlicz_premium
 from .prob import RandomVariable, rv
 from .search import golden_min
 
 COARSE_POINTS = 256
+WINDOW_TOL = 1e-10  # the window polish's width, in units of s ~ max X / 2^11
 GG_TOL = 1e-9  # margin by which the counterexample must break GG-convexity
 
 
@@ -81,8 +84,8 @@ class HGResult:
     atoms evaluated on "atoms", the coarse sweep on "window".
     evaluations counts the premiums computed.  extensions and
     floor_active are always 0 and False: no route widens its window or
-    clamps it to a floor any more.  They stay because the CLI's hg
-    envelope prints them and the benchmark's tracer reads them.
+    clamps it to a floor any more.  They stay because the benchmark's
+    tracer reads them.
     """
 
     value: float
@@ -95,8 +98,7 @@ class HGResult:
     attained: bool
 
 
-def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) -> HGResult:
-    check_tol(tol)  # the width of the window route's polish
+def hg_risk_measure(phi: OrliczFunction, X: RandomVariable) -> HGResult:
     vals = X.values_array()
     lo_val = float(vals.min())
     hi_val = float(vals.max())
@@ -135,7 +137,7 @@ def hg_risk_measure(phi: OrliczFunction, X: RandomVariable, tol: float = 1e-10) 
         if phi.convex_flag is True:
             return HGResult(tail_v, tail_x, (), 0, False, 0, "tail", True)
         lo = tail_x
-    best_x, best_v, profile = _sweep(g, lo, hi_val, tol)
+    best_x, best_v, profile = _sweep(g, lo, hi_val)
     if tail_v < best_v:
         best_x, best_v = tail_x, tail_v
     return HGResult(best_v, best_x, profile, 0, False, count, "window", True)
@@ -183,10 +185,11 @@ def _atom_profile(g: Callable[[float], float], atoms: list[float]) -> tuple[tupl
 
 
 def _sweep(
-    g: Callable[[float], float], lo: float, hi: float, tol: float
+    g: Callable[[float], float], lo: float, hi: float
 ) -> tuple[float, float, tuple[tuple[float, float], ...]]:
-    """Coarse sweep of g on [lo, hi], then Brent's method (golden_min)
-    around its best point.  Returns (x, g(x), sweep)."""
+    """Coarse sweep of g on [lo, hi], hi = max X > 0, then Brent's method
+    (golden_min) on t = x / s around its best point (module docstring).
+    Returns (x, g(x), sweep)."""
     xs = np.linspace(lo, hi, COARSE_POINTS)
     gs = [g(float(x)) for x in xs]
     profile = tuple((float(x), float(v)) for x, v in zip(xs, gs))
@@ -194,13 +197,18 @@ def _sweep(
     best_x, best_v = float(xs[i]), float(gs[i])
     blo = float(xs[max(i - 1, 0)])
     bhi = float(xs[min(i + 1, len(xs) - 1)])
-    # the polish starts from two sweep points: their premiums are known
+    # the polish starts from two sweep points: their premiums are known, and
+    # x / s * s is x again for a power of two s
     swept = dict(profile)
-    x2, v2 = golden_min(
-        lambda x: swept[x] if x in swept else g(x), blo, bhi, tol=max(tol, 1e-13)
-    )
+    s = math.ldexp(1.0, math.frexp(hi)[1] - 11)
+
+    def at(t: float) -> float:
+        x = t * s
+        return swept[x] if x in swept else g(x)
+
+    t2, v2 = golden_min(at, blo / s, bhi / s, tol=WINDOW_TOL)
     if v2 < best_v:
-        best_x, best_v = float(x2), float(v2)
+        best_x, best_v = t2 * s, float(v2)
     return best_x, best_v, profile
 
 

@@ -145,17 +145,17 @@ def golden_min(
 
 
 def bisect_smallest_feasible(
-    g: Callable[[float], float], lo: float, hi: float, start: float, threshold: float = 1.0
+    g: Callable[[float], float], lo: float, hi: float, start: float
 ) -> tuple[float, float, int]:
     """(lo', hi', evaluations): the least float hi' in (lo, hi] with g(hi')
-    <= threshold, for nonincreasing g, and the float below it.
+    <= 1, for nonincreasing g, and the float below it.
 
-    bisect_root_decreasing on (g(k), threshold) from start: lo and hi count
-    as g > threshold and g <= threshold unread, and a nan reads as <=
-    threshold.  lo' is lo itself where no float read above threshold.
-    bench/spans.py wraps the name (a bisection's).
+    bisect_root_decreasing on (g(k), 1) from start: lo and hi count as
+    g > 1 and g <= 1 unread, and a nan reads as <= 1.  lo' is lo itself
+    where no float read above 1.  bench/spans.py wraps the name (a
+    bisection's).
     """
-    return bisect_root_decreasing(lambda k: (g(k), threshold), lo, hi, start)
+    return bisect_root_decreasing(lambda k: (g(k), 1.0), lo, hi, start)
 
 
 def secant_root(

@@ -1055,6 +1055,41 @@ def test_capped_convex_pwl_gets_a_tight_certificate():
     assert cert.primal == pytest.approx(7.0 / 3.0, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("kind", ["arithmetic", "geometric"])
+@pytest.mark.parametrize(
+    "phi",
+    [
+        PiecewiseLinear([(0.0, 0.2), (0.5, 0.6), (1.0, 1.0), (1.5, 2.0)], upper=2.0),
+        PiecewiseLinear([(0.0, 0.0), (1.0, 1.0), (1.2, 3.0)], upper=1.2),
+    ],
+    ids=lambda f: f.spec_string(),
+)
+def test_cap_binding_certificate_is_the_point_mass_at_max_x(phi, kind):
+    # where k = max X / upper, the cap stops k, not the moment: Q* is P
+    # conditioned on {X = max X}, with penalty 1 / upper.  Read off
+    # Phi'_+(X/k) instead, these fell to the grid with gaps up to 1.9e-2
+    rng = np.random.default_rng(40)
+    capped = 0
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        X = rv(rng.uniform(0.3, 3.0, n).tolist(), rng.dirichlet(np.ones(n)).tolist())
+        cert = dual_search(phi, X, kind=kind)
+        top = max(X.values)
+        if cert.primal != top / phi.upper:
+            continue
+        capped += 1
+        assert cert.route == "first_order", cert
+        assert cert.measure.density == tuple(
+            1.0 / p if v == top else 0.0 for v, p in zip(X.values, X.space.probs)
+        )
+        # beta reads 1 / upper exactly; alpha can read an ulp off it
+        if kind == "arithmetic":
+            assert cert.gap == 0.0, cert
+        else:
+            assert abs(cert.gap) <= 2.2e-16 * cert.primal, cert
+    assert capped >= 3
+
+
 class _NoSlope(Power):
     derivative = None  # no first-order measure: every certificate takes the grid route
 
@@ -1259,7 +1294,7 @@ def _loop_hg_dual_check(phi, X, grid_step):
     """hg_dual_check as the per-measure loop computed it."""
     from orlicz.hg import hg_risk_measure
 
-    primal = hg_risk_measure(phi, X, tol=1e-10).value
+    primal = hg_risk_measure(phi, X).value
     probs, vals = X.space.probs_array(), X.values_array()
     best_val, best_dens, admissible, total = -INF, None, 0, 0
     for q in [tuple(float(p) for p in probs)] + simplex_grid(X.space.n, grid_step):

@@ -18,14 +18,13 @@ from orlicz import (
     Power,
     QuantileStep,
     RandomVariable,
-    ToleranceError,
     beta_conjugate,
     gg_counterexample_check,
     hg_risk_measure,
     orlicz_premium,
     rv,
 )
-from orlicz.hg import COARSE_POINTS
+from orlicz.hg import COARSE_POINTS, WINDOW_TOL
 from orlicz.premium import _lp_quantile_exact
 
 # families whose premium is cash-additive, so rho(X) = H(X) = g(min X)
@@ -260,10 +259,12 @@ def test_evaluations_count_premium_calls(monkeypatch, phi, route):
     ],
     ids=lambda v: v if isinstance(v, str) else v.spec_string(),
 )
-def test_tol_reaches_the_window_polish_alone(monkeypatch, phi, route):
-    # every premium closes to adjacent floats whatever tol is; tol sets the
-    # width of the window route's golden_min and nothing else
-    calls, widths = [], []
+def test_window_polish_alone_runs_on_a_power_of_two_scale(monkeypatch, phi, route):
+    # every premium closes to adjacent floats, and the window route's one
+    # golden_min runs on t = x / s with s = 2^-9 for max X = 3.1 in [2, 4),
+    # between the sweep points either side of the best one, so WINDOW_TOL
+    # is a width in units of s, whatever the scale of X
+    calls, polishes = [], []
     premium, polish = hg.orlicz_premium, hg.golden_min
 
     def recording(*args, **kwargs):
@@ -271,17 +272,45 @@ def test_tol_reaches_the_window_polish_alone(monkeypatch, phi, route):
         return premium(*args, **kwargs)
 
     def polishing(f, lo, hi, tol):
-        widths.append(tol)
+        polishes.append((lo, hi, tol))
         return polish(f, lo, hi, tol=tol)
 
     monkeypatch.setattr(hg, "orlicz_premium", recording)
     monkeypatch.setattr(hg, "golden_min", polishing)
-    res = hg_risk_measure(phi, rv((0.2, 1.4, 3.1)), tol=1e-7)
+    res = hg_risk_measure(phi, rv((0.2, 1.4, 3.1)))
     assert res.route == route
     assert calls and all(kwargs == {} for kwargs in calls)
-    assert widths == ([1e-7] if route == "window" else [])
-    with pytest.raises(ToleranceError):
-        hg_risk_measure(phi, rv((0.2, 1.4, 3.1)), tol=0.0)
+    if route != "window":
+        assert polishes == []
+        return
+    ((lo, hi, tol),) = polishes
+    xs = [x for x, _ in res.profile]
+    i = xs.index(min(res.profile, key=lambda pt: pt[1])[0])
+    bracket = xs[max(i - 1, 0)], xs[min(i + 1, COARSE_POINTS - 1)]
+    assert (lo, hi, tol) == (bracket[0] * 512.0, bracket[1] * 512.0, WINDOW_TOL)
+
+
+# a random X per seed, n = 3-8; scaled by s, rho must scale with it
+def _random_x(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    return rng.lognormal(0.0, 1.0, n).tolist(), rng.dirichlet(np.ones(n)).tolist()
+
+
+@pytest.mark.parametrize("phi", [LpqQuantile(1.5, 0.5, 1.0, 2.0), NONCONVEX_PWL], ids=lambda v: v.spec_string())
+def test_window_is_positively_homogeneous(phi):
+    # a polish that stops at a width absolute below scale 1 missed 2.3e-6
+    # relative at s = 1e-6; on t = x / s every power of two scales exactly
+    for seed in range(12):
+        vals, probs = _random_x(seed)
+        rho = hg_risk_measure(phi, rv(vals, probs))
+        assert rho.route == "window"
+        for j in (-30, -20, 20, 30):
+            s = math.ldexp(1.0, j)
+            assert hg_risk_measure(phi, rv([s * v for v in vals], probs)).value == s * rho.value
+        for s in (1e-6, 1e-3, 1e3, 1e6):
+            scaled = hg_risk_measure(phi, rv([s * v for v in vals], probs)).value / s
+            assert scaled == pytest.approx(rho.value, rel=1e-12, abs=0.0), (seed, s)
 
 
 @pytest.mark.parametrize("phi", [LpqQuantile(1.5, 0.5, 1.0, 2.0), NONCONVEX_PWL], ids=lambda v: v.spec_string())

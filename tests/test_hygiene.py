@@ -1,6 +1,7 @@
 """Static hygiene of the package source: no dead imports, no unread
-parameters, no isinstance tests against a family class; and of the
-tests: no pytest.approx that states rel without abs.
+parameters, no isinstance tests against a family class, no public
+tolerance knob; and of the tests: no pytest.approx that states rel
+without abs.
 
 The checks walk the stdlib ast of every module under src/orlicz.  A
 parameter that no body reads is a knob that changes no result, and an
@@ -13,6 +14,7 @@ whatever rel says.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import orlicz
@@ -127,6 +129,30 @@ def test_duality_imports_no_family_class():
     assert not imported & FAMILY_NAMES
 
 
+def _public_callables():
+    """(name, function) for every function in orlicz.__all__ and every
+    public method of a class there; a dataclass's generated __init__ is a
+    dunder, so a report's fields (GGCounterexampleReport.tol, the margin
+    it certified) are not parameters here."""
+    for name in orlicz.__all__:
+        obj = getattr(orlicz, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, fn in inspect.getmembers(obj, inspect.isfunction):
+                if not attr.startswith("_"):
+                    yield f"{name}.{attr}", fn
+
+
+def test_no_public_callable_takes_tol():
+    # every premium closes to adjacent floats and the HG window polish has
+    # one scale-free width, so no result is left for a caller's tol to set
+    callables = dict(_public_callables())
+    assert {"hg_risk_measure", "orlicz_premium", "PiecewiseLinear.derivative"} <= set(callables)
+    found = [name for name, fn in callables.items() if "tol" in inspect.signature(fn).parameters]
+    assert not found, f"public callables that take tol: {found}"
+
+
 def test_ladder_helpers_stay_deleted():
     import orlicz.duality as duality
     import orlicz.functions as functions
@@ -161,6 +187,11 @@ def test_ladder_helpers_stay_deleted():
     # gm is the a = b = 1 member of the log-branch loss: it states no Phi of its own
     own = set(vars(functions.GeometricMean))
     assert not {"__call__", "derivative", "at_zero", "convex_flag", "ga_convex_flag"} & own
+    # the tolerance check of hg_risk_measure's tol, which the scale-free
+    # window polish replaced
+    import orlicz.base as base
+
+    assert not {"check_tol", "ToleranceError"} & (set(vars(base)) | set(orlicz.__all__))
 
 
 def _approx_rel_without_abs(tree: ast.Module) -> list[str]:

@@ -6,7 +6,7 @@ extrapolation.  Brent's parabolic steps and the flat stop only change
 how few evaluations it takes to get there.  bisect_root_decreasing keeps
 u > v at the bottom of its bracket and u <= v at the top, closed to
 adjacent floats at every scale, and counts each evaluation;
-bisect_smallest_feasible is that search on g <= threshold.  secant_root,
+bisect_smallest_feasible is that search on g <= 1.  secant_root,
 which it and the penalties' multiplier root share, takes the steps of the
 loop that duality ran before it.
 """
@@ -203,9 +203,9 @@ def test_root_search_reads_a_nan_as_at_most_zero():
     blo, bhi, evaluations = bisect_root_decreasing(h, 0.1, 2.0, 1.0)
     assert blo < r <= bhi and math.nextafter(blo, 2.0) == bhi
     assert evaluations == len(seen)
-    # the smallest feasible search reads a nan as feasible, as g <= threshold
-    g, seen = counted(lambda k: math.nan if k >= r else 1.0)
-    blo, bhi, evaluations = bisect_smallest_feasible(g, 0.1, 2.0, 1.0, threshold=0.0)
+    # the smallest feasible search reads a nan as feasible, as g <= 1
+    g, seen = counted(lambda k: math.nan if k >= r else 2.0)
+    blo, bhi, evaluations = bisect_smallest_feasible(g, 0.1, 2.0, 1.0)
     assert blo < r <= bhi and math.nextafter(blo, 2.0) == bhi
     assert evaluations == len(seen)
 
